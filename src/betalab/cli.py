@@ -339,7 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--reg-m", dest="reg_m",
                        help="Sigma^M regularization for atomic inputs")
-        p.add_argument("--threads", type=int)
+        p.add_argument("--threads", type=int,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--method", choices=["tridiagonal", "mcmc"])
         if name == "rate":
             p.add_argument("functional",

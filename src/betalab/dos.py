@@ -10,21 +10,26 @@ diagnostics, and the Taylor bookkeeping identity checked on every replica.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .equilibrium import EquilibriumResult, equilibrium_cached, nu_limit
 from .measures import AtomicMeasure, wasserstein
 from .potential import Potential
-from .sampler import SpectrumSample, sample_gaussian, sample_mcmc_batch
+from .sampler import (
+    EdgeSummary, SpectrumSample, gaussian_edge_summary, sample_gaussian,
+    sample_mcmc_batch,
+)
 
 __all__ = [
     "DosStatistics", "TestFunction", "dos_measure", "linear_statistic",
     "delta_statistic", "nu_quadrature", "cheb_coefficients", "clt_variance",
     "clt_variance_report", "gaussian_bias", "remainder_term",
     "bookkeeping_residual", "remainder_bound_constant", "ks_distance",
-    "FluctuationConfig", "fluctuation_ensemble", "dos_convergence",
+    "EdgeTerms", "edge_terms", "FluctuationConfig", "fluctuation_ensemble",
+    "dos_convergence",
 ]
 
 
@@ -44,7 +49,13 @@ class DosStatistics:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """C^2 test function with caller-supplied derivatives.
+    """Polynomial test function f(x) = sum_j coeffs[j] (x - center)^j.
+
+    f, fprime and fsecond are callables derived from the coefficients.
+    Expanding about `center` evaluates (x - b)^2 as accurately near b as
+    the direct formula.  A polynomial statistic needs only the power sums
+    and extreme eigenvalues of a spectrum (an EdgeSummary), which the
+    tridiagonal model gives in O(N deg) per replica.
 
     window_h is the spectral window H used by the diagnostics: remainder
     bounds are only asserted on configurations with all |lambda_i| <= H.
@@ -52,35 +63,63 @@ class TestFunction:
 
     __test__ = False        # not a pytest collectable despite the name
 
-    f: object
-    fprime: object
-    fsecond: object
+    coeffs: tuple
+    center: float = 0.0
     window_h: float = 3.0
     name: str = "f"
 
+    def __post_init__(self):
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if not coeffs:
+            raise ValueError("a test function needs at least one coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def derivative(self) -> "TestFunction":
+        return replace(self, coeffs=tuple(P.polyder(self.coeffs)),
+                       name=f"({self.name})'")
+
+    @property
+    def f(self):
+        coeffs, center = self.coeffs, self.center
+        return lambda x: P.polyval(np.asarray(x, dtype=float) - center, coeffs)
+
+    @property
+    def fprime(self):
+        return self.derivative().f
+
+    @property
+    def fsecond(self):
+        return self.derivative().derivative().f
+
+    def spectral_sum(self, summary: EdgeSummary, a: float) -> float:
+        """sum_i f(a - lambda_i) from the summary's power sums, O(deg^2)."""
+        # Taylor shift: q holds the coefficients of f(a - x) in powers of -x
+        q = np.array(self.coeffs)
+        t = a - self.center
+        for k in range(self.degree):
+            for j in range(self.degree - 1, k - 1, -1):
+                q[j] += t * q[j + 1]
+        q[1::2] *= -1.0
+        return float(np.dot(q, summary.power_sums[:q.size]))
+
     @classmethod
     def identity(cls, window_h: float = 3.0) -> "TestFunction":
-        return cls(f=lambda x: np.asarray(x, dtype=float),
-                   fprime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                   fsecond=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                   window_h=window_h, name="x")
+        return cls(coeffs=(0.0, 1.0), window_h=window_h, name="x")
 
     @classmethod
     def square_about(cls, center: float,
                      window_h: float = 3.0) -> "TestFunction":
-        return cls(f=lambda x: (np.asarray(x, dtype=float) - center) ** 2,
-                   fprime=lambda x: 2.0 * (np.asarray(x, dtype=float) - center),
-                   fsecond=lambda x: np.full_like(
-                       np.asarray(x, dtype=float), 2.0),
-                   window_h=window_h, name=f"(x-{center})^2")
+        return cls(coeffs=(0.0, 0.0, 1.0), center=center, window_h=window_h,
+                   name=f"(x-{center})^2")
 
     @classmethod
     def constant(cls, value: float = 1.0,
                  window_h: float = 3.0) -> "TestFunction":
-        return cls(f=lambda x: np.full_like(np.asarray(x, dtype=float), value),
-                   fprime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                   fsecond=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                   window_h=window_h, name=str(value))
+        return cls(coeffs=(value,), window_h=window_h, name=str(value))
 
 
 def dos_measure(sample: SpectrumSample,
@@ -202,8 +241,7 @@ def bookkeeping_residual(sample: SpectrumSample, eq: EquilibriumResult,
     + R_N(f); zero in exact arithmetic, roundoff-sized in floats."""
     stats = dos_measure(sample, b_v=eq.b_v)
     eps = stats.epsilon_n
-    fp = TestFunction(f=f.fprime, fprime=f.fsecond, fsecond=f.fsecond,
-                      window_h=f.window_h)
+    fp = f.derivative()
     lhs = linear_statistic(stats, f) - sample.n * nu_quadrature(eq, f.f)
     rhs = sample.n * eps * nu_quadrature(eq, f.fprime) \
         + delta_statistic(sample, eq, f) \
@@ -220,6 +258,51 @@ def remainder_bound_constant(f: TestFunction, grid: int = 8193) -> float:
         np.max(np.abs(np.asarray(f.f(x), dtype=float))),
         np.max(np.abs(x * np.asarray(f.fprime(x), dtype=float))),
         0.5 * np.max(np.abs(np.asarray(f.fsecond(x), dtype=float)))))
+
+
+@dataclass(frozen=True)
+class EdgeTerms:
+    """One replica's edge statistic and bookkeeping-identity terms."""
+
+    mu_f: float              # mu_N(f)
+    epsilon: float           # lambda_max - b_V
+    remainder: float         # R_N(f)
+    residual: float          # bookkeeping-identity residual
+    in_window: bool          # all |lambda_i| <= H
+
+
+def edge_terms(summary: EdgeSummary, eq: EquilibriumResult, f: TestFunction,
+               nu_f: float, nu_fprime: float) -> EdgeTerms:
+    """mu_N(f), R_N(f), the bookkeeping residual and the window indicator
+    from an EdgeSummary, in O(deg^2) once the power sums are known.
+
+    The spectrum-based references are linear_statistic, remainder_term and
+    bookkeeping_residual.  Here every sum over the spectrum is a spectral_sum:
+    S_N(f) expands f about lambda_max, the Delta terms expand f and f' about
+    b_V, and R_N(f) is the Taylor tail sum_{j>=2} eps^j/j! sum_i f^(j)(b_V -
+    lambda_i), minus f(0) for the rightmost particle.  The residual thus
+    checks the two expansions against each other.
+    """
+    n, b = summary.n, eq.b_v
+    eps = summary.lambda_max - b
+    f0 = float(f.f(0.0))
+    fp = f.derivative()
+    s_n = f.spectral_sum(summary, summary.lambda_max) - f0
+    delta_f = f.spectral_sum(summary, b) - n * nu_f
+    delta_fp = fp.spectral_sum(summary, b) - n * nu_fprime
+    remainder = -f0
+    fj, factorial = fp, 1.0
+    for j in range(2, f.degree + 1):
+        fj = fj.derivative()
+        factorial *= j
+        remainder += eps ** j / factorial * fj.spectral_sum(summary, b)
+    lhs = s_n - n * nu_f
+    rhs = n * eps * nu_fprime + delta_f + eps * delta_fp + remainder
+    return EdgeTerms(
+        mu_f=s_n / (n - 1), epsilon=eps, remainder=remainder,
+        residual=float(lhs - rhs),
+        in_window=max(abs(summary.lambda_min), abs(summary.lambda_max))
+        <= f.window_h)
 
 
 def ks_distance(a, b) -> float:
@@ -240,6 +323,9 @@ REGIME_AMBIGUOUS = 1e-4
 
 @dataclass(frozen=True)
 class FluctuationConfig:
+    """threads is accepted for compatibility and has no effect: replicas
+    run in sequence, since a thread pool around LAPACK bought nothing."""
+
     potential: Potential
     beta: float
     f: TestFunction
@@ -251,26 +337,35 @@ class FluctuationConfig:
     threads: int = 1
 
 
+def _require_gaussian(cfg: FluctuationConfig) -> None:
+    if cfg.potential.key() != Potential.gaussian().key():
+        raise ValueError("tridiagonal path is Gaussian-only")
+
+
 def _draw(cfg: FluctuationConfig, n: int) -> list[SpectrumSample]:
-    """All replicas for one size.  Replica r depends only on (seed, r), so
-    the thread pool changes wall time, never values."""
+    """All replicas for one size; replica r depends only on (seed, r)."""
     if cfg.method == "tridiagonal":
-        if cfg.potential.key() != Potential.gaussian().key():
-            raise ValueError("tridiagonal path is Gaussian-only")
-        reps = range(cfg.replicas)
-        if cfg.threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                return list(pool.map(
-                    lambda r: sample_gaussian(n, cfg.beta, cfg.seed,
-                                              replica=r), reps))
+        _require_gaussian(cfg)
         return [sample_gaussian(n, cfg.beta, cfg.seed, replica=r)
-                for r in reps]
+                for r in range(cfg.replicas)]
     if cfg.method == "mcmc":
         return sample_mcmc_batch(cfg.potential, cfg.beta, n, cfg.seed,
                                  replicas=range(cfg.replicas),
                                  sweeps=cfg.sweeps)
     raise ValueError(f"unknown method {cfg.method!r}")
+
+
+def _edge_summaries(cfg: FluctuationConfig, n: int) -> list[EdgeSummary]:
+    """Replica summaries for one size: straight from the tridiagonal draws,
+    or from the sampled eigenvalues for MCMC."""
+    degree = cfg.f.degree
+    if cfg.method == "tridiagonal":
+        _require_gaussian(cfg)
+        return [gaussian_edge_summary(n, cfg.beta, cfg.seed, replica=r,
+                                      degree=degree)
+                for r in range(cfg.replicas)]
+    return [EdgeSummary.from_eigenvalues(s.eigenvalues, degree)
+            for s in _draw(cfg, n)]
 
 
 def fluctuation_ensemble(cfg: FluctuationConfig) -> dict:
@@ -279,7 +374,9 @@ def fluctuation_ensemble(cfg: FluctuationConfig) -> dict:
     Regime from nu_V(f'): edge scale N^(2/3) when it is nonzero, CLT scale
     N when it vanishes; ambiguity below 1e-4 reported with both scalings.
     Every replica also gets the bookkeeping-identity residual, the window
-    indicator, and the remainder bound check.
+    indicator, and the remainder bound check.  All of them come from the
+    replica's EdgeSummary (see edge_terms), so a tridiagonal replica costs
+    O(N deg) plus two bisection eigenvalues instead of an O(N^2) solve.
     """
     eq = equilibrium_cached(cfg.potential)
     nu_f = nu_quadrature(eq, cfg.f.f)
@@ -298,18 +395,16 @@ def fluctuation_ensemble(cfg: FluctuationConfig) -> dict:
         residuals = np.empty(cfg.replicas)
         in_window = np.empty(cfg.replicas, dtype=bool)
         bound_ok = np.empty(cfg.replicas, dtype=bool)
-        for j, sample in enumerate(_draw(cfg, n)):
-            ds = dos_measure(sample, b_v=eq.b_v)
-            centered = ds.mu_n.integrate(cfg.f.f) - nu_f
+        for j, summary in enumerate(_edge_summaries(cfg, n)):
+            t = edge_terms(summary, eq, cfg.f, nu_f, nu_fp)
+            centered = t.mu_f - nu_f
             stats[j] = scale * centered
             alt_stats[j] = alt_scale * centered
-            residuals[j] = bookkeeping_residual(sample, eq, cfg.f)
-            in_window[j] = bool(
-                np.max(np.abs(sample.eigenvalues)) <= cfg.f.window_h)
-            eps = ds.epsilon_n
-            rn = remainder_term(sample, eq, cfg.f)
-            bound_ok[j] = (not in_window[j]) or (
-                abs(rn) <= bound_m * (n * eps * eps + abs(eps) + 1.0))
+            residuals[j] = t.residual
+            in_window[j] = t.in_window
+            eps = t.epsilon
+            bound_ok[j] = (not t.in_window) or (
+                abs(t.remainder) <= bound_m * (n * eps * eps + abs(eps) + 1.0))
         counts, edges = np.histogram(stats, bins="fd")
         per_n[int(n)] = {
             "mean": math.fsum(stats) / cfg.replicas,
@@ -341,7 +436,11 @@ def fluctuation_ensemble(cfg: FluctuationConfig) -> dict:
 def dos_convergence(V: Potential, beta: float, sizes, replicas: int,
                     seed: int, method: str = "tridiagonal",
                     sweeps: int | None = None, threads: int = 1) -> dict:
-    """Mean d_W1(mu_N, nu_V) per size: the weak-convergence experiment."""
+    """Mean d_W1(mu_N, nu_V) per size: the weak-convergence experiment.
+
+    W1 needs every eigenvalue, so this runs on full samples.  threads has
+    no effect (see FluctuationConfig).
+    """
     eq = equilibrium_cached(V)
     nu_v = nu_limit(eq)
     cfg = FluctuationConfig(potential=V, beta=beta, f=TestFunction.identity(),

@@ -22,7 +22,8 @@ from ._fsio import fmt, write_text_atomic
 from .potential import Potential
 
 __all__ = [
-    "SpectrumSample", "rng_for", "sample_gaussian", "tridiag_eigenvalues",
+    "SpectrumSample", "EdgeSummary", "rng_for", "sample_gaussian",
+    "gaussian_edge_summary", "tridiag_eigenvalues", "tridiag_power_sums",
     "sample_mcmc", "sample_mcmc_batch", "metropolis_log_density",
     "acceptance_ratio", "save_sample", "load_sample", "cached_sample",
 ]
@@ -84,13 +85,14 @@ def tridiag_eigenvalues(diagonal, offdiagonal) -> np.ndarray:
     return eigh_tridiagonal(d, e, eigvals_only=True)
 
 
-def sample_gaussian(n: int, beta: float, seed: int,
-                    replica: int = 0) -> SpectrumSample:
-    """Gaussian beta-ensemble via its tridiagonal model.
+def _gaussian_tridiagonal(n: int, beta: float, seed: int,
+                          replica: int) -> tuple:
+    """Unscaled diagonal and off-diagonal of the Gaussian tridiagonal model.
 
     Diagonal N(0,1); off-diagonal k (from the top) is chi_{beta(N-k)}/sqrt2,
-    drawn as sqrt(Gamma(beta(N-k)/2)); eigenvalues scaled by sqrt(2/(beta N))
-    so the empirical law converges to the semicircle on [-2, 2].
+    drawn as sqrt(Gamma(beta(N-k)/2)).  The draws from rng_for(seed,
+    replica) come in this order (normals, then gammas), which is the stream
+    contract every replica of every route relies on.
     """
     if n < 2 or beta <= 0:
         raise ValueError("need n >= 2 and beta > 0")
@@ -98,11 +100,100 @@ def sample_gaussian(n: int, beta: float, seed: int,
     diag = rng.standard_normal(n)
     shapes = 0.5 * beta * np.arange(n - 1, 0, -1)
     off = np.sqrt(rng.gamma(shape=shapes))
+    return diag, off
+
+
+def sample_gaussian(n: int, beta: float, seed: int,
+                    replica: int = 0) -> SpectrumSample:
+    """Gaussian beta-ensemble via its tridiagonal model.
+
+    Eigenvalues of the tridiagonal draw are scaled by sqrt(2/(beta N)) so
+    the empirical law converges to the semicircle on [-2, 2].  All N
+    eigenvalues are solved: O(N^2) per replica.
+    """
+    diag, off = _gaussian_tridiagonal(n, beta, seed, replica)
     lam = tridiag_eigenvalues(diag, off) * math.sqrt(2.0 / (beta * n))
     return SpectrumSample(
         eigenvalues=lam, n=n, beta=float(beta),
         potential_coeffs=Potential.gaussian().key(), seed=int(seed),
         method="tridiagonal", replica=int(replica))
+
+
+# -- edge summaries -------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class EdgeSummary:
+    """What a polynomial edge statistic needs from one configuration.
+
+    power_sums[j] = sum_i lambda_i^j for j = 0..degree; with the two
+    extreme eigenvalues this determines sum_i f(a - lambda_i) for every
+    polynomial f of degree <= degree and every shift a.
+    """
+
+    n: int
+    lambda_min: float
+    lambda_max: float
+    power_sums: np.ndarray
+
+    @classmethod
+    def from_eigenvalues(cls, eigenvalues, degree: int) -> "EdgeSummary":
+        """Summary of an explicit spectrum (any sampler), sorted ascending."""
+        lam = np.asarray(eigenvalues, dtype=float)
+        sums = np.array([np.sum(lam ** j) for j in range(degree + 1)])
+        return cls(n=lam.size, lambda_min=float(lam[0]),
+                   lambda_max=float(lam[-1]), power_sums=sums)
+
+
+def tridiag_power_sums(diagonal, offdiagonal, degree: int) -> np.ndarray:
+    """tr(T^j), j = 0..degree, of a symmetric tridiagonal T.
+
+    Carries the 2k+1 nonzero diagonals of T^k; the next power is three
+    shifted elementwise products per diagonal, so each trace costs
+    O(N degree) and no eigenvalue is solved.
+    """
+    d = np.asarray(diagonal, dtype=float)
+    e = np.asarray(offdiagonal, dtype=float)
+    n, pad = d.size, degree + 1
+    # T's entries at column c, zero-padded so shifted reads past the ends
+    # see zeros: above[c] = T[c-1, c], main[c] = T[c, c], below[c] = T[c+1, c]
+    above, main, below = (np.zeros(n + 2 * pad) for _ in range(3))
+    above[pad + 1:pad + n] = e
+    main[pad:pad + n] = d
+    below[pad:pad + n - 1] = e
+    shifted = [np.lib.stride_tricks.sliding_window_view(v, n)
+               [pad - degree:pad + degree + 1] for v in (above, main, below)]
+    # row degree+1+m holds (T^k)[i, i+m]; one zero row on each side
+    bands = np.zeros((2 * degree + 3, n))
+    bands[degree + 1] = 1.0
+    sums = [float(n)]
+    for _ in range(degree):
+        nxt = np.zeros_like(bands)
+        nxt[1:-1] = (bands[:-2] * shifted[0] + bands[1:-1] * shifted[1]
+                     + bands[2:] * shifted[2])
+        bands = nxt
+        sums.append(float(np.sum(bands[degree + 1])))
+    return np.array(sums)
+
+
+def gaussian_edge_summary(n: int, beta: float, seed: int, replica: int = 0,
+                          degree: int = 2) -> EdgeSummary:
+    """EdgeSummary of the spectrum sample_gaussian(n, beta, seed, replica)
+    would return, without solving for all N eigenvalues.
+
+    Power sums are traces of powers of the scaled tridiagonal matrix,
+    O(N degree); lambda_min and lambda_max come from two bisection solves.
+    """
+    diag, off = _gaussian_tridiagonal(n, beta, seed, replica)
+    scale = math.sqrt(2.0 / (beta * n))
+
+    def eigenvalue(index):
+        return float(eigh_tridiagonal(
+            diag, off, eigvals_only=True, select="i",
+            select_range=(index, index))[0]) * scale
+
+    return EdgeSummary(
+        n=n, lambda_min=eigenvalue(0), lambda_max=eigenvalue(n - 1),
+        power_sums=tridiag_power_sums(diag * scale, off * scale, degree))
 
 
 # -- Metropolis log-gas --------------------------------------------------------
@@ -245,7 +336,7 @@ def load_sample(csv_path: str) -> SpectrumSample:
         potential_coeffs=tuple(meta["potential_coeffs"]), seed=meta["seed"],
         method=meta["method"], replica=meta.get("replica", 0),
         acceptance_rate=meta.get("acceptance_rate"),
-        tie_breaks=0)
+        tie_breaks=meta.get("tie_breaks", 0))
 
 
 def cached_sample(cache_dir: str, method: str, V: Potential, beta: float,

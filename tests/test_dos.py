@@ -6,11 +6,13 @@ import pytest
 from betalab.dos import (
     FluctuationConfig, TestFunction, bookkeeping_residual, cheb_coefficients,
     clt_variance, clt_variance_report, delta_statistic, dos_convergence,
-    dos_measure, fluctuation_ensemble, gaussian_bias, ks_distance,
-    linear_statistic, nu_quadrature, remainder_bound_constant,
+    dos_measure, edge_terms, fluctuation_ensemble, gaussian_bias, ks_distance,
+    linear_statistic, nu_quadrature, remainder_bound_constant, remainder_term,
 )
 from betalab.potential import Potential
-from betalab.sampler import SpectrumSample, sample_gaussian
+from betalab.sampler import (
+    SpectrumSample, gaussian_edge_summary, sample_gaussian, sample_mcmc_batch,
+)
 
 
 def _sample(values):
@@ -231,3 +233,115 @@ def test_fluctuation_threads_do_not_change_values(gauss):
         potential=gauss, beta=2.0, f=TestFunction.identity(),
         sizes=(80,), replicas=12, seed=9, threads=4))
     assert base["per_n"][80]["stats"] == pooled["per_n"][80]["stats"]
+
+
+# ---------------------------------------------------------------------------
+# edge summaries against the full spectrum
+# ---------------------------------------------------------------------------
+
+def _test_functions(b_v):
+    return (TestFunction.identity(), TestFunction.square_about(b_v),
+            TestFunction.constant(2.5),
+            TestFunction(coeffs=(0.3, -1.0, 0.5, 0.0, 1.0), center=b_v,
+                         name="quartic"))
+
+
+def test_test_function_derivatives_are_polynomial():
+    f = TestFunction(coeffs=(1.0, -2.0, 0.0, 3.0), center=0.5)
+    x = np.linspace(-2.0, 2.0, 9)
+    y = x - 0.5
+    assert np.allclose(f.f(x), 1.0 - 2.0 * y + 3.0 * y ** 3, rtol=0, atol=1e-14)
+    assert np.allclose(f.fprime(x), -2.0 + 9.0 * y ** 2, rtol=0, atol=1e-14)
+    assert np.allclose(f.fsecond(x), 18.0 * y, rtol=0, atol=1e-14)
+    assert f.degree == 3 and f.derivative().degree == 2
+
+
+@pytest.mark.parametrize("n", [64, 500, 2000])
+def test_edge_terms_match_eigenvalue_route(eq_gauss, n):
+    for f in _test_functions(eq_gauss.b_v):
+        nu_f = nu_quadrature(eq_gauss, f.f)
+        nu_fp = nu_quadrature(eq_gauss, f.fprime)
+        for seed, replica in ((3, 0), (3, 5), (41, 2)):
+            sample = sample_gaussian(n, 2.0, seed, replica=replica)
+            summary = gaussian_edge_summary(n, 2.0, seed, replica=replica,
+                                            degree=f.degree)
+            lam = sample.eigenvalues
+            assert abs(summary.lambda_max - lam[-1]) <= 1e-13
+            assert abs(summary.lambda_min - lam[0]) <= 1e-13
+            for j in range(f.degree + 1):
+                # odd power sums cancel, so the relative scale is
+                # sum |lambda|^j (which is p_j itself for even j)
+                scale = np.sum(np.abs(lam) ** j)
+                assert abs(summary.power_sums[j] - np.sum(lam ** j)) \
+                    <= 1e-12 * scale
+            terms = edge_terms(summary, eq_gauss, f, nu_f, nu_fp)
+            mu = dos_measure(sample, b_v=eq_gauss.b_v).mu_n.integrate(f.f)
+            assert abs(terms.mu_f - mu) <= 1e-13 * max(1.0, abs(mu))
+            assert abs(n * (terms.mu_f - nu_f) - n * (mu - nu_f)) \
+                <= 1e-12 * n
+            ref_r = remainder_term(sample, eq_gauss, f)
+            assert abs(terms.remainder - ref_r) <= 1e-11 * max(1.0, abs(ref_r))
+            assert abs(terms.residual) <= 1e-10 * n
+            assert terms.in_window == bool(np.max(np.abs(lam)) <= f.window_h)
+
+
+def _eigenvalue_route(cfg, eq, samples_by_n):
+    """fluctuation_ensemble's per-replica quantities from full spectra."""
+    nu_f = nu_quadrature(eq, cfg.f.f)
+    nu_fp = nu_quadrature(eq, cfg.f.fprime)
+    regime = "edge" if abs(nu_fp) > 1e-8 else "clt"
+    bound_m = remainder_bound_constant(cfg.f)
+    out = {}
+    for n, samples in samples_by_n.items():
+        scale = n ** (2.0 / 3.0) if regime == "edge" else float(n)
+        stats, residuals, window, bound = [], [], [], []
+        for sample in samples:
+            ds = dos_measure(sample, b_v=eq.b_v)
+            stats.append(scale * (ds.mu_n.integrate(cfg.f.f) - nu_f))
+            residuals.append(bookkeeping_residual(sample, eq, cfg.f))
+            window.append(
+                bool(np.max(np.abs(sample.eigenvalues)) <= cfg.f.window_h))
+            eps = ds.epsilon_n
+            rn = remainder_term(sample, eq, cfg.f)
+            bound.append(not window[-1] or
+                         abs(rn) <= bound_m * (n * eps * eps + abs(eps) + 1))
+        out[n] = {"stats": stats, "residual": max(map(abs, residuals)),
+                  "window_violation_rate": 1.0 - sum(window) / len(window),
+                  "remainder_bound_ok": all(bound)}
+    return regime, out
+
+
+def _assert_same_ensemble(cfg, eq, samples_by_n):
+    got = fluctuation_ensemble(cfg)
+    regime, ref = _eigenvalue_route(cfg, eq, samples_by_n)
+    assert got["regime"] == regime
+    for n, r in ref.items():
+        pn = got["per_n"][n]
+        assert np.max(np.abs(np.subtract(pn["stats"], r["stats"]))) \
+            <= 1e-12 * n
+        assert pn["window_violation_rate"] == r["window_violation_rate"]
+        assert pn["remainder_bound_ok"] == r["remainder_bound_ok"]
+        assert pn["max_bookkeeping_residual"] <= 1e-10 * n
+        assert r["residual"] <= 1e-10 * n
+
+
+def test_fluctuation_ensemble_matches_eigenvalue_route(gauss, eq_gauss):
+    sizes, replicas, seed = (64, 500, 2000), 6, 13
+    samples = {n: [sample_gaussian(n, 2.0, seed, replica=r)
+                   for r in range(replicas)] for n in sizes}
+    fs = _test_functions(eq_gauss.b_v) \
+        + (TestFunction.square_about(eq_gauss.b_v, window_h=2.0),)
+    for f in fs:
+        _assert_same_ensemble(FluctuationConfig(
+            potential=gauss, beta=2.0, f=f, sizes=sizes, replicas=replicas,
+            seed=seed), eq_gauss, samples)
+
+
+def test_fluctuation_ensemble_mcmc_matches_eigenvalue_route(quartic,
+                                                           eq_quartic):
+    samples = {16: sample_mcmc_batch(quartic, 2.0, 16, 5, range(3))}
+    for f in (TestFunction.identity(),
+              TestFunction.square_about(eq_quartic.b_v)):
+        _assert_same_ensemble(FluctuationConfig(
+            potential=quartic, beta=2.0, f=f, sizes=(16,), replicas=3,
+            seed=5, method="mcmc"), eq_quartic, samples)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from betalab.equilibrium import equilibrium_cached
 from betalab.measures import AtomicMeasure, GridMeasure, wasserstein
@@ -9,7 +10,7 @@ from betalab.potential import Potential
 from betalab.sampler import (
     SpectrumSample, acceptance_ratio, cached_sample, load_sample,
     metropolis_log_density, rng_for, sample_gaussian, sample_mcmc,
-    sample_mcmc_batch, save_sample, tridiag_eigenvalues,
+    sample_mcmc_batch, save_sample, tridiag_eigenvalues, tridiag_power_sums,
 )
 
 
@@ -71,6 +72,30 @@ def test_sample_gaussian_deterministic():
     assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
     assert not np.array_equal(
         s1.eigenvalues, sample_gaussian(200, 2.0, 10).eigenvalues)
+
+
+def test_sample_gaussian_stream_contract():
+    # replica r draws N normals, then N-1 gammas, from rng_for(seed, r);
+    # every tridiagonal route relies on this order
+    n, beta, seed, replica = 300, 2.0, 17, 4
+    rng = rng_for(seed, replica)
+    diag = rng.standard_normal(n)
+    off = np.sqrt(rng.gamma(shape=0.5 * beta * np.arange(n - 1, 0, -1)))
+    expect = eigh_tridiagonal(diag, off, eigvals_only=True) \
+        * math.sqrt(2.0 / (beta * n))
+    got = sample_gaussian(n, beta, seed, replica=replica).eigenvalues
+    assert np.array_equal(got, expect)
+
+
+def test_tridiag_power_sums_match_dense_traces(rng):
+    for n in (2, 3, 7, 40):
+        d = rng.normal(0.0, 1.0, n)
+        e = rng.normal(0.0, 1.0, n - 1)
+        dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        expect = [np.trace(np.linalg.matrix_power(dense, j))
+                  for j in range(7)]
+        got = tridiag_power_sums(d, e, 6)
+        assert np.allclose(got, expect, rtol=1e-13, atol=1e-13)
 
 
 def test_sample_gaussian_rejects_bad_args():
@@ -224,6 +249,15 @@ def test_save_load_roundtrip(tmp_path):
     assert (back.n, back.beta, back.seed, back.replica, back.method) == \
         (s.n, s.beta, s.seed, s.replica, s.method)
     assert back.potential_coeffs == s.potential_coeffs
+
+
+def test_save_load_keeps_tie_breaks(tmp_path):
+    s = _mk([1.0, 1.0, 1.0])
+    path = str(tmp_path / "tied.csv")
+    save_sample(s, path)
+    back = load_sample(path)
+    assert s.tie_breaks == 2 and back.tie_breaks == 2
+    assert np.array_equal(back.eigenvalues, s.eigenvalues)
 
 
 def test_cached_sample_hits_disk_once(tmp_path, gauss):
