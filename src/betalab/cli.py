@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -19,14 +18,13 @@ import numpy as np
 
 from ._fsio import fmt, write_text_atomic
 from . import dos as dosmod
-from .equilibrium import constrained_equilibrium, effective_potential_tail, \
-    equilibrium_cached, save_equilibrium
-from .measures import load_measure, save_measure
+from .equilibrium import effective_potential_tail, equilibrium_cached, \
+    nu_limit, save_equilibrium
+from .measures import load_measure
 from .potential import Potential
 from .rates import projection_J, rate_IDOS, rate_IV, rate_calI, rate_calJ, \
     rate_report
 from .sampler import sample_gaussian, sample_mcmc_batch
-from .equilibrium import nu_limit
 
 __all__ = ["main"]
 
@@ -222,10 +220,8 @@ def _cmd_dos_converge(cfg: dict) -> dict:
     sizes = _parse_sizes(cfg)
     replicas = _pos_int(cfg, "replicas", 50)
     seed = _pos_int(cfg, "seed", 1, minimum=0)
-    threads = _pos_int(cfg, "threads", 1)
     report = dosmod.dos_convergence(V, beta, sizes, replicas, seed,
-                                    method=str(cfg.get("method", "tridiagonal")),
-                                    threads=threads)
+                                    method=str(cfg.get("method", "tridiagonal")))
     outdir = str(cfg["out"])
     os.makedirs(outdir, exist_ok=True)
     _write_csv(os.path.join(outdir, "dos_convergence.csv"),
@@ -266,7 +262,6 @@ def _cmd_fluctuate(cfg: dict) -> dict:
         replicas=_pos_int(cfg, "replicas", 100),
         seed=_pos_int(cfg, "seed", 1, minimum=0),
         method=str(cfg.get("method", "tridiagonal")),
-        threads=_pos_int(cfg, "threads", 1),
     )
     report = dosmod.fluctuation_ensemble(fc)
     outdir = str(cfg["out"])
@@ -340,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reg-m", dest="reg_m",
                        help="Sigma^M regularization for atomic inputs")
         p.add_argument("--threads", type=int,
-                       help="accepted for compatibility; has no effect")
+                       help="ignored; accepted so older command lines parse")
         p.add_argument("--method", choices=["tridiagonal", "mcmc"])
         if name == "rate":
             p.add_argument("functional",

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .equilibrium import EquilibriumResult, equilibrium_cached, nu_limit
+from .equilibrium import EquilibriumResult, _cheb_project, \
+    equilibrium_cached, equilibrium_integral, nu_limit
 from .measures import AtomicMeasure, wasserstein
 from .potential import Potential
 from .sampler import (
@@ -146,22 +147,10 @@ def linear_statistic(stats: DosStatistics, f: TestFunction) -> float:
     return (stats.n - 1) * stats.mu_n.integrate(f.f)
 
 
-_NU_QUAD_NODES = 2048
-
-
-def nu_quadrature(eq: EquilibriumResult, f, nodes: int = _NU_QUAD_NODES
-                  ) -> float:
-    """nu_V(f) as a self-normalized angular quadrature.
-
-    The normalization by the quadrature's own mass makes nu(const) = const
-    exact, so mass cancellations downstream are exact too.
-    """
-    theta = (np.arange(nodes) + 0.5) * (np.pi / nodes)
-    ks = np.arange(1, eq.cheb_u.size)
-    w = (np.sin(np.outer(theta, ks)) @ eq.cheb_u[1:]) * np.sin(theta)
-    x = eq.b_v - (eq.center + eq.radius * np.cos(theta))
-    fw = np.dot(np.asarray(f(x), dtype=float), w)
-    return float(fw / np.dot(np.ones_like(w), w))
+def nu_quadrature(eq: EquilibriumResult, f, nodes: int = 2048) -> float:
+    """nu_V(f) = int f(b_V - x) dmu_V(x), by the self-normalized angular
+    rule of equilibrium_integral, so nu(const) = const exactly."""
+    return equilibrium_integral(eq, lambda x: f(eq.b_v - x), nodes)
 
 
 def delta_statistic(sample: SpectrumSample, eq: EquilibriumResult,
@@ -177,15 +166,13 @@ def cheb_coefficients(f, a_v: float, b_v: float, count: int,
                       nodes: int = 4096) -> np.ndarray:
     """a_k = (2/pi) int_0^pi f((b-a)/2 (1 - cos t)) cos(k t) dt, k < count.
 
-    Composite trapezoid in t; the integrand extends evenly and 2pi-
-    periodically, so the rule is spectrally accurate for smooth f.
+    The Chebyshev projection of x -> f(r - x) on [-r, r], r = (b-a)/2,
+    with a_0 doubled to match the (2/pi) normalization.
     """
-    t = np.linspace(0.0, np.pi, nodes + 1)
-    vals = np.asarray(f(0.5 * (b_v - a_v) * (1.0 - np.cos(t))), dtype=float)
-    vals[0] *= 0.5
-    vals[-1] *= 0.5
-    ks = np.arange(count)
-    return (2.0 / nodes) * (np.cos(np.outer(ks, t)) @ vals)
+    r = 0.5 * (b_v - a_v)
+    a = _cheb_project(lambda x: f(r - x), 0.0, r, count - 1, nodes)
+    a[0] *= 2.0
+    return a
 
 
 def clt_variance(coeffs, beta: float) -> float:
@@ -328,8 +315,7 @@ REGIME_AMBIGUOUS = 1e-4
 
 @dataclass(frozen=True)
 class FluctuationConfig:
-    """threads is accepted for compatibility and has no effect: replicas
-    run in sequence, since a thread pool around LAPACK bought nothing."""
+    """One fluctuation experiment; replicas run in sequence."""
 
     potential: Potential
     beta: float
@@ -339,7 +325,6 @@ class FluctuationConfig:
     seed: int
     method: str = "tridiagonal"
     sweeps: int | None = None
-    threads: int = 1
 
 
 def _require_gaussian(cfg: FluctuationConfig) -> None:
@@ -440,17 +425,16 @@ def fluctuation_ensemble(cfg: FluctuationConfig) -> dict:
 
 def dos_convergence(V: Potential, beta: float, sizes, replicas: int,
                     seed: int, method: str = "tridiagonal",
-                    sweeps: int | None = None, threads: int = 1) -> dict:
+                    sweeps: int | None = None) -> dict:
     """Mean d_W1(mu_N, nu_V) per size: the weak-convergence experiment.
 
-    W1 needs every eigenvalue, so this runs on full samples.  threads has
-    no effect (see FluctuationConfig).
+    W1 needs every eigenvalue, so this runs on full samples.
     """
     eq = equilibrium_cached(V)
     nu_v = nu_limit(eq)
     cfg = FluctuationConfig(potential=V, beta=beta, f=TestFunction.identity(),
                             sizes=tuple(sizes), replicas=replicas, seed=seed,
-                            method=method, sweeps=sweeps, threads=threads)
+                            method=method, sweeps=sweeps)
     out = {}
     for n in sizes:
         w1 = np.empty(replicas)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from ._fsio import fmt, write_text_atomic
+from ._fsio import write_text_atomic
 from .measures import GridMeasure, load_measure, log_kernel_mass_form, \
     reflect_shift, save_measure
 from .potential import Potential
@@ -35,7 +35,7 @@ __all__ = [
     "EquilibriumResult", "ConstrainedEquilibriumResult",
     "solve_equilibrium", "equilibrium_cached", "nu_limit",
     "constrained_equilibrium", "effective_potential_tail",
-    "equilibrium_integral", "nu_integral",
+    "equilibrium_integral",
     "save_equilibrium", "load_equilibrium",
 ]
 
@@ -43,20 +43,26 @@ CHEB_NODES = 512
 NEWTON_TOL = 1e-12
 
 
-def _cheb_project(V: Potential, order: int, c: float, r: float,
-                  kmax: int, nodes: int = CHEB_NODES) -> np.ndarray:
-    """Chebyshev coefficients u_0..u_kmax of theta -> d^order V(c + r cos theta).
+def _cheb_project(g, c: float, r: float, kmax: int,
+                  nodes: int = CHEB_NODES) -> np.ndarray:
+    """Chebyshev coefficients u_0..u_kmax of theta -> g(c + r cos theta).
 
     Midpoint Gauss-Chebyshev quadrature; exact to roundoff for polynomial
     integrands of the degrees that occur here.
     """
     theta = (np.arange(nodes) + 0.5) * (np.pi / nodes)
-    vals = V.eval(c + r * np.cos(theta)) if order == 0 \
-        else V.deriv(c + r * np.cos(theta), order)
+    vals = g(c + r * np.cos(theta))
     ks = np.arange(kmax + 1)
     proj = np.cos(np.outer(ks, theta)) @ vals * (2.0 / nodes)
     proj[0] *= 0.5
     return proj
+
+
+def _angular_series(cheb_u: np.ndarray, theta) -> np.ndarray:
+    """sum_{k>=1} u_k sin(k theta): 2 pi times the density of mu_V at
+    center + radius cos theta."""
+    ks = np.arange(1, cheb_u.size)
+    return np.sin(np.outer(theta, ks)) @ cheb_u[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +132,7 @@ def _newton_endpoints(V: Potential, tol: float, max_iter: int) -> tuple:
     kmax = max(V.degree, 2)
 
     def residual(c, r):
-        u = _cheb_project(V, 1, c, r, kmax)
+        u = _cheb_project(V.deriv, c, r, kmax)
         return u, np.array([u[0], 0.25 * r * u[1] - 1.0])
 
     u, F = residual(c, r)
@@ -134,7 +140,7 @@ def _newton_endpoints(V: Potential, tol: float, max_iter: int) -> tuple:
     for _ in range(max_iter):
         if err <= tol * max(1.0, float(np.sum(np.abs(u)))):
             break
-        s = _cheb_project(V, 2, c, r, kmax)
+        s = _cheb_project(lambda x: V.deriv(x, 2), c, r, kmax)
         J = np.array([
             [s[0], 0.5 * s[1]],
             [0.25 * r * s[1], 0.25 * u[1] + 0.25 * r * (s[0] + 0.5 * s[2])],
@@ -177,14 +183,13 @@ def solve_equilibrium(V: Potential, n: int = 4096,
         mom[k] = 0.125 * r * (uu[k + 1] - uu[k - 1])   # uu[0] == 0 by design
     sigma = math.log(0.5 * r) - 2.0 * sum(
         mom[k] ** 2 / k for k in range(1, p + 1))
-    v = _cheb_project(V, 0, c, r, p)
+    v = _cheb_project(V.eval, c, r, p)
     int_v = float(v @ mom[:v.size])
     c_v = -sigma + int_v
 
     xs = np.linspace(c - r, c + r, n + 1)
     phi = np.arccos(np.clip((xs - c) / r, -1.0, 1.0))
-    ks = np.arange(1, u.size)
-    dens = np.sin(np.outer(phi, ks)) @ u[1:] / (2.0 * np.pi)
+    dens = _angular_series(u, phi) / (2.0 * np.pi)
     density = GridMeasure(c - r, c + r, np.maximum(dens, 0.0))
     return EquilibriumResult(
         a_v=c - r, b_v=c + r, density=density, c_v=c_v, sigma=sigma,
@@ -207,18 +212,16 @@ def nu_limit(eq: EquilibriumResult) -> GridMeasure:
 
 
 def equilibrium_integral(eq: EquilibriumResult, f, nodes: int = 2048) -> float:
-    """int f dmu_V by midpoint quadrature in the angular variable."""
+    """int f dmu_V as a self-normalized midpoint rule in the angular variable.
+
+    Dividing by the rule's own mass makes the integral of a constant exact,
+    so mass cancellations downstream are exact too.
+    """
     theta = (np.arange(nodes) + 0.5) * (np.pi / nodes)
-    ks = np.arange(1, eq.cheb_u.size)
-    dens = np.sin(np.outer(theta, ks)) @ eq.cheb_u[1:]
+    w = _angular_series(eq.cheb_u, theta) * np.sin(theta)
     x = eq.center + eq.radius * np.cos(theta)
-    weights = (eq.radius / (2.0 * np.pi)) * dens * np.sin(theta)
-    return float(np.sum(f(x) * weights) * (np.pi / nodes))
-
-
-def nu_integral(eq: EquilibriumResult, f, nodes: int = 2048) -> float:
-    """int f dnu_V where nu_V = tau_{b_V} mu_V."""
-    return equilibrium_integral(eq, lambda x: f(eq.b_v - x), nodes)
+    fw = np.dot(np.asarray(f(x), dtype=float), w)
+    return float(fw / np.dot(np.ones_like(w), w))
 
 
 def effective_potential_tail(eq: EquilibriumResult, V: Potential,
@@ -366,9 +369,8 @@ def constrained_equilibrium(V: Potential, x: float,
     if np.any(inside):
         phi = np.arccos(np.clip((nodes[inside] - eq.center) / eq.radius,
                                 -1.0, 1.0))
-        ks = np.arange(1, eq.cheb_u.size)
         dens0[inside] = np.maximum(
-            np.sin(np.outer(phi, ks)) @ eq.cheb_u[1:], 0.0) / (2.0 * np.pi)
+            _angular_series(eq.cheb_u, phi), 0.0) / (2.0 * np.pi)
     w_eq = dens0 * tw
     w_eq = w_eq / w_eq.sum() if w_eq.sum() > 0 else np.full(cells + 1,
                                                             1.0 / (cells + 1))
@@ -390,7 +392,7 @@ def constrained_equilibrium(V: Potential, x: float,
         it_c = it_c + it_u
     value = val_c - val_u
     if value < -1e-6:
-        raise AssertionError(
+        raise RuntimeError(
             f"constrained minimum below unconstrained: {value}")
     value = max(value, 0.0)
 

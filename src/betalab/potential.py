@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .measures import AtomicMeasure, GridMeasure, Measure, moment
+from .measures import AtomicMeasure, Measure, moment, variance
 
 __all__ = ["Potential", "validate_convex", "kappa", "g_value",
            "KappaDegenerateError"]
@@ -125,12 +125,6 @@ class Potential:
         return tuple(float(c) for c in self.coeffs)
 
 
-def _integrate(nu: Measure, f) -> float:
-    if isinstance(nu, (AtomicMeasure, GridMeasure)):
-        return nu.integrate(f)
-    raise TypeError(f"not a measure: {nu!r}")
-
-
 def _reflected_deriv_poly(V: Potential, nu: Measure) -> np.ndarray:
     """Ascending coefficients of the polynomial c -> int V'(c - x) dnu(x).
 
@@ -169,7 +163,7 @@ def kappa(V: Potential, nu: Measure, tol: float = 1e-10) -> float:
         return float(P.polyval(c, gppoly))
 
     m1 = moment(nu, 1)
-    step = 1.0 + np.sqrt(max(variance_hint(nu), 0.0))
+    step = 1.0 + np.sqrt(max(variance(nu), 0.0))
     lo = hi = float(m1)
     glo = ghi = g(lo)
     for _ in range(200):
@@ -238,12 +232,7 @@ def kappa(V: Potential, nu: Measure, tol: float = 1e-10) -> float:
     return float(c)
 
 
-def variance_hint(nu: Measure) -> float:
-    from .measures import variance
-    return variance(nu)
-
-
 def g_value(V: Potential, nu: Measure) -> float:
     """G_V(nu) = int V(kappa_V(nu) - x) dnu(x) = inf_c int V d tau_c nu."""
     k = kappa(V, nu)
-    return _integrate(nu, lambda x: V.eval(k - x))
+    return nu.integrate(lambda x: V.eval(k - x))

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import EquilibriumResult, constrained_equilibrium, \
-    equilibrium_cached
+from .equilibrium import EquilibriumResult, constrained_equilibrium
 from .measures import AtomicMeasure, GridMeasure, Measure, log_energy_grid, \
-    log_energy_reg, measure_to_json_obj, reflect_shift, variance
+    log_energy_reg, measure_to_json_obj, variance
 from .potential import Potential, g_value, kappa
 
 __all__ = [
@@ -65,24 +64,40 @@ def _check_nonneg_support(nu: Measure) -> None:
         raise ValueError(f"measure must be supported in R+, support starts at {lo}")
 
 
+def _evaluation(eq: EquilibriumResult, sig: float, reg: float | None,
+                pot: float, off: float = 0.0) -> RateEvaluation:
+    return RateEvaluation(sigma_term=sig, potential_term=pot, c_v=eq.c_v,
+                          value=sig + pot + off - eq.c_v, regularization=reg,
+                          offset_term=off)
+
+
+def _calI_of_c(eq: EquilibriumResult, V: Potential, nu: Measure,
+               m: float | None):
+    """(c, offset) -> calI_V(c, nu) + offset.  The support check and the
+    Sigma term, which does not depend on c, run once per call of this
+    function; each c costs only the potential term int V(c - x) dnu(x)."""
+    _check_nonneg_support(nu)
+    sig, reg = _sigma_term(nu, m)
+
+    def at(c: float, off: float = 0.0) -> RateEvaluation:
+        return _evaluation(eq, sig, reg,
+                           nu.integrate(lambda x: V.eval(c - x)), off)
+
+    return at
+
+
 def rate_IV(eq: EquilibriumResult, V: Potential, mu: Measure,
             m: float | None = None) -> RateEvaluation:
     """I_V(mu) = -Sigma(mu) + int V dmu - c_V."""
     sig, reg = _sigma_term(mu, m)
-    pot = mu.integrate(V.eval)
-    return RateEvaluation(sigma_term=sig, potential_term=pot, c_v=eq.c_v,
-                          value=sig + pot - eq.c_v, regularization=reg)
+    return _evaluation(eq, sig, reg, mu.integrate(V.eval))
 
 
 def rate_calI(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
               m: float | None = None) -> RateEvaluation:
     """calI_V(c, nu) = I_V(tau_c nu) for nu on R+, using the invariance of
     Sigma under the reflect-shift: -Sigma(nu) + int V(c - x) dnu - c_V."""
-    _check_nonneg_support(nu)
-    sig, reg = _sigma_term(nu, m)
-    pot = nu.integrate(lambda x: V.eval(c - x))
-    return RateEvaluation(sigma_term=sig, potential_term=pot, c_v=eq.c_v,
-                          value=sig + pot - eq.c_v, regularization=reg)
+    return _calI_of_c(eq, V, nu, m)(c)
 
 
 def rate_IDOS(eq: EquilibriumResult, V: Potential, nu: Measure,
@@ -90,9 +105,7 @@ def rate_IDOS(eq: EquilibriumResult, V: Potential, nu: Measure,
     """I_V^DOS(nu) = inf_c calI_V(c, nu) = -Sigma(nu) + G_V(nu) - c_V."""
     _check_nonneg_support(nu)
     sig, reg = _sigma_term(nu, m)
-    pot = g_value(V, nu)
-    return RateEvaluation(sigma_term=sig, potential_term=pot, c_v=eq.c_v,
-                          value=sig + pot - eq.c_v, regularization=reg)
+    return _evaluation(eq, sig, reg, g_value(V, nu))
 
 
 _PROJ_CACHE: dict = {}
@@ -100,12 +113,21 @@ _PROJ_CACHE: dict = {}
 
 def projection_J(eq: EquilibriumResult, V: Potential, c: float,
                  n: int = 2048) -> float:
-    """J_V^-(c): zero at and right of b_V, else the constrained minimum."""
+    """J_V^-(c): zero at and right of b_V, else the constrained minimum.
+
+    Raises RuntimeError, caching nothing, when Frank-Wolfe stops without
+    its duality-gap certificate.
+    """
     if c >= eq.b_v:
         return 0.0
     key = (V.key(), float(c), n)
     if key not in _PROJ_CACHE:
-        _PROJ_CACHE[key] = constrained_equilibrium(V, c, n).value
+        res = constrained_equilibrium(V, c, n)
+        if not res.converged:
+            raise RuntimeError(
+                f"J^-({c}) on {n} cells: Frank-Wolfe did not converge, "
+                f"gap {res.gap} after {res.iterations} iterations")
+        _PROJ_CACHE[key] = res.value
     return _PROJ_CACHE[key]
 
 
@@ -116,13 +138,7 @@ def rate_calJ(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
     if c >= eq.b_v:
         raise ValueError(
             f"calJ needs c < b_V = {eq.b_v}; use the unconditional rate")
-    base = rate_calI(eq, V, c, nu, m)
-    off = -projection_J(eq, V, c, n)
-    return RateEvaluation(
-        sigma_term=base.sigma_term, potential_term=base.potential_term,
-        c_v=base.c_v, offset_term=off,
-        value=base.sigma_term + base.potential_term + off - base.c_v,
-        regularization=base.regularization)
+    return _calI_of_c(eq, V, nu, m)(c, -projection_J(eq, V, c, n))
 
 
 # -- infimum scans -------------------------------------------------------------
@@ -155,22 +171,22 @@ def calI_inf_over_c(eq: EquilibriumResult, V: Potential, nu: Measure,
     """(argmin, min) of c -> calI_V(c, nu), scanned around kappa_V(nu).
 
     The potential term is the only c-dependent piece and is convex in c, so
-    a golden-section refinement of a bracket centered at kappa suffices.
+    the Sigma term is computed once and a golden-section refinement of a
+    bracket centered at kappa suffices.
     """
+    cal = _calI_of_c(eq, V, nu, m)
     k = kappa(V, nu)
     spread = 1.0 + math.sqrt(max(variance(nu), 0.0))
-    cstar, val = _golden_min(
-        lambda c: rate_calI(eq, V, c, nu, m).value,
-        k - spread, k + spread, resolution)
-    return cstar, val
+    return _golden_min(lambda c: cal(c).value,
+                       k - spread, k + spread, resolution)
 
 
 def rate_calI_delta(eq: EquilibriumResult, V: Potential, c: float,
                     delta: float, nu: Measure, m: float | None = None,
                     scan: int = 33) -> float:
     """calI^delta(c, nu) = inf over a in [c, c+delta] of calI(a, nu), by scan."""
-    avals = np.linspace(c, c + delta, scan)
-    return min(rate_calI(eq, V, float(a), nu, m).value for a in avals)
+    cal = _calI_of_c(eq, V, nu, m)
+    return min(cal(float(a)).value for a in np.linspace(c, c + delta, scan))
 
 
 def rate_calJ_delta(eq: EquilibriumResult, V: Potential, c: float,
@@ -181,11 +197,11 @@ def rate_calJ_delta(eq: EquilibriumResult, V: Potential, c: float,
     Each scan point needs its own constrained solve, so the scan is coarse
     and the grid moderate by default.
     """
-    avals = np.linspace(c, c + delta, scan)
+    cal = _calI_of_c(eq, V, nu, m)
     out = math.inf
-    for a in avals:
+    for a in np.linspace(c, c + delta, scan):
         a = float(min(a, eq.b_v - 1e-9))
-        out = min(out, rate_calJ(eq, V, a, nu, m, n).value)
+        out = min(out, cal(a, -projection_J(eq, V, a, n)).value)
     return out
 
 

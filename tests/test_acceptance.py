@@ -87,8 +87,7 @@ def test_criterion_04_kappa_exactness():
 
 def test_criterion_05_dos_convergence():
     t0 = time.perf_counter()
-    conv = dos_convergence(GAUSS, 2.0, (100, 1000), replicas=200, seed=0,
-                           threads=4)
+    conv = dos_convergence(GAUSS, 2.0, (100, 1000), replicas=200, seed=0)
     elapsed = time.perf_counter() - t0
     m100, m1000 = conv[100]["mean_w1"], conv[1000]["mean_w1"]
     ok = m1000 <= 0.1 and m1000 < m100 and elapsed <= 300.0
@@ -159,7 +158,7 @@ def test_criterion_07_clt_regime_constants():
 def test_criterion_08_edge_scale_stabilization():
     out = fluctuation_ensemble(FluctuationConfig(
         potential=GAUSS, beta=2.0, f=TestFunction.identity(),
-        sizes=(500, 2000), replicas=500, seed=0, threads=4))
+        sizes=(500, 2000), replicas=500, seed=0))
     ks = out["ks_stabilization"]["500->2000"]
     ok = out["regime"] == "edge" and ks <= 0.08
     _report(8, ok, f"KS(N=500 vs N=2000, 500 replicas) = {ks:.4f} "

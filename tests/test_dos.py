@@ -241,16 +241,6 @@ def test_dos_convergence_shrinks(gauss):
     assert len(conv[100]["w1"]) == 25 and conv[100]["std_w1"] > 0.0
 
 
-def test_fluctuation_threads_do_not_change_values(gauss):
-    base = fluctuation_ensemble(FluctuationConfig(
-        potential=gauss, beta=2.0, f=TestFunction.identity(),
-        sizes=(80,), replicas=12, seed=9, threads=1))
-    pooled = fluctuation_ensemble(FluctuationConfig(
-        potential=gauss, beta=2.0, f=TestFunction.identity(),
-        sizes=(80,), replicas=12, seed=9, threads=4))
-    assert base["per_n"][80]["stats"] == pooled["per_n"][80]["stats"]
-
-
 # ---------------------------------------------------------------------------
 # edge summaries against the full spectrum
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import time
 import numpy as np
 import pytest
 
+import betalab.equilibrium as equilibrium
+import betalab.rates as rates
+from betalab.cli import main
 from betalab.equilibrium import (
     ConstrainedEquilibriumResult, constrained_equilibrium, equilibrium_cached,
     effective_potential_tail, equilibrium_integral, load_equilibrium,
@@ -182,6 +185,22 @@ def test_constrained_monotone_ten_point_scan(gauss):
     for a, b in zip(vals, vals[1:]):
         assert a >= b - 1e-12
     assert vals[-1] == 0.0
+
+
+def test_constrained_below_unconstrained_is_a_solver_failure(
+        gauss, monkeypatch, tmp_path, capsys):
+    # the fake minimum grows with the cell count, so the unconstrained
+    # problem (more cells) reports the larger one
+    def fake_fw(G, lin, w0=None, **kwargs):
+        return w0, float(lin.size), 0.0, 1
+
+    monkeypatch.setattr(equilibrium, "_fw_minimize", fake_fw)
+    monkeypatch.setattr(rates, "_PROJ_CACHE", {})
+    with pytest.raises(RuntimeError, match="below unconstrained"):
+        constrained_equilibrium(gauss, 1.5, n=64)
+    assert main(["rate", "projection", "--c", "1.5", "--grid", "64",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "solver failure" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

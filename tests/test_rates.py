@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from betalab.equilibrium import constrained_equilibrium, nu_limit
+import betalab.rates as rates
+from betalab.cli import main
+from betalab.equilibrium import ConstrainedEquilibriumResult, \
+    constrained_equilibrium, nu_limit
 from betalab.measures import (
     AtomicMeasure, GridMeasure, quantile_discretize, reflect_shift, variance,
 )
+from betalab.potential import kappa
 from betalab.rates import (
     calI_inf_over_c, projection_J, rate_calI, rate_calI_delta, rate_calJ,
     rate_calJ_delta, rate_IDOS, rate_IV, rate_report,
@@ -146,6 +150,23 @@ def test_projection_equals_constrained_value(eq_gauss, gauss):
     assert projection_J(eq_gauss, gauss, 1.5, n=1024) == direct
 
 
+def test_projection_refuses_unconverged_frank_wolfe(
+        eq_gauss, gauss, monkeypatch, tmp_path, capsys):
+    stub = ConstrainedEquilibriumResult(
+        cutoff=1.5, minimizer=UNIF01(65), value=0.25, gap=1e-3,
+        iterations=7, converged=False)
+    monkeypatch.setattr(rates, "constrained_equilibrium",
+                        lambda V, x, n=2048: stub)
+    monkeypatch.setattr(rates, "_PROJ_CACHE", {})
+    with pytest.raises(RuntimeError, match="gap 0.001 after 7 iterations"):
+        projection_J(eq_gauss, gauss, 1.5, n=64)
+    assert rates._PROJ_CACHE == {}
+    assert main(["rate", "projection", "--c", "1.5", "--grid", "64",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "solver failure" in capsys.readouterr().err
+    assert rates._PROJ_CACHE == {}
+
+
 def test_calj_vanishes_at_conditional_minimizer(eq_gauss, gauss):
     res = constrained_equilibrium(gauss, 1.5, n=2048)
     nu_star = reflect_shift(res.minimizer, 1.5)
@@ -194,6 +215,37 @@ def test_cali_delta_monotone(eq_gauss, gauss):
     v10 = rate_calI_delta(eq_gauss, gauss, c, 0.1, nu)
     v05 = rate_calI_delta(eq_gauss, gauss, c, 0.05, nu)
     assert v20 < v10 < v05 < base
+
+
+def test_scans_evaluate_sigma_once(eq_gauss, gauss, monkeypatch):
+    calls = []
+    grid_sigma = rates.log_energy_grid
+
+    def counted(mu):
+        calls.append(mu)
+        return grid_sigma(mu)
+
+    monkeypatch.setattr(rates, "log_energy_grid", counted)
+    nu = UNIF01(257)
+    for scan in (
+            lambda: calI_inf_over_c(eq_gauss, gauss, nu),
+            lambda: rate_calI_delta(eq_gauss, gauss, 0.2, 0.1, nu),
+            lambda: rate_calJ_delta(eq_gauss, gauss, 0.2, 0.1, nu, scan=3,
+                                    n=64)):
+        calls.clear()
+        scan()
+        assert len(calls) == 1
+
+
+def test_cali_inf_matches_golden_search_over_rate_cali(eq_gauss, gauss):
+    atoms = AtomicMeasure.from_points(np.linspace(0.0, 3.0, 40) ** 1.3)
+    for nu, m in ((UNIF01(257), None), (atoms, None), (atoms, 3.0)):
+        k = kappa(gauss, nu)
+        spread = 1.0 + math.sqrt(variance(nu))
+        want = rates._golden_min(
+            lambda c: rate_calI(eq_gauss, gauss, c, nu, m).value,
+            k - spread, k + spread, 1e-6)
+        assert calI_inf_over_c(eq_gauss, gauss, nu, m) == want
 
 
 def test_calj_delta_monotone(eq_gauss, gauss):
