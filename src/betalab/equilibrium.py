@@ -9,12 +9,13 @@ log-potential all have finite closed series in the same coefficients.
 
 constrained_equilibrium minimizes the discretized energy
 E(mu) = -Sigma(mu) + int V dmu over probability measures supported in
-[L, x] by Frank-Wolfe on the simplex (pairwise steps, exact line search,
-periodic fully corrective refinement, duality-gap certificate).  The
-reported value J^-(x) is the difference between the constrained and the
-unconstrained minima on the same grid, which makes nonnegativity,
-monotonicity in x, and J^-(x) = 0 for x >= b_V structural rather than
-numerical accidents.
+[L, x] by pairwise Frank-Wolfe on the simplex (exact line search,
+duality-gap certificate), started from the node masses of the continuum
+minimizer: mu_V itself, or for x < b_V the closed-form hard-edge measure
+with a soft left edge and a hard wall at x.  The reported value J^-(x)
+is the difference between the constrained and the unconstrained minima
+on the same grid, which makes nonnegativity, monotonicity in x, and
+J^-(x) = 0 for x >= b_V structural rather than numerical accidents.
 """
 from __future__ import annotations
 
@@ -41,6 +42,8 @@ __all__ = [
 
 CHEB_NODES = 512
 NEWTON_TOL = 1e-12
+FW_GAP_TOL = 1e-8
+FW_MAX_ITER = 10 ** 5
 
 
 def _cheb_project(g, c: float, r: float, kmax: int,
@@ -249,77 +252,75 @@ class ConstrainedEquilibriumResult:
     converged: bool
 
 
-def _corrective_step(G, lin, w, f_of):
-    """Solve the equality-constrained QP on the current support exactly.
+def _hard_edge(V: Potential, c: float) -> tuple:
+    """Center, radius and cosine moments of the continuum minimizer of the
+    energy over measures on (-inf, c], for a wall c < b_V.
 
-    Classic active-set refinement: stationarity on the support S reads
-    2 G_SS v + lam = lin_S with sum v = 1; negative components are driven
-    out by the longest feasible move toward v.  Falls back to the incoming
-    point if the linear algebra misbehaves or the energy does not improve.
+    On [c - 2r, c] write x = m + r cos theta, m = c - r.  The Euler-Lagrange
+    equation fixes every cosine moment, <cos k theta> = -k v_k / 4 with v_k
+    the Chebyshev coefficients of V.  The left edge is soft:
+    phi(pi) = 1 + 2 sum_k (-1)^k <cos k theta> = 0, where
+    phi(pi) = 1 + (r / 2 pi) int_0^pi (1 - cos t) V'(c - r (1 - cos t)) dt.
+    With V'(c - y) = sum_j d_j y^j and (1/pi) int_0^pi (1 - cos t)^k dt
+    = C(2k, k) / 2^k, phi(pi) is a polynomial of degree p in r, equal to 1
+    at r = 0; r is its smallest positive root.
     """
-    w = w.copy()
-    best = w.copy()
-    f_best = f_of(w)
-    for _ in range(40):
-        S = np.flatnonzero(w > 1e-15)
-        if S.size < 2:
-            break
-        m = S.size
-        kkt = np.empty((m + 1, m + 1))
-        kkt[:m, :m] = 2.0 * G[np.ix_(S, S)]
-        kkt[:m, m] = 1.0
-        kkt[m, :m] = 1.0
-        kkt[m, m] = 0.0
-        rhs = np.concatenate([lin[S], [1.0]])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            break
-        v = np.zeros_like(w)
-        v[S] = sol[:m]
-        if np.min(v[S]) >= 0.0:
-            w = v
-            break
-        d = v - w
-        neg = S[v[S] < 0.0]
-        t = np.min(w[neg] / (w[neg] - v[neg]))
-        w = w + min(max(t, 0.0), 1.0) * d
-        np.maximum(w, 0.0, out=w)
-        w /= w.sum()
-    f_w = f_of(w)
-    return (w, f_w) if f_w <= f_best else (best, f_best)
+    d = P.Polynomial(V._d1)(P.Polynomial([c, -1.0])).coef
+    j = np.arange(1, d.size + 1)
+    binom = np.array([math.comb(2 * i, i) for i in j], dtype=float)
+    roots = P.polyroots(np.concatenate([[1.0], 0.5 * d * binom / 2.0 ** j]))
+    pos = roots.real[(np.abs(roots.imag) < 1e-8) & (roots.real > 0.0)]
+    if pos.size == 0:
+        raise RuntimeError(f"no soft-edge radius for the hard wall at {c}")
+    r = float(pos.min())
+    v = _cheb_project(V.eval, c - r, r, V.degree)
+    k = np.arange(1, v.size)
+    return c - r, r, -k * v[1:] / 4.0
 
 
-def _fw_minimize(G, lin, gap_tol: float = 1e-8, max_iter: int = 10 ** 5,
-                 w0=None, correct_every: int = 512):
-    """Minimize f(w) = -w G w + lin.w over the probability simplex.
+def _seed_masses(V: Potential, eq: EquilibriumResult, nodes: np.ndarray,
+                 cutoff: float) -> np.ndarray:
+    """Node masses of the continuum energy minimizer on (-inf, cutoff]:
+    mu_V for cutoff >= b_V, the hard-edge measure below it.
+
+    Either measure has angular density (1 + 2 sum_k mom_k cos k theta) / pi
+    on x = m + r cos theta, so node x_i gets the exact mass of
+    [x_i - h/2, x_i + h/2] from the closed-form CDF
+    1 - (alpha + 2 sum_k mom_k sin(k alpha) / k) / pi,
+    alpha = arccos((x - m) / r).
+    """
+    if cutoff >= eq.b_v:
+        m, r, mom = eq.center, eq.radius, eq.cos_moments[1:]
+    else:
+        m, r, mom = _hard_edge(V, cutoff)
+    h = nodes[1] - nodes[0]
+    edges = np.append(nodes - 0.5 * h, nodes[-1] + 0.5 * h)
+    alpha = np.arccos(np.clip((edges - m) / r, -1.0, 1.0))
+    k = np.arange(1, mom.size + 1)
+    tail = alpha + 2.0 * _angular_series(np.append(0.0, mom / k), alpha)
+    w = np.maximum(-np.diff(tail), 0.0)
+    return w / w.sum()
+
+
+def _fw_minimize(G, lin, w0):
+    """Minimize f(w) = -w G w + lin.w over the probability simplex from w0.
 
     Pairwise Frank-Wolfe: the linear minimization oracle puts mass on the
     most negative gradient node, the away node gives it up, the step is the
-    exact line-search optimum of the quadratic.  A fully corrective solve
-    on the active support every correct_every iterations removes the
-    sublinear tail of plain Frank-Wolfe; the duality gap certificate is
-    always computed from the exact gradient.
+    exact line-search optimum of the quadratic.  The rate is linear
+    (Lacoste-Julien and Jaggi, NeurIPS 2015), so a start at the continuum
+    minimizer reaches the FW_GAP_TOL duality-gap certificate in a few
+    thousand steps; the gap is always computed from the exact gradient.
     """
-    m = lin.size
-
-    def f_of(w):
-        return float(-w @ (G @ w) + lin @ w)
-
-    w = np.full(m, 1.0 / m) if w0 is None else w0.astype(float).copy()
+    w = w0.astype(float)
     g = -2.0 * (G @ w) + lin
     gap = math.inf
     it = 0
-    while it < max_iter:
+    while it < FW_MAX_ITER:
         s = int(np.argmin(g))
         gap = float(g @ w - g[s])
-        if gap <= gap_tol:
+        if gap <= FW_GAP_TOL:
             break
-        if it % correct_every == correct_every - 1:
-            w, _ = _corrective_step(G, lin, w, f_of)
-            g = -2.0 * (G @ w) + lin
-            it += 1
-            continue
         supp = np.flatnonzero(w > 0.0)
         a = supp[int(np.argmax(g[supp]))]
         if a == s:
@@ -339,7 +340,7 @@ def _fw_minimize(G, lin, gap_tol: float = 1e-8, max_iter: int = 10 ** 5,
         it += 1
         if it % 4096 == 0:
             g = -2.0 * (G @ w) + lin     # kill incremental drift
-    return w, f_of(w), gap, it
+    return w, float(-w @ (G @ w) + lin @ w), gap, it
 
 
 def constrained_equilibrium(V: Potential, x: float,
@@ -364,30 +365,17 @@ def constrained_equilibrium(V: Potential, x: float,
     nodes, tw, G = log_kernel_mass_form(L, L + cells * h, cells)
     lin = V.eval(nodes)
 
-    dens0 = np.zeros(cells + 1)
-    inside = (nodes >= a) & (nodes <= b)
-    if np.any(inside):
-        phi = np.arccos(np.clip((nodes[inside] - eq.center) / eq.radius,
-                                -1.0, 1.0))
-        dens0[inside] = np.maximum(
-            _angular_series(eq.cheb_u, phi), 0.0) / (2.0 * np.pi)
-    w_eq = dens0 * tw
-    w_eq = w_eq / w_eq.sum() if w_eq.sum() > 0 else np.full(cells + 1,
-                                                            1.0 / (cells + 1))
-
-    def warm(mslice):
-        w0 = 0.99 * w_eq[:mslice] + 0.01 / mslice
-        return w0 / w0.sum()
-
     if n_extra == 0:
-        w, val, gap, it = _fw_minimize(G, lin, w0=warm(cells + 1))
-        w_c, val_c, gap_c, it_c = w, val, gap, it
-        val_u = val
+        w_c, val_c, gap_c, it_c = _fw_minimize(
+            G, lin, w0=_seed_masses(V, eq, nodes, x))
+        val_u = val_c
     else:
         mkeep = n + 1
         w_c, val_c, gap_c, it_c = _fw_minimize(
-            G[:mkeep, :mkeep], lin[:mkeep], w0=warm(mkeep))
-        w_u, val_u, gap_u, it_u = _fw_minimize(G, lin, w0=warm(cells + 1))
+            G[:mkeep, :mkeep], lin[:mkeep],
+            w0=_seed_masses(V, eq, nodes[:mkeep], x))
+        w_u, val_u, gap_u, it_u = _fw_minimize(
+            G, lin, w0=_seed_masses(V, eq, nodes, nodes[-1]))
         gap_c = max(gap_c, gap_u)
         it_c = it_c + it_u
     value = val_c - val_u
@@ -402,7 +390,7 @@ def constrained_equilibrium(V: Potential, x: float,
     return ConstrainedEquilibriumResult(
         cutoff=float(x), minimizer=minimizer, value=float(value),
         gap=float(gap_c), iterations=int(it_c),
-        converged=bool(gap_c <= 1e-8))
+        converged=bool(gap_c <= FW_GAP_TOL))
 
 
 # -- serialization ------------------------------------------------------------

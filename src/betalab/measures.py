@@ -48,9 +48,6 @@ __all__ = [
 #: resolved exactly (a grid measure is involved)
 QUANTILE_POINTS = 1 << 17
 
-#: default node count for grid measures produced by this package
-DEFAULT_GRID_N = 4096
-
 
 @dataclass(frozen=True)
 class WassersteinOrder:
@@ -262,12 +259,9 @@ def variance(mu: Measure) -> float:
 # ---------------------------------------------------------------------------
 
 def _order_p(p) -> float:
-    if isinstance(p, WassersteinOrder):
-        return p.p
-    p = float(p)
-    if not (p >= 1.0):
-        raise ValueError(f"Wasserstein order must be >= 1, got {p}")
-    return p
+    if not isinstance(p, WassersteinOrder):
+        p = WassersteinOrder(float(p))
+    return p.p
 
 
 def wasserstein(mu: Measure, nu: Measure, p=1.0,

@@ -152,6 +152,7 @@ def kappa(V: Potential, nu: Measure, tol: float = 1e-10) -> float:
 
     Bracketed Newton from the mean of nu with geometric bracket expansion
     and bisection fallback; the bracket is shrunk to 1e-10 of its width.
+    A bracket that cannot be found is a solver failure (RuntimeError).
     """
     gpoly = _reflected_deriv_poly(V, nu)
     gppoly = P.polyder(gpoly)
@@ -177,7 +178,7 @@ def kappa(V: Potential, nu: Measure, tol: float = 1e-10) -> float:
             ghi = g(hi)
         step *= 2.0
     else:
-        raise ValueError("could not bracket the root of the kappa equation")
+        raise RuntimeError("could not bracket the root of the kappa equation")
     if glo == 0.0 and ghi == 0.0 and hi > lo:
         raise KappaDegenerateError(
             f"flat section of roots on [{lo}, {hi}]")

@@ -95,8 +95,8 @@ def hard_edge_equilibrium(V: Potential, c: float) -> dict:
         x = np.asarray(x, dtype=float)
         u = np.clip((x - m) / r, -1.0, 1.0)
         alpha = np.arccos(u)
-        tail = (alpha / (2.0 * math.pi)
-                + (np.sin(np.outer(alpha, k)) @ (mom / k)) / math.pi)
+        tail = (alpha + 2.0 * (np.sin(np.outer(alpha, k)) @ (mom / k))) \
+            / math.pi
         return 1.0 - tail
 
     return {"l": m - r, "c": c, "r": r, "moments": mom, "sigma": sigma,

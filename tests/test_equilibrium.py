@@ -17,7 +17,9 @@ from betalab.measures import (
     log_kernel_mass_form, log_potential_grid, wasserstein,
 )
 from betalab.potential import Potential
-from oracles import direct_energy_min
+from oracles import (
+    constrained_value_continuum, direct_energy_min, hard_edge_equilibrium,
+)
 
 QUARTIC_B = 1.0745699318235422          # (4/3)^(1/4)
 QUARTIC_SIGMA = -0.7462266624470001     # ln(4/3)/4 - ln 2 - 1/8
@@ -201,6 +203,42 @@ def test_constrained_below_unconstrained_is_a_solver_failure(
     assert main(["rate", "projection", "--c", "1.5", "--grid", "64",
                  "--out", str(tmp_path / "o")]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeffs", ["0,0,0,0,1", "0,0.3,0.5,0.1,0.2"])
+def test_constrained_non_gaussian_walls(coeffs):
+    V = Potential.from_string(coeffs)
+    eq = equilibrium_cached(V)
+    vals = []
+    for frac in (0.5, 0.75, 0.95):
+        c = eq.a_v + frac * (eq.b_v - eq.a_v)
+        res = constrained_equilibrium(V, c, n=1024)
+        assert res.converged and res.gap <= 1e-8
+        assert abs(res.value - constrained_value_continuum(V, c, eq.c_v)) \
+            <= 5e-3
+        vals.append(res.value)
+    assert vals[0] > vals[1] > vals[2] > 0.0
+
+
+@pytest.mark.parametrize("coeffs, frac", [("0,0,0.5", 0.875),     # c = 1.5
+                                          ("0,0,0,0,1", 0.75)])
+def test_hard_wall_seed_matches_oracle_cdf(coeffs, frac):
+    V = Potential.from_string(coeffs)
+    eq = equilibrium_cached(V)
+    c = eq.a_v + frac * (eq.b_v - eq.a_v)
+    L = eq.a_v - 2.0 * (eq.b_v - eq.a_v)
+    nodes = np.linspace(L, c, 1025)
+    h = nodes[1] - nodes[0]
+    seed = equilibrium._seed_masses(V, eq, nodes, c)
+    cdf = hard_edge_equilibrium(V, c)["mass_below"](nodes + 0.5 * h)
+    assert np.max(np.abs(np.cumsum(seed) - cdf)) <= 1e-10
+    # at and beyond b_V the seed is mu_V, the hard-edge measure at c = b_V
+    wide = np.linspace(L, eq.b_v + 1.0, 1025)
+    mu_v = hard_edge_equilibrium(V, eq.b_v)["mass_below"](
+        wide + 0.5 * (wide[1] - wide[0]))
+    for cutoff in (eq.b_v, eq.b_v + 0.5):
+        seed = equilibrium._seed_masses(V, eq, wide, cutoff)
+        assert np.max(np.abs(np.cumsum(seed) - mu_v)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import betalab.potential as potential
+from betalab.cli import main
 from betalab.measures import AtomicMeasure, variance, wasserstein
 from betalab.potential import (
     KappaDegenerateError, Potential, g_value, kappa, validate_convex,
@@ -110,6 +112,18 @@ def test_kappa_shift_equivariance(rng, quartic):
 
 def test_kappa_degenerate_error_is_value_error():
     assert issubclass(KappaDegenerateError, ValueError)
+
+
+def test_kappa_bracket_failure_is_a_solver_failure(
+        gauss, monkeypatch, tmp_path, capsys):
+    # int V'(c - x) dnu(x) = 1 for every c: no sign change to bracket
+    monkeypatch.setattr(potential, "_reflected_deriv_poly",
+                        lambda V, nu: np.array([1.0]))
+    with pytest.raises(RuntimeError, match="could not bracket"):
+        kappa(gauss, AtomicMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5])))
+    assert main(["rate", "idos", "--measure", "nu_V",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "solver failure" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
