@@ -24,7 +24,6 @@ from .measures import load_measure
 from .potential import Potential
 from .rates import projection_J, rate_IDOS, rate_IV, rate_calI, rate_calJ, \
     rate_report
-from .sampler import sample_gaussian, sample_mcmc_batch
 
 __all__ = ["main"]
 
@@ -152,15 +151,7 @@ def _cmd_sample(cfg: dict) -> dict:
     seed = _pos_int(cfg, "seed", 1, minimum=0)
     replicas = _pos_int(cfg, "replicas", 1)
     method = str(cfg.get("method", "tridiagonal"))
-    if method == "tridiagonal":
-        if V.key() != Potential.gaussian().key():
-            raise ConfigError("method: tridiagonal requires potential=0,0,0.5")
-        samples = [sample_gaussian(n, beta, seed, replica=r)
-                   for r in range(replicas)]
-    elif method == "mcmc":
-        samples = sample_mcmc_batch(V, beta, n, seed, replicas=range(replicas))
-    else:
-        raise ConfigError(f"method: unknown {method!r}")
+    samples = dosmod.draw_spectra(V, beta, n, seed, replicas, method)
     outdir = str(cfg["out"])
     os.makedirs(outdir, exist_ok=True)
     rows = [(s.replica, float(x)) for s in samples for x in s.eigenvalues]
@@ -218,7 +209,7 @@ def _cmd_dos_converge(cfg: dict) -> dict:
     V = _parse_potential(cfg)
     beta = _pos_float(cfg, "beta", 2.0)
     sizes = _parse_sizes(cfg)
-    replicas = _pos_int(cfg, "replicas", 50)
+    replicas = _pos_int(cfg, "replicas", 50, minimum=2)
     seed = _pos_int(cfg, "seed", 1, minimum=0)
     report = dosmod.dos_convergence(V, beta, sizes, replicas, seed,
                                     method=str(cfg.get("method", "tridiagonal")))
@@ -259,7 +250,7 @@ def _cmd_fluctuate(cfg: dict) -> dict:
         beta=_pos_float(cfg, "beta", 2.0),
         f=_make_test_function(cfg),
         sizes=tuple(_parse_sizes(cfg)),
-        replicas=_pos_int(cfg, "replicas", 100),
+        replicas=_pos_int(cfg, "replicas", 100, minimum=2),
         seed=_pos_int(cfg, "seed", 1, minimum=0),
         method=str(cfg.get("method", "tridiagonal")),
     )

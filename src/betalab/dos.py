@@ -30,8 +30,11 @@ __all__ = [
     "clt_variance_report", "gaussian_bias", "remainder_term",
     "bookkeeping_residual", "remainder_bound_constant", "ks_distance",
     "EdgeTerms", "edge_terms", "FluctuationConfig", "fluctuation_ensemble",
-    "dos_convergence",
+    "dos_convergence", "draw_spectra",
 ]
+
+CLT_NODES = 4096         # midpoint nodes of the CLT-constant quadratures
+BOUND_GRID = 8193        # sample points of the remainder-bound sup
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +150,10 @@ def linear_statistic(stats: DosStatistics, f: TestFunction) -> float:
     return (stats.n - 1) * stats.mu_n.integrate(f.f)
 
 
-def nu_quadrature(eq: EquilibriumResult, f, nodes: int = 2048) -> float:
+def nu_quadrature(eq: EquilibriumResult, f) -> float:
     """nu_V(f) = int f(b_V - x) dmu_V(x), by the self-normalized angular
     rule of equilibrium_integral, so nu(const) = const exactly."""
-    return equilibrium_integral(eq, lambda x: f(eq.b_v - x), nodes)
+    return equilibrium_integral(eq, lambda x: f(eq.b_v - x))
 
 
 def delta_statistic(sample: SpectrumSample, eq: EquilibriumResult,
@@ -162,15 +165,14 @@ def delta_statistic(sample: SpectrumSample, eq: EquilibriumResult,
 
 # -- CLT constants --------------------------------------------------------------
 
-def cheb_coefficients(f, a_v: float, b_v: float, count: int,
-                      nodes: int = 4096) -> np.ndarray:
+def cheb_coefficients(f, a_v: float, b_v: float, count: int) -> np.ndarray:
     """a_k = (2/pi) int_0^pi f((b-a)/2 (1 - cos t)) cos(k t) dt, k < count.
 
     The Chebyshev projection of x -> f(r - x) on [-r, r], r = (b-a)/2,
     with a_0 doubled to match the (2/pi) normalization.
     """
     r = 0.5 * (b_v - a_v)
-    a = _cheb_project(lambda x: f(r - x), 0.0, r, count - 1, nodes)
+    a = _cheb_project(lambda x: f(r - x), 0.0, r, count - 1, CLT_NODES)
     a[0] *= 2.0
     return a
 
@@ -196,8 +198,7 @@ def clt_variance_report(coeffs, beta: float) -> dict:
             "count": int(a.size)}
 
 
-def gaussian_bias(f, beta: float, V: Potential | None = None,
-                  nodes: int = 4096) -> float:
+def gaussian_bias(f, beta: float, V: Potential | None = None) -> float:
     """m_V(f) = (2/beta - 1)[f(4)/4 + f(0)/4 - (1/2pi) int f(2-t)/sqrt(4-t^2) dt].
 
     Gaussian potential only: the bias measure has no closed form for other
@@ -205,7 +206,7 @@ def gaussian_bias(f, beta: float, V: Potential | None = None,
     """
     if V is not None and V.key() != Potential.gaussian().key():
         raise ValueError("bias measure implemented for the Gaussian potential only")
-    theta = (np.arange(nodes) + 0.5) * (np.pi / nodes)
+    theta = (np.arange(CLT_NODES) + 0.5) * (np.pi / CLT_NODES)
     arcsine = float(np.mean(np.asarray(f(2.0 - 2.0 * np.cos(theta)),
                                        dtype=float))) * 0.5
     atoms = 0.25 * float(f(4.0)) + 0.25 * float(f(0.0))
@@ -242,10 +243,10 @@ def bookkeeping_residual(sample: SpectrumSample, eq: EquilibriumResult,
     return float(lhs - rhs)
 
 
-def remainder_bound_constant(f: TestFunction, grid: int = 8193) -> float:
+def remainder_bound_constant(f: TestFunction) -> float:
     """M = max(sup|f|, sup|x f'|, sup|f''|/2) over [-2H, 2H]."""
     h = f.window_h
-    x = np.linspace(-2.0 * h, 2.0 * h, grid)
+    x = np.linspace(-2.0 * h, 2.0 * h, BOUND_GRID)
     return float(max(
         np.max(np.abs(np.asarray(f.f(x), dtype=float))),
         np.max(np.abs(x * np.asarray(f.fprime(x), dtype=float))),
@@ -324,38 +325,38 @@ class FluctuationConfig:
     replicas: int
     seed: int
     method: str = "tridiagonal"
-    sweeps: int | None = None
 
 
-def _require_gaussian(cfg: FluctuationConfig) -> None:
-    if cfg.potential.key() != Potential.gaussian().key():
-        raise ValueError("tridiagonal path is Gaussian-only")
+def _check_method(V: Potential, method: str) -> None:
+    """tridiagonal needs the Gaussian potential; mcmc takes any V."""
+    if method not in ("tridiagonal", "mcmc"):
+        raise ValueError(f"method: unknown {method!r}")
+    if method == "tridiagonal" and V.key() != Potential.gaussian().key():
+        raise ValueError("method: tridiagonal requires potential=0,0,0.5")
 
 
-def _draw(cfg: FluctuationConfig, n: int) -> list[SpectrumSample]:
-    """All replicas for one size; replica r depends only on (seed, r)."""
-    if cfg.method == "tridiagonal":
-        _require_gaussian(cfg)
-        return [sample_gaussian(n, cfg.beta, cfg.seed, replica=r)
-                for r in range(cfg.replicas)]
-    if cfg.method == "mcmc":
-        return sample_mcmc_batch(cfg.potential, cfg.beta, n, cfg.seed,
-                                 replicas=range(cfg.replicas),
-                                 sweeps=cfg.sweeps)
-    raise ValueError(f"unknown method {cfg.method!r}")
+def draw_spectra(V: Potential, beta: float, n: int, seed: int,
+                 replicas: int, method: str) -> list[SpectrumSample]:
+    """Replicas 0..replicas-1 of size n; replica r depends only on
+    (seed, r)."""
+    _check_method(V, method)
+    if method == "mcmc":
+        return sample_mcmc_batch(V, beta, n, seed, range(replicas))
+    return [sample_gaussian(n, beta, seed, replica=r) for r in range(replicas)]
 
 
 def _edge_summaries(cfg: FluctuationConfig, n: int) -> list[EdgeSummary]:
-    """Replica summaries for one size: straight from the tridiagonal draws,
-    or from the sampled eigenvalues for MCMC."""
+    """Replica summaries for one size: from the sampled eigenvalues for
+    MCMC, or straight from the tridiagonal draws."""
     degree = cfg.f.degree
-    if cfg.method == "tridiagonal":
-        _require_gaussian(cfg)
-        return [gaussian_edge_summary(n, cfg.beta, cfg.seed, replica=r,
-                                      degree=degree)
-                for r in range(cfg.replicas)]
-    return [EdgeSummary.from_eigenvalues(s.eigenvalues, degree)
-            for s in _draw(cfg, n)]
+    if cfg.method == "mcmc":
+        return [EdgeSummary.from_eigenvalues(s.eigenvalues, degree)
+                for s in draw_spectra(cfg.potential, cfg.beta, n, cfg.seed,
+                                      cfg.replicas, cfg.method)]
+    _check_method(cfg.potential, cfg.method)
+    return [gaussian_edge_summary(n, cfg.beta, cfg.seed, replica=r,
+                                  degree=degree)
+            for r in range(cfg.replicas)]
 
 
 def fluctuation_ensemble(cfg: FluctuationConfig) -> dict:
@@ -424,21 +425,18 @@ def fluctuation_ensemble(cfg: FluctuationConfig) -> dict:
 
 
 def dos_convergence(V: Potential, beta: float, sizes, replicas: int,
-                    seed: int, method: str = "tridiagonal",
-                    sweeps: int | None = None) -> dict:
+                    seed: int, method: str = "tridiagonal") -> dict:
     """Mean d_W1(mu_N, nu_V) per size: the weak-convergence experiment.
 
     W1 needs every eigenvalue, so this runs on full samples.
     """
     eq = equilibrium_cached(V)
     nu_v = nu_limit(eq)
-    cfg = FluctuationConfig(potential=V, beta=beta, f=TestFunction.identity(),
-                            sizes=tuple(sizes), replicas=replicas, seed=seed,
-                            method=method, sweeps=sweeps)
     out = {}
     for n in sizes:
         w1 = np.empty(replicas)
-        for j, sample in enumerate(_draw(cfg, int(n))):
+        for j, sample in enumerate(
+                draw_spectra(V, beta, int(n), seed, replicas, method)):
             ds = dos_measure(sample, b_v=eq.b_v)
             w1[j] = wasserstein(ds.mu_n, nu_v)
         out[int(n)] = {

@@ -41,7 +41,9 @@ __all__ = [
 ]
 
 CHEB_NODES = 512
+INTEGRAL_NODES = 2048    # angular midpoint nodes of equilibrium_integral
 NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 200
 FW_GAP_TOL = 1e-8
 FW_MAX_ITER = 10 ** 5
 
@@ -124,7 +126,7 @@ class EquilibriumResult:
         return out if out.ndim else float(out)
 
 
-def _newton_endpoints(V: Potential, tol: float, max_iter: int) -> tuple:
+def _newton_endpoints(V: Potential) -> tuple:
     """Solve u_0(c,r) = 0 and r u_1(c,r)/4 = 1 for the center and radius."""
     d1 = V._d1
     roots = P.polyroots(d1)
@@ -140,8 +142,8 @@ def _newton_endpoints(V: Potential, tol: float, max_iter: int) -> tuple:
 
     u, F = residual(c, r)
     err = np.max(np.abs(F))
-    for _ in range(max_iter):
-        if err <= tol * max(1.0, float(np.sum(np.abs(u)))):
+    for _ in range(NEWTON_MAX_ITER):
+        if err <= NEWTON_TOL * max(1.0, float(np.sum(np.abs(u)))):
             break
         s = _cheb_project(lambda x: V.deriv(x, 2), c, r, kmax)
         J = np.array([
@@ -170,11 +172,9 @@ def _newton_endpoints(V: Potential, tol: float, max_iter: int) -> tuple:
     return c, r, u
 
 
-def solve_equilibrium(V: Potential, n: int = 4096,
-                      tol: float = NEWTON_TOL,
-                      max_iter: int = 200) -> EquilibriumResult:
+def solve_equilibrium(V: Potential, n: int = 4096) -> EquilibriumResult:
     """Equilibrium measure of V on its one-cut support [a_V, b_V]."""
-    c, r, u = _newton_endpoints(V, tol, max_iter)
+    c, r, u = _newton_endpoints(V)
     p = V.degree
     # cosine moments <cos k theta>: finite ladder in the u_k, with u_0
     # entering as exactly 0 (the solved constraint)
@@ -214,13 +214,13 @@ def nu_limit(eq: EquilibriumResult) -> GridMeasure:
     return reflect_shift(eq.density, eq.b_v)
 
 
-def equilibrium_integral(eq: EquilibriumResult, f, nodes: int = 2048) -> float:
+def equilibrium_integral(eq: EquilibriumResult, f) -> float:
     """int f dmu_V as a self-normalized midpoint rule in the angular variable.
 
     Dividing by the rule's own mass makes the integral of a constant exact,
     so mass cancellations downstream are exact too.
     """
-    theta = (np.arange(nodes) + 0.5) * (np.pi / nodes)
+    theta = (np.arange(INTEGRAL_NODES) + 0.5) * (np.pi / INTEGRAL_NODES)
     w = _angular_series(eq.cheb_u, theta) * np.sin(theta)
     x = eq.center + eq.radius * np.cos(theta)
     fw = np.dot(np.asarray(f(x), dtype=float), w)
@@ -351,14 +351,16 @@ def constrained_equilibrium(V: Potential, x: float,
     constrained and unconstrained problems share the same kernel, and
     J^-(x) is the difference of their minima, so the discretization bias
     of the log-kernel cancels and the anchor J^-(x >= b_V) = 0 is exact.
+    Walls at or left of a_V - (b_V - a_V) are refused: right of it the grid
+    has at most 3.25 n cells and holds the continuum minimizer's support.
     """
     eq = equilibrium_cached(V)
     a, b = eq.a_v, eq.b_v
     width = b - a
     L = a - 2.0 * width
-    if x <= L + 0.02 * width:
+    if x <= L + width:
         raise ValueError(
-            f"cutoff {x} is at or left of the constrained window edge {L}")
+            f"cutoff {x} is at or left of the window edge {L + width}")
     h = (x - L) / n
     n_extra = 0 if x >= b else int(math.ceil((b + 0.25 * width - x) / h))
     cells = n + n_extra

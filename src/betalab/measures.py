@@ -44,7 +44,7 @@ __all__ = [
     "measure_from_json_obj",
 ]
 
-#: default number of quantile nodes when a Wasserstein integrand cannot be
+#: number of quantile nodes when a Wasserstein integrand cannot be
 #: resolved exactly (a grid measure is involved)
 QUANTILE_POINTS = 1 << 17
 
@@ -264,13 +264,12 @@ def _order_p(p) -> float:
     return p.p
 
 
-def wasserstein(mu: Measure, nu: Measure, p=1.0,
-                quantile_points: int = QUANTILE_POINTS) -> float:
+def wasserstein(mu: Measure, nu: Measure, p=1.0) -> float:
     """d_Wp(mu, nu) = (int_0^1 |F_mu^{-1} - F_nu^{-1}|^p du)^{1/p}.
 
     Atomic pairs are evaluated exactly on the common refinement of the two
     quantile staircases; as soon as a grid measure is involved the integral
-    is done by midpoint quadrature at `quantile_points` nodes.
+    is done by midpoint quadrature at QUANTILE_POINTS nodes.
     """
     q = _order_p(p)
     if isinstance(mu, AtomicMeasure) and isinstance(nu, AtomicMeasure):
@@ -284,7 +283,7 @@ def wasserstein(mu: Measure, nu: Measure, p=1.0,
         mids = 0.5 * (edges[1:] + edges[:-1])
         diffs = np.abs(mu.quantile(mids) - nu.quantile(mids))
         return float(np.dot(du, diffs ** q) ** (1.0 / q))
-    u = (np.arange(quantile_points) + 0.5) / quantile_points
+    u = (np.arange(QUANTILE_POINTS) + 0.5) / QUANTILE_POINTS
     return float(np.mean(np.abs(mu.quantile(u) - nu.quantile(u)) ** q)
                  ** (1.0 / q))
 

@@ -19,6 +19,8 @@ from .measures import AtomicMeasure, Measure, moment, variance
 __all__ = ["Potential", "validate_convex", "kappa", "g_value",
            "KappaDegenerateError"]
 
+KAPPA_TOL = 1e-10        # final kappa bracket, relative to its width
+
 
 class KappaDegenerateError(ValueError):
     """Raised when the defining equation of kappa has a flat section of
@@ -147,11 +149,11 @@ def _reflected_deriv_poly(V: Potential, nu: Measure) -> np.ndarray:
     return g
 
 
-def kappa(V: Potential, nu: Measure, tol: float = 1e-10) -> float:
+def kappa(V: Potential, nu: Measure) -> float:
     """The unique root of the nondecreasing map c -> int V'(c - x) dnu(x).
 
     Bracketed Newton from the mean of nu with geometric bracket expansion
-    and bisection fallback; the bracket is shrunk to 1e-10 of its width.
+    and bisection fallback; the bracket is shrunk to KAPPA_TOL of its width.
     A bracket that cannot be found is a solver failure (RuntimeError).
     """
     gpoly = _reflected_deriv_poly(V, nu)
@@ -186,7 +188,7 @@ def kappa(V: Potential, nu: Measure, tol: float = 1e-10) -> float:
     c = 0.5 * (lo + hi)
     for _ in range(300):
         gc = g(c)
-        if gc == 0.0 or hi - lo <= tol * width:
+        if gc == 0.0 or hi - lo <= KAPPA_TOL * width:
             break
         if gc > 0.0:
             hi = c

@@ -144,6 +144,10 @@ def rate_calJ(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
 # -- infimum scans -------------------------------------------------------------
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_RESOLUTION = 1e-6  # bracket width at which calI_inf_over_c stops
+CALI_SCAN = 33           # scan points of rate_calI_delta
+CALJ_SCAN = 9            # scan points of rate_calJ_delta, one solve each
+CALJ_GRID = 512          # cells of each rate_calJ_delta hard-wall solve
 
 
 def _golden_min(fun, lo: float, hi: float, resolution: float) -> tuple:
@@ -166,8 +170,7 @@ def _golden_min(fun, lo: float, hi: float, resolution: float) -> tuple:
 
 
 def calI_inf_over_c(eq: EquilibriumResult, V: Potential, nu: Measure,
-                    m: float | None = None,
-                    resolution: float = 1e-6) -> tuple[float, float]:
+                    m: float | None = None) -> tuple[float, float]:
     """(argmin, min) of c -> calI_V(c, nu), scanned around kappa_V(nu).
 
     The potential term is the only c-dependent piece and is convex in c, so
@@ -178,30 +181,31 @@ def calI_inf_over_c(eq: EquilibriumResult, V: Potential, nu: Measure,
     k = kappa(V, nu)
     spread = 1.0 + math.sqrt(max(variance(nu), 0.0))
     return _golden_min(lambda c: cal(c).value,
-                       k - spread, k + spread, resolution)
+                       k - spread, k + spread, GOLDEN_RESOLUTION)
 
 
 def rate_calI_delta(eq: EquilibriumResult, V: Potential, c: float,
-                    delta: float, nu: Measure, m: float | None = None,
-                    scan: int = 33) -> float:
+                    delta: float, nu: Measure,
+                    m: float | None = None) -> float:
     """calI^delta(c, nu) = inf over a in [c, c+delta] of calI(a, nu), by scan."""
     cal = _calI_of_c(eq, V, nu, m)
-    return min(cal(float(a)).value for a in np.linspace(c, c + delta, scan))
+    return min(cal(float(a)).value
+               for a in np.linspace(c, c + delta, CALI_SCAN))
 
 
 def rate_calJ_delta(eq: EquilibriumResult, V: Potential, c: float,
-                    delta: float, nu: Measure, m: float | None = None,
-                    scan: int = 9, n: int = 512) -> float:
+                    delta: float, nu: Measure,
+                    m: float | None = None) -> float:
     """calJ^delta(c, nu) = inf over a in [c, c+delta] of calJ(a, nu), by scan.
 
     Each scan point needs its own constrained solve, so the scan is coarse
-    and the grid moderate by default.
+    (CALJ_SCAN points) and the grid moderate (CALJ_GRID cells).
     """
     cal = _calI_of_c(eq, V, nu, m)
     out = math.inf
-    for a in np.linspace(c, c + delta, scan):
+    for a in np.linspace(c, c + delta, CALJ_SCAN):
         a = float(min(a, eq.b_v - 1e-9))
-        out = min(out, cal(a, -projection_J(eq, V, a, n)).value)
+        out = min(out, cal(a, -projection_J(eq, V, a, CALJ_GRID)).value)
     return out
 
 

@@ -5,31 +5,28 @@ a tridiagonal matrix model, exact for V = x^2/2 after a 1/sqrt(N) rescale
 that puts the semicircle edge at +-2, and a Metropolis chain on the log-gas
 for general convex polynomial V.  Replicas draw from counter-based
 splittable streams keyed by (seed, replica), so batched and sequential
-runs are bit-identical.
+runs are bit-identical.  Which route a potential may take is decided in
+dos.draw_spectra.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from ._fsio import fmt, write_text_atomic
 from .potential import Potential
 
 __all__ = [
     "SpectrumSample", "EdgeSummary", "rng_for", "sample_gaussian",
     "gaussian_edge_summary", "tridiag_eigenvalues", "tridiag_power_sums",
-    "sample_mcmc", "sample_mcmc_batch", "metropolis_log_density",
-    "acceptance_ratio", "save_sample", "load_sample", "cached_sample",
+    "sample_mcmc_batch", "metropolis_log_density", "acceptance_ratio",
 ]
 
 MCMC_CHUNK = 64          # sweeps of randomness drawn per tape refill
 TARGET_ACCEPT = 0.35
+MCMC_STEP0 = 0.5         # initial proposal scale of every chain
 
 
 def rng_for(seed: int, replica: int = 0) -> np.random.Generator:
@@ -227,23 +224,25 @@ def acceptance_ratio(V: Potential, beta: float, lam, site: int,
     return 1.0 if dl >= 0 else math.exp(dl)
 
 
-def _mcmc_run(V: Potential, beta: float, n: int, sweeps: int,
-              step0: float, seed: int, replicas) -> tuple:
-    """Drive R parallel chains; each replica has its own stream and tape.
+def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
+                      replicas) -> list[SpectrumSample]:
+    """Metropolis samples for several replicas, vectorized across chains.
 
-    Per sweep and site, all replicas propose and accept/reject together.
-    Randomness is drawn per replica in fixed chunks (normals then uniforms
-    per chunk), so a batch of size one reproduces any replica of a larger
-    batch bit for bit.
+    20 N burn-in sweeps adapt each chain's step toward TARGET_ACCEPT, then
+    acceptance_rate is measured over 10 N sweeps at a fixed step.  Per
+    sweep and site, all replicas propose and accept/reject together.  Each
+    replica has its own stream, and its randomness is drawn in fixed chunks
+    (normals then uniforms per chunk), so a batch of size one reproduces
+    any replica of a larger batch bit for bit.
     """
-    reps = list(replicas)
-    R = len(reps)
-    rngs = [rng_for(seed, r) for r in reps]
+    rngs = [rng_for(seed, r) for r in replicas]
+    R = len(rngs)
     burn = 20 * n
+    sweeps = burn + 10 * n
     lam = np.empty((R, n))
     for j, rng in enumerate(rngs):
         lam[j] = np.sort(rng.uniform(-3.0, 3.0, n))
-    step = np.full(R, step0)
+    step = np.full(R, MCMC_STEP0)
     half_nb = 0.5 * n * beta
 
     acc_recent = np.zeros(R)
@@ -274,20 +273,7 @@ def _mcmc_run(V: Potential, beta: float, n: int, sweeps: int,
         else:
             post_accepted += acc_recent
         acc_recent[:] = 0.0
-    denom = max(sweeps - burn, 1) * n
-    return lam, post_accepted / denom, step
-
-
-def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
-                      replicas, sweeps: int | None = None,
-                      step: float = 0.5) -> list[SpectrumSample]:
-    """Metropolis samples for several replicas, vectorized across chains."""
-    burn = 20 * n
-    if sweeps is None:
-        sweeps = burn + 10 * n
-    if sweeps < burn:
-        raise ValueError(f"sweeps={sweeps} below burn-in {burn}")
-    lam, acc, _ = _mcmc_run(V, beta, n, sweeps, step, seed, replicas)
+    acc = post_accepted / ((sweeps - burn) * n)
     return [
         SpectrumSample(
             eigenvalues=lam[j], n=n, beta=float(beta),
@@ -295,66 +281,3 @@ def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
             replica=int(r), acceptance_rate=float(acc[j]))
         for j, r in enumerate(replicas)
     ]
-
-
-def sample_mcmc(V: Potential, beta: float, n: int, seed: int,
-                sweeps: int | None = None, step: float = 0.5,
-                replica: int = 0) -> SpectrumSample:
-    """One Metropolis chain on the log-gas; see sample_mcmc_batch."""
-    return sample_mcmc_batch(V, beta, n, seed, [replica], sweeps, step)[0]
-
-
-# -- serialization and cache ---------------------------------------------------
-
-def save_sample(sample: SpectrumSample, csv_path: str) -> None:
-    """CSV of eigenvalues (one per row) plus a JSON sidecar of metadata."""
-    lines = ["eigenvalue"]
-    lines += [fmt(x) for x in sample.eigenvalues]
-    write_text_atomic(csv_path, "\n".join(lines) + "\n")
-    meta = {
-        "n": sample.n, "beta": sample.beta,
-        "potential_coeffs": list(sample.potential_coeffs),
-        "seed": sample.seed, "replica": sample.replica,
-        "method": sample.method,
-        "acceptance_rate": sample.acceptance_rate,
-        "tie_breaks": sample.tie_breaks,
-    }
-    write_text_atomic(os.path.splitext(csv_path)[0] + ".json",
-                      json.dumps(meta, indent=2) + "\n")
-
-
-def load_sample(csv_path: str) -> SpectrumSample:
-    with open(os.path.splitext(csv_path)[0] + ".json") as fh:
-        meta = json.load(fh)
-    with open(csv_path) as fh:
-        header = fh.readline().strip()
-        if header != "eigenvalue":
-            raise ValueError(f"unexpected sample CSV header {header!r}")
-        lam = np.array([float(line) for line in fh if line.strip()])
-    return SpectrumSample(
-        eigenvalues=lam, n=meta["n"], beta=meta["beta"],
-        potential_coeffs=tuple(meta["potential_coeffs"]), seed=meta["seed"],
-        method=meta["method"], replica=meta.get("replica", 0),
-        acceptance_rate=meta.get("acceptance_rate"),
-        tie_breaks=meta.get("tie_breaks", 0))
-
-
-def cached_sample(cache_dir: str, method: str, V: Potential, beta: float,
-                  n: int, seed: int, replica: int = 0, **kw) -> SpectrumSample:
-    """Sample-through cache keyed by the content hash of all parameters."""
-    params = {"method": method, "coeffs": list(V.key()), "beta": beta,
-              "n": n, "seed": seed, "replica": replica, **kw}
-    key = hashlib.sha256(
-        json.dumps(params, sort_keys=True).encode()).hexdigest()[:20]
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"sample_{key}.csv")
-    if os.path.exists(path):
-        return load_sample(path)
-    if method == "tridiagonal":
-        sample = sample_gaussian(n, beta, seed, replica)
-    elif method == "mcmc":
-        sample = sample_mcmc(V, beta, n, seed, replica=replica, **kw)
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-    save_sample(sample, path)
-    return sample

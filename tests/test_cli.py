@@ -6,9 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from betalab.cli import main
+from betalab.dos import draw_spectra
+from betalab.potential import Potential
 
 
 def run(tmp_path, *argv):
@@ -45,6 +48,25 @@ def test_sample_command_writes_deterministic_csv(tmp_path):
         s.pop("timestamp")
         s["config"].pop("out")
     assert sa == sb        # besides path and timestamp, bytes are config-determined
+
+
+@pytest.mark.parametrize("method,potential,n", [
+    ("tridiagonal", "0,0,0.5", 64),
+    ("mcmc", "0,0,0,0,1", 12),
+])
+def test_sample_command_matches_draw_spectra(tmp_path, method, potential, n):
+    code, summary = run(tmp_path, "sample", "--method", method,
+                        "--potential", potential, "--n", str(n),
+                        "--replicas", "2", "--seed", "3")
+    assert code == 0
+    want = draw_spectra(Potential.from_string(potential), 2.0, n, 3, 2,
+                        method)
+    rows = np.loadtxt(tmp_path / "out" / "samples.csv", delimiter=",",
+                      skiprows=1)
+    for s in want:
+        assert np.array_equal(rows[rows[:, 0] == s.replica, 1], s.eigenvalues)
+    assert summary["results"]["acceptance_rate"] == \
+        [s.acceptance_rate for s in want]
 
 
 def test_sample_command_reports_lambda_max(tmp_path):
@@ -182,6 +204,8 @@ def test_config_file_can_set_method(tmp_path, capsys):
     (["rate", "idos", "--measure", "no_such_file.csv"], "measure"),
     (["fluctuate", "--f", "cubic"], "f:"),
     (["dos-converge", "--replicas", "0"], "replicas"),
+    (["dos-converge", "--replicas", "1"], "replicas"),
+    (["fluctuate", "--replicas", "1"], "replicas"),
 ])
 def test_config_errors_exit_two(tmp_path, capsys, argv, needle):
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2

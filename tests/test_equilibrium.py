@@ -205,6 +205,23 @@ def test_constrained_below_unconstrained_is_a_solver_failure(
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_constrained_refuses_walls_left_of_window(
+        gauss, eq_gauss, monkeypatch, tmp_path, capsys):
+    # a wall this far left once asked for a 22.9 GiB kernel
+    width = eq_gauss.b_v - eq_gauss.a_v
+    wall = eq_gauss.a_v - 2.0 * width + 0.03 * width
+
+    def no_kernel(*args):
+        raise AssertionError("kernel built for a refused wall")
+
+    monkeypatch.setattr(equilibrium, "log_kernel_mass_form", no_kernel)
+    with pytest.raises(ValueError, match="window edge"):
+        constrained_equilibrium(gauss, wall, n=512)
+    assert main(["rate", "projection", "--c", repr(wall), "--grid", "512",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "window edge" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("coeffs", ["0,0,0,0,1", "0,0.3,0.5,0.1,0.2"])
 def test_constrained_non_gaussian_walls(coeffs):
     V = Potential.from_string(coeffs)

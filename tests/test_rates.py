@@ -230,8 +230,7 @@ def test_scans_evaluate_sigma_once(eq_gauss, gauss, monkeypatch):
     for scan in (
             lambda: calI_inf_over_c(eq_gauss, gauss, nu),
             lambda: rate_calI_delta(eq_gauss, gauss, 0.2, 0.1, nu),
-            lambda: rate_calJ_delta(eq_gauss, gauss, 0.2, 0.1, nu, scan=3,
-                                    n=64)):
+            lambda: rate_calJ_delta(eq_gauss, gauss, 0.2, 0.1, nu)):
         calls.clear()
         scan()
         assert len(calls) == 1

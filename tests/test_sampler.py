@@ -8,9 +8,9 @@ from betalab.equilibrium import equilibrium_cached
 from betalab.measures import AtomicMeasure, GridMeasure, wasserstein
 from betalab.potential import Potential
 from betalab.sampler import (
-    SpectrumSample, acceptance_ratio, cached_sample, load_sample,
-    metropolis_log_density, rng_for, sample_gaussian, sample_mcmc,
-    sample_mcmc_batch, save_sample, tridiag_eigenvalues, tridiag_power_sums,
+    SpectrumSample, acceptance_ratio, metropolis_log_density, rng_for,
+    sample_gaussian, sample_mcmc_batch, tridiag_eigenvalues,
+    tridiag_power_sums,
 )
 
 
@@ -215,15 +215,11 @@ def test_acceptance_ratio_caps_at_one(gauss):
 # ---------------------------------------------------------------------------
 
 def test_mcmc_batch_matches_sequential(quartic):
-    one = sample_mcmc(quartic, 2.0, 40, 5, replica=2)
+    one = sample_mcmc_batch(quartic, 2.0, 40, 5, [2])[0]
     bat = sample_mcmc_batch(quartic, 2.0, 40, 5, [0, 2, 7])
+    assert one.replica == bat[1].replica == 2
     assert np.array_equal(one.eigenvalues, bat[1].eigenvalues)
     assert one.acceptance_rate == bat[1].acceptance_rate
-
-
-def test_mcmc_rejects_short_runs(gauss):
-    with pytest.raises(ValueError):
-        sample_mcmc(gauss, 2.0, 50, 0, sweeps=100)
 
 
 def test_mcmc_quartic_reaches_equilibrium_profile(quartic, eq_quartic):
@@ -235,42 +231,3 @@ def test_mcmc_quartic_reaches_equilibrium_profile(quartic, eq_quartic):
     pooled = AtomicMeasure(atoms, np.full(atoms.size, 1.0 / atoms.size))
     assert wasserstein(pooled, eq_quartic.density) <= 0.05
 
-
-# ---------------------------------------------------------------------------
-# serialization and cache
-# ---------------------------------------------------------------------------
-
-def test_save_load_roundtrip(tmp_path):
-    s = sample_gaussian(64, 2.0, 7, replica=3)
-    path = str(tmp_path / "spectrum.csv")
-    save_sample(s, path)
-    back = load_sample(path)
-    assert np.array_equal(back.eigenvalues, s.eigenvalues)
-    assert (back.n, back.beta, back.seed, back.replica, back.method) == \
-        (s.n, s.beta, s.seed, s.replica, s.method)
-    assert back.potential_coeffs == s.potential_coeffs
-
-
-def test_save_load_keeps_tie_breaks(tmp_path):
-    s = _mk([1.0, 1.0, 1.0])
-    path = str(tmp_path / "tied.csv")
-    save_sample(s, path)
-    back = load_sample(path)
-    assert s.tie_breaks == 2 and back.tie_breaks == 2
-    assert np.array_equal(back.eigenvalues, s.eigenvalues)
-
-
-def test_cached_sample_hits_disk_once(tmp_path, gauss):
-    d = str(tmp_path)
-    first = cached_sample(d, "tridiagonal", gauss, 2.0, 32, 13)
-    files = sorted(p.name for p in tmp_path.iterdir())
-    second = cached_sample(d, "tridiagonal", gauss, 2.0, 32, 13)
-    assert sorted(p.name for p in tmp_path.iterdir()) == files
-    assert np.array_equal(first.eigenvalues, second.eigenvalues)
-    other = cached_sample(d, "tridiagonal", gauss, 2.0, 32, 14)
-    assert not np.array_equal(first.eigenvalues, other.eigenvalues)
-
-
-def test_cached_sample_rejects_unknown_method(tmp_path, gauss):
-    with pytest.raises(ValueError):
-        cached_sample(str(tmp_path), "dense", gauss, 2.0, 16, 0)
