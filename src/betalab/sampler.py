@@ -207,9 +207,8 @@ def metropolis_log_density(V: Potential, beta: float, lam) -> float:
     diffs = lam[1:] - lam[:-1]
     if np.any(diffs == 0.0):
         return -math.inf
-    total = 0.0
-    for i in range(n - 1):
-        total += float(np.sum(np.log(lam[i + 1:] - lam[i])))
+    i, j = np.triu_indices(n, 1)
+    total = float(np.sum(np.log(lam[j] - lam[i])))
     return beta * (total - 0.5 * n * float(np.sum(V.eval(lam))))
 
 
@@ -234,6 +233,16 @@ def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
     replica has its own stream, and its randomness is drawn in fixed chunks
     (normals then uniforms per chunk), so a batch of size one reproduces
     any replica of a larger batch bit for bit.
+
+    Site i changes only on its own turn, so when its turn comes its value
+    is still the one it had at the start of the sweep.  The proposals, the
+    potential term (N beta / 2)(V(prop) - V(cur)) and log u are therefore
+    computed once per sweep, as (R, N) arrays.  A site visit only sums
+    log|x - l_j| over the other sites j, for x the proposal and the current
+    value together.  The other sites sit in a buffer in np.delete order
+    (site i's new value replaces site i+1's at column i after its turn),
+    so the sums, and the chain, are the same bit for bit as a per-site
+    np.delete loop.
     """
     rngs = [rng_for(seed, r) for r in replicas]
     R = len(rngs)
@@ -245,34 +254,49 @@ def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
     step = np.full(R, MCMC_STEP0)
     half_nb = 0.5 * n * beta
 
-    acc_recent = np.zeros(R)
+    # pair[i] = (proposal, current) at site i, as columns against the other
+    # sites, which near = rest[:, :-1] holds in np.delete order
+    pair = np.empty((n, 2, R, 1))
+    rest = np.empty((R, n))
+    near = rest[:, :-1]
+    logs = np.empty((2, R, n - 1))
+    sums = np.empty((2, R))
+    dlog = np.empty(R)
+    finite = np.empty(R, dtype=bool)
+    ok = np.empty((n, R), dtype=bool)
     post_accepted = np.zeros(R)
-    z = u = None
+    z = logu = None
     for s in range(sweeps):
         if s % MCMC_CHUNK == 0:
             m = min(MCMC_CHUNK, sweeps - s)
             z = np.stack([rng.standard_normal((m, n)) for rng in rngs])
-            u = np.stack([rng.random((m, n)) for rng in rngs])
-        zs, us = z[:, s % MCMC_CHUNK], u[:, s % MCMC_CHUNK]
-        for i in range(n):
-            cur = lam[:, i]
-            prop = cur + step * zs[:, i]
-            others = np.delete(lam, i, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dlog = beta * (
-                    np.sum(np.log(np.abs(prop[:, None] - others)), axis=1)
-                    - np.sum(np.log(np.abs(cur[:, None] - others)), axis=1))
-            dlog -= half_nb * (V.eval(prop) - V.eval(cur))
-            ok = np.isfinite(dlog) & (np.log(us[:, i]) < dlog)
-            lam[ok, i] = prop[ok]
-            acc_recent += ok
+            logu = np.log(np.stack([rng.random((m, n)) for rng in rngs]))
+        zs, lus = z[:, s % MCMC_CHUNK], logu[:, s % MCMC_CHUNK].T
+        prop = lam + step[:, None] * zs
+        dpot = (half_nb * (V.eval(prop) - V.eval(lam))).T
+        pair[:, 0, :, 0] = prop.T
+        pair[:, 1, :, 0] = lam.T
+        near[...] = lam[:, 1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(n):
+                np.subtract(pair[i], near, out=logs)
+                np.abs(logs, out=logs)
+                np.log(logs, out=logs)
+                np.add.reduce(logs, axis=2, out=sums)
+                np.subtract(sums[0], sums[1], out=dlog)
+                dlog *= beta
+                dlog -= dpot[i]
+                np.isfinite(dlog, out=finite)
+                np.less(lus[i], dlog, out=ok[i])
+                ok[i] &= finite
+                np.copyto(lam[:, i], pair[i, 0, :, 0], where=ok[i])
+                rest[:, i] = lam[:, i]     # one of the others of site i+1
+        accepted = np.count_nonzero(ok, axis=0)
         if s < burn:
-            rate = acc_recent / n
-            step *= np.exp(0.5 * (rate - TARGET_ACCEPT))
+            step *= np.exp(0.5 * (accepted / n - TARGET_ACCEPT))
             np.clip(step, 1e-4, 10.0, out=step)
         else:
-            post_accepted += acc_recent
-        acc_recent[:] = 0.0
+            post_accepted += accepted
     acc = post_accepted / ((sweeps - burn) * n)
     return [
         SpectrumSample(

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from betalab.measures import (
-    AtomicMeasure, GridMeasure, WassersteinOrder, load_measure,
-    log_energy_grid, log_energy_reg, moment, quantile_discretize,
-    reflect_shift, save_measure, truncate_normalize, variance, wasserstein,
+    QUANTILE_POINTS, AtomicMeasure, GridMeasure, WassersteinOrder,
+    load_measure, log_energy_grid, log_energy_reg, moment,
+    quantile_discretize, reflect_shift, save_measure, truncate_normalize,
+    variance, wasserstein,
 )
 from oracles import semicircle_grid, uniform_grid
 
@@ -166,6 +167,22 @@ def test_order_monotonicity_w1_below_wq(rng):
         d1 = wasserstein(a, b, 1.0)
         for q in (1.5, 2.0, 3.0):
             assert d1 <= wasserstein(a, b, q) + 1e-12
+
+
+def test_wasserstein_grid_quantiles_computed_once(rng, monkeypatch):
+    mu = random_atomic(rng)
+    nu = semicircle_grid()
+    quantile = GridMeasure.quantile
+    u = (np.arange(QUANTILE_POINTS) + 0.5) / QUANTILE_POINTS
+    expect = {q: float(np.mean(np.abs(mu.quantile(u) - quantile(nu, u)) ** q)
+                       ** (1.0 / q)) for q in (1.0, 2.0)}
+    calls = []
+    monkeypatch.setattr(GridMeasure, "quantile",
+                        lambda self, v: calls.append(self) or quantile(self, v))
+    for _ in range(2):
+        for q in (1.0, 2.0):
+            assert wasserstein(mu, nu, q) == expect[q]
+    assert [c is nu for c in calls] == [True]
 
 
 # ---------------------------------------------------------------------------

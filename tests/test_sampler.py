@@ -12,6 +12,7 @@ from betalab.sampler import (
     sample_gaussian, sample_mcmc_batch, tridiag_eigenvalues,
     tridiag_power_sums,
 )
+from oracles import metropolis_chain_reference
 
 
 def esd(sample_or_values):
@@ -210,6 +211,15 @@ def test_acceptance_ratio_caps_at_one(gauss):
     assert acceptance_ratio(gauss, 2.0, lam, 2, 1.0) == 1.0
 
 
+def test_log_density_matches_pairwise_loop(rng, quartic):
+    lam = np.sort(rng.normal(0.0, 1.0, 50))
+    loop = sum(float(np.sum(np.log(lam[i + 1:] - lam[i])))
+               for i in range(lam.size - 1))
+    expect = 2.0 * (loop - 25.0 * float(np.sum(quartic.eval(lam))))
+    got = metropolis_log_density(quartic, 2.0, rng.permutation(lam))
+    assert abs(got - expect) <= 1e-12 * abs(expect)
+
+
 # ---------------------------------------------------------------------------
 # MCMC sampling
 # ---------------------------------------------------------------------------
@@ -220,6 +230,21 @@ def test_mcmc_batch_matches_sequential(quartic):
     assert one.replica == bat[1].replica == 2
     assert np.array_equal(one.eigenvalues, bat[1].eigenvalues)
     assert one.acceptance_rate == bat[1].acceptance_rate
+
+
+@pytest.mark.parametrize("coeffs, n, replicas", [
+    ((0, 0, 0, 0, 1), 40, [2]),
+    ((0, 0, 0, 0, 1), 40, [0, 2, 7]),
+    ((0, 0, 0.5), 12, [0, 1]),
+    ((0, 0.3, 0.5, 0.1, 0.2), 20, [0, 1, 2]),
+], ids=["quartic-one", "quartic-three", "gaussian", "asymmetric"])
+def test_mcmc_kernel_matches_reference_chain(coeffs, n, replicas):
+    V = Potential(coeffs)
+    lam, acc = metropolis_chain_reference(V, 2.0, n, 5, replicas)
+    got = sample_mcmc_batch(V, 2.0, n, 5, replicas)
+    assert [s.replica for s in got] == replicas
+    assert np.array_equal(np.stack([s.eigenvalues for s in got]), lam)
+    assert [s.acceptance_rate for s in got] == list(acc)
 
 
 def test_mcmc_quartic_reaches_equilibrium_profile(quartic, eq_quartic):
