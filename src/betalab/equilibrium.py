@@ -311,18 +311,27 @@ def _fw_minimize(G, lin, w0):
     (Lacoste-Julien and Jaggi, NeurIPS 2015), so a start at the continuum
     minimizer reaches the FW_GAP_TOL duality-gap certificate in a few
     thousand steps; the gap is always computed from the exact gradient.
+
+    A step reads two columns of G.  G is symmetric only to roundoff, so
+    rows cannot stand in for them; they are rows of one contiguous copy
+    of G.T instead of strided reads.  pen is 0 on the support of w and
+    -inf off it, so argmax(g + pen) is the away node.  The array methods
+    argmin/argmax dispatch about 1 us faster than np.argmin/np.argmax,
+    which is a tenth of a step.
     """
     w = w0.astype(float)
     g = -2.0 * (G @ w) + lin
+    cols = np.ascontiguousarray(G.T)
+    pen = np.where(w > 0.0, 0.0, -math.inf)
+    buf = np.empty_like(g)
     gap = math.inf
     it = 0
     while it < FW_MAX_ITER:
-        s = int(np.argmin(g))
+        s = int(g.argmin())
         gap = float(g @ w - g[s])
         if gap <= FW_GAP_TOL:
             break
-        supp = np.flatnonzero(w > 0.0)
-        a = supp[int(np.argmax(g[supp]))]
+        a = int(np.add(g, pen, out=buf).argmax())
         if a == s:
             break
         slope = g[s] - g[a]
@@ -336,7 +345,11 @@ def _fw_minimize(G, lin, w0):
         w[a] -= step
         if w[a] < 1e-18:
             w[a] = 0.0
-        g -= 2.0 * step * (G[:, s] - G[:, a])
+        pen[s] = 0.0 if w[s] > 0.0 else -math.inf
+        pen[a] = 0.0 if w[a] > 0.0 else -math.inf
+        np.subtract(cols[s], cols[a], out=buf)
+        buf *= 2.0 * step
+        g -= buf
         it += 1
         if it % 4096 == 0:
             g = -2.0 * (G @ w) + lin     # kill incremental drift

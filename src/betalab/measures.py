@@ -390,6 +390,23 @@ def _sigma_near_terms(vals: np.ndarray, h: float) -> float:
     return out * h * h
 
 
+def _far_log_kernel(mids: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start:stop of ln|mids_i - mids_j|, zero where |i - j| <= 1.
+
+    Those cell pairs share a node; the callers integrate them exactly.
+    """
+    lk = mids[start:stop, None] - mids[None, :]
+    np.abs(lk, out=lk)
+    with np.errstate(divide="ignore"):
+        np.log(lk, out=lk)
+    rows = np.arange(stop - start)
+    for off in (-1, 0, 1):
+        cols = rows + (start + off)
+        ok = (cols >= 0) & (cols < mids.size)
+        lk[rows[ok], cols[ok]] = 0.0
+    return lk
+
+
 def log_energy_grid(mu: GridMeasure) -> float:
     """Sigma(mu) = iint ln|x-y| dmu dmu for a grid density.
 
@@ -404,14 +421,9 @@ def log_energy_grid(mu: GridMeasure) -> float:
     cmass = 0.5 * h * (vals[:-1] + vals[1:])
     total = _sigma_near_terms(vals, h)
     block = 1024
-    idx = np.arange(n)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        d = np.abs(mids[start:stop, None] - mids[None, :])
-        with np.errstate(divide="ignore"):
-            lk = np.log(d)
-        near = np.abs(idx[start:stop, None] - idx[None, :]) <= 1
-        lk[near] = 0.0
+        lk = _far_log_kernel(mids, start, stop)
         total += float(cmass[start:stop] @ lk @ cmass)
     return total
 
@@ -420,24 +432,23 @@ def log_kernel_mass_form(lo: float, hi: float, n: int):
     """Quadratic form of Sigma in node-mass coordinates.
 
     Returns ``(nodes, tw, g)`` where ``tw`` are trapezoid weights and ``g``
-    is the symmetric matrix with Sigma(mu) ~= w^T g w for ``w = tw * values``
-    (so sum(w) = 1 on probability densities).  Same singularity treatment as
-    :func:`log_energy_grid`.
+    is the matrix with Sigma(mu) ~= w^T g w for ``w = tw * values`` (so
+    sum(w) = 1 on probability densities).  ``g`` is symmetric only to
+    roundoff: its entries differ from those of ``g.T`` by up to ~1e-15,
+    because g[i, j] and g[j, i] add the same four far-field terms, and
+    apply the same two scalings, in different orders.  Same singularity
+    treatment as :func:`log_energy_grid`.
     """
     if n < 2:
         raise ValueError("need n >= 2 cells")
     h = (hi - lo) / n
     nodes = lo + h * np.arange(n + 1)
     mids = lo + h * (np.arange(n) + 0.5)
-    with np.errstate(divide="ignore"):
-        lk = np.log(np.abs(mids[:, None] - mids[None, :]))
-    idx = np.arange(n)
-    near = np.abs(idx[:, None] - idx[None, :]) <= 1
-    lk[near] = 0.0
     # map node values to cell masses: mcell[i, :] = h/2 at nodes i, i+1
     # g_far = mcell^T lk mcell expanded by hand to stay O(n^2)
     g = np.zeros((n + 1, n + 1))
-    q = 0.25 * h * h * lk
+    q = _far_log_kernel(mids, 0, n)
+    q *= 0.25 * h * h
     g[:-1, :-1] += q
     g[:-1, 1:] += q
     g[1:, :-1] += q

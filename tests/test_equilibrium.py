@@ -19,6 +19,7 @@ from betalab.measures import (
 from betalab.potential import Potential
 from oracles import (
     constrained_value_continuum, direct_energy_min, hard_edge_equilibrium,
+    pairwise_fw_reference,
 )
 
 QUARTIC_B = 1.0745699318235422          # (4/3)^(1/4)
@@ -256,6 +257,33 @@ def test_hard_wall_seed_matches_oracle_cdf(coeffs, frac):
     for cutoff in (eq.b_v, eq.b_v + 0.5):
         seed = equilibrium._seed_masses(V, eq, wide, cutoff)
         assert np.max(np.abs(np.cumsum(seed) - mu_v)) <= 1e-10
+
+
+# walls as fractions of [a_V, b_V]: the Gaussian at 1.1, 1.45 and 1.75
+FW_WALLS = [("0,0,0.5", 0.775), ("0,0,0.5", 0.8625), ("0,0,0.5", 0.9375),
+            ("0,0,0,0,1", 0.6), ("0,0,0,0,1", 0.85),
+            ("0,0.3,0.5,0.1,0.2", 0.7)]
+
+
+@pytest.mark.parametrize("solve", ["constrained", "unconstrained"])
+@pytest.mark.parametrize("coeffs, frac", FW_WALLS)
+def test_fw_matches_reference_loop(coeffs, frac, solve, monkeypatch):
+    V = Potential.from_string(coeffs)
+    eq = equilibrium_cached(V)
+    solves = []
+    fw = equilibrium._fw_minimize
+
+    def recorded(G, lin, w0):
+        solves.append(((G, lin, w0.copy()), fw(G, lin, w0)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(equilibrium, "_fw_minimize", recorded)
+    constrained_equilibrium(V, eq.a_v + frac * (eq.b_v - eq.a_v), n=1024)
+    assert len(solves) == 2
+    (G, lin, w0), (w, value, gap, it) = solves[solve == "unconstrained"]
+    ref_w, ref_value, ref_gap, ref_it = pairwise_fw_reference(G, lin, w0)
+    assert np.array_equal(w, ref_w)
+    assert (value, gap, it) == (ref_value, ref_gap, ref_it)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ import pytest
 
 from betalab.measures import (
     QUANTILE_POINTS, AtomicMeasure, GridMeasure, WassersteinOrder,
-    load_measure, log_energy_grid, log_energy_reg, moment,
-    quantile_discretize, reflect_shift, save_measure, truncate_normalize,
+    load_measure, log_energy_grid, log_energy_reg, log_kernel_mass_form,
+    moment, quantile_discretize, reflect_shift, save_measure, truncate_normalize,
     variance, wasserstein,
 )
-from oracles import semicircle_grid, uniform_grid
+from oracles import (
+    log_energy_grid_reference, log_kernel_mass_form_reference,
+    semicircle_grid, uniform_grid,
+)
 
 
 def random_atomic(rng, n=None):
@@ -304,6 +307,19 @@ def test_log_energy_grid_reflect_invariant_exactly(rng):
     vals = rng.random(257) + 0.1
     mu = GridMeasure(-0.4, 1.1, vals)
     assert log_energy_grid(reflect_shift(mu, 1.3)) == log_energy_grid(mu)
+
+
+# sizes at the edges of Sigma's 1024-row blocks, plus the smallest grids,
+# where a neighbour column falls off both ends of most rows
+@pytest.mark.parametrize("n", [2, 3, 1023, 1024, 1025, 2049, 4096])
+def test_log_kernels_match_dense_mask_reference(n):
+    vals = np.random.default_rng(n).random(n + 1) + 0.05
+    mu = GridMeasure(-1.3, 2.1, vals)
+    assert log_energy_grid(mu) == log_energy_grid_reference(mu)
+    got = log_kernel_mass_form(-10.0, 1.5, n)
+    ref = log_kernel_mass_form_reference(-10.0, 1.5, n)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
