@@ -1,16 +1,19 @@
 """Config-driven experiment runner.
 
 Subcommands: equilibrium, sample, rate, dos-converge, fluctuate, tail-scan.
-Options come from an optional flat key=value config file plus flags, flags
-winning.  Every run writes summary.json (resolved config, results, and the
-only timestamp) plus plot-ready CSVs whose bytes depend solely on config
-and seed.  Exit codes: 0 success, 2 config validation, 3 solver failure.
+Each reads only the options that _COMMANDS lists for it, from an optional
+flat key=value config file plus flags, flags winning; a value from either
+source goes through the option's one parser.  Every run writes summary.json
+(the resolved value of every option, results, and the only timestamp) plus
+plot-ready CSVs whose bytes depend solely on config and seed.  Exit codes:
+0 success, 2 config validation, 3 solver failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -32,7 +35,254 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2 with the field named."""
 
 
-def _read_config_file(path: str) -> dict:
+# -- option parsers: one per option, for flags and config-file values alike ------
+
+def _type(convert, expect: str, ok=lambda val: True):
+    """convert(text), refused unless ok(value), with `expect` in the error."""
+    def parse(text: str):
+        try:
+            val = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected {expect}, got {text!r}: {exc}") from None
+        if not ok(val):
+            raise argparse.ArgumentTypeError(
+                f"expected {expect}, got {text!r}")
+        return val
+    return parse
+
+
+def _int_from(low: int):
+    return _type(int, f"an integer >= {low}", lambda v: v >= low)
+
+
+def _one_of(*names: str):
+    return _type(str, f"one of {', '.join(names)}", lambda v: v in names)
+
+
+def _list(convert):
+    return lambda text: [convert(t) for t in text.split(",") if t.strip()]
+
+
+# -- subcommands: each returns (results, {csv name: (header, rows)}) -------------
+
+def _cmd_equilibrium(cfg: dict):
+    eq = equilibrium_cached(cfg["potential"], cfg["grid"])
+    save_equilibrium(eq, cfg["out"])
+    return {"a_v": eq.a_v, "b_v": eq.b_v, "c_v": eq.c_v, "sigma": eq.sigma}, {}
+
+
+def _cmd_sample(cfg: dict):
+    samples = dosmod.draw_spectra(cfg["potential"], cfg["beta"], cfg["n"],
+                                  cfg["seed"], cfg["replicas"], cfg["method"])
+    rows = [(s.replica, float(x)) for s in samples for x in s.eigenvalues]
+    return {
+        "n": cfg["n"], "beta": cfg["beta"], "method": cfg["method"],
+        "replicas": cfg["replicas"],
+        "lambda_max": [s.lambda_max for s in samples],
+        "acceptance_rate": [s.acceptance_rate for s in samples],
+        "tie_breaks": int(sum(s.tie_breaks for s in samples)),
+    }, {"samples.csv": ("replica,eigenvalue", rows)}
+
+
+def _cmd_rate(cfg: dict):
+    V, functional, m = cfg["potential"], cfg["functional"], cfg["reg_m"]
+    eq = equilibrium_cached(V)
+    c = cfg["c"] = float(eq.b_v) if cfg["c"] is None else cfg["c"]
+    if functional == "projection":
+        value = projection_J(eq, V, c, n=cfg["grid"])
+        return {"functional": "projection", "c": c, "value": value}, {}
+    spec = cfg["measure"]
+    mu = nu_limit(eq) if spec == "nu_V" else \
+        eq.density if spec == "mu_V" else load_measure(spec)
+    if functional == "iv":
+        ev = rate_IV(eq, V, mu, m)
+    elif functional == "cali":
+        ev = rate_calI(eq, V, c, mu, m)
+    elif functional == "idos":
+        ev = rate_IDOS(eq, V, mu, m)
+    else:
+        ev = rate_calJ(eq, V, c, mu, m, n=cfg["grid"])
+    return rate_report(functional, ev, V,
+                       {"c": c, "measure": cfg["measure"]}), {}
+
+
+def _cmd_dos_converge(cfg: dict):
+    report = dosmod.dos_convergence(cfg["potential"], cfg["beta"], cfg["n"],
+                                    cfg["replicas"], cfg["seed"],
+                                    method=cfg["method"])
+    sizes = sorted(report)
+    means = [report[n]["mean_w1"] for n in sizes]
+    return {
+        "mean_w1": {str(n): report[n]["mean_w1"] for n in sizes},
+        "strictly_decreasing": bool(
+            all(a > b for a, b in zip(means, means[1:]))),
+    }, {
+        "dos_convergence.csv": (
+            "n,mean_w1,std_w1",
+            [(n, report[n]["mean_w1"], report[n]["std_w1"]) for n in sizes]),
+        "dos_w1_replicas.csv": (
+            "n,replica,w1",
+            [(n, j, w) for n in sizes for j, w in enumerate(report[n]["w1"])]),
+    }
+
+
+def _cmd_fluctuate(cfg: dict):
+    V = cfg["potential"]
+    if cfg["f"] in ("identity", "x"):
+        f = dosmod.TestFunction.identity(cfg["window"])
+    else:
+        f = dosmod.TestFunction.square_about(equilibrium_cached(V).b_v,
+                                             cfg["window"])
+    report = dosmod.fluctuation_ensemble(dosmod.FluctuationConfig(
+        potential=V, beta=cfg["beta"], f=f, sizes=tuple(cfg["n"]),
+        replicas=cfg["replicas"], seed=cfg["seed"], method=cfg["method"]))
+    per_n = report["per_n"]
+    tables = {"fluct_stats.csv": (
+        "n,replica,stat",
+        [(n, j, s) for n in sorted(per_n)
+         for j, s in enumerate(per_n[n]["stats"])])}
+    for n in sorted(per_n):
+        edges, counts = (per_n[n]["histogram"][k] for k in ("edges", "counts"))
+        tables[f"fluct_hist_{n}.csv"] = (
+            "bin_left,bin_right,count", list(zip(edges, edges[1:], counts)))
+    return {**{k: v for k, v in report.items() if k != "per_n"},
+            "per_n": {str(n): {k: v for k, v in d.items()
+                               if k not in ("stats", "alt_stats")}
+                      for n, d in per_n.items()}}, tables
+
+
+def _cmd_tail_scan(cfg: dict):
+    V = cfg["potential"]
+    eq = equilibrium_cached(V)
+    if cfg["xs"] is None:
+        cfg["xs"] = [float(eq.b_v) + d for d in (0.0, 0.5, 1.0)]
+    plus = [(x, effective_potential_tail(eq, V, x)) for x in cfg["xs"]]
+    minus = [(c, projection_J(eq, V, c, n=cfg["grid"])) for c in cfg["left"]]
+    tables = {"tail_plus.csv": ("x,j_plus", plus)}
+    if minus:
+        tables["tail_minus.csv"] = ("c,j_minus", minus)
+    return {
+        "j_plus": {fmt(x): v for x, v in plus},
+        "j_minus": {fmt(c): v for c, v in minus},
+    }, tables
+
+
+# -- the option table ------------------------------------------------------------
+
+# Per subcommand: option -> (parser, default as config text).  A None default
+# is resolved by the command from the potential (c and xs from b_V), or there
+# is none (the positional functional, always given; the ignored threads).
+_POTENTIAL = (_type(Potential.from_string, "coefficients c0,c1,...,cp"),
+              "0,0,0.5")
+_POSITIVE = _type(float, "a positive number", lambda v: v > 0)
+_BETA = (_POSITIVE, "2")
+_SEED = (_int_from(0), "1")
+_SIZES = (_type(_list(int), "a comma list of integers >= 2",
+                lambda v: len(v) > 0 and min(v) >= 2), "1000")
+_METHOD = (_one_of("tridiagonal", "mcmc"), "tridiagonal")
+_THREADS = (_int_from(1), None)
+_OUT = (str, "betalab_out")
+_FLOATS = _type(_list(float), "a comma list of numbers")
+
+_COMMANDS = {
+    "equilibrium": (_cmd_equilibrium, {
+        "potential": _POTENTIAL, "grid": (_int_from(16), "4096"),
+        "out": _OUT}),
+    "sample": (_cmd_sample, {
+        "potential": _POTENTIAL, "beta": _BETA, "n": (_int_from(2), "1000"),
+        "replicas": (_int_from(1), "1"), "seed": _SEED, "method": _METHOD,
+        "out": _OUT}),
+    "rate": (_cmd_rate, {
+        "functional": (_one_of("iv", "cali", "idos", "calj", "projection"),
+                       None),
+        "potential": _POTENTIAL,
+        "measure": (_type(str, "nu_V, mu_V, or a CSV path",
+                          lambda v: v in ("nu_V", "mu_V")
+                          or os.path.isfile(v)), "nu_V"),
+        "c": (_type(float, "a number"), None),
+        "reg_m": (_type(lambda t: None if t in ("", "auto") else float(t),
+                        "auto or a number"), "auto"),
+        "grid": (_int_from(16), "2048"), "out": _OUT}),
+    "dos-converge": (_cmd_dos_converge, {
+        "potential": _POTENTIAL, "beta": _BETA, "n": _SIZES,
+        "replicas": (_int_from(2), "50"), "seed": _SEED, "method": _METHOD,
+        "threads": _THREADS, "out": _OUT}),
+    "fluctuate": (_cmd_fluctuate, {
+        "potential": _POTENTIAL, "beta": _BETA,
+        "f": (_one_of("identity", "x", "square", "(x-b)^2"), "identity"),
+        "window": (_POSITIVE, "3"),
+        "n": _SIZES, "replicas": (_int_from(2), "100"), "seed": _SEED,
+        "method": _METHOD, "threads": _THREADS, "out": _OUT}),
+    "tail-scan": (_cmd_tail_scan, {
+        "potential": _POTENTIAL, "xs": (_FLOATS, None), "left": (_FLOATS, ""),
+        "grid": (_int_from(16), "1024"), "out": _OUT}),
+}
+
+_HELP = {
+    "functional": "iv, cali, idos, calj or projection",
+    "potential": "ascending coefficients c0,c1,...,cp",
+    "beta": "inverse temperature",
+    "n": "matrix size; dos-converge and fluctuate take a comma list",
+    "replicas": "independent replicas, each from the stream (seed, replica)",
+    "seed": "random seed",
+    "method": "sampler: tridiagonal (Gaussian V only) or mcmc",
+    "grid": "cells of the equilibrium or hard-wall grid",
+    "measure": "nu_V, mu_V, or a measure CSV path",
+    "c": "cutoff / wall position (default: b_V)",
+    "reg_m": "Sigma^M regularization M for atomic inputs; auto is 2 ln N",
+    "f": "test function: identity (x) or square ((x-b)^2)",
+    "window": "spectral window H for diagnostics",
+    "xs": "right-tail scan points (default: b_V, b_V + 0.5, b_V + 1)",
+    "left": "left-tail (hard-wall) points",
+    "threads": "ignored; kept so the benchmark's command lines parse",
+    "out": "output directory",
+}
+
+
+class _ArgParser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError, so main returns 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _ArgParser(
+        prog="betalab",
+        description="beta-ensemble experiments: equilibrium measures, "
+                    "samplers, rate functionals, edge fluctuations")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, options) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--config", help="flat key=value config file")
+        for key, (parse, default) in options.items():
+            text = _HELP[key] + (f" (default: {default})" if default else "")
+            if key == "functional":
+                p.add_argument(key, type=parse, help=text)
+            else:
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               type=parse, default=argparse.SUPPRESS,
+                               help=text)
+    return parser
+
+
+def _glue_negative_values(argv: list) -> list:
+    """['--left', '-0.5,1'] -> ['--left=-0.5,1'].  Every option takes one
+    value, but argparse reads a comma list that starts with a negative
+    number as an option."""
+    out = []
+    for tok in argv:
+        if (out and re.match(r"--\w[^=]*$", out[-1])
+                and re.match(r"-\.?\d", tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def _read_config_file(path: str, options: dict) -> dict:
     out = {}
     try:
         with open(path) as fh:
@@ -44,322 +294,61 @@ def _read_config_file(path: str) -> dict:
                     raise ConfigError(
                         f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, val = line.split("=", 1)
-                out[key.strip().replace("-", "_")] = val.strip()
+                key = key.strip().replace("-", "_")
+                if key not in options:
+                    raise ConfigError(
+                        f"{path}:{lineno}: unknown key {key!r}; this command "
+                        f"reads {', '.join(sorted(options))}")
+                out[key] = val.strip()
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     return out
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults < config file < explicit flags; flags win."""
-    cfg = dict(defaults)
+def _resolve(args: argparse.Namespace, options: dict) -> dict:
+    """Every option the command reads: default < config file < flag."""
+    text = {key: default for key, (_, default) in options.items()}
     if args.config:
-        cfg.update(_read_config_file(args.config))
-    for key, val in vars(args).items():
-        if key in ("config", "command") or val is None:
-            continue
-        cfg[key] = val
+        text.update(_read_config_file(args.config, options))
+    cfg = {}
+    for key, (parse, _) in options.items():
+        try:
+            cfg[key] = None if text[key] is None else parse(text[key])
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"{args.config}: {key}: {exc}") from None
+    cfg.update((k, v) for k, v in vars(args).items() if k in options)
     return cfg
 
 
-def _parse_potential(cfg: dict) -> Potential:
-    text = str(cfg.get("potential", "0,0,0.5"))
-    try:
-        return Potential.from_string(text)
-    except ValueError as exc:
-        raise ConfigError(f"potential: {exc}") from exc
-
-
-def _parse_sizes(cfg: dict) -> list[int]:
-    raw = cfg.get("n", "1000")
-    if isinstance(raw, int):
-        return [raw]
-    try:
-        sizes = [int(tok) for tok in str(raw).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"n: not an integer list: {raw!r}") from exc
-    if not sizes or any(s < 2 for s in sizes):
-        raise ConfigError(f"n: need sizes >= 2, got {raw!r}")
-    return sizes
-
-
-def _parse_float_list(cfg: dict, key: str, default: str) -> list[float]:
-    raw = str(cfg.get(key, default))
-    try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a number list: {raw!r}") from exc
-
-
-def _pos_int(cfg: dict, key: str, default: int, minimum: int = 1) -> int:
-    try:
-        val = int(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: not an integer: {cfg.get(key)!r}") from exc
-    if val < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}, got {val}")
-    return val
-
-
-def _pos_float(cfg: dict, key: str, default: float) -> float:
-    try:
-        val = float(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: not a number: {cfg.get(key)!r}") from exc
-    if val <= 0:
-        raise ConfigError(f"{key}: must be positive, got {val}")
-    return val
-
-
-def _write_summary(outdir: str, command: str, cfg: dict, results: dict) -> str:
-    os.makedirs(outdir, exist_ok=True)
-    payload = {
-        "command": command,
-        "config": {k: v for k, v in sorted(cfg.items())},
-        "results": results,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    path = os.path.join(outdir, "summary.json")
-    write_text_atomic(path, json.dumps(payload, indent=2, default=str) + "\n")
-    return path
-
-
-def _write_csv(path: str, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(
-            fmt(x) if isinstance(x, float) else str(x) for x in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-# -- subcommands -----------------------------------------------------------------
-
-def _cmd_equilibrium(cfg: dict) -> dict:
-    V = _parse_potential(cfg)
-    grid = _pos_int(cfg, "grid", 4096, minimum=16)
-    eq = equilibrium_cached(V, grid)
-    outdir = str(cfg["out"])
-    os.makedirs(outdir, exist_ok=True)
-    save_equilibrium(eq, outdir)
-    return {"a_v": eq.a_v, "b_v": eq.b_v, "c_v": eq.c_v, "sigma": eq.sigma}
-
-
-def _cmd_sample(cfg: dict) -> dict:
-    V = _parse_potential(cfg)
-    beta = _pos_float(cfg, "beta", 2.0)
-    n = _parse_sizes(cfg)[0]
-    seed = _pos_int(cfg, "seed", 1, minimum=0)
-    replicas = _pos_int(cfg, "replicas", 1)
-    method = str(cfg.get("method", "tridiagonal"))
-    samples = dosmod.draw_spectra(V, beta, n, seed, replicas, method)
-    outdir = str(cfg["out"])
-    os.makedirs(outdir, exist_ok=True)
-    rows = [(s.replica, float(x)) for s in samples for x in s.eigenvalues]
-    _write_csv(os.path.join(outdir, "samples.csv"),
-               "replica,eigenvalue", rows)
-    return {
-        "n": n, "beta": beta, "method": method, "replicas": replicas,
-        "lambda_max": [s.lambda_max for s in samples],
-        "acceptance_rate": [s.acceptance_rate for s in samples],
-        "tie_breaks": int(sum(s.tie_breaks for s in samples)),
-    }
-
-
-def _load_rate_measure(cfg: dict, V: Potential):
-    spec = str(cfg.get("measure", "nu_V"))
-    eq = equilibrium_cached(V)
-    if spec == "nu_V":
-        return nu_limit(eq)
-    if spec == "mu_V":
-        return eq.density
-    if os.path.exists(spec):
-        return load_measure(spec)
-    raise ConfigError(f"measure: expected nu_V, mu_V, or a CSV path; got {spec!r}")
-
-
-def _cmd_rate(cfg: dict) -> dict:
-    V = _parse_potential(cfg)
-    functional = str(cfg.get("functional", "idos")).lower()
-    eq = equilibrium_cached(V)
-    reg = cfg.get("reg_m")
-    m = float(reg) if reg not in (None, "", "auto") else None
-    grid = _pos_int(cfg, "grid", 2048, minimum=16)
-    c = float(cfg.get("c", eq.b_v))
-    if functional == "projection":
-        value = projection_J(eq, V, c, n=grid)
-        results = {"functional": "projection", "c": c, "value": value}
-        return results
-    mu = _load_rate_measure(cfg, V)
-    if functional == "iv":
-        ev = rate_IV(eq, V, mu, m)
-    elif functional == "cali":
-        ev = rate_calI(eq, V, c, mu, m)
-    elif functional == "idos":
-        ev = rate_IDOS(eq, V, mu, m)
-    elif functional == "calj":
-        ev = rate_calJ(eq, V, c, mu, m, n=grid)
-    else:
-        raise ConfigError(f"functional: unknown {functional!r}")
-    report = rate_report(functional, ev, V,
-                         {"c": c, "measure": str(cfg.get("measure", "nu_V"))})
-    return report
-
-
-def _cmd_dos_converge(cfg: dict) -> dict:
-    V = _parse_potential(cfg)
-    beta = _pos_float(cfg, "beta", 2.0)
-    sizes = _parse_sizes(cfg)
-    replicas = _pos_int(cfg, "replicas", 50, minimum=2)
-    seed = _pos_int(cfg, "seed", 1, minimum=0)
-    report = dosmod.dos_convergence(V, beta, sizes, replicas, seed,
-                                    method=str(cfg.get("method", "tridiagonal")))
-    outdir = str(cfg["out"])
-    os.makedirs(outdir, exist_ok=True)
-    _write_csv(os.path.join(outdir, "dos_convergence.csv"),
-               "n,mean_w1,std_w1",
-               [(n, report[n]["mean_w1"], report[n]["std_w1"])
-                for n in sorted(report)])
-    _write_csv(os.path.join(outdir, "dos_w1_replicas.csv"),
-               "n,replica,w1",
-               [(n, j, w) for n in sorted(report)
-                for j, w in enumerate(report[n]["w1"])])
-    means = [report[n]["mean_w1"] for n in sorted(report)]
-    return {
-        "mean_w1": {str(n): report[n]["mean_w1"] for n in sorted(report)},
-        "strictly_decreasing": bool(
-            all(a > b for a, b in zip(means, means[1:]))),
-    }
-
-
-def _make_test_function(cfg: dict) -> dosmod.TestFunction:
-    name = str(cfg.get("f", "identity"))
-    window = _pos_float(cfg, "window", 3.0)
-    if name in ("identity", "x"):
-        return dosmod.TestFunction.identity(window)
-    if name in ("square", "(x-b)^2"):
-        V = _parse_potential(cfg)
-        return dosmod.TestFunction.square_about(
-            equilibrium_cached(V).b_v, window)
-    raise ConfigError(f"f: unknown test function {name!r}")
-
-
-def _cmd_fluctuate(cfg: dict) -> dict:
-    V = _parse_potential(cfg)
-    fc = dosmod.FluctuationConfig(
-        potential=V,
-        beta=_pos_float(cfg, "beta", 2.0),
-        f=_make_test_function(cfg),
-        sizes=tuple(_parse_sizes(cfg)),
-        replicas=_pos_int(cfg, "replicas", 100, minimum=2),
-        seed=_pos_int(cfg, "seed", 1, minimum=0),
-        method=str(cfg.get("method", "tridiagonal")),
-    )
-    report = dosmod.fluctuation_ensemble(fc)
-    outdir = str(cfg["out"])
-    os.makedirs(outdir, exist_ok=True)
-    _write_csv(os.path.join(outdir, "fluct_stats.csv"), "n,replica,stat",
-               [(n, j, s) for n in sorted(report["per_n"])
-                for j, s in enumerate(report["per_n"][n]["stats"])])
-    for n in sorted(report["per_n"]):
-        hist = report["per_n"][n]["histogram"]
-        rows = [(hist["edges"][i], hist["edges"][i + 1], hist["counts"][i])
-                for i in range(len(hist["counts"]))]
-        _write_csv(os.path.join(outdir, f"fluct_hist_{n}.csv"),
-                   "bin_left,bin_right,count", rows)
-    slim = {
-        k: v for k, v in report.items() if k != "per_n"
-    }
-    slim["per_n"] = {
-        str(n): {kk: vv for kk, vv in d.items()
-                 if kk not in ("stats", "alt_stats")}
-        for n, d in report["per_n"].items()
-    }
-    return slim
-
-
-def _cmd_tail_scan(cfg: dict) -> dict:
-    V = _parse_potential(cfg)
-    eq = equilibrium_cached(V)
-    grid = _pos_int(cfg, "grid", 1024, minimum=16)
-    xs = _parse_float_list(cfg, "xs", f"{eq.b_v},{eq.b_v + 0.5},{eq.b_v + 1}")
-    left = _parse_float_list(cfg, "left", "")
-    plus = [(x, effective_potential_tail(eq, V, x)) for x in xs]
-    minus = [(c, projection_J(eq, V, c, n=grid)) for c in left]
-    outdir = str(cfg["out"])
-    os.makedirs(outdir, exist_ok=True)
-    _write_csv(os.path.join(outdir, "tail_plus.csv"), "x,j_plus", plus)
-    if minus:
-        _write_csv(os.path.join(outdir, "tail_minus.csv"), "c,j_minus", minus)
-    return {
-        "j_plus": {fmt(x): v for x, v in plus},
-        "j_minus": {fmt(c): v for c, v in minus},
-    }
-
-
-_COMMANDS = {
-    "equilibrium": _cmd_equilibrium,
-    "sample": _cmd_sample,
-    "rate": _cmd_rate,
-    "dos-converge": _cmd_dos_converge,
-    "fluctuate": _cmd_fluctuate,
-    "tail-scan": _cmd_tail_scan,
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="betalab",
-        description="beta-ensemble experiments: equilibrium measures, "
-                    "samplers, rate functionals, edge fluctuations")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--potential",
-                       help="ascending coefficients c0,c1,...,cp")
-        p.add_argument("--beta", type=float)
-        p.add_argument("--n", help="size or comma list of sizes")
-        p.add_argument("--replicas", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--grid", type=int)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--reg-m", dest="reg_m",
-                       help="Sigma^M regularization for atomic inputs")
-        p.add_argument("--threads", type=int,
-                       help="ignored; accepted so older command lines parse")
-        p.add_argument("--method", choices=["tridiagonal", "mcmc"])
-        if name == "rate":
-            p.add_argument("functional",
-                           choices=["iv", "cali", "idos", "calj",
-                                    "projection"])
-            p.add_argument("--measure", help="nu_V, mu_V, or CSV path")
-            p.add_argument("--c", type=float, help="cutoff / shift point")
-        if name == "fluctuate":
-            p.add_argument("--f", help="test function: identity | square")
-            p.add_argument("--window", type=float,
-                           help="spectral window H for diagnostics")
-        if name == "tail-scan":
-            p.add_argument("--xs", help="right-tail scan points")
-            p.add_argument("--left", help="left-tail (constrained) points")
-    return parser
+def _json_value(obj):
+    return obj.coeffs.tolist() if isinstance(obj, Potential) else str(obj)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args, {"out": "betalab_out"})
-        results = _COMMANDS[args.command](cfg)
-        path = _write_summary(str(cfg["out"]), args.command, cfg, results)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        args = _build_parser().parse_args(
+            _glue_negative_values(sys.argv[1:] if argv is None else argv))
+        command, options = _COMMANDS[args.command]
+        cfg = _resolve(args, options)
+        results, tables = command(cfg)
     except ValueError as exc:
-        # module preconditions double as config validation
+        # ConfigError, and module preconditions, which double as validation
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    os.makedirs(cfg["out"], exist_ok=True)
+    for name, (header, rows) in tables.items():
+        lines = [header] + [",".join(fmt(x) if isinstance(x, float) else str(x)
+                                     for x in row) for row in rows]
+        write_text_atomic(os.path.join(cfg["out"], name),
+                          "\n".join(lines) + "\n")
+    path = os.path.join(cfg["out"], "summary.json")
+    write_text_atomic(path, json.dumps({
+        "command": args.command, "config": dict(sorted(cfg.items())),
+        "results": results, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    }, indent=2, default=_json_value) + "\n")
     print(path)
     return 0
 

@@ -78,7 +78,7 @@ class AtomicMeasure:
 
     atoms: np.ndarray
     weights: np.ndarray
-    equal_weight: bool = field(default=False, compare=False)
+    equal_weight: bool = field(default=False, init=False, compare=False)
 
     def __post_init__(self) -> None:
         atoms = np.asarray(self.atoms, dtype=float).ravel()
@@ -154,7 +154,8 @@ class GridMeasure:
     lo: float
     hi: float
     values: np.ndarray
-    _cdf: np.ndarray = field(default=None, repr=False, compare=False)
+    _cdf: np.ndarray = field(
+        default=None, init=False, repr=False, compare=False)
     _mid_quantiles: np.ndarray = field(
         default=None, init=False, repr=False, compare=False)
 

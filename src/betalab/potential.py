@@ -56,8 +56,10 @@ class Potential:
     """Convex polynomial potential, coefficients in ascending degree."""
 
     coeffs: np.ndarray
-    _d1: np.ndarray = field(default=None, repr=False, compare=False)
-    _d2: np.ndarray = field(default=None, repr=False, compare=False)
+    _d1: np.ndarray = field(
+        default=None, init=False, repr=False, compare=False)
+    _d2: np.ndarray = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=float).ravel()

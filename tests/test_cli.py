@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pkgutil
 import re
@@ -9,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from betalab import rates
 from betalab.cli import main
 from betalab.dos import draw_spectra
+from betalab.equilibrium import equilibrium_cached
 from betalab.potential import Potential
 
 
@@ -168,8 +171,32 @@ def test_config_file_merge_and_flag_priority(tmp_path):
     assert main(["sample", "--config", str(cfg), "--seed", "9",
                  "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["config"]["n"] == "64"       # from the file
+    assert summary["config"]["n"] == 64         # from the file
     assert summary["config"]["seed"] == 9       # flag wins
+    assert summary["config"]["beta"] == 2.0     # default, recorded too
+    assert set(summary["config"]) == {"potential", "beta", "n", "replicas",
+                                      "seed", "method", "out"}
+
+
+def test_summary_records_resolved_derived_defaults(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid = 64\n")
+    code, summary = run(tmp_path, "tail-scan", "--config", str(cfg),
+                        "--left", "1.5")
+    assert code == 0
+    b = equilibrium_cached(Potential.gaussian()).b_v
+    assert {k: v for k, v in summary["config"].items() if k != "out"} == {
+        "potential": [0.0, 0.0, 0.5], "grid": 64, "left": [1.5],
+        "xs": [b, b + 0.5, b + 1.0]}
+
+
+def test_config_file_unknown_key_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("replica = 10\nsede = 4\n")
+    assert main(["dos-converge", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'replica'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_syntax_error(tmp_path, capsys):
@@ -184,7 +211,7 @@ def test_config_file_missing(tmp_path):
 
 
 def test_config_file_can_set_method(tmp_path, capsys):
-    # config values bypass argparse choices and are validated downstream
+    # a config value goes through the same parser as the flag
     cfg = tmp_path / "run.cfg"
     cfg.write_text("method = dense\n")
     assert main(["sample", "--config", str(cfg),
@@ -206,10 +233,72 @@ def test_config_file_can_set_method(tmp_path, capsys):
     (["dos-converge", "--replicas", "0"], "replicas"),
     (["dos-converge", "--replicas", "1"], "replicas"),
     (["fluctuate", "--replicas", "1"], "replicas"),
+    (["sample", "--n", "64,128"], "n:"),
+    (["tail-scan", "--beta", "7"], "--beta"),
+    (["equilibrium", "--seed", "3"], "--seed"),
+    (["sample", "--threads", "2"], "--threads"),
 ])
 def test_config_errors_exit_two(tmp_path, capsys, argv, needle):
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
     assert needle in capsys.readouterr().err
+
+
+# the options each subcommand reads, as its --help lists them (rate also
+# takes its functional as a positional argument)
+OPTIONS = {
+    "equilibrium": {"--config", "--potential", "--grid", "--out"},
+    "sample": {"--config", "--potential", "--beta", "--n", "--replicas",
+               "--seed", "--method", "--out"},
+    "rate": {"--config", "--potential", "--measure", "--c", "--reg-m",
+             "--grid", "--out"},
+    "dos-converge": {"--config", "--potential", "--beta", "--n", "--replicas",
+                     "--seed", "--method", "--threads", "--out"},
+    "fluctuate": {"--config", "--potential", "--beta", "--f", "--window",
+                  "--n", "--replicas", "--seed", "--method", "--threads",
+                  "--out"},
+    "tail-scan": {"--config", "--potential", "--xs", "--left", "--grid",
+                  "--out"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_help_lists_exactly_the_options_read(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) - {"--help"} \
+        == OPTIONS[command]
+    positional = re.findall(r"positional arguments:\n\s+(\w+)", out)
+    assert positional == (["functional"] if command == "rate" else [])
+
+
+def test_negative_comma_list_parses_in_both_spellings(tmp_path):
+    base = ["tail-scan", "--potential", "0,0.3,0.5,0.1,0.2", "--grid", "256"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main([*base, "--left", "-0.5,0.3,0.8", "--out", str(a)]) == 0
+    assert main([*base, "--left=-0.5,0.3,0.8", "--out", str(b)]) == 0
+    text = (a / "tail_minus.csv").read_bytes()
+    assert text == (b / "tail_minus.csv").read_bytes()
+    assert text.startswith(b"c,j_minus\n-0.5,")
+
+
+def test_benchmark_command_lines_run(tmp_path, monkeypatch):
+    # every workload of perfbench/workloads.py, at its toy sizes: the
+    # benchmark drives the CLI with these argv shapes, so a CLI change that
+    # refuses one of them fails here rather than in the benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    # rates-hardwall wraps this solver for the life of its process
+    monkeypatch.setattr(rates, "constrained_equilibrium",
+                        rates.constrained_equilibrium)
+    for name, workload in workloads.WORKLOADS.items():
+        session = workloads.Session(str(tmp_path / name))
+        workload(session, np.random.default_rng(1),
+                 workloads.SIZES["toy"], None)
+        assert session.errors == [], name
 
 
 def test_module_precondition_maps_to_exit_two(tmp_path, capsys):

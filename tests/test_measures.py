@@ -9,6 +9,7 @@ from betalab.measures import (
     moment, quantile_discretize, reflect_shift, save_measure, truncate_normalize,
     variance, wasserstein,
 )
+from betalab.potential import Potential
 from oracles import (
     log_energy_grid_reference, log_kernel_mass_form_reference,
     semicircle_grid, uniform_grid,
@@ -31,6 +32,18 @@ def test_atomic_merges_duplicates_and_sorts():
     assert mu.atoms.tolist() == [-1.0, 1.0]
     assert mu.weights.tolist() == [0.5, 0.5]
     assert np.all(np.diff(mu.atoms) > 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AtomicMeasure([0.0, 1.0], [0.5, 0.5], equal_weight=False),
+    lambda: GridMeasure(0.0, 1.0, np.ones(3), _cdf=np.zeros(3)),
+    lambda: Potential([0.0, 0.0, 0.5], _d1=np.zeros(2)),
+    lambda: Potential([0.0, 0.0, 0.5], _d2=np.zeros(1)),
+])
+def test_derived_fields_are_not_constructor_parameters(build):
+    # __post_init__ computes these; a passed value would be thrown away
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_atomic_rejects_bad_weights():
