@@ -110,7 +110,8 @@ def _cmd_rate(cfg: dict):
 def _cmd_dos_converge(cfg: dict):
     report = dosmod.dos_convergence(cfg["potential"], cfg["beta"], cfg["n"],
                                     cfg["replicas"], cfg["seed"],
-                                    method=cfg["method"])
+                                    method=cfg["method"],
+                                    workers=cfg["threads"])
     sizes = sorted(report)
     means = [report[n]["mean_w1"] for n in sizes]
     return {
@@ -136,7 +137,8 @@ def _cmd_fluctuate(cfg: dict):
                                              cfg["window"])
     report = dosmod.fluctuation_ensemble(dosmod.FluctuationConfig(
         potential=V, beta=cfg["beta"], f=f, sizes=tuple(cfg["n"]),
-        replicas=cfg["replicas"], seed=cfg["seed"], method=cfg["method"]))
+        replicas=cfg["replicas"], seed=cfg["seed"], method=cfg["method"],
+        workers=cfg["threads"]))
     per_n = report["per_n"]
     tables = {"fluct_stats.csv": (
         "n,replica,stat",
@@ -172,7 +174,7 @@ def _cmd_tail_scan(cfg: dict):
 
 # Per subcommand: option -> (parser, default as config text).  A None default
 # is resolved by the command from the potential (c and xs from b_V), or there
-# is none (the positional functional, always given; the ignored threads).
+# is none (the positional functional, always given).
 _POTENTIAL = (_type(Potential.from_string, "coefficients c0,c1,...,cp"),
               "0,0,0.5")
 _POSITIVE = _type(float, "a positive number", lambda v: v > 0)
@@ -181,7 +183,7 @@ _SEED = (_int_from(0), "1")
 _SIZES = (_type(_list(int), "a comma list of integers >= 2",
                 lambda v: len(v) > 0 and min(v) >= 2), "1000")
 _METHOD = (_one_of("tridiagonal", "mcmc"), "tridiagonal")
-_THREADS = (_int_from(1), None)
+_THREADS = (_int_from(1), "1")
 _OUT = (str, "betalab_out")
 _FLOATS = _type(_list(float), "a comma list of numbers")
 
@@ -235,7 +237,8 @@ _HELP = {
     "window": "spectral window H for diagnostics",
     "xs": "right-tail scan points (default: b_V, b_V + 0.5, b_V + 1)",
     "left": "left-tail (hard-wall) points",
-    "threads": "ignored; kept so the benchmark's command lines parse",
+    "threads": "processes drawing the replicas, at most the CPUs this "
+               "process may use; results do not depend on it",
     "out": "output directory",
 }
 
@@ -330,6 +333,11 @@ def main(argv=None) -> int:
             _glue_negative_values(sys.argv[1:] if argv is None else argv))
         command, options = _COMMANDS[args.command]
         cfg = _resolve(args, options)
+        try:        # before the run, so a bad --out costs no computation
+            os.makedirs(cfg["out"], exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"out: cannot make directory {cfg['out']!r}: {exc}") from exc
         results, tables = command(cfg)
     except ValueError as exc:
         # ConfigError, and module preconditions, which double as validation
@@ -338,7 +346,6 @@ def main(argv=None) -> int:
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    os.makedirs(cfg["out"], exist_ok=True)
     for name, (header, rows) in tables.items():
         lines = [header] + [",".join(fmt(x) if isinstance(x, float) else str(x)
                                      for x in row) for row in rows]

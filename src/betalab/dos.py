@@ -10,7 +10,9 @@ diagnostics, and the Taylor bookkeeping identity checked on every replica.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -18,7 +20,7 @@ from numpy.polynomial import polynomial as P
 from .equilibrium import EquilibriumResult, _cheb_project, \
     equilibrium_cached, equilibrium_integral, nu_limit
 from .measures import AtomicMeasure, wasserstein
-from .potential import Potential
+from .potential import GAUSSIAN_KEY, Potential
 from .sampler import (
     EdgeSummary, SpectrumSample, gaussian_edge_summary, sample_gaussian,
     sample_mcmc_batch,
@@ -204,7 +206,7 @@ def gaussian_bias(f, beta: float, V: Potential | None = None) -> float:
     Gaussian potential only: the bias measure has no closed form for other
     potentials here.
     """
-    if V is not None and V.key() != Potential.gaussian().key():
+    if V is not None and V.key() != GAUSSIAN_KEY:
         raise ValueError("bias measure implemented for the Gaussian potential only")
     theta = (np.arange(CLT_NODES) + 0.5) * (np.pi / CLT_NODES)
     arcsine = float(np.mean(np.asarray(f(2.0 - 2.0 * np.cos(theta)),
@@ -316,7 +318,8 @@ REGIME_AMBIGUOUS = 1e-4
 
 @dataclass(frozen=True)
 class FluctuationConfig:
-    """One fluctuation experiment; replicas run in sequence."""
+    """One fluctuation experiment; `workers` processes draw the replicas
+    (see draw_spectra), which does not change any result."""
 
     potential: Potential
     beta: float
@@ -325,38 +328,91 @@ class FluctuationConfig:
     replicas: int
     seed: int
     method: str = "tridiagonal"
+    workers: int = 1
 
 
 def _check_method(V: Potential, method: str) -> None:
     """tridiagonal needs the Gaussian potential; mcmc takes any V."""
     if method not in ("tridiagonal", "mcmc"):
         raise ValueError(f"method: unknown {method!r}")
-    if method == "tridiagonal" and V.key() != Potential.gaussian().key():
+    if method == "tridiagonal" and V.key() != GAUSSIAN_KEY:
         raise ValueError("method: tridiagonal requires potential=0,0,0.5")
 
 
-def draw_spectra(V: Potential, beta: float, n: int, seed: int,
-                 replicas: int, method: str) -> list[SpectrumSample]:
-    """Replicas 0..replicas-1 of size n; replica r depends only on
-    (seed, r)."""
-    _check_method(V, method)
+def _replica_chunks(replicas: int, workers: int) -> list[range]:
+    """range(replicas) cut into contiguous chunks of near-equal length, at
+    most `workers` of them, and never more than there are replicas or CPUs
+    this process may run on."""
+    count = max(1, min(workers, replicas))
+    if count > 1:
+        count = min(count, len(os.sched_getaffinity(0)))
+    bounds = [replicas * k // count for k in range(count + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _map_replicas(draw, replicas: int, workers: int) -> list:
+    """draw(chunk) over the chunks of range(replicas), joined in replica
+    order: chunk 0 in this process, the others in forked worker processes.
+    draw(chunk) returns one item per replica of the chunk.  One chunk
+    (workers = 1) runs inline, with no pool."""
+    chunks = _replica_chunks(replicas, workers)
+    if len(chunks) == 1:
+        return draw(chunks[0])
+    # fork, not spawn: a spawned worker would import numpy and scipy again
+    # (about 0.4 s) for every pool; the pool forks before it starts threads
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(
+            len(chunks) - 1,
+            mp_context=multiprocessing.get_context("fork")) as pool:
+        rest = [pool.submit(draw, chunk) for chunk in chunks[1:]]
+        out = draw(chunks[0])
+        for future in rest:
+            out.extend(future.result())
+    return out
+
+
+def _spectra_chunk(V: Potential, beta: float, n: int, seed: int, method: str,
+                   chunk: range) -> list[SpectrumSample]:
     if method == "mcmc":
-        return sample_mcmc_batch(V, beta, n, seed, range(replicas))
-    return [sample_gaussian(n, beta, seed, replica=r) for r in range(replicas)]
+        return sample_mcmc_batch(V, beta, n, seed, chunk)
+    return [sample_gaussian(n, beta, seed, replica=r) for r in chunk]
+
+
+def draw_spectra(V: Potential, beta: float, n: int, seed: int,
+                 replicas: int, method: str,
+                 workers: int = 1) -> list[SpectrumSample]:
+    """Replicas 0..replicas-1 of size n, in replica order.
+
+    Replica r depends only on (seed, r), and an MCMC batch reproduces any
+    of its replicas bit for bit, so the samples are the same for every
+    `workers`.  workers > 1 splits the replicas into contiguous chunks,
+    one per process: this one draws the first, and forked processes draw
+    the rest (processes, since the LAPACK call holds the GIL).  The count
+    is capped at `replicas` and at the CPUs this process may use.
+    """
+    _check_method(V, method)
+    return _map_replicas(partial(_spectra_chunk, V, beta, n, seed, method),
+                         replicas, workers)
+
+
+def _summary_chunk(cfg: FluctuationConfig, n: int,
+                   chunk: range) -> list[EdgeSummary]:
+    degree = cfg.f.degree
+    if cfg.method == "mcmc":
+        return [EdgeSummary.from_eigenvalues(s.eigenvalues, degree)
+                for s in sample_mcmc_batch(cfg.potential, cfg.beta, n,
+                                           cfg.seed, chunk)]
+    return [gaussian_edge_summary(n, cfg.beta, cfg.seed, replica=r,
+                                  degree=degree) for r in chunk]
 
 
 def _edge_summaries(cfg: FluctuationConfig, n: int) -> list[EdgeSummary]:
     """Replica summaries for one size: from the sampled eigenvalues for
-    MCMC, or straight from the tridiagonal draws."""
-    degree = cfg.f.degree
-    if cfg.method == "mcmc":
-        return [EdgeSummary.from_eigenvalues(s.eigenvalues, degree)
-                for s in draw_spectra(cfg.potential, cfg.beta, n, cfg.seed,
-                                      cfg.replicas, cfg.method)]
+    MCMC, or straight from the tridiagonal draws; drawn like draw_spectra."""
     _check_method(cfg.potential, cfg.method)
-    return [gaussian_edge_summary(n, cfg.beta, cfg.seed, replica=r,
-                                  degree=degree)
-            for r in range(cfg.replicas)]
+    return _map_replicas(partial(_summary_chunk, cfg, n), cfg.replicas,
+                         cfg.workers)
 
 
 def fluctuation_ensemble(cfg: FluctuationConfig) -> dict:
@@ -425,10 +481,14 @@ def fluctuation_ensemble(cfg: FluctuationConfig) -> dict:
 
 
 def dos_convergence(V: Potential, beta: float, sizes, replicas: int,
-                    seed: int, method: str = "tridiagonal") -> dict:
+                    seed: int, method: str = "tridiagonal",
+                    workers: int = 1) -> dict:
     """Mean d_W1(mu_N, nu_V) per size: the weak-convergence experiment.
 
-    W1 needs every eigenvalue, so this runs on full samples.
+    W1 needs every eigenvalue, so this runs on full samples.  Up to
+    `workers` processes draw them (capped at `replicas` and at the CPUs
+    this process may use); replica r depends only on (seed, r), so the
+    result is the same for every `workers`.
     """
     eq = equilibrium_cached(V)
     nu_v = nu_limit(eq)
@@ -436,7 +496,8 @@ def dos_convergence(V: Potential, beta: float, sizes, replicas: int,
     for n in sizes:
         w1 = np.empty(replicas)
         for j, sample in enumerate(
-                draw_spectra(V, beta, int(n), seed, replicas, method)):
+                draw_spectra(V, beta, int(n), seed, replicas, method,
+                             workers)):
             ds = dos_measure(sample, b_v=eq.b_v)
             w1[j] = wasserstein(ds.mu_n, nu_v)
         out[int(n)] = {

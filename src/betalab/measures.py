@@ -137,6 +137,13 @@ class AtomicMeasure:
         idx = np.clip(idx, 0, self.size - 1)
         return self.atoms[idx]
 
+    def _midpoint_quantiles(self) -> np.ndarray:
+        """quantile(_midpoints()) by repeating atom i over the midpoints in
+        (F(atom_{i-1}), F(atom_i)]: the N jumps are searched among the
+        sorted midpoints, not the midpoints among the jumps."""
+        pos = np.searchsorted(_midpoints(), self.cdf_jumps(), side="right")
+        return np.repeat(self.atoms, np.diff(pos, prepend=0))
+
     def integrate(self, f) -> float:
         """Integral of a callable against the measure."""
         return float(np.dot(self.weights, f(self.atoms)))
@@ -295,8 +302,7 @@ def wasserstein(mu: Measure, nu: Measure, p=1.0) -> float:
         mids = 0.5 * (edges[1:] + edges[:-1])
         diffs = np.abs(mu.quantile(mids) - nu.quantile(mids))
         return float(np.dot(du, diffs ** q) ** (1.0 / q))
-    qmu, qnu = (m._midpoint_quantiles() if isinstance(m, GridMeasure)
-                else m.quantile(_midpoints()) for m in (mu, nu))
+    qmu, qnu = mu._midpoint_quantiles(), nu._midpoint_quantiles()
     return float(np.mean(np.abs(qmu - qnu) ** q) ** (1.0 / q))
 
 

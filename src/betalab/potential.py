@@ -16,8 +16,8 @@ from numpy.polynomial import polynomial as P
 
 from .measures import AtomicMeasure, Measure, moment, variance
 
-__all__ = ["Potential", "validate_convex", "kappa", "g_value",
-           "KappaDegenerateError"]
+__all__ = ["Potential", "GAUSSIAN_KEY", "validate_convex", "kappa",
+           "g_value", "KappaDegenerateError"]
 
 KAPPA_TOL = 1e-10        # final kappa bracket, relative to its width
 
@@ -127,6 +127,9 @@ class Potential:
     def key(self) -> tuple:
         """Hashable identity used for caching equilibrium artifacts."""
         return tuple(float(c) for c in self.coeffs)
+
+
+GAUSSIAN_KEY = Potential.gaussian().key()   # built once: V(x) = x^2 / 2
 
 
 def _reflected_deriv_poly(V: Potential, nu: Measure) -> np.ndarray:

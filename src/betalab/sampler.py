@@ -11,12 +11,12 @@ dos.draw_spectra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .potential import Potential
+from .potential import GAUSSIAN_KEY, Potential
 
 __all__ = [
     "SpectrumSample", "EdgeSummary", "rng_for", "sample_gaussian",
@@ -58,13 +58,20 @@ class SpectrumSample:
         if not np.all(np.isfinite(lam)):
             raise ValueError("eigenvalues must be finite")
         ties = 0
-        for i in range(1, lam.size):
-            if lam[i] <= lam[i - 1]:            # stable perturbation upward
-                lam[i] = np.nextafter(lam[i - 1], np.inf)
-                ties += 1
+        if not np.all(np.diff(lam) > 0):
+            for i in range(1, lam.size):
+                if lam[i] <= lam[i - 1]:        # stable perturbation upward
+                    lam[i] = np.nextafter(lam[i - 1], np.inf)
+                    ties += 1
         lam.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "tie_breaks", self.tie_breaks + ties)
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a sample sent from another process
+        # is read-only too; tie_breaks has already counted every tie
+        return SpectrumSample, tuple(getattr(self, f.name)
+                                     for f in fields(self))
 
     @property
     def lambda_max(self) -> float:
@@ -112,7 +119,7 @@ def sample_gaussian(n: int, beta: float, seed: int,
     lam = tridiag_eigenvalues(diag, off) * math.sqrt(2.0 / (beta * n))
     return SpectrumSample(
         eigenvalues=lam, n=n, beta=float(beta),
-        potential_coeffs=Potential.gaussian().key(), seed=int(seed),
+        potential_coeffs=GAUSSIAN_KEY, seed=int(seed),
         method="tridiagonal", replica=int(replica))
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import pkgutil
 import re
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from betalab import rates
+from betalab import dos, rates
 from betalab.cli import main
 from betalab.dos import draw_spectra
 from betalab.equilibrium import equilibrium_cached
@@ -219,9 +220,53 @@ def test_config_file_can_set_method(tmp_path, capsys):
     assert "method" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dos-converge", "--n", "50,150", "--replicas", "6", "--seed", "3"],
+    ["fluctuate", "--f", "square", "--n", "64,200", "--replicas", "6"],
+], ids=["dos-converge", "fluctuate"])
+def test_threads_do_not_change_output(tmp_path, argv):
+    outs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main([*argv, "--threads", threads, "--out", str(out)]) == 0
+        outs[threads] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+        outs[threads]["results"] = json.loads(
+            (out / "summary.json").read_text())["results"]
+    assert outs["1"] == outs["2"]
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("error,code", [(ValueError, 2), (RuntimeError, 3)])
+def test_worker_errors_keep_exit_codes(tmp_path, capsys, monkeypatch,
+                                       error, code):
+    draw = dos.sample_gaussian
+
+    def failing(n, beta, seed, replica=0):
+        if replica == 3:            # in the last chunk, drawn by a worker
+            raise error(f"replica {replica} in process {os.getpid()}")
+        return draw(n, beta, seed, replica=replica)
+
+    monkeypatch.setattr(dos, "sample_gaussian", failing)
+    assert main(["dos-converge", "--n", "20", "--replicas", "4",
+                 "--threads", "2", "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "replica 3 in process" in err
+    if len(os.sched_getaffinity(0)) > 1:
+        assert f"process {os.getpid()}" not in err
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "sample"])
+def test_out_that_is_a_file_exits_two(tmp_path, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    assert main([command, "--out", str(afile)]) == 2
+    err = capsys.readouterr().err
+    assert "out:" in err and str(afile) in err
+    assert afile.read_text() == "keep\n"
+
 
 @pytest.mark.parametrize("argv,needle", [
     (["sample", "--potential", "0,1"], "potential"),

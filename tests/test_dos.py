@@ -1,12 +1,14 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from betalab import dos
 from betalab.dos import (
     FluctuationConfig, TestFunction, bookkeeping_residual, cheb_coefficients,
     clt_variance, clt_variance_report, delta_statistic, dos_convergence,
-    dos_measure, edge_terms, fluctuation_ensemble, gaussian_bias, ks_distance,
+    dos_measure, draw_spectra, edge_terms, fluctuation_ensemble, gaussian_bias, ks_distance,
     linear_statistic, nu_quadrature, remainder_bound_constant, remainder_term,
 )
 from betalab.potential import Potential
@@ -239,6 +241,41 @@ def test_dos_convergence_shrinks(gauss):
     assert conv[100]["mean_w1"] > conv[300]["mean_w1"]
     assert conv[300]["mean_w1"] <= 0.05
     assert len(conv[100]["w1"]) == 25 and conv[100]["std_w1"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# replicas drawn by several processes
+# ---------------------------------------------------------------------------
+
+def test_replica_chunks_are_capped_and_contiguous(monkeypatch):
+    # a pure function: no process is started here
+    cpus = len(os.sched_getaffinity(0))
+    chunks = dos._replica_chunks(40, 1000)
+    assert 1 <= len(chunks) <= cpus
+    assert [r for c in chunks for r in c] == list(range(40))
+    assert dos._replica_chunks(40, 1) == [range(40)]
+    monkeypatch.setattr(dos.os, "sched_getaffinity",
+                        lambda pid: set(range(64)))
+    assert dos._replica_chunks(3, 1000) == [range(0, 1), range(1, 2),
+                                            range(2, 3)]
+    assert dos._replica_chunks(10, 3) == [range(0, 3), range(3, 6),
+                                          range(6, 10)]
+
+
+@pytest.mark.parametrize("method,potential,n", [
+    ("tridiagonal", Potential.gaussian(), 64),
+    ("mcmc", Potential.quartic(), 10),
+])
+def test_draw_spectra_same_for_any_worker_count(method, potential, n):
+    one = draw_spectra(potential, 2.0, n, 7, 5, method)
+    two = draw_spectra(potential, 2.0, n, 7, 5, method, workers=2)
+    assert [s.replica for s in two] == [s.replica for s in one] \
+        == list(range(5))
+    for a, b in zip(one, two):
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert not b.eigenvalues.flags.writeable
+        assert a.acceptance_rate == b.acceptance_rate
+        assert a.tie_breaks == b.tie_breaks
 
 
 # ---------------------------------------------------------------------------

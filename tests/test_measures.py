@@ -201,6 +201,23 @@ def test_wasserstein_grid_quantiles_computed_once(rng, monkeypatch):
     assert [c is nu for c in calls] == [True]
 
 
+def test_atomic_midpoint_quantiles_match_quantile(rng):
+    u = (np.arange(QUANTILE_POINTS) + 0.5) / QUANTILE_POINTS
+    pts = rng.normal(0.0, 1.0, 400)
+    measures = [
+        AtomicMeasure.from_points(pts),                        # equal weights
+        random_atomic(rng, 300),                               # unequal
+        AtomicMeasure.from_points(np.round(pts, 1)),           # merged ties
+        AtomicMeasure.from_points([0.25]),                     # one atom
+        AtomicMeasure([0.0, 1.0], [0.5 + u[0], 0.5 - u[0]]),
+    ]
+    # the last one's CDF jump lands exactly on a midpoint
+    assert measures[-1].cdf_jumps()[0] in u
+    assert measures[0].equal_weight and not measures[2].equal_weight
+    for mu in measures:
+        assert np.array_equal(mu._midpoint_quantiles(), mu.quantile(u))
+
+
 # ---------------------------------------------------------------------------
 # quantile discretization (and its convergence)
 # ---------------------------------------------------------------------------
