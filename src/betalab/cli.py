@@ -135,10 +135,10 @@ def _cmd_fluctuate(cfg: dict):
     else:
         f = dosmod.TestFunction.square_about(equilibrium_cached(V).b_v,
                                              cfg["window"])
-    report = dosmod.fluctuation_ensemble(dosmod.FluctuationConfig(
-        potential=V, beta=cfg["beta"], f=f, sizes=tuple(cfg["n"]),
-        replicas=cfg["replicas"], seed=cfg["seed"], method=cfg["method"],
-        workers=cfg["threads"]))
+    report = dosmod.fluctuation_ensemble(V, cfg["beta"], f, cfg["n"],
+                                         cfg["replicas"], cfg["seed"],
+                                         method=cfg["method"],
+                                         workers=cfg["threads"])
     per_n = report["per_n"]
     tables = {"fluct_stats.csv": (
         "n,replica,stat",

@@ -31,7 +31,7 @@ __all__ = [
     "delta_statistic", "nu_quadrature", "cheb_coefficients", "clt_variance",
     "clt_variance_report", "gaussian_bias", "remainder_term",
     "bookkeeping_residual", "remainder_bound_constant", "ks_distance",
-    "EdgeTerms", "edge_terms", "FluctuationConfig", "fluctuation_ensemble",
+    "EdgeTerms", "edge_terms", "fluctuation_ensemble",
     "dos_convergence", "draw_spectra",
 ]
 
@@ -316,21 +316,6 @@ REGIME_ZERO = 1e-8
 REGIME_AMBIGUOUS = 1e-4
 
 
-@dataclass(frozen=True)
-class FluctuationConfig:
-    """One fluctuation experiment; `workers` processes draw the replicas
-    (see draw_spectra), which does not change any result."""
-
-    potential: Potential
-    beta: float
-    f: TestFunction
-    sizes: tuple
-    replicas: int
-    seed: int
-    method: str = "tridiagonal"
-    workers: int = 1
-
-
 def _check_method(V: Potential, method: str) -> None:
     """tridiagonal needs the Gaussian potential; mcmc takes any V."""
     if method not in ("tridiagonal", "mcmc"):
@@ -350,72 +335,90 @@ def _replica_chunks(replicas: int, workers: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _map_replicas(draw, replicas: int, workers: int) -> list:
-    """draw(chunk) over the chunks of range(replicas), joined in replica
-    order: chunk 0 in this process, the others in forked worker processes.
-    draw(chunk) returns one item per replica of the chunk.  One chunk
-    (workers = 1) runs inline, with no pool."""
+_pool_draw = None        # the draw of the pool this worker process serves
+
+
+def _install_draw(draw) -> None:
+    global _pool_draw
+    _pool_draw = draw
+
+
+def _pool_task(n: int, chunk: range) -> list:
+    return _pool_draw(n, chunk)
+
+
+def _map_replicas(draw, sizes, replicas: int, workers: int):
+    """For each n in sizes, in order, yields draw(n, chunk) over the chunks
+    of range(replicas), joined in replica order.  draw(n, chunk) returns
+    one item per replica of the chunk: the value the caller aggregates,
+    so no spectrum leaves the process that drew it.
+
+    Chunk 0 runs in this process and the others in forked worker
+    processes (processes, since the LAPACK eigensolver holds the GIL), one
+    pool for all sizes.  The workers inherit draw, and any
+    table it has built, through the fork, so a task carries only
+    (n, chunk).  One chunk (workers = 1) runs inline, with no pool.
+    """
     chunks = _replica_chunks(replicas, workers)
     if len(chunks) == 1:
-        return draw(chunks[0])
+        for n in sizes:
+            yield draw(n, chunks[0])
+        return
     # fork, not spawn: a spawned worker would import numpy and scipy again
-    # (about 0.4 s) for every pool; the pool forks before it starts threads
+    # (about 0.4 s); a fork pool forks every worker before it starts threads
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(
-            len(chunks) - 1,
-            mp_context=multiprocessing.get_context("fork")) as pool:
-        rest = [pool.submit(draw, chunk) for chunk in chunks[1:]]
-        out = draw(chunks[0])
-        for future in rest:
-            out.extend(future.result())
-    return out
+    pool = ProcessPoolExecutor(
+        len(chunks) - 1, mp_context=multiprocessing.get_context("fork"),
+        initializer=_install_draw, initargs=(draw,))
+    try:
+        rest = [[pool.submit(_pool_task, n, chunk) for chunk in chunks[1:]]
+                for n in sizes]
+        for n, futures in zip(sizes, rest):
+            out = draw(n, chunks[0])
+            for future in futures:
+                out.extend(future.result())
+            yield out
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _spectra_chunk(V: Potential, beta: float, n: int, seed: int, method: str,
-                   chunk: range) -> list[SpectrumSample]:
+def _spectra_chunk(V: Potential, beta: float, seed: int, method: str,
+                   n: int, chunk: range) -> list[SpectrumSample]:
     if method == "mcmc":
         return sample_mcmc_batch(V, beta, n, seed, chunk)
     return [sample_gaussian(n, beta, seed, replica=r) for r in chunk]
 
 
 def draw_spectra(V: Potential, beta: float, n: int, seed: int,
-                 replicas: int, method: str,
-                 workers: int = 1) -> list[SpectrumSample]:
-    """Replicas 0..replicas-1 of size n, in replica order.
-
-    Replica r depends only on (seed, r), and an MCMC batch reproduces any
-    of its replicas bit for bit, so the samples are the same for every
-    `workers`.  workers > 1 splits the replicas into contiguous chunks,
-    one per process: this one draws the first, and forked processes draw
-    the rest (processes, since the LAPACK call holds the GIL).  The count
-    is capped at `replicas` and at the CPUs this process may use.
-    """
+                 replicas: int, method: str) -> list[SpectrumSample]:
+    """Replicas 0..replicas-1 of size n, in replica order, drawn in this
+    process.  Replica r depends only on (seed, r), and an MCMC batch
+    reproduces any of its replicas bit for bit, so the experiments below,
+    which draw chunks of replicas in several processes, see the same
+    spectra."""
     _check_method(V, method)
-    return _map_replicas(partial(_spectra_chunk, V, beta, n, seed, method),
-                         replicas, workers)
+    return _spectra_chunk(V, beta, seed, method, n, range(replicas))
 
 
-def _summary_chunk(cfg: FluctuationConfig, n: int,
-                   chunk: range) -> list[EdgeSummary]:
-    degree = cfg.f.degree
-    if cfg.method == "mcmc":
+def _w1_chunk(V: Potential, beta: float, seed: int, method: str, b_v: float,
+              nu_v, n: int, chunk: range) -> list[float]:
+    return [wasserstein(dos_measure(sample, b_v=b_v).mu_n, nu_v)
+            for sample in _spectra_chunk(V, beta, seed, method, n, chunk)]
+
+
+def _summary_chunk(V: Potential, beta: float, seed: int, method: str,
+                   degree: int, n: int, chunk: range) -> list[EdgeSummary]:
+    if method == "mcmc":
         return [EdgeSummary.from_eigenvalues(s.eigenvalues, degree)
-                for s in sample_mcmc_batch(cfg.potential, cfg.beta, n,
-                                           cfg.seed, chunk)]
-    return [gaussian_edge_summary(n, cfg.beta, cfg.seed, replica=r,
-                                  degree=degree) for r in chunk]
+                for s in sample_mcmc_batch(V, beta, n, seed, chunk)]
+    return [gaussian_edge_summary(n, beta, seed, replica=r, degree=degree)
+            for r in chunk]
 
 
-def _edge_summaries(cfg: FluctuationConfig, n: int) -> list[EdgeSummary]:
-    """Replica summaries for one size: from the sampled eigenvalues for
-    MCMC, or straight from the tridiagonal draws; drawn like draw_spectra."""
-    _check_method(cfg.potential, cfg.method)
-    return _map_replicas(partial(_summary_chunk, cfg, n), cfg.replicas,
-                         cfg.workers)
-
-
-def fluctuation_ensemble(cfg: FluctuationConfig) -> dict:
+def fluctuation_ensemble(V: Potential, beta: float, f: TestFunction, sizes,
+                         replicas: int, seed: int, method: str = "tridiagonal",
+                         workers: int = 1) -> dict:
     """Rescaled-statistic ensembles of mu_N(f) across sizes.
 
     Regime from nu_V(f'): edge scale N^(2/3) when it is nonzero, CLT scale
@@ -423,27 +426,34 @@ def fluctuation_ensemble(cfg: FluctuationConfig) -> dict:
     Every replica also gets the bookkeeping-identity residual, the window
     indicator, and the remainder bound check.  All of them come from the
     replica's EdgeSummary (see edge_terms), so a tridiagonal replica costs
-    O(N deg) plus two bisection eigenvalues instead of an O(N^2) solve.
+    O(N deg) plus two bisection eigenvalues instead of an O(N^2) solve;
+    an MCMC replica is summarized from its sampled eigenvalues.  Up to
+    `workers` processes draw the summaries (see _map_replicas); the result
+    is the same for every `workers`.
     """
-    eq = equilibrium_cached(cfg.potential)
-    nu_f = nu_quadrature(eq, cfg.f.f)
-    nu_fp = nu_quadrature(eq, cfg.f.fprime)
+    _check_method(V, method)
+    eq = equilibrium_cached(V)
+    nu_f = nu_quadrature(eq, f.f)
+    nu_fp = nu_quadrature(eq, f.fprime)
     regime = "edge" if abs(nu_fp) > REGIME_ZERO else "clt"
     ambiguous = REGIME_ZERO < abs(nu_fp) < REGIME_AMBIGUOUS
-    bound_m = remainder_bound_constant(cfg.f)
+    bound_m = remainder_bound_constant(f)
 
+    sizes = [int(n) for n in sizes]
+    draw = partial(_summary_chunk, V, beta, seed, method, f.degree)
     per_n = {}
     stats_by_n = {}
-    for n in cfg.sizes:
+    for n, summaries in zip(sizes,
+                            _map_replicas(draw, sizes, replicas, workers)):
         scale = float(n) ** (2.0 / 3.0) if regime == "edge" else float(n)
         alt_scale = float(n) if regime == "edge" else float(n) ** (2.0 / 3.0)
-        stats = np.empty(cfg.replicas)
-        alt_stats = np.empty(cfg.replicas)
-        residuals = np.empty(cfg.replicas)
-        in_window = np.empty(cfg.replicas, dtype=bool)
-        bound_ok = np.empty(cfg.replicas, dtype=bool)
-        for j, summary in enumerate(_edge_summaries(cfg, n)):
-            t = edge_terms(summary, eq, cfg.f, nu_f, nu_fp)
+        stats = np.empty(replicas)
+        alt_stats = np.empty(replicas)
+        residuals = np.empty(replicas)
+        in_window = np.empty(replicas, dtype=bool)
+        bound_ok = np.empty(replicas, dtype=bool)
+        for j, summary in enumerate(summaries):
+            t = edge_terms(summary, eq, f, nu_f, nu_fp)
             centered = t.mu_f - nu_f
             stats[j] = scale * centered
             alt_stats[j] = alt_scale * centered
@@ -453,8 +463,8 @@ def fluctuation_ensemble(cfg: FluctuationConfig) -> dict:
             bound_ok[j] = (not t.in_window) or (
                 abs(t.remainder) <= bound_m * (n * eps * eps + abs(eps) + 1.0))
         counts, edges = np.histogram(stats, bins="fd")
-        per_n[int(n)] = {
-            "mean": math.fsum(stats) / cfg.replicas,
+        per_n[n] = {
+            "mean": math.fsum(stats) / replicas,
             "variance": float(np.var(stats, ddof=1)),
             "histogram": {"edges": edges.tolist(),
                           "counts": counts.tolist()},
@@ -462,11 +472,10 @@ def fluctuation_ensemble(cfg: FluctuationConfig) -> dict:
             "alt_stats": alt_stats.tolist() if ambiguous else None,
             "max_bookkeeping_residual": float(np.max(np.abs(residuals))),
             "window_violation_rate":
-                float(1.0 - np.count_nonzero(in_window) / cfg.replicas),
+                float(1.0 - np.count_nonzero(in_window) / replicas),
             "remainder_bound_ok": bool(np.all(bound_ok)),
         }
-        stats_by_n[int(n)] = stats
-    sizes = [int(n) for n in cfg.sizes]
+        stats_by_n[n] = stats
     ks = {
         f"{n1}->{n2}": ks_distance(stats_by_n[n1], stats_by_n[n2])
         for n1, n2 in zip(sizes, sizes[1:])
@@ -474,8 +483,8 @@ def fluctuation_ensemble(cfg: FluctuationConfig) -> dict:
     return {
         "regime": regime, "ambiguous": ambiguous,
         "nu_f": nu_f, "nu_fprime": nu_fp,
-        "test_function": cfg.f.name,
-        "beta": cfg.beta, "replicas": cfg.replicas, "seed": cfg.seed,
+        "test_function": f.name,
+        "beta": beta, "replicas": replicas, "seed": seed,
         "per_n": per_n, "ks_stabilization": ks,
     }
 
@@ -485,24 +494,21 @@ def dos_convergence(V: Potential, beta: float, sizes, replicas: int,
                     workers: int = 1) -> dict:
     """Mean d_W1(mu_N, nu_V) per size: the weak-convergence experiment.
 
-    W1 needs every eigenvalue, so this runs on full samples.  Up to
-    `workers` processes draw them (capped at `replicas` and at the CPUs
+    W1 needs every eigenvalue, so each replica is a full sample, reduced
+    to its W1 in the process that drew it.  Up to `workers` processes draw
+    the replicas (see _map_replicas; capped at `replicas` and at the CPUs
     this process may use); replica r depends only on (seed, r), so the
     result is the same for every `workers`.
     """
+    _check_method(V, method)
     eq = equilibrium_cached(V)
-    nu_v = nu_limit(eq)
+    draw = partial(_w1_chunk, V, beta, seed, method, eq.b_v, nu_limit(eq))
+    sizes = [int(n) for n in sizes]
     out = {}
-    for n in sizes:
-        w1 = np.empty(replicas)
-        for j, sample in enumerate(
-                draw_spectra(V, beta, int(n), seed, replicas, method,
-                             workers)):
-            ds = dos_measure(sample, b_v=eq.b_v)
-            w1[j] = wasserstein(ds.mu_n, nu_v)
-        out[int(n)] = {
+    for n, w1 in zip(sizes, _map_replicas(draw, sizes, replicas, workers)):
+        out[n] = {
             "mean_w1": math.fsum(w1) / replicas,
             "std_w1": float(np.std(w1, ddof=1)),
-            "w1": w1.tolist(),
+            "w1": w1,
         }
     return out

@@ -46,6 +46,7 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
 FW_GAP_TOL = 1e-8
 FW_MAX_ITER = 10 ** 5
+EQUILIBRIUM_STEM = "equilibrium"   # file names written by save_equilibrium
 
 
 def _cheb_project(g, c: float, r: float, kmax: int,
@@ -410,12 +411,11 @@ def constrained_equilibrium(V: Potential, x: float,
 
 # -- serialization ------------------------------------------------------------
 
-def save_equilibrium(eq: EquilibriumResult, directory: str,
-                     stem: str = "equilibrium") -> dict:
+def save_equilibrium(eq: EquilibriumResult, directory: str) -> dict:
     """Write endpoints/constants JSON plus the density CSV; returns paths."""
     os.makedirs(directory, exist_ok=True)
-    jpath = os.path.join(directory, f"{stem}.json")
-    cpath = os.path.join(directory, f"{stem}_density.csv")
+    jpath = os.path.join(directory, f"{EQUILIBRIUM_STEM}.json")
+    cpath = os.path.join(directory, f"{EQUILIBRIUM_STEM}_density.csv")
     obj = {
         "a_v": float(eq.a_v), "b_v": float(eq.b_v),
         "c_v": float(eq.c_v), "sigma": float(eq.sigma),
@@ -428,11 +428,11 @@ def save_equilibrium(eq: EquilibriumResult, directory: str,
     return {"json": jpath, "density": cpath}
 
 
-def load_equilibrium(directory: str, stem: str = "equilibrium"
-                     ) -> EquilibriumResult:
-    with open(os.path.join(directory, f"{stem}.json")) as fh:
+def load_equilibrium(directory: str) -> EquilibriumResult:
+    with open(os.path.join(directory, f"{EQUILIBRIUM_STEM}.json")) as fh:
         obj = json.load(fh)
-    density = load_measure(os.path.join(directory, f"{stem}_density.csv"))
+    density = load_measure(
+        os.path.join(directory, f"{EQUILIBRIUM_STEM}_density.csv"))
     return EquilibriumResult(
         a_v=obj["a_v"], b_v=obj["b_v"], density=density,
         c_v=obj["c_v"], sigma=obj["sigma"],

@@ -17,7 +17,6 @@ form for atoms and a singularity-aware quadrature for grid densities.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +41,6 @@ __all__ = [
     "save_measure",
     "load_measure",
     "measure_to_json_obj",
-    "measure_from_json_obj",
 ]
 
 #: number of quantile nodes when a Wasserstein integrand cannot be
@@ -262,8 +260,6 @@ def moment(mu: Measure, k: int) -> float:
     k = int(k)
     if k == 0:
         return 1.0
-    if isinstance(mu, AtomicMeasure):
-        return float(np.dot(mu.weights, mu.atoms ** k))
     return mu.integrate(lambda x: x ** k)
 
 
@@ -537,21 +533,8 @@ def measure_to_json_obj(mu: Measure) -> dict:
             "values": [float(v) for v in mu.values]}
 
 
-def measure_from_json_obj(obj: dict) -> Measure:
-    kind = obj.get("kind")
-    if kind == "atomic":
-        return AtomicMeasure(np.asarray(obj["support"]), np.asarray(obj["values"]))
-    if kind == "grid":
-        lo, hi = obj["support"]
-        return GridMeasure(lo, hi, np.asarray(obj["values"]))
-    raise ValueError(f"unknown measure kind {kind!r}")
-
-
 def save_measure(mu: Measure, path: str) -> None:
-    """Write a measure to `.json` or `.csv` (by extension), atomically."""
-    if path.endswith(".json"):
-        write_text_atomic(path, json.dumps(measure_to_json_obj(mu), indent=1))
-        return
+    """Write a measure to a `.csv` file, atomically."""
     if path.endswith(".csv"):
         if isinstance(mu, AtomicMeasure):
             rows = ["position,weight"]
@@ -567,9 +550,6 @@ def save_measure(mu: Measure, path: str) -> None:
 def load_measure(path: str) -> Measure:
     """Inverse of :func:`save_measure`; CSV grids rebuild [lo, hi] from the
     first and last node."""
-    if path.endswith(".json"):
-        with open(path) as fh:
-            return measure_from_json_obj(json.load(fh))
     if path.endswith(".csv"):
         with open(path) as fh:
             header = fh.readline().strip()

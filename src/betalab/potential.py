@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .measures import AtomicMeasure, Measure, moment, variance
+from .measures import Measure, moment, variance
 
 __all__ = ["Potential", "GAUSSIAN_KEY", "validate_convex", "kappa",
            "g_value", "KappaDegenerateError"]
@@ -209,12 +209,8 @@ def kappa(V: Potential, nu: Measure) -> float:
     # direct integrand, whose sign is exact for the offending cases.
     dscale = float(P.polyval(abs(c), np.abs(gppoly))) + 1.0
     if gp(c) <= 1e-8 * dscale:
-        if isinstance(nu, AtomicMeasure):
-            def gd(t):
-                return float(np.dot(nu.weights, V.deriv(t - nu.atoms)))
-        else:
-            def gd(t):
-                return nu.integrate(lambda x: V.deriv(t - x))
+        def gd(t):
+            return nu.integrate(lambda x: V.deriv(t - x))
         rlo, rhi = lo, hi
         step = max(hi - lo, 1e-15 * (1.0 + abs(c)))
         for _ in range(80):

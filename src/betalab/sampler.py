@@ -6,12 +6,14 @@ that puts the semicircle edge at +-2, and a Metropolis chain on the log-gas
 for general convex polynomial V.  Replicas draw from counter-based
 splittable streams keyed by (seed, replica), so batched and sequential
 runs are bit-identical.  Which route a potential may take is decided in
-dos.draw_spectra.
+dos, which draws replicas in several processes: each process reduces the
+samples it draws to the numbers the experiment needs, so a sample never
+leaves the process that drew it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -66,12 +68,6 @@ class SpectrumSample:
         lam.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "tie_breaks", self.tie_breaks + ties)
-
-    def __reduce__(self):
-        # rebuilt through __init__, so a sample sent from another process
-        # is read-only too; tie_breaks has already counted every tie
-        return SpectrumSample, tuple(getattr(self, f.name)
-                                     for f in fields(self))
 
     @property
     def lambda_max(self) -> float:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from betalab.dos import (
-    FluctuationConfig, TestFunction, bookkeeping_residual, cheb_coefficients,
+    TestFunction, bookkeeping_residual, cheb_coefficients,
     clt_variance, dos_convergence, dos_measure, fluctuation_ensemble,
     gaussian_bias, nu_quadrature,
 )
@@ -156,9 +156,9 @@ def test_criterion_07_clt_regime_constants():
 
 
 def test_criterion_08_edge_scale_stabilization():
-    out = fluctuation_ensemble(FluctuationConfig(
-        potential=GAUSS, beta=2.0, f=TestFunction.identity(),
-        sizes=(500, 2000), replicas=500, seed=0))
+    out = fluctuation_ensemble(
+        GAUSS, beta=2.0, f=TestFunction.identity(),
+        sizes=(500, 2000), replicas=500, seed=0)
     ks = out["ks_stabilization"]["500->2000"]
     ok = out["regime"] == "edge" and ks <= 0.08
     _report(8, ok, f"KS(N=500 vs N=2000, 500 replicas) = {ks:.4f} "
@@ -242,9 +242,9 @@ def test_criterion_10_property_suites():
     checks["gradient"] = ok_fd
 
     # bookkeeping identity and remainder bound on every replica
-    out = fluctuation_ensemble(FluctuationConfig(
-        potential=GAUSS, beta=2.0, f=TestFunction.square_about(2.0),
-        sizes=(200,), replicas=40, seed=5))
+    out = fluctuation_ensemble(
+        GAUSS, beta=2.0, f=TestFunction.square_about(2.0),
+        sizes=(200,), replicas=40, seed=5)
     pn = out["per_n"][200]
     checks["bookkeeping"] = (pn["max_bookkeeping_residual"] <= 1e-10 * 200
                              and pn["remainder_bound_ok"])

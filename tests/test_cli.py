@@ -288,6 +288,15 @@ def test_config_errors_exit_two(tmp_path, capsys, argv, needle):
     assert needle in capsys.readouterr().err
 
 
+def test_json_measure_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"kind": "atomic", "support": [0.5], "values": [1.0]}')
+    assert main(["rate", "idos", "--measure", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "extension" in err and "m.json" in err
+
+
 # the options each subcommand reads, as its --help lists them (rate also
 # takes its functional as a positional argument)
 OPTIONS = {

@@ -6,9 +6,9 @@ import pytest
 
 from betalab import dos
 from betalab.dos import (
-    FluctuationConfig, TestFunction, bookkeeping_residual, cheb_coefficients,
+    TestFunction, bookkeeping_residual, cheb_coefficients,
     clt_variance, clt_variance_report, delta_statistic, dos_convergence,
-    dos_measure, draw_spectra, edge_terms, fluctuation_ensemble, gaussian_bias, ks_distance,
+    dos_measure, edge_terms, fluctuation_ensemble, gaussian_bias, ks_distance,
     linear_statistic, nu_quadrature, remainder_bound_constant, remainder_term,
 )
 from betalab.potential import Potential
@@ -201,9 +201,9 @@ def test_ks_distance_symmetric(rng):
 # ---------------------------------------------------------------------------
 
 def test_fluctuation_identity_is_edge_regime(gauss):
-    out = fluctuation_ensemble(FluctuationConfig(
-        potential=gauss, beta=2.0, f=TestFunction.identity(),
-        sizes=(100, 200), replicas=40, seed=1))
+    out = fluctuation_ensemble(
+        gauss, beta=2.0, f=TestFunction.identity(),
+        sizes=(100, 200), replicas=40, seed=1)
     assert out["regime"] == "edge" and not out["ambiguous"]
     assert abs(out["nu_fprime"] - 1.0) <= 1e-12
     assert list(out["ks_stabilization"]) == ["100->200"]
@@ -218,17 +218,17 @@ def test_fluctuation_identity_is_edge_regime(gauss):
 
 
 def test_fluctuation_square_is_clt_regime(gauss):
-    out = fluctuation_ensemble(FluctuationConfig(
-        potential=gauss, beta=2.0, f=TestFunction.square_about(2.0),
-        sizes=(100,), replicas=30, seed=2))
+    out = fluctuation_ensemble(
+        gauss, beta=2.0, f=TestFunction.square_about(2.0),
+        sizes=(100,), replicas=30, seed=2)
     assert out["regime"] == "clt"
     assert abs(out["nu_fprime"]) <= 1e-12
 
 
 def test_fluctuation_constant_is_degenerate(gauss):
-    out = fluctuation_ensemble(FluctuationConfig(
-        potential=gauss, beta=2.0, f=TestFunction.constant(2.5),
-        sizes=(64,), replicas=10, seed=3))
+    out = fluctuation_ensemble(
+        gauss, beta=2.0, f=TestFunction.constant(2.5),
+        sizes=(64,), replicas=10, seed=3)
     pn = out["per_n"][64]
     assert out["regime"] == "clt"
     assert pn["variance"] == 0.0
@@ -262,20 +262,49 @@ def test_replica_chunks_are_capped_and_contiguous(monkeypatch):
                                           range(6, 10)]
 
 
-@pytest.mark.parametrize("method,potential,n", [
-    ("tridiagonal", Potential.gaussian(), 64),
-    ("mcmc", Potential.quartic(), 10),
+def _experiments(potential, method, sizes, workers):
+    f = TestFunction.square_about(2.0)
+    return (dos_convergence(potential, 2.0, sizes, 5, 7, method=method,
+                            workers=workers),
+            fluctuation_ensemble(potential, 2.0, f, sizes, 5, 7,
+                                 method=method, workers=workers))
+
+
+@pytest.mark.parametrize("method,potential,sizes", [
+    ("tridiagonal", Potential.gaussian(), (64, 32)),
+    ("mcmc", Potential.quartic(), (10, 8)),
 ])
-def test_draw_spectra_same_for_any_worker_count(method, potential, n):
-    one = draw_spectra(potential, 2.0, n, 7, 5, method)
-    two = draw_spectra(potential, 2.0, n, 7, 5, method, workers=2)
-    assert [s.replica for s in two] == [s.replica for s in one] \
-        == list(range(5))
-    for a, b in zip(one, two):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert not b.eigenvalues.flags.writeable
-        assert a.acceptance_rate == b.acceptance_rate
-        assert a.tie_breaks == b.tie_breaks
+def test_experiments_same_for_any_worker_count(monkeypatch, method,
+                                               potential, sizes):
+    monkeypatch.setattr(dos.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _experiments(potential, method, sizes, 1) \
+        == _experiments(potential, method, sizes, 2)
+
+
+@pytest.mark.parametrize("workers,pools", [(1, 0), (2, 1)])
+def test_one_pool_per_experiment_and_no_sample_pickled(monkeypatch, gauss,
+                                                       workers, pools):
+    import concurrent.futures
+
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    def refuse(self, protocol):
+        raise AssertionError("a SpectrumSample was pickled")
+
+    monkeypatch.setattr(dos.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountingPool)
+    monkeypatch.setattr(SpectrumSample, "__reduce_ex__", refuse)
+    dos_convergence(gauss, 2.0, (16, 24), 4, 1, workers=workers)
+    assert len(started) == pools
+    fluctuation_ensemble(gauss, 2.0, TestFunction.identity(), (16, 24), 4, 1,
+                         workers=workers)
+    assert len(started) == 2 * pools
 
 
 # ---------------------------------------------------------------------------
@@ -328,24 +357,24 @@ def test_edge_terms_match_eigenvalue_route(eq_gauss, n):
             assert terms.in_window == bool(np.max(np.abs(lam)) <= f.window_h)
 
 
-def _eigenvalue_route(cfg, eq, samples_by_n):
+def _eigenvalue_route(f, eq, samples_by_n):
     """fluctuation_ensemble's per-replica quantities from full spectra."""
-    nu_f = nu_quadrature(eq, cfg.f.f)
-    nu_fp = nu_quadrature(eq, cfg.f.fprime)
+    nu_f = nu_quadrature(eq, f.f)
+    nu_fp = nu_quadrature(eq, f.fprime)
     regime = "edge" if abs(nu_fp) > 1e-8 else "clt"
-    bound_m = remainder_bound_constant(cfg.f)
+    bound_m = remainder_bound_constant(f)
     out = {}
     for n, samples in samples_by_n.items():
         scale = n ** (2.0 / 3.0) if regime == "edge" else float(n)
         stats, residuals, window, bound = [], [], [], []
         for sample in samples:
             ds = dos_measure(sample, b_v=eq.b_v)
-            stats.append(scale * (ds.mu_n.integrate(cfg.f.f) - nu_f))
-            residuals.append(bookkeeping_residual(sample, eq, cfg.f))
+            stats.append(scale * (ds.mu_n.integrate(f.f) - nu_f))
+            residuals.append(bookkeeping_residual(sample, eq, f))
             window.append(
-                bool(np.max(np.abs(sample.eigenvalues)) <= cfg.f.window_h))
+                bool(np.max(np.abs(sample.eigenvalues)) <= f.window_h))
             eps = ds.epsilon_n
-            rn = remainder_term(sample, eq, cfg.f)
+            rn = remainder_term(sample, eq, f)
             bound.append(not window[-1] or
                          abs(rn) <= bound_m * (n * eps * eps + abs(eps) + 1))
         out[n] = {"stats": stats, "residual": max(map(abs, residuals)),
@@ -354,9 +383,10 @@ def _eigenvalue_route(cfg, eq, samples_by_n):
     return regime, out
 
 
-def _assert_same_ensemble(cfg, eq, samples_by_n):
-    got = fluctuation_ensemble(cfg)
-    regime, ref = _eigenvalue_route(cfg, eq, samples_by_n)
+def _assert_same_ensemble(V, f, eq, samples_by_n, **kwargs):
+    got = fluctuation_ensemble(V, beta=2.0, f=f, sizes=tuple(samples_by_n),
+                               **kwargs)
+    regime, ref = _eigenvalue_route(f, eq, samples_by_n)
     assert got["regime"] == regime
     for n, r in ref.items():
         pn = got["per_n"][n]
@@ -375,9 +405,8 @@ def test_fluctuation_ensemble_matches_eigenvalue_route(gauss, eq_gauss):
     fs = _test_functions(eq_gauss.b_v) \
         + (TestFunction.square_about(eq_gauss.b_v, window_h=2.0),)
     for f in fs:
-        _assert_same_ensemble(FluctuationConfig(
-            potential=gauss, beta=2.0, f=f, sizes=sizes, replicas=replicas,
-            seed=seed), eq_gauss, samples)
+        _assert_same_ensemble(gauss, f, eq_gauss, samples,
+                              replicas=replicas, seed=seed)
 
 
 def test_fluctuation_ensemble_mcmc_matches_eigenvalue_route(quartic,
@@ -385,6 +414,5 @@ def test_fluctuation_ensemble_mcmc_matches_eigenvalue_route(quartic,
     samples = {16: sample_mcmc_batch(quartic, 2.0, 16, 5, range(3))}
     for f in (TestFunction.identity(),
               TestFunction.square_about(eq_quartic.b_v)):
-        _assert_same_ensemble(FluctuationConfig(
-            potential=quartic, beta=2.0, f=f, sizes=(16,), replicas=3,
-            seed=5, method="mcmc"), eq_quartic, samples)
+        _assert_same_ensemble(quartic, f, eq_quartic, samples, replicas=3,
+                              seed=5, method="mcmc")
