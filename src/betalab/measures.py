@@ -27,7 +27,6 @@ from ._fsio import fmt, write_text_atomic
 __all__ = [
     "AtomicMeasure",
     "GridMeasure",
-    "WassersteinOrder",
     "reflect_shift",
     "moment",
     "variance",
@@ -46,17 +45,6 @@ __all__ = [
 #: number of quantile nodes when a Wasserstein integrand cannot be
 #: resolved exactly (a grid measure is involved)
 QUANTILE_POINTS = 1 << 17
-
-
-@dataclass(frozen=True)
-class WassersteinOrder:
-    """Order p >= 1 of a Wasserstein distance."""
-
-    p: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.p >= 1.0):
-            raise ValueError(f"Wasserstein order must be >= 1, got {self.p}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -273,12 +261,6 @@ def variance(mu: Measure) -> float:
 # Wasserstein distances via quantile coupling
 # ---------------------------------------------------------------------------
 
-def _order_p(p) -> float:
-    if not isinstance(p, WassersteinOrder):
-        p = WassersteinOrder(float(p))
-    return p.p
-
-
 def wasserstein(mu: Measure, nu: Measure, p=1.0) -> float:
     """d_Wp(mu, nu) = (int_0^1 |F_mu^{-1} - F_nu^{-1}|^p du)^{1/p}.
 
@@ -286,7 +268,9 @@ def wasserstein(mu: Measure, nu: Measure, p=1.0) -> float:
     quantile staircases; as soon as a grid measure is involved the integral
     is done by midpoint quadrature at QUANTILE_POINTS nodes.
     """
-    q = _order_p(p)
+    q = float(p)
+    if not (q >= 1.0):
+        raise ValueError(f"Wasserstein order must be >= 1, got {q}")
     if isinstance(mu, AtomicMeasure) and isinstance(nu, AtomicMeasure):
         if (mu.equal_weight and nu.equal_weight and mu.size == nu.size):
             # sorted matching of equal atom counts
@@ -549,16 +533,24 @@ def save_measure(mu: Measure, path: str) -> None:
 
 def load_measure(path: str) -> Measure:
     """Inverse of :func:`save_measure`; CSV grids rebuild [lo, hi] from the
-    first and last node."""
+    first and last node, which must be uniformly spaced."""
     if path.endswith(".csv"):
         with open(path) as fh:
             header = fh.readline().strip()
             data = [line.split(",") for line in fh if line.strip()]
+        if not data:
+            raise ValueError(f"{path}: no rows under the header")
+        if any(len(r) != 2 for r in data):
+            raise ValueError(f"{path}: every row needs two fields")
         pos = np.array([float(r[0]) for r in data])
         val = np.array([float(r[1]) for r in data])
         if header == "position,weight":
             return AtomicMeasure(pos, val)
         if header == "position,density":
+            h = (pos[-1] - pos[0]) / max(pos.size - 1, 1)
+            uniform = pos[0] + h * np.arange(pos.size)
+            if np.any(np.abs(pos - uniform) > 1e-9 * abs(h)):
+                raise ValueError(f"{path}: grid nodes are not uniform")
             return GridMeasure(pos[0], pos[-1], val)
         raise ValueError(f"unrecognized measure CSV header: {header!r}")
     raise ValueError(f"unsupported measure file extension: {path}")

@@ -3,13 +3,14 @@
 A potential is a polynomial of even degree p >= 2 with positive leading
 coefficient and V'' >= 0 on all of R (checked exactly at construction via
 the roots of V'').  The module also provides kappa_V(nu), the unique root
-of c -> int V'(c - x) dnu(x), and G_V(nu) = int V(kappa - x) dnu(x), the
-infimum over c of the potential term of a reflected measure.
+of c -> int V'(c - x) dnu(x), found by bisection on that integral, and
+G_V(nu) = int V(kappa - x) dnu(x), the infimum over c of the potential
+term of a reflected measure.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import sqrt, ulp
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -17,15 +18,7 @@ from numpy.polynomial import polynomial as P
 from .measures import Measure, moment, variance
 
 __all__ = ["Potential", "GAUSSIAN_KEY", "validate_convex", "kappa",
-           "g_value", "KappaDegenerateError"]
-
-KAPPA_TOL = 1e-10        # final kappa bracket, relative to its width
-
-
-class KappaDegenerateError(ValueError):
-    """Raised when the defining equation of kappa has a flat section of
-    roots (cannot happen for polynomial V with a positive leading
-    coefficient, but reported defensively)."""
+           "g_value"]
 
 
 def validate_convex(coeffs) -> tuple[bool, float | None]:
@@ -104,9 +97,6 @@ class Potential:
         """V(x) = x^4."""
         return cls(np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
 
-    def to_json_obj(self) -> dict:
-        return {"coeffs": [float(c) for c in self.coeffs]}
-
     # -- evaluation -----------------------------------------------------------
     @property
     def degree(self) -> int:
@@ -132,47 +122,21 @@ class Potential:
 GAUSSIAN_KEY = Potential.gaussian().key()   # built once: V(x) = x^2 / 2
 
 
-def _reflected_deriv_poly(V: Potential, nu: Measure) -> np.ndarray:
-    """Ascending coefficients of the polynomial c -> int V'(c - x) dnu(x).
-
-    Expanding (c - x)^m binomially turns the integral into a combination of
-    the moments of nu; the mass moment is pinned to exactly 1.0, which the
-    measure types guarantee, so low-degree cases incur no quadrature error.
-    """
-    d1 = V._d1
-    q = d1.size - 1                       # degree of V'
-    mom = np.empty(q + 1)
-    mom[0] = 1.0
-    for k in range(1, q + 1):
-        mom[k] = moment(nu, k)
-    g = np.zeros(q + 1)
-    for m in range(q + 1):
-        if d1[m] == 0.0:
-            continue
-        for j in range(m + 1):
-            g[j] += d1[m] * comb(m, j) * (-1.0) ** (m - j) * mom[m - j]
-    return g
-
-
 def kappa(V: Potential, nu: Measure) -> float:
-    """The unique root of the nondecreasing map c -> int V'(c - x) dnu(x).
+    """The unique root of the nondecreasing map g(c) = int V'(c - x) dnu(x).
 
-    Bracketed Newton from the mean of nu with geometric bracket expansion
-    and bisection fallback; the bracket is shrunk to KAPPA_TOL of its width.
-    A bracket that cannot be found is a solver failure (RuntimeError).
+    A bracket grows geometrically from the mean of nu; bisection on g itself
+    then shrinks it to a few ulps of max(|lo|, |hi|, 1), the floor keeping a
+    root at 0 out of the subnormals.  g is evaluated as the integral, not
+    expanded through the moments of nu, so its sign stays reliable next to
+    a multiple root.  A bracket that cannot be found is a solver failure
+    (RuntimeError).
     """
-    gpoly = _reflected_deriv_poly(V, nu)
-    gppoly = P.polyder(gpoly)
-
     def g(c: float) -> float:
-        return float(P.polyval(c, gpoly))
+        return nu.integrate(lambda x: V.deriv(c - x))
 
-    def gp(c: float) -> float:
-        return float(P.polyval(c, gppoly))
-
-    m1 = moment(nu, 1)
-    step = 1.0 + np.sqrt(max(variance(nu), 0.0))
-    lo = hi = float(m1)
+    step = 1.0 + sqrt(variance(nu))
+    lo = hi = moment(nu, 1)
     glo = ghi = g(lo)
     for _ in range(200):
         if glo <= 0.0 <= ghi:
@@ -186,54 +150,16 @@ def kappa(V: Potential, nu: Measure) -> float:
         step *= 2.0
     else:
         raise RuntimeError("could not bracket the root of the kappa equation")
-    if glo == 0.0 and ghi == 0.0 and hi > lo:
-        raise KappaDegenerateError(
-            f"flat section of roots on [{lo}, {hi}]")
-    width = max(hi - lo, 1.0)
-    c = 0.5 * (lo + hi)
-    for _ in range(300):
-        gc = g(c)
-        if gc == 0.0 or hi - lo <= KAPPA_TOL * width:
-            break
-        if gc > 0.0:
-            hi = c
+    while hi - lo > 4.0 * ulp(max(abs(lo), abs(hi), 1.0)):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if gm > 0.0:
+            hi = mid
         else:
-            lo = c
-        d = gp(c)
-        c_new = c - gc / d if d > 0.0 else None
-        if c_new is None or not (lo < c_new < hi):
-            c_new = 0.5 * (lo + hi)    # bisection fallback
-        c = c_new
-    # The expanded polynomial locates a multiple root only to the cube root
-    # of roundoff; when the local derivative collapses, sharpen with the
-    # direct integrand, whose sign is exact for the offending cases.
-    dscale = float(P.polyval(abs(c), np.abs(gppoly))) + 1.0
-    if gp(c) <= 1e-8 * dscale:
-        def gd(t):
-            return nu.integrate(lambda x: V.deriv(t - x))
-        rlo, rhi = lo, hi
-        step = max(hi - lo, 1e-15 * (1.0 + abs(c)))
-        for _ in range(80):
-            if gd(rlo) <= 0.0:
-                break
-            rlo -= step
-            step *= 2.0
-        step = max(hi - lo, 1e-15 * (1.0 + abs(c)))
-        for _ in range(80):
-            if gd(rhi) >= 0.0:
-                break
-            rhi += step
-            step *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (rlo + rhi)
-            if mid <= rlo or mid >= rhi:
-                break
-            if gd(mid) >= 0.0:
-                rhi = mid
-            else:
-                rlo = mid
-        c = 0.5 * (rlo + rhi)
-    return float(c)
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def g_value(V: Potential, nu: Measure) -> float:

@@ -297,6 +297,20 @@ def test_json_measure_file_exits_two(tmp_path, capsys):
     assert "extension" in err and "m.json" in err
 
 
+@pytest.mark.parametrize("text, needle", [
+    ("position,density\n0,1\n0.1,1\n1,1\n", "not uniform"),
+    ("position,density\n", "no rows"),
+    ("position,weight\n0.5,1\n0.7\n", "two fields"),
+], ids=["nonuniform-grid", "header-only", "one-field-row"])
+def test_malformed_measure_csv_exits_two(tmp_path, capsys, text, needle):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    assert main(["rate", "idos", "--measure", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and "m.csv" in err
+
+
 # the options each subcommand reads, as its --help lists them (rate also
 # takes its functional as a positional argument)
 OPTIONS = {

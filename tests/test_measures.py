@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from betalab.measures import (
-    QUANTILE_POINTS, AtomicMeasure, GridMeasure, WassersteinOrder,
+    QUANTILE_POINTS, AtomicMeasure, GridMeasure,
     load_measure, log_energy_grid, log_energy_reg, log_kernel_mass_form,
     moment, quantile_discretize, reflect_shift, save_measure, truncate_normalize,
     variance, wasserstein,
@@ -64,12 +64,6 @@ def test_grid_measure_normalizes_and_validates():
         GridMeasure(0.0, 1.0, [1.0, -1.0, 1.0])
     with pytest.raises(ValueError):
         GridMeasure(0.0, 1.0, [1.0, 1.0])
-
-
-def test_wasserstein_order_validated():
-    assert WassersteinOrder(2.0).p == 2.0
-    with pytest.raises(ValueError):
-        WassersteinOrder(0.5)
 
 
 # ---------------------------------------------------------------------------

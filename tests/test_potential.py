@@ -1,13 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-import betalab.potential as potential
 from betalab.cli import main
 from betalab.measures import AtomicMeasure, variance, wasserstein
 from betalab.potential import (
-    KappaDegenerateError, Potential, g_value, kappa, validate_convex,
+    Potential, g_value, kappa, validate_convex,
 )
 from oracles import semicircle_grid
 from betalab.measures import reflect_shift
@@ -70,8 +70,6 @@ def test_constructor_enforces_assumptions():
 def test_parse_and_json_roundtrip():
     V = Potential.from_string("0, 0, 0.5")
     assert V.key() == Potential.gaussian().key()
-    obj = V.to_json_obj()
-    assert obj["coeffs"] == [0.0, 0.0, 0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -110,15 +108,59 @@ def test_kappa_shift_equivariance(rng, quartic):
             kappa(quartic, nu) + s, abs=1e-10)
 
 
-def test_kappa_degenerate_error_is_value_error():
-    assert issubclass(KappaDegenerateError, ValueError)
+def _exact_g(V, nu, c):
+    """int V'(c - x) dnu(x) in rational arithmetic, from V's coefficients."""
+    d1 = [Fraction(float(a)) * j for j, a in enumerate(V.coeffs)][1:]
+    return sum(Fraction(float(w)) * sum(b * (c - Fraction(float(x))) ** j
+                                        for j, b in enumerate(d1))
+               for x, w in zip(nu.atoms, nu.weights))
+
+
+def test_kappa_exact_sign_oracle(rng, gauss, quartic):
+    # the exact integral changes sign within 4 ulp of the float root
+    for V in (gauss, quartic, Potential.from_string("0,0.3,0.5,0.1,0.2")):
+        for _ in range(20):
+            nu = random_atomic(rng)
+            k = kappa(V, nu)
+            d = Fraction(4.0 * math.ulp(max(abs(k), 1.0)))
+            assert _exact_g(V, nu, Fraction(k) - d) <= 0
+            assert _exact_g(V, nu, Fraction(k) + d) >= 0
+
+
+def test_kappa_integrand_calls_bounded(rng, quartic, eq_quartic,
+                                       monkeypatch):
+    # roots at 0 stop at ulps of 1, not in the subnormals
+    calls = [0]
+    deriv = Potential.deriv
+
+    def counted(self, x, order=1):
+        calls[0] += 1
+        return deriv(self, x, order)
+
+    monkeypatch.setattr(Potential, "deriv", counted)
+    half = rng.uniform(0.1, 2.0, 5)
+    cases = [(AtomicMeasure(np.concatenate([-half, half]),
+                            np.full(10, 0.1)), 0.0),
+             # atoms of size 1e-100: the root is 0 to ulps of 1, and a
+             # bracket sized by ulps of the root would take ~390 halvings
+             (AtomicMeasure([-2e-100, 1e-100], [0.25, 0.75]), 0.0),
+             (eq_quartic.density, 0.0),
+             (reflect_shift(eq_quartic.density, 2.5), 2.5)]
+    for nu, root in cases:
+        calls[0] = 0
+        assert kappa(quartic, nu) == pytest.approx(root, abs=1e-12)
+        assert calls[0] <= 120
 
 
 def test_kappa_bracket_failure_is_a_solver_failure(
-        gauss, monkeypatch, tmp_path, capsys):
-    # int V'(c - x) dnu(x) = 1 for every c: no sign change to bracket
-    monkeypatch.setattr(potential, "_reflected_deriv_poly",
-                        lambda V, nu: np.array([1.0]))
+        gauss, eq_gauss, monkeypatch, tmp_path, capsys):
+    # V' = 1 makes int V'(c - x) dnu(x) = 1 for every c: no sign change to
+    # bracket.  The CLI takes mu_V from the cache eq_gauss filled.
+    deriv = Potential.deriv
+    monkeypatch.setattr(
+        Potential, "deriv",
+        lambda self, x, order=1: np.ones_like(np.asarray(x, dtype=float))
+        if order == 1 else deriv(self, x, order))
     with pytest.raises(RuntimeError, match="could not bracket"):
         kappa(gauss, AtomicMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5])))
     assert main(["rate", "idos", "--measure", "nu_V",

@@ -167,13 +167,26 @@ def test_projection_refuses_unconverged_frank_wolfe(
     assert rates._PROJ_CACHE == {}
 
 
-def test_calj_vanishes_at_conditional_minimizer(eq_gauss, gauss):
-    res = constrained_equilibrium(gauss, 1.5, n=2048)
+def test_calj_vanishes_at_conditional_minimizer(eq_gauss, gauss,
+                                                monkeypatch):
+    # projection_J reuses the test's own solve of the c = 1.5 wall
+    solves = {}
+
+    def solve_once(V, c, n):
+        if (V.key(), c, n) not in solves:
+            solves[V.key(), c, n] = constrained_equilibrium(V, c, n)
+        return solves[V.key(), c, n]
+
+    monkeypatch.setattr(rates, "constrained_equilibrium", solve_once)
+    monkeypatch.delitem(rates._PROJ_CACHE, (gauss.key(), 1.5, 2048),
+                        raising=False)
+    res = rates.constrained_equilibrium(gauss, 1.5, 2048)
     nu_star = reflect_shift(res.minimizer, 1.5)
     ev = rate_calJ(eq_gauss, gauss, 1.5, nu_star)
     assert abs(ev.value) <= 1e-3
     assert ev.offset_term == -projection_J(eq_gauss, gauss, 1.5)
     assert ev.identity_residual() == 0.0
+    assert list(solves) == [(gauss.key(), 1.5, 2048)]
 
 
 def test_calj_positive_off_minimizer(eq_gauss, gauss):
