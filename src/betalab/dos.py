@@ -27,7 +27,7 @@ from .sampler import (
 )
 
 __all__ = [
-    "DosStatistics", "TestFunction", "dos_measure", "linear_statistic",
+    "TestFunction", "dos_measure", "linear_statistic",
     "delta_statistic", "nu_quadrature", "cheb_coefficients", "clt_variance",
     "clt_variance_report", "gaussian_bias", "remainder_term",
     "bookkeeping_residual", "remainder_bound_constant", "ks_distance",
@@ -37,20 +37,6 @@ __all__ = [
 
 CLT_NODES = 4096         # midpoint nodes of the CLT-constant quadratures
 BOUND_GRID = 8193        # sample points of the remainder-bound sup
-
-
-@dataclass(frozen=True, eq=False)
-class DosStatistics:
-    """mu_N plus the edge location data it was built from."""
-
-    mu_n: AtomicMeasure
-    lambda_max: float
-    epsilon_n: float            # lambda_max - b_V
-    n: int
-    beta: float
-    seed: int
-    b_v: float
-    replica: int = 0
 
 
 @dataclass(frozen=True)
@@ -128,28 +114,16 @@ class TestFunction:
         return cls(coeffs=(value,), window_h=window_h, name=str(value))
 
 
-def dos_measure(sample: SpectrumSample,
-                b_v: float | None = None) -> DosStatistics:
-    """mu_N := (1/(N-1)) sum_k delta_{lambda_max - lambda_(k)}, k < N.
-
-    b_v defaults to the equilibrium edge of the sample's own potential,
-    solved (and cached) on demand; pass it explicitly to avoid the solve.
-    """
+def dos_measure(sample: SpectrumSample) -> AtomicMeasure:
+    """mu_N := (1/(N-1)) sum_k delta_{lambda_max - lambda_(k)}, k < N: the
+    spectrum seen from its rightmost particle."""
     lam = sample.eigenvalues
-    gaps = lam[-1] - lam[:-1]
-    mu = AtomicMeasure.from_points(gaps)
-    if b_v is None:
-        V = Potential(np.asarray(sample.potential_coeffs))
-        b_v = equilibrium_cached(V).b_v
-    return DosStatistics(
-        mu_n=mu, lambda_max=float(lam[-1]),
-        epsilon_n=float(lam[-1] - b_v), n=sample.n, beta=sample.beta,
-        seed=sample.seed, b_v=float(b_v), replica=sample.replica)
+    return AtomicMeasure.from_points(lam[-1] - lam[:-1])
 
 
-def linear_statistic(stats: DosStatistics, f: TestFunction) -> float:
+def linear_statistic(sample: SpectrumSample, f: TestFunction) -> float:
     """S_N(f) = (N-1) mu_N(f) = sum_{k<N} f(lambda_max - lambda_(k))."""
-    return (stats.n - 1) * stats.mu_n.integrate(f.f)
+    return (sample.n - 1) * dos_measure(sample).integrate(f.f)
 
 
 def nu_quadrature(eq: EquilibriumResult, f) -> float:
@@ -233,11 +207,11 @@ def remainder_term(sample: SpectrumSample, eq: EquilibriumResult,
 def bookkeeping_residual(sample: SpectrumSample, eq: EquilibriumResult,
                          f: TestFunction) -> float:
     """Residual of S_N(f) - N nu(f) = N eps nu(f') + Delta(f) + eps Delta(f')
-    + R_N(f); zero in exact arithmetic, roundoff-sized in floats."""
-    stats = dos_measure(sample, b_v=eq.b_v)
-    eps = stats.epsilon_n
+    + R_N(f), eps = lambda_max - b_V read from the sample; zero in exact
+    arithmetic, roundoff-sized in floats."""
+    eps = sample.lambda_max - eq.b_v
     fp = f.derivative()
-    lhs = linear_statistic(stats, f) - sample.n * nu_quadrature(eq, f.f)
+    lhs = linear_statistic(sample, f) - sample.n * nu_quadrature(eq, f.f)
     rhs = sample.n * eps * nu_quadrature(eq, f.fprime) \
         + delta_statistic(sample, eq, f) \
         + eps * delta_statistic(sample, eq, fp) \
@@ -401,9 +375,9 @@ def draw_spectra(V: Potential, beta: float, n: int, seed: int,
     return _spectra_chunk(V, beta, seed, method, n, range(replicas))
 
 
-def _w1_chunk(V: Potential, beta: float, seed: int, method: str, b_v: float,
-              nu_v, n: int, chunk: range) -> list[float]:
-    return [wasserstein(dos_measure(sample, b_v=b_v).mu_n, nu_v)
+def _w1_chunk(V: Potential, beta: float, seed: int, method: str, nu_v,
+              n: int, chunk: range) -> list[float]:
+    return [wasserstein(dos_measure(sample), nu_v)
             for sample in _spectra_chunk(V, beta, seed, method, n, chunk)]
 
 
@@ -411,7 +385,7 @@ def _summary_chunk(V: Potential, beta: float, seed: int, method: str,
                    degree: int, n: int, chunk: range) -> list[EdgeSummary]:
     if method == "mcmc":
         return [EdgeSummary.from_eigenvalues(s.eigenvalues, degree)
-                for s in sample_mcmc_batch(V, beta, n, seed, chunk)]
+                for s in _spectra_chunk(V, beta, seed, method, n, chunk)]
     return [gaussian_edge_summary(n, beta, seed, replica=r, degree=degree)
             for r in chunk]
 
@@ -502,7 +476,7 @@ def dos_convergence(V: Potential, beta: float, sizes, replicas: int,
     """
     _check_method(V, method)
     eq = equilibrium_cached(V)
-    draw = partial(_w1_chunk, V, beta, seed, method, eq.b_v, nu_limit(eq))
+    draw = partial(_w1_chunk, V, beta, seed, method, nu_limit(eq))
     sizes = [int(n) for n in sizes]
     out = {}
     for n, w1 in zip(sizes, _map_replicas(draw, sizes, replicas, workers)):

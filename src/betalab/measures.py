@@ -533,24 +533,27 @@ def save_measure(mu: Measure, path: str) -> None:
 
 def load_measure(path: str) -> Measure:
     """Inverse of :func:`save_measure`; CSV grids rebuild [lo, hi] from the
-    first and last node, which must be uniformly spaced."""
-    if path.endswith(".csv"):
-        with open(path) as fh:
-            header = fh.readline().strip()
-            data = [line.split(",") for line in fh if line.strip()]
-        if not data:
-            raise ValueError(f"{path}: no rows under the header")
-        if any(len(r) != 2 for r in data):
-            raise ValueError(f"{path}: every row needs two fields")
-        pos = np.array([float(r[0]) for r in data])
-        val = np.array([float(r[1]) for r in data])
+    first and last node, which must be uniformly spaced.  Every ValueError
+    names the path."""
+    if not path.endswith(".csv"):
+        raise ValueError(f"unsupported measure file extension: {path}")
+    with open(path) as fh:
+        header = fh.readline().strip()
+        rows = [line.split(",") for line in fh if line.strip()]
+    try:
+        if not rows:
+            raise ValueError("no rows under the header")
+        if any(len(r) != 2 for r in rows):
+            raise ValueError("every row needs two fields")
+        pos, val = np.array(rows, dtype=float).T
         if header == "position,weight":
             return AtomicMeasure(pos, val)
         if header == "position,density":
             h = (pos[-1] - pos[0]) / max(pos.size - 1, 1)
             uniform = pos[0] + h * np.arange(pos.size)
             if np.any(np.abs(pos - uniform) > 1e-9 * abs(h)):
-                raise ValueError(f"{path}: grid nodes are not uniform")
+                raise ValueError("grid nodes are not uniform")
             return GridMeasure(pos[0], pos[-1], val)
         raise ValueError(f"unrecognized measure CSV header: {header!r}")
-    raise ValueError(f"unsupported measure file extension: {path}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -145,7 +145,6 @@ def rate_calJ(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_RESOLUTION = 1e-6  # bracket width at which calI_inf_over_c stops
-CALI_SCAN = 33           # scan points of rate_calI_delta
 CALJ_SCAN = 9            # scan points of rate_calJ_delta, one solve each
 CALJ_GRID = 512          # cells of each rate_calJ_delta hard-wall solve
 
@@ -187,10 +186,11 @@ def calI_inf_over_c(eq: EquilibriumResult, V: Potential, nu: Measure,
 def rate_calI_delta(eq: EquilibriumResult, V: Potential, c: float,
                     delta: float, nu: Measure,
                     m: float | None = None) -> float:
-    """calI^delta(c, nu) = inf over a in [c, c+delta] of calI(a, nu), by scan."""
+    """calI^delta(c, nu) = inf over a in [c, c+delta] of calI(a, nu): calI
+    depends on a only through int V(a - x) dnu, convex in a and least at
+    kappa_V(nu), so the infimum is at kappa clipped to the interval."""
     cal = _calI_of_c(eq, V, nu, m)
-    return min(cal(float(a)).value
-               for a in np.linspace(c, c + delta, CALI_SCAN))
+    return cal(min(max(kappa(V, nu), c), c + delta)).value
 
 
 def rate_calJ_delta(eq: EquilibriumResult, V: Potential, c: float,

@@ -13,12 +13,12 @@ leaves the process that drew it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .potential import GAUSSIAN_KEY, Potential
+from .potential import Potential
 
 __all__ = [
     "SpectrumSample", "EdgeSummary", "rng_for", "sample_gaussian",
@@ -45,13 +45,10 @@ class SpectrumSample:
 
     eigenvalues: np.ndarray
     n: int
-    beta: float
-    potential_coeffs: tuple
-    seed: int
     method: str                      # "tridiagonal" | "mcmc"
     replica: int = 0
     acceptance_rate: float | None = None
-    tie_breaks: int = 0
+    tie_breaks: int = field(default=0, init=False)  # ties nudged upward
 
     def __post_init__(self):
         lam = np.sort(np.asarray(self.eigenvalues, dtype=float))
@@ -67,7 +64,7 @@ class SpectrumSample:
                     ties += 1
         lam.setflags(write=False)
         object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "tie_breaks", self.tie_breaks + ties)
+        object.__setattr__(self, "tie_breaks", ties)
 
     @property
     def lambda_max(self) -> float:
@@ -113,10 +110,8 @@ def sample_gaussian(n: int, beta: float, seed: int,
     """
     diag, off = _gaussian_tridiagonal(n, beta, seed, replica)
     lam = tridiag_eigenvalues(diag, off) * math.sqrt(2.0 / (beta * n))
-    return SpectrumSample(
-        eigenvalues=lam, n=n, beta=float(beta),
-        potential_coeffs=GAUSSIAN_KEY, seed=int(seed),
-        method="tridiagonal", replica=int(replica))
+    return SpectrumSample(eigenvalues=lam, n=n, method="tridiagonal",
+                          replica=int(replica))
 
 
 # -- edge summaries -------------------------------------------------------------
@@ -302,9 +297,7 @@ def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
             post_accepted += accepted
     acc = post_accepted / ((sweeps - burn) * n)
     return [
-        SpectrumSample(
-            eigenvalues=lam[j], n=n, beta=float(beta),
-            potential_coeffs=V.key(), seed=int(seed), method="mcmc",
-            replica=int(r), acceptance_rate=float(acc[j]))
+        SpectrumSample(eigenvalues=lam[j], n=n, method="mcmc",
+                       replica=int(r), acceptance_rate=float(acc[j]))
         for j, r in enumerate(replicas)
     ]

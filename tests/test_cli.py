@@ -301,7 +301,13 @@ def test_json_measure_file_exits_two(tmp_path, capsys):
     ("position,density\n0,1\n0.1,1\n1,1\n", "not uniform"),
     ("position,density\n", "no rows"),
     ("position,weight\n0.5,1\n0.7\n", "two fields"),
-], ids=["nonuniform-grid", "header-only", "one-field-row"])
+    ("position,weight\nabc,1\n", "could not convert"),
+    ("pos,w\n0.5,1\n", "unrecognized measure CSV header"),
+    ("position,weight\n0.5,0.7\n", "weights must sum to 1"),
+    ("position,weight\n0.5,nan\n", "total mass"),
+    ("position,density\n0,1\n", "lo < hi"),
+], ids=["nonuniform-grid", "header-only", "one-field-row", "non-numeric-row",
+        "unknown-header", "weights-not-one", "nan-weight", "one-node-grid"])
 def test_malformed_measure_csv_exits_two(tmp_path, capsys, text, needle):
     path = tmp_path / "m.csv"
     path.write_text(text)
@@ -395,10 +401,14 @@ def _project_scripts() -> dict:
 
 
 def test_entry_point_installed(tmp_path, capsys):
+    # the child imports the betalab package this test imported
+    package_root = os.path.dirname(os.path.dirname(dos.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "betalab.cli", "equilibrium",
          "--out", str(tmp_path / "o")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("summary.json")
     target = _project_scripts()["betalab"]

@@ -18,10 +18,8 @@ from betalab.sampler import (
 
 
 def _sample(values):
-    return SpectrumSample(
-        eigenvalues=np.asarray(values, float), n=len(values), beta=2.0,
-        potential_coeffs=Potential.gaussian().key(), seed=0,
-        method="tridiagonal")
+    return SpectrumSample(eigenvalues=np.asarray(values, float),
+                          n=len(values), method="tridiagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -29,34 +27,28 @@ def _sample(values):
 # ---------------------------------------------------------------------------
 
 def test_dos_measure_three_points():
-    ds = dos_measure(_sample([0.0, 1.0, 3.0]), b_v=2.0)
-    assert np.array_equal(ds.mu_n.atoms, [2.0, 3.0])
-    assert np.array_equal(ds.mu_n.weights, [0.5, 0.5])
-    assert ds.lambda_max == 3.0
-    assert ds.epsilon_n == 1.0
+    s = _sample([0.0, 1.0, 3.0])
+    mu = dos_measure(s)
+    assert np.array_equal(mu.atoms, [2.0, 3.0])
+    assert np.array_equal(mu.weights, [0.5, 0.5])
+    assert s.lambda_max == 3.0
 
 
 def test_dos_measure_pair_is_gap_atom():
-    ds = dos_measure(_sample([1.2, 1.9]), b_v=2.0)
-    assert np.array_equal(ds.mu_n.atoms, [0.7])
-    assert np.array_equal(ds.mu_n.weights, [1.0])
+    mu = dos_measure(_sample([1.2, 1.9]))
+    assert np.array_equal(mu.atoms, [0.7])
+    assert np.array_equal(mu.weights, [1.0])
 
 
 def test_dos_measure_largest_atom_is_range(rng):
     lam = np.sort(rng.normal(0.0, 1.0, 40))
-    ds = dos_measure(_sample(lam), b_v=2.0)
-    assert ds.mu_n.atoms[-1] == lam[-1] - lam[0]
-
-
-def test_dos_measure_solves_edge_when_omitted():
-    ds = dos_measure(_sample([0.0, 1.0, 3.0]))
-    assert abs(ds.b_v - 2.0) <= 1e-10
+    assert dos_measure(_sample(lam)).atoms[-1] == lam[-1] - lam[0]
 
 
 def test_linear_statistic_counts_and_sums():
-    ds = dos_measure(_sample([0.0, 1.0, 3.0]), b_v=2.0)
-    assert linear_statistic(ds, TestFunction.constant(1.0)) == 2.0
-    assert linear_statistic(ds, TestFunction.identity()) \
+    s = _sample([0.0, 1.0, 3.0])
+    assert linear_statistic(s, TestFunction.constant(1.0)) == 2.0
+    assert linear_statistic(s, TestFunction.identity()) \
         == pytest.approx(5.0, abs=1e-12)
 
 
@@ -156,8 +148,8 @@ def test_bias_constant_matches_beta_shift_of_ensemble_means(eq_gauss):
     nu_f = nu_quadrature(eq_gauss, f.f)
     means = {}
     for beta in (2.0, 1.0):
-        vals = [500 * (dos_measure(sample_gaussian(500, beta, 21, replica=r),
-                                   b_v=2.0).mu_n.integrate(f.f) - nu_f)
+        vals = [500 * (dos_measure(sample_gaussian(500, beta, 21, replica=r))
+                       .integrate(f.f) - nu_f)
                 for r in range(300)]
         means[beta] = np.mean(vals)
     expect = gaussian_bias(f.f, 1.0) - gaussian_bias(f.f, 2.0)
@@ -347,7 +339,7 @@ def test_edge_terms_match_eigenvalue_route(eq_gauss, n):
                 assert abs(summary.power_sums[j] - np.sum(lam ** j)) \
                     <= 1e-12 * scale
             terms = edge_terms(summary, eq_gauss, f, nu_f, nu_fp)
-            mu = dos_measure(sample, b_v=eq_gauss.b_v).mu_n.integrate(f.f)
+            mu = dos_measure(sample).integrate(f.f)
             assert abs(terms.mu_f - mu) <= 1e-13 * max(1.0, abs(mu))
             assert abs(n * (terms.mu_f - nu_f) - n * (mu - nu_f)) \
                 <= 1e-12 * n
@@ -368,12 +360,11 @@ def _eigenvalue_route(f, eq, samples_by_n):
         scale = n ** (2.0 / 3.0) if regime == "edge" else float(n)
         stats, residuals, window, bound = [], [], [], []
         for sample in samples:
-            ds = dos_measure(sample, b_v=eq.b_v)
-            stats.append(scale * (ds.mu_n.integrate(f.f) - nu_f))
+            stats.append(scale * (dos_measure(sample).integrate(f.f) - nu_f))
             residuals.append(bookkeeping_residual(sample, eq, f))
             window.append(
                 bool(np.max(np.abs(sample.eigenvalues)) <= f.window_h))
-            eps = ds.epsilon_n
+            eps = sample.lambda_max - eq.b_v
             rn = remainder_term(sample, eq, f)
             bound.append(not window[-1] or
                          abs(rn) <= bound_m * (n * eps * eps + abs(eps) + 1))

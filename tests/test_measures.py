@@ -10,6 +10,7 @@ from betalab.measures import (
     variance, wasserstein,
 )
 from betalab.potential import Potential
+from betalab.sampler import SpectrumSample
 from oracles import (
     log_energy_grid_reference, log_kernel_mass_form_reference,
     semicircle_grid, uniform_grid,
@@ -39,6 +40,9 @@ def test_atomic_merges_duplicates_and_sorts():
     lambda: GridMeasure(0.0, 1.0, np.ones(3), _cdf=np.zeros(3)),
     lambda: Potential([0.0, 0.0, 0.5], _d1=np.zeros(2)),
     lambda: Potential([0.0, 0.0, 0.5], _d2=np.zeros(1)),
+    lambda: SpectrumSample(eigenvalues=np.array([0.0, 1.0]), n=2,
+                           method="mcmc", tie_breaks=3),
+    lambda: GridMeasure(0.0, 1.0, np.ones(3), _mid_quantiles=np.zeros(3)),
 ])
 def test_derived_fields_are_not_constructor_parameters(build):
     # __post_init__ computes these; a passed value would be thrown away

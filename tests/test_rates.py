@@ -260,6 +260,23 @@ def test_cali_inf_matches_golden_search_over_rate_cali(eq_gauss, gauss):
         assert calI_inf_over_c(eq_gauss, gauss, nu, m) == want
 
 
+def test_cali_delta_is_exact_minimum(eq_gauss, gauss, eq_quartic, quartic):
+    # kappa right of, inside (off every scan point) and left of [c, c + 0.2]
+    atoms = AtomicMeasure.from_points(np.linspace(0.0, 3.0, 40) ** 1.3)
+    for eq, V in ((eq_gauss, gauss), (eq_quartic, quartic)):
+        for nu in (UNIF01(257), atoms):
+            k = kappa(V, nu)
+            for c in (k - 0.3, k - 0.137, k + 0.05):
+                got = rate_calI_delta(eq, V, c, 0.2, nu)
+                _, want = rates._golden_min(
+                    lambda a: rate_calI(eq, V, a, nu).value,
+                    c, c + 0.2, 1e-13)
+                scan = min(rate_calI(eq, V, float(a), nu).value
+                           for a in np.linspace(c, c + 0.2, 33))
+                assert abs(got - want) <= 1e-12
+                assert got <= scan
+
+
 def test_calj_delta_monotone(eq_gauss, gauss):
     nu = UNIF01(2049)
     c = 0.2

@@ -140,9 +140,7 @@ def test_edge_bias_shrinks_with_n():
 # ---------------------------------------------------------------------------
 
 def _mk(values, **kw):
-    args = dict(n=len(values), beta=2.0,
-                potential_coeffs=Potential.gaussian().key(), seed=0,
-                method="tridiagonal")
+    args = dict(n=len(values), method="tridiagonal")
     args.update(kw)
     return SpectrumSample(eigenvalues=np.asarray(values, float), **args)
 
