@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -50,6 +51,13 @@ def _type(convert, expect: str, ok=lambda val: True):
                 f"expected {expect}, got {text!r}")
         return val
     return parse
+
+
+def _finite(text: str) -> float:
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError("not a finite number")
+    return val
 
 
 def _int_from(low: int):
@@ -149,8 +157,7 @@ def _cmd_fluctuate(cfg: dict):
         tables[f"fluct_hist_{n}.csv"] = (
             "bin_left,bin_right,count", list(zip(edges, edges[1:], counts)))
     return {**{k: v for k, v in report.items() if k != "per_n"},
-            "per_n": {str(n): {k: v for k, v in d.items()
-                               if k not in ("stats", "alt_stats")}
+            "per_n": {str(n): {k: v for k, v in d.items() if k != "stats"}
                       for n, d in per_n.items()}}, tables
 
 
@@ -177,7 +184,7 @@ def _cmd_tail_scan(cfg: dict):
 # is none (the positional functional, always given).
 _POTENTIAL = (_type(Potential.from_string, "coefficients c0,c1,...,cp"),
               "0,0,0.5")
-_POSITIVE = _type(float, "a positive number", lambda v: v > 0)
+_POSITIVE = _type(_finite, "a positive number", lambda v: v > 0)
 _BETA = (_POSITIVE, "2")
 _SEED = (_int_from(0), "1")
 _SIZES = (_type(_list(int), "a comma list of integers >= 2",
@@ -185,7 +192,7 @@ _SIZES = (_type(_list(int), "a comma list of integers >= 2",
 _METHOD = (_one_of("tridiagonal", "mcmc"), "tridiagonal")
 _THREADS = (_int_from(1), "1")
 _OUT = (str, "betalab_out")
-_FLOATS = _type(_list(float), "a comma list of numbers")
+_FLOATS = _type(_list(_finite), "a comma list of numbers")
 
 _COMMANDS = {
     "equilibrium": (_cmd_equilibrium, {
@@ -202,8 +209,8 @@ _COMMANDS = {
         "measure": (_type(str, "nu_V, mu_V, or a CSV path",
                           lambda v: v in ("nu_V", "mu_V")
                           or os.path.isfile(v)), "nu_V"),
-        "c": (_type(float, "a number"), None),
-        "reg_m": (_type(lambda t: None if t in ("", "auto") else float(t),
+        "c": (_type(_finite, "a number"), None),
+        "reg_m": (_type(lambda t: None if t in ("", "auto") else _finite(t),
                         "auto or a number"), "auto"),
         "grid": (_int_from(16), "2048"), "out": _OUT}),
     "dos-converge": (_cmd_dos_converge, {

@@ -29,7 +29,7 @@ from .sampler import (
 __all__ = [
     "TestFunction", "dos_measure", "linear_statistic",
     "delta_statistic", "nu_quadrature", "cheb_coefficients", "clt_variance",
-    "clt_variance_report", "gaussian_bias", "remainder_term",
+    "gaussian_bias", "remainder_term",
     "bookkeeping_residual", "remainder_bound_constant", "ks_distance",
     "EdgeTerms", "edge_terms", "fluctuation_ensemble",
     "dos_convergence", "draw_spectra",
@@ -163,15 +163,6 @@ def clt_variance(coeffs, beta: float) -> float:
     a = np.asarray(coeffs, dtype=float)
     k = np.arange(a.size)
     return float(np.sum(k * a * a) / (2.0 * beta))
-
-
-def clt_variance_report(coeffs, beta: float) -> dict:
-    """Truncated variance plus a crude tail bound from the last terms."""
-    a = np.asarray(coeffs, dtype=float)
-    tail = float(a.size * np.max(np.abs(a[-3:])) ** 2 / (2.0 * beta)) \
-        if a.size >= 3 else 0.0
-    return {"value": clt_variance(a, beta), "tail_bound": tail,
-            "count": int(a.size)}
 
 
 def gaussian_bias(f, beta: float, V: Potential | None = None) -> float:
@@ -396,7 +387,7 @@ def fluctuation_ensemble(V: Potential, beta: float, f: TestFunction, sizes,
     """Rescaled-statistic ensembles of mu_N(f) across sizes.
 
     Regime from nu_V(f'): edge scale N^(2/3) when it is nonzero, CLT scale
-    N when it vanishes; ambiguity below 1e-4 reported with both scalings.
+    N when it vanishes; ambiguity below 1e-4 flagged.
     Every replica also gets the bookkeeping-identity residual, the window
     indicator, and the remainder bound check.  All of them come from the
     replica's EdgeSummary (see edge_terms), so a tridiagonal replica costs
@@ -420,17 +411,13 @@ def fluctuation_ensemble(V: Potential, beta: float, f: TestFunction, sizes,
     for n, summaries in zip(sizes,
                             _map_replicas(draw, sizes, replicas, workers)):
         scale = float(n) ** (2.0 / 3.0) if regime == "edge" else float(n)
-        alt_scale = float(n) if regime == "edge" else float(n) ** (2.0 / 3.0)
         stats = np.empty(replicas)
-        alt_stats = np.empty(replicas)
         residuals = np.empty(replicas)
         in_window = np.empty(replicas, dtype=bool)
         bound_ok = np.empty(replicas, dtype=bool)
         for j, summary in enumerate(summaries):
             t = edge_terms(summary, eq, f, nu_f, nu_fp)
-            centered = t.mu_f - nu_f
-            stats[j] = scale * centered
-            alt_stats[j] = alt_scale * centered
+            stats[j] = scale * (t.mu_f - nu_f)
             residuals[j] = t.residual
             in_window[j] = t.in_window
             eps = t.epsilon
@@ -443,7 +430,6 @@ def fluctuation_ensemble(V: Potential, beta: float, f: TestFunction, sizes,
             "histogram": {"edges": edges.tolist(),
                           "counts": counts.tolist()},
             "stats": stats.tolist(),
-            "alt_stats": alt_stats.tolist() if ambiguous else None,
             "max_bookkeeping_residual": float(np.max(np.abs(residuals))),
             "window_violation_rate":
                 float(1.0 - np.count_nonzero(in_window) / replicas),

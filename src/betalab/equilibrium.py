@@ -243,9 +243,9 @@ def effective_potential_tail(eq: EquilibriumResult, V: Potential,
 
 @dataclass(frozen=True, eq=False)
 class ConstrainedEquilibriumResult:
-    """Minimizer of the energy over probability measures on [L, cutoff]."""
+    """Minimizer of the energy over probability measures on [L, x], the
+    support interval of `minimizer`."""
 
-    cutoff: float
     minimizer: GridMeasure
     value: float
     gap: float
@@ -404,7 +404,7 @@ def constrained_equilibrium(V: Potential, x: float,
     np.divide(w_c[:n + 1], tw[:n + 1], out=vals)
     minimizer = GridMeasure(L, x, vals)
     return ConstrainedEquilibriumResult(
-        cutoff=float(x), minimizer=minimizer, value=float(value),
+        minimizer=minimizer, value=float(value),
         gap=float(gap_c), iterations=int(it_c),
         converged=bool(gap_c <= FW_GAP_TOL))
 

@@ -10,9 +10,9 @@ Two concrete representations are used everywhere in the lab:
 
 On top of these the module provides moments and variances, the pushforward
 x -> c - x, Wasserstein distances of any order p >= 1 through quantile
-coupling, quantile discretization, truncation-renormalization, and the
-logarithmic energy Sigma(mu) = double integral of ln|x-y|, in a regularized
-form for atoms and a singularity-aware quadrature for grid densities.
+coupling, quantile discretization, and the logarithmic energy
+Sigma(mu) = double integral of ln|x-y|, in a regularized form for atoms
+and a singularity-aware quadrature for grid densities.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ __all__ = [
     "variance",
     "wasserstein",
     "quantile_discretize",
-    "truncate_normalize",
     "log_energy_reg",
     "log_energy_grid",
     "log_kernel_mass_form",
@@ -191,9 +190,6 @@ class GridMeasure:
     def nodes(self) -> np.ndarray:
         return self.lo + self.h * np.arange(self.n + 1)
 
-    def cdf_nodes(self) -> np.ndarray:
-        return self._cdf
-
     def quantile(self, u) -> np.ndarray:
         """Infimum quantile F^{-1}(u), exact per-cell inversion of the
         piecewise-quadratic CDF."""
@@ -304,26 +300,6 @@ def quantile_discretize(nu: GridMeasure, n: int) -> AtomicMeasure:
         raise TypeError("quantile_discretize expects an atomless grid measure")
     cuts = nu.quantile(np.arange(1, n) / n)
     return AtomicMeasure.from_points(cuts)
-
-
-def truncate_normalize(mu: Measure, m: float):
-    """Restriction of mu to [-m, m], renormalized to a probability measure."""
-    if not (m > 0.0):
-        raise ValueError(f"truncation level must be positive, got {m}")
-    if isinstance(mu, AtomicMeasure):
-        keep = (mu.atoms >= -m) & (mu.atoms <= m)
-        if not np.any(keep):
-            raise ValueError("window [-m, m] carries zero mass")
-        w = mu.weights[keep]
-        return AtomicMeasure(mu.atoms[keep], w / math.fsum(w.tolist()))
-    lo, hi = max(mu.lo, -m), min(mu.hi, m)
-    if not (lo < hi):
-        raise ValueError("window [-m, m] carries zero mass")
-    x = np.linspace(lo, hi, mu.values.size)
-    vals = np.interp(x, mu.nodes, mu.values)
-    if float(np.trapezoid(vals, x)) <= 0.0:
-        raise ValueError("window [-m, m] carries zero mass")
-    return GridMeasure(lo, hi, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from .equilibrium import EquilibriumResult, constrained_equilibrium
 from .measures import AtomicMeasure, GridMeasure, Measure, log_energy_grid, \
-    log_energy_reg, measure_to_json_obj, variance
+    log_energy_reg, measure_to_json_obj
 from .potential import Potential, g_value, kappa
 
 __all__ = [
@@ -141,46 +141,22 @@ def rate_calJ(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
     return _calI_of_c(eq, V, nu, m)(c, -projection_J(eq, V, c, n))
 
 
-# -- infimum scans -------------------------------------------------------------
+# -- infima over c ------------------------------------------------------------
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_RESOLUTION = 1e-6  # bracket width at which calI_inf_over_c stops
 CALJ_SCAN = 9            # scan points of rate_calJ_delta, one solve each
 CALJ_GRID = 512          # cells of each rate_calJ_delta hard-wall solve
 
 
-def _golden_min(fun, lo: float, hi: float, resolution: float) -> tuple:
-    """Golden-section minimum of a scalar unimodal function on [lo, hi]."""
-    a, b = lo, hi
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = fun(c1), fun(c2)
-    while b - a > resolution:
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = fun(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = fun(c2)
-    xm = 0.5 * (a + b)
-    return xm, fun(xm)
-
-
 def calI_inf_over_c(eq: EquilibriumResult, V: Potential, nu: Measure,
                     m: float | None = None) -> tuple[float, float]:
-    """(argmin, min) of c -> calI_V(c, nu), scanned around kappa_V(nu).
+    """(argmin, min) of c -> calI_V(c, nu): (kappa_V(nu), I_V^DOS(nu)).
 
-    The potential term is the only c-dependent piece and is convex in c, so
-    the Sigma term is computed once and a golden-section refinement of a
-    bracket centered at kappa suffices.
+    calI depends on c only through int V(c - x) dnu, convex in c and least
+    at kappa_V(nu), so the Sigma term is computed once and the minimum is
+    read off there; the value is rate_IDOS's, bit for bit.
     """
-    cal = _calI_of_c(eq, V, nu, m)
     k = kappa(V, nu)
-    spread = 1.0 + math.sqrt(max(variance(nu), 0.0))
-    return _golden_min(lambda c: cal(c).value,
-                       k - spread, k + spread, GOLDEN_RESOLUTION)
+    return k, _calI_of_c(eq, V, nu, m)(k).value
 
 
 def rate_calI_delta(eq: EquilibriumResult, V: Potential, c: float,

@@ -23,7 +23,7 @@ from .potential import Potential
 __all__ = [
     "SpectrumSample", "EdgeSummary", "rng_for", "sample_gaussian",
     "gaussian_edge_summary", "tridiag_eigenvalues", "tridiag_power_sums",
-    "sample_mcmc_batch", "metropolis_log_density", "acceptance_ratio",
+    "sample_mcmc_batch",
 ]
 
 MCMC_CHUNK = 64          # sweeps of randomness drawn per tape refill
@@ -45,7 +45,6 @@ class SpectrumSample:
 
     eigenvalues: np.ndarray
     n: int
-    method: str                      # "tridiagonal" | "mcmc"
     replica: int = 0
     acceptance_rate: float | None = None
     tie_breaks: int = field(default=0, init=False)  # ties nudged upward
@@ -110,8 +109,7 @@ def sample_gaussian(n: int, beta: float, seed: int,
     """
     diag, off = _gaussian_tridiagonal(n, beta, seed, replica)
     lam = tridiag_eigenvalues(diag, off) * math.sqrt(2.0 / (beta * n))
-    return SpectrumSample(eigenvalues=lam, n=n, method="tridiagonal",
-                          replica=int(replica))
+    return SpectrumSample(eigenvalues=lam, n=n, replica=int(replica))
 
 
 # -- edge summaries -------------------------------------------------------------
@@ -193,34 +191,6 @@ def gaussian_edge_summary(n: int, beta: float, seed: int, replica: int = 0,
 
 # -- Metropolis log-gas --------------------------------------------------------
 
-def metropolis_log_density(V: Potential, beta: float, lam) -> float:
-    """beta * [sum_{i<j} ln|l_i - l_j| - (N/2) sum V(l_k)].
-
-    Input order never matters: the configuration is sorted first, so the
-    value is exactly permutation-invariant.  Coincident coordinates give
-    -inf (zero density).
-    """
-    lam = np.sort(np.asarray(lam, dtype=float))
-    n = lam.size
-    diffs = lam[1:] - lam[:-1]
-    if np.any(diffs == 0.0):
-        return -math.inf
-    i, j = np.triu_indices(n, 1)
-    total = float(np.sum(np.log(lam[j] - lam[i])))
-    return beta * (total - 0.5 * n * float(np.sum(V.eval(lam))))
-
-
-def acceptance_ratio(V: Potential, beta: float, lam, site: int,
-                     proposal: float) -> float:
-    """Metropolis ratio pi(y)/pi(x) for a single-site move, min'd at 1."""
-    lam = np.asarray(lam, dtype=float)
-    newlam = lam.copy()
-    newlam[site] = proposal
-    dl = metropolis_log_density(V, beta, newlam) \
-        - metropolis_log_density(V, beta, lam)
-    return 1.0 if dl >= 0 else math.exp(dl)
-
-
 def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
                       replicas) -> list[SpectrumSample]:
     """Metropolis samples for several replicas, vectorized across chains.
@@ -297,7 +267,7 @@ def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
             post_accepted += accepted
     acc = post_accepted / ((sweeps - burn) * n)
     return [
-        SpectrumSample(eigenvalues=lam[j], n=n, method="mcmc",
-                       replica=int(r), acceptance_rate=float(acc[j]))
+        SpectrumSample(eigenvalues=lam[j], n=n, replica=int(r),
+                       acceptance_rate=float(acc[j]))
         for j, r in enumerate(replicas)
     ]

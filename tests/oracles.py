@@ -4,10 +4,12 @@ Everything here deliberately avoids the solver paths under test: the
 constrained equilibrium is solved through its hard-edge Chebyshev
 structure (scalar root-find plus exact finite moment series), and the
 direct grid minimizations use an accelerated projected-gradient method
-instead of Frank-Wolfe, and the Metropolis chain is run site by site with
-np.delete instead of through per-sweep arrays.  Where a test pins a faster
-src loop bit for bit, the slower straightforward loop it replaced is kept
-here: the dense-mask log kernels and the column-gather Frank-Wolfe loop.
+instead of Frank-Wolfe, the Metropolis chain is run site by site with
+np.delete instead of through per-sweep arrays, and infima over c are
+found by golden-section search instead of at kappa.  Where a test pins a
+faster src loop bit for bit, the slower straightforward loop it replaced
+is kept here: the dense-mask log kernels and the column-gather
+Frank-Wolfe loop.
 """
 
 import math
@@ -212,6 +214,34 @@ def direct_energy_min(V: Potential, lo: float, hi: float, n: int = 512,
                                 max_iter=60000)
     vals = w / tw
     return GridMeasure(lo, hi, vals)
+
+
+# ---------------------------------------------------------------------------
+# golden-section search (infima over c without kappa)
+# ---------------------------------------------------------------------------
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_min_reference(fun, lo: float, hi: float,
+                         resolution: float) -> tuple:
+    """(argmin, min) of a scalar unimodal function on [lo, hi] by
+    golden-section search, stopping at bracket width `resolution`."""
+    a, b = lo, hi
+    c1 = b - _GOLDEN * (b - a)
+    c2 = a + _GOLDEN * (b - a)
+    f1, f2 = fun(c1), fun(c2)
+    while b - a > resolution:
+        if f1 <= f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - _GOLDEN * (b - a)
+            f1 = fun(c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + _GOLDEN * (b - a)
+            f2 = fun(c2)
+    xm = 0.5 * (a + b)
+    return xm, fun(xm)
 
 
 # ---------------------------------------------------------------------------

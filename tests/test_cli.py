@@ -18,11 +18,20 @@ from betalab.equilibrium import equilibrium_cached
 from betalab.potential import Potential
 
 
+def _reject_constant(name):
+    raise ValueError(f"summary.json holds {name}, which is not JSON")
+
+
+def load_summary(path):
+    """summary.json parsed as strict JSON: NaN and Infinity are refused."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "out"
     code = main([*argv, "--out", str(out)])
     summary = out / "summary.json"
-    return code, (json.loads(summary.read_text()) if summary.exists() else None)
+    return code, (load_summary(summary) if summary.exists() else None)
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +55,8 @@ def test_sample_command_writes_deterministic_csv(tmp_path):
         assert main(["sample", "--n", "64", "--seed", "5", "--replicas", "2",
                      "--out", str(d)]) == 0
     assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
-    sa = json.loads((a / "summary.json").read_text())
-    sb = json.loads((b / "summary.json").read_text())
+    sa = load_summary(a / "summary.json")
+    sb = load_summary(b / "summary.json")
     for s in (sa, sb):
         s.pop("timestamp")
         s["config"].pop("out")
@@ -171,7 +180,7 @@ def test_config_file_merge_and_flag_priority(tmp_path):
     out = tmp_path / "out"
     assert main(["sample", "--config", str(cfg), "--seed", "9",
                  "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = load_summary(out / "summary.json")
     assert summary["config"]["n"] == 64         # from the file
     assert summary["config"]["seed"] == 9       # flag wins
     assert summary["config"]["beta"] == 2.0     # default, recorded too
@@ -230,8 +239,8 @@ def test_threads_do_not_change_output(tmp_path, argv):
         out = tmp_path / threads
         assert main([*argv, "--threads", threads, "--out", str(out)]) == 0
         outs[threads] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
-        outs[threads]["results"] = json.loads(
-            (out / "summary.json").read_text())["results"]
+        outs[threads]["results"] = load_summary(
+            out / "summary.json")["results"]
     assert outs["1"] == outs["2"]
 
 
@@ -282,6 +291,22 @@ def test_out_that_is_a_file_exits_two(tmp_path, capsys, command):
     (["tail-scan", "--beta", "7"], "--beta"),
     (["equilibrium", "--seed", "3"], "--seed"),
     (["sample", "--threads", "2"], "--threads"),
+    pytest.param(["rate", "cali", "--c", "nan"], "argument --c:",
+                 id="cali-c-nan"),
+    pytest.param(["rate", "cali", "--c", "inf"], "argument --c:",
+                 id="cali-c-inf"),
+    pytest.param(["rate", "projection", "--c", "nan"], "argument --c:",
+                 id="projection-c-nan"),
+    pytest.param(["rate", "iv", "--reg-m", "nan"], "argument --reg-m:",
+                 id="reg-m-nan"),
+    pytest.param(["tail-scan", "--xs", "nan"], "argument --xs:", id="xs-nan"),
+    pytest.param(["tail-scan", "--xs", "inf"], "argument --xs:", id="xs-inf"),
+    pytest.param(["tail-scan", "--left=nan"], "argument --left:",
+                 id="left-nan"),
+    pytest.param(["fluctuate", "--window", "inf"], "argument --window:",
+                 id="window-inf"),
+    pytest.param(["sample", "--beta", "inf"], "argument --beta:",
+                 id="beta-inf"),
 ])
 def test_config_errors_exit_two(tmp_path, capsys, argv, needle):
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2

@@ -6,8 +6,8 @@ import pytest
 from betalab.measures import (
     QUANTILE_POINTS, AtomicMeasure, GridMeasure,
     load_measure, log_energy_grid, log_energy_reg, log_kernel_mass_form,
-    moment, quantile_discretize, reflect_shift, save_measure, truncate_normalize,
-    variance, wasserstein,
+    moment, quantile_discretize, reflect_shift, save_measure, variance,
+    wasserstein,
 )
 from betalab.potential import Potential
 from betalab.sampler import SpectrumSample
@@ -41,7 +41,7 @@ def test_atomic_merges_duplicates_and_sorts():
     lambda: Potential([0.0, 0.0, 0.5], _d1=np.zeros(2)),
     lambda: Potential([0.0, 0.0, 0.5], _d2=np.zeros(1)),
     lambda: SpectrumSample(eigenvalues=np.array([0.0, 1.0]), n=2,
-                           method="mcmc", tie_breaks=3),
+                           tie_breaks=3),
     lambda: GridMeasure(0.0, 1.0, np.ones(3), _mid_quantiles=np.zeros(3)),
 ])
 def test_derived_fields_are_not_constructor_parameters(build):
@@ -247,39 +247,6 @@ def test_quantile_discretize_semicircle_converges():
     assert dists[0] > dists[1] > dists[2]
     assert moment_errs[0] > moment_errs[1] > moment_errs[2]
     assert dists[2] <= 1e-3
-
-
-# ---------------------------------------------------------------------------
-# truncation
-# ---------------------------------------------------------------------------
-
-def test_truncate_noop_inside_window(rng):
-    mu = AtomicMeasure([-0.5, 0.5], [0.5, 0.5])
-    out = truncate_normalize(mu, 1.0)
-    assert np.array_equal(out.atoms, mu.atoms)
-    assert np.array_equal(out.weights, mu.weights)
-
-
-def test_truncate_drops_far_atom():
-    mu = AtomicMeasure([0.0, 5.0], [0.5, 0.5])
-    out = truncate_normalize(mu, 1.0)
-    assert out.atoms.tolist() == [0.0] and out.weights.tolist() == [1.0]
-
-
-def test_truncate_semicircle_renormalizes():
-    sc = semicircle_grid()
-    out = truncate_normalize(sc, 1.0)
-    assert (out.lo, out.hi) == (-1.0, 1.0)
-    assert abs(np.trapezoid(out.values, dx=out.h) - 1.0) <= 1e-12
-    # restricted mass of the semicircle on [-1, 1]: (sqrt(3) + 2 pi / 3) / (2 pi)
-    mass = (math.sqrt(3.0) + 2.0 * math.pi / 3.0) / (2.0 * math.pi)
-    assert abs(out.values[out.n // 2] * mass - 1.0 / math.pi) <= 1e-6
-
-
-def test_truncate_rejects_empty_window():
-    mu = AtomicMeasure([5.0, 6.0], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        truncate_normalize(mu, 1.0)
 
 
 # ---------------------------------------------------------------------------

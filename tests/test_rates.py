@@ -16,6 +16,7 @@ from betalab.rates import (
     calI_inf_over_c, projection_J, rate_calI, rate_calI_delta, rate_calJ,
     rate_calJ_delta, rate_IDOS, rate_IV, rate_report,
 )
+from oracles import golden_min_reference
 
 UNIF01 = lambda n=4097: GridMeasure(0.0, 1.0, np.ones(n))
 
@@ -153,8 +154,8 @@ def test_projection_equals_constrained_value(eq_gauss, gauss):
 def test_projection_refuses_unconverged_frank_wolfe(
         eq_gauss, gauss, monkeypatch, tmp_path, capsys):
     stub = ConstrainedEquilibriumResult(
-        cutoff=1.5, minimizer=UNIF01(65), value=0.25, gap=1e-3,
-        iterations=7, converged=False)
+        minimizer=UNIF01(65), value=0.25, gap=1e-3, iterations=7,
+        converged=False)
     monkeypatch.setattr(rates, "constrained_equilibrium",
                         lambda V, x, n=2048: stub)
     monkeypatch.setattr(rates, "_PROJ_CACHE", {})
@@ -249,15 +250,18 @@ def test_scans_evaluate_sigma_once(eq_gauss, gauss, monkeypatch):
         assert len(calls) == 1
 
 
-def test_cali_inf_matches_golden_search_over_rate_cali(eq_gauss, gauss):
+def test_cali_inf_is_idos_at_kappa(eq_gauss, gauss):
     atoms = AtomicMeasure.from_points(np.linspace(0.0, 3.0, 40) ** 1.3)
     for nu, m in ((UNIF01(257), None), (atoms, None), (atoms, 3.0)):
         k = kappa(gauss, nu)
+        argmin, value = calI_inf_over_c(eq_gauss, gauss, nu, m)
+        assert argmin == k
+        assert value == rate_IDOS(eq_gauss, gauss, nu, m).value
         spread = 1.0 + math.sqrt(variance(nu))
-        want = rates._golden_min(
+        _, golden = golden_min_reference(
             lambda c: rate_calI(eq_gauss, gauss, c, nu, m).value,
             k - spread, k + spread, 1e-6)
-        assert calI_inf_over_c(eq_gauss, gauss, nu, m) == want
+        assert value <= golden <= value + 1e-12
 
 
 def test_cali_delta_is_exact_minimum(eq_gauss, gauss, eq_quartic, quartic):
@@ -268,7 +272,7 @@ def test_cali_delta_is_exact_minimum(eq_gauss, gauss, eq_quartic, quartic):
             k = kappa(V, nu)
             for c in (k - 0.3, k - 0.137, k + 0.05):
                 got = rate_calI_delta(eq, V, c, 0.2, nu)
-                _, want = rates._golden_min(
+                _, want = golden_min_reference(
                     lambda a: rate_calI(eq, V, a, nu).value,
                     c, c + 0.2, 1e-13)
                 scan = min(rate_calI(eq, V, float(a), nu).value

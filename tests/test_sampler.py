@@ -8,9 +8,8 @@ from betalab.equilibrium import equilibrium_cached
 from betalab.measures import AtomicMeasure, GridMeasure, wasserstein
 from betalab.potential import Potential
 from betalab.sampler import (
-    SpectrumSample, acceptance_ratio, metropolis_log_density, rng_for,
-    sample_gaussian, sample_mcmc_batch, tridiag_eigenvalues,
-    tridiag_power_sums,
+    SpectrumSample, rng_for, sample_gaussian, sample_mcmc_batch,
+    tridiag_eigenvalues, tridiag_power_sums,
 )
 from oracles import metropolis_chain_reference
 
@@ -140,7 +139,7 @@ def test_edge_bias_shrinks_with_n():
 # ---------------------------------------------------------------------------
 
 def _mk(values, **kw):
-    args = dict(n=len(values), method="tridiagonal")
+    args = dict(n=len(values))
     args.update(kw)
     return SpectrumSample(eigenvalues=np.asarray(values, float), **args)
 
@@ -176,49 +175,6 @@ def test_sample_is_immutable():
 
 
 # ---------------------------------------------------------------------------
-# Metropolis kernel
-# ---------------------------------------------------------------------------
-
-def test_log_density_permutation_invariant(rng, quartic):
-    lam = rng.normal(0.0, 1.0, 12)
-    base = metropolis_log_density(quartic, 2.0, lam)
-    for _ in range(5):
-        assert metropolis_log_density(
-            quartic, 2.0, rng.permutation(lam)) == base
-
-
-def test_log_density_coincidence_forbidden(gauss):
-    assert metropolis_log_density(gauss, 2.0, [0.5, 0.5, 1.0]) == -math.inf
-
-
-def test_detailed_balance(gauss):
-    lam = np.array([-0.9, 0.2, 1.1])
-    for site, prop in ((0, -0.4), (1, 0.9), (2, 0.3)):
-        new = lam.copy()
-        new[site] = prop
-        lx = metropolis_log_density(gauss, 2.0, lam)
-        ly = metropolis_log_density(gauss, 2.0, new)
-        a_xy = acceptance_ratio(gauss, 2.0, lam, site, prop)
-        a_yx = acceptance_ratio(gauss, 2.0, new, site, lam[site])
-        assert abs((lx + math.log(a_xy)) - (ly + math.log(a_yx))) <= 1e-12
-
-
-def test_acceptance_ratio_caps_at_one(gauss):
-    lam = np.array([-2.0, 0.0, 5.0])
-    # pulling the far-right outlier inward is always accepted
-    assert acceptance_ratio(gauss, 2.0, lam, 2, 1.0) == 1.0
-
-
-def test_log_density_matches_pairwise_loop(rng, quartic):
-    lam = np.sort(rng.normal(0.0, 1.0, 50))
-    loop = sum(float(np.sum(np.log(lam[i + 1:] - lam[i])))
-               for i in range(lam.size - 1))
-    expect = 2.0 * (loop - 25.0 * float(np.sum(quartic.eval(lam))))
-    got = metropolis_log_density(quartic, 2.0, rng.permutation(lam))
-    assert abs(got - expect) <= 1e-12 * abs(expect)
-
-
-# ---------------------------------------------------------------------------
 # MCMC sampling
 # ---------------------------------------------------------------------------
 
@@ -249,7 +205,6 @@ def test_mcmc_quartic_reaches_equilibrium_profile(quartic, eq_quartic):
     reps = sample_mcmc_batch(quartic, 2.0, 100, 11, range(8))
     for s in reps:
         assert 0.2 <= s.acceptance_rate <= 0.6
-        assert s.method == "mcmc"
     atoms = np.concatenate([s.eigenvalues for s in reps])
     pooled = AtomicMeasure(atoms, np.full(atoms.size, 1.0 / atoms.size))
     assert wasserstein(pooled, eq_quartic.density) <= 0.05
