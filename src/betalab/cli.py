@@ -6,7 +6,8 @@ flat key=value config file plus flags, flags winning; a value from either
 source goes through the option's one parser.  Every run writes summary.json
 (the resolved value of every option, results, and the only timestamp) plus
 plot-ready CSVs whose bytes depend solely on config and seed.  Exit codes:
-0 success, 2 config validation, 3 solver failure.
+0 success, 2 config validation, 3 solver failure, or a result that is not
+a finite number (nothing is written then).
 """
 from __future__ import annotations
 
@@ -330,6 +331,34 @@ def _resolve(args: argparse.Namespace, options: dict) -> dict:
     return cfg
 
 
+def _require_finite(obj, key: str) -> None:
+    """Raises RuntimeError naming the key of the first float in obj (nested
+    dicts, lists and tuples) that is NaN or infinite."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise RuntimeError(f"{key} is not finite")
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            _require_finite(v, f"{key}.{k}")
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            _require_finite(v, f"{key}[{i}]")
+
+
+def _check_finite(results: dict, tables: dict) -> None:
+    """Refuses a run whose results or tables hold NaN or an infinity (a
+    finite input whose arithmetic overflowed), before any file is written:
+    neither is valid JSON."""
+    _require_finite(results, "results")
+    for name, (header, rows) in tables.items():
+        cols = header.split(",")
+        for i, row in enumerate(rows):
+            for col, x in zip(cols, row):
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise RuntimeError(f"{name}: {col} in row {i} is not "
+                                       "finite")
+
+
 def _json_value(obj):
     return obj.coeffs.tolist() if isinstance(obj, Potential) else str(obj)
 
@@ -346,6 +375,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"out: cannot make directory {cfg['out']!r}: {exc}") from exc
         results, tables = command(cfg)
+        _check_finite(results, tables)
     except ValueError as exc:
         # ConfigError, and module preconditions, which double as validation
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -46,11 +46,12 @@ class TestFunction:
     f, fprime and fsecond are callables derived from the coefficients.
     Expanding about `center` evaluates (x - b)^2 as accurately near b as
     the direct formula.  A polynomial statistic needs only the power sums
-    and extreme eigenvalues of a spectrum (an EdgeSummary), which the
-    tridiagonal model gives in O(N deg) per replica.
+    and lambda_max of a spectrum (an EdgeSummary), which the tridiagonal
+    model gives in O(N deg) per replica.
 
     window_h is the spectral window H used by the diagnostics: remainder
-    bounds are only asserted on configurations with all |lambda_i| <= H.
+    bounds are only asserted on configurations with all |lambda_i| <= H,
+    which the EdgeSummary records as in_window.
     """
 
     __test__ = False        # not a pytest collectable despite the name
@@ -71,6 +72,12 @@ class TestFunction:
         return len(self.coeffs) - 1
 
     def derivative(self) -> "TestFunction":
+        return self._derivative
+
+    @cached_property
+    def _derivative(self) -> "TestFunction":
+        # built once per instance, so a derivative chain walked for every
+        # replica is built once per test function
         return replace(self, coeffs=tuple(P.polyder(self.coeffs)),
                        name=f"({self.name})'")
 
@@ -234,7 +241,9 @@ class EdgeTerms:
 def edge_terms(summary: EdgeSummary, eq: EquilibriumResult, f: TestFunction,
                nu_f: float, nu_fprime: float) -> EdgeTerms:
     """mu_N(f), R_N(f), the bookkeeping residual and the window indicator
-    from an EdgeSummary, in O(deg^2) once the power sums are known.
+    from an EdgeSummary, in O(deg^2) once the power sums are known.  The
+    indicator is the summary's in_window, for the window it was made for
+    (f.window_h in fluctuation_ensemble).
 
     The spectrum-based references are linear_statistic, remainder_term and
     bookkeeping_residual.  Here every sum over the spectrum is a spectral_sum:
@@ -260,9 +269,7 @@ def edge_terms(summary: EdgeSummary, eq: EquilibriumResult, f: TestFunction,
     rhs = n * eps * nu_fprime + delta_f + eps * delta_fp + remainder
     return EdgeTerms(
         mu_f=s_n / (n - 1), epsilon=eps, remainder=remainder,
-        residual=float(lhs - rhs),
-        in_window=max(abs(summary.lambda_min), abs(summary.lambda_max))
-        <= f.window_h)
+        residual=float(lhs - rhs), in_window=summary.in_window)
 
 
 def ks_distance(a, b) -> float:
@@ -373,11 +380,13 @@ def _w1_chunk(V: Potential, beta: float, seed: int, method: str, nu_v,
 
 
 def _summary_chunk(V: Potential, beta: float, seed: int, method: str,
-                   degree: int, n: int, chunk: range) -> list[EdgeSummary]:
+                   degree: int, window_h: float, n: int,
+                   chunk: range) -> list[EdgeSummary]:
     if method == "mcmc":
-        return [EdgeSummary.from_eigenvalues(s.eigenvalues, degree)
+        return [EdgeSummary.from_eigenvalues(s.eigenvalues, degree, window_h)
                 for s in _spectra_chunk(V, beta, seed, method, n, chunk)]
-    return [gaussian_edge_summary(n, beta, seed, replica=r, degree=degree)
+    return [gaussian_edge_summary(n, beta, seed, replica=r, degree=degree,
+                                  window_h=window_h)
             for r in chunk]
 
 
@@ -391,8 +400,10 @@ def fluctuation_ensemble(V: Potential, beta: float, f: TestFunction, sizes,
     Every replica also gets the bookkeeping-identity residual, the window
     indicator, and the remainder bound check.  All of them come from the
     replica's EdgeSummary (see edge_terms), so a tridiagonal replica costs
-    O(N deg) plus two bisection eigenvalues instead of an O(N^2) solve;
-    an MCMC replica is summarized from its sampled eigenvalues.  Up to
+    O(N deg) plus the bisection of lambda_max instead of an O(N^2) solve
+    (lambda_min is bisected too only when the Gershgorin bound cannot
+    place the spectrum inside the window, see gaussian_edge_summary); an
+    MCMC replica is summarized from its sampled eigenvalues.  Up to
     `workers` processes draw the summaries (see _map_replicas); the result
     is the same for every `workers`.
     """
@@ -405,7 +416,8 @@ def fluctuation_ensemble(V: Potential, beta: float, f: TestFunction, sizes,
     bound_m = remainder_bound_constant(f)
 
     sizes = [int(n) for n in sizes]
-    draw = partial(_summary_chunk, V, beta, seed, method, f.degree)
+    draw = partial(_summary_chunk, V, beta, seed, method, f.degree,
+                   f.window_h)
     per_n = {}
     stats_by_n = {}
     for n, summaries in zip(sizes,

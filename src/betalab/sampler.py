@@ -118,23 +118,26 @@ def sample_gaussian(n: int, beta: float, seed: int,
 class EdgeSummary:
     """What a polynomial edge statistic needs from one configuration.
 
-    power_sums[j] = sum_i lambda_i^j for j = 0..degree; with the two
-    extreme eigenvalues this determines sum_i f(a - lambda_i) for every
-    polynomial f of degree <= degree and every shift a.
+    power_sums[j] = sum_i lambda_i^j for j = 0..degree; with lambda_max
+    this determines sum_i f(a - lambda_i) for every polynomial f of degree
+    <= degree and every shift a.  in_window says whether every eigenvalue
+    lies in the spectral window [-H, H] the summary was made for.
     """
 
     n: int
-    lambda_min: float
     lambda_max: float
+    in_window: bool
     power_sums: np.ndarray
 
     @classmethod
-    def from_eigenvalues(cls, eigenvalues, degree: int) -> "EdgeSummary":
+    def from_eigenvalues(cls, eigenvalues, degree: int,
+                         window_h: float) -> "EdgeSummary":
         """Summary of an explicit spectrum (any sampler), sorted ascending."""
         lam = np.asarray(eigenvalues, dtype=float)
         sums = np.array([np.sum(lam ** j) for j in range(degree + 1)])
-        return cls(n=lam.size, lambda_min=float(lam[0]),
-                   lambda_max=float(lam[-1]), power_sums=sums)
+        return cls(n=lam.size, lambda_max=float(lam[-1]),
+                   in_window=bool(max(abs(lam[0]), abs(lam[-1])) <= window_h),
+                   power_sums=sums)
 
 
 def tridiag_power_sums(diagonal, offdiagonal, degree: int) -> np.ndarray:
@@ -148,13 +151,18 @@ def tridiag_power_sums(diagonal, offdiagonal, degree: int) -> np.ndarray:
     e = np.asarray(offdiagonal, dtype=float)
     n, pad = d.size, degree + 1
     # T's entries at column c, zero-padded so shifted reads past the ends
-    # see zeros: above[c] = T[c-1, c], main[c] = T[c, c], below[c] = T[c+1, c]
-    above, main, below = (np.zeros(n + 2 * pad) for _ in range(3))
-    above[pad + 1:pad + n] = e
-    main[pad:pad + n] = d
-    below[pad:pad + n - 1] = e
-    shifted = [np.lib.stride_tricks.sliding_window_view(v, n)
-               [pad - degree:pad + degree + 1] for v in (above, main, below)]
+    # see zeros: rows above[c] = T[c-1, c], main[c] = T[c, c] and
+    # below[c] = T[c+1, c]
+    padded = np.zeros((3, n + 2 * pad))
+    padded[0, pad + 1:pad + n] = e
+    padded[1, pad:pad + n] = d
+    padded[2, pad:pad + n - 1] = e
+    # shifted[:, r] reads the three rows r - degree columns to the right,
+    # padded[:, r + 1:r + 1 + n], as one view with no copy: a copy is
+    # 15 rows of N, which costs more than the products at N = 2000
+    step = padded.itemsize
+    shifted = np.ndarray((3, 2 * degree + 1, n), buffer=padded,
+                         offset=step, strides=(padded.strides[0], step, step))
     # row degree+1+m holds (T^k)[i, i+m]; one zero row on each side
     bands = np.zeros((2 * degree + 3, n))
     bands[degree + 1] = 1.0
@@ -169,12 +177,16 @@ def tridiag_power_sums(diagonal, offdiagonal, degree: int) -> np.ndarray:
 
 
 def gaussian_edge_summary(n: int, beta: float, seed: int, replica: int = 0,
-                          degree: int = 2) -> EdgeSummary:
-    """EdgeSummary of the spectrum sample_gaussian(n, beta, seed, replica)
-    would return, without solving for all N eigenvalues.
+                          degree: int = 2, *, window_h: float) -> EdgeSummary:
+    """EdgeSummary, for the window [-window_h, window_h], of the spectrum
+    sample_gaussian(n, beta, seed, replica) would return, without solving
+    for all N eigenvalues.
 
     Power sums are traces of powers of the scaled tridiagonal matrix,
-    O(N degree); lambda_min and lambda_max come from two bisection solves.
+    O(N degree), and lambda_max is one bisection solve.  The left end of
+    the window is certified by the Gershgorin bound min_i(d_i - |e_(i-1)|
+    - |e_i|), lowered by a rounding margin; only when that bound falls
+    below -window_h is lambda_min bisected as well.
     """
     diag, off = _gaussian_tridiagonal(n, beta, seed, replica)
     scale = math.sqrt(2.0 / (beta * n))
@@ -184,8 +196,21 @@ def gaussian_edge_summary(n: int, beta: float, seed: int, replica: int = 0,
             diag, off, eigvals_only=True, select="i",
             select_range=(index, index))[0]) * scale
 
+    lambda_max = eigenvalue(n - 1)
+    radius = np.zeros(n)    # |e_(i-1)| + |e_i| of row i (chi draws: e >= 0)
+    radius[:-1] += off
+    radius[1:] += off
+    # the margin, 8 N ulps of the matrix norm, covers the rounding of this
+    # bound and of the bisection (LAPACK's stebz widens its own Gershgorin
+    # interval by about 2 N ulps of the norm for the same reason)
+    norm = float(np.max(np.abs(diag) + radius))
+    lower = (float(np.min(diag - radius))
+             - 8.0 * n * np.finfo(float).eps * norm) * scale
+    if lower < -window_h:
+        lower = eigenvalue(0)
     return EdgeSummary(
-        n=n, lambda_min=eigenvalue(0), lambda_max=eigenvalue(n - 1),
+        n=n, lambda_max=lambda_max,
+        in_window=max(abs(lower), abs(lambda_max)) <= window_h,
         power_sums=tridiag_power_sums(diag * scale, off * scale, degree))
 
 

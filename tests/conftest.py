@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from betalab import sampler
 from betalab.equilibrium import equilibrium_cached
 from betalab.potential import Potential
 
@@ -28,3 +29,17 @@ def eq_quartic(quartic):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture()
+def eigensolve_calls(monkeypatch):
+    """The select_range of every sampler.eigh_tridiagonal call, in order."""
+    calls = []
+    solve = sampler.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("select_range"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "eigh_tridiagonal", counted)
+    return calls

@@ -418,6 +418,38 @@ def test_solver_failure_maps_to_exit_three(tmp_path, capsys, monkeypatch):
     assert "solver failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["rate", "cali", "--c", "1e300"], "results.terms.potential_term"),
+    (["tail-scan", "--xs", "1e160"], "results.j_plus.1e+160"),
+], ids=["cali-c-1e300", "xs-1e160"])
+def test_overflowing_result_exits_three(tmp_path, capsys, argv, needle):
+    # a finite input whose arithmetic overflows: no NaN reaches a file
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure" in err and f"{needle} is not finite" in err
+    assert list(out.iterdir()) == []
+
+
+def test_non_finite_table_value_exits_three(tmp_path, capsys, monkeypatch):
+    # the per-replica stats reach fluct_stats.csv but not summary.json
+    run_ensemble = dos.fluctuation_ensemble
+
+    def with_nan_stat(*args, **kwargs):
+        report = run_ensemble(*args, **kwargs)
+        report["per_n"][64]["stats"][1] = float("nan")
+        return report
+
+    monkeypatch.setattr(dos, "fluctuation_ensemble", with_nan_stat)
+    out = tmp_path / "o"
+    assert main(["fluctuate", "--n", "64", "--replicas", "4",
+                 "--out", str(out)]) == 3
+    assert "fluct_stats.csv: stat in row 1 is not finite" \
+        in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def _project_scripts() -> dict:
     """The [project.scripts] table of pyproject.toml, as name -> target."""
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()

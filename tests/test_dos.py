@@ -111,7 +111,8 @@ def test_clt_variance_matches_sampler_ensemble(beta):
     # ensemble variances of sum lambda and sum lambda^2 - N; the exact
     # finite-N values are 2/beta and (4/beta)(1 - 1/N) + 8/(beta^2 N)
     n, replicas = 200, 2000
-    sums = np.array([gaussian_edge_summary(n, beta, 0, replica=r).power_sums
+    sums = np.array([gaussian_edge_summary(n, beta, 0, replica=r,
+                                           window_h=3.0).power_sums
                      for r in range(replicas)])
     for stat, f in ((sums[:, 1], lambda x: 2.0 - x),
                     (sums[:, 2] - n, lambda x: (2.0 - x) ** 2)):
@@ -320,10 +321,10 @@ def test_edge_terms_match_eigenvalue_route(eq_gauss, n):
         for seed, replica in ((3, 0), (3, 5), (41, 2)):
             sample = sample_gaussian(n, 2.0, seed, replica=replica)
             summary = gaussian_edge_summary(n, 2.0, seed, replica=replica,
-                                            degree=f.degree)
+                                            degree=f.degree,
+                                            window_h=f.window_h)
             lam = sample.eigenvalues
             assert abs(summary.lambda_max - lam[-1]) <= 1e-13
-            assert abs(summary.lambda_min - lam[0]) <= 1e-13
             for j in range(f.degree + 1):
                 # odd power sums cancel, so the relative scale is
                 # sum |lambda|^j (which is p_j itself for even j)
@@ -399,3 +400,16 @@ def test_fluctuation_ensemble_mcmc_matches_eigenvalue_route(quartic,
               TestFunction.square_about(eq_quartic.b_v)):
         _assert_same_ensemble(quartic, f, eq_quartic, samples, replicas=3,
                               seed=5, method="mcmc")
+
+
+@pytest.mark.parametrize("window_h, solves", [(3.0, 1), (1.9, 2)])
+def test_fluctuation_eigensolves_per_replica(gauss, eigensolve_calls,
+                                             window_h, solves):
+    # at N = 500 the Gershgorin bound, about -2.2, certifies the left end of
+    # the window H = 3, so only lambda_max is bisected; H = 1.9 cuts the
+    # spectrum and lambda_min is bisected as well
+    replicas = 6
+    fluctuation_ensemble(gauss, 2.0, TestFunction.identity(window_h), (500,),
+                         replicas=replicas, seed=4)
+    assert len(eigensolve_calls) == solves * replicas
+    assert eigensolve_calls.count((499, 499)) == replicas

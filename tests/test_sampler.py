@@ -8,8 +8,9 @@ from betalab.equilibrium import equilibrium_cached
 from betalab.measures import AtomicMeasure, GridMeasure, wasserstein
 from betalab.potential import Potential
 from betalab.sampler import (
-    SpectrumSample, rng_for, sample_gaussian, sample_mcmc_batch,
-    tridiag_eigenvalues, tridiag_power_sums,
+    EdgeSummary, SpectrumSample, gaussian_edge_summary, rng_for,
+    sample_gaussian, sample_mcmc_batch, tridiag_eigenvalues,
+    tridiag_power_sums,
 )
 from oracles import metropolis_chain_reference
 
@@ -132,6 +133,42 @@ def test_edge_bias_shrinks_with_n():
         bias.append(abs(np.mean(mx) - 2.0))
     assert bias[0] > bias[1] > bias[2]
     assert bias[2] <= 0.03
+
+
+# ---------------------------------------------------------------------------
+# edge summaries
+# ---------------------------------------------------------------------------
+
+def _windows(lam):
+    """Windows just inside and just outside each end of a spectrum, so each
+    cuts it on one side or keeps it whole, plus the default H = 3."""
+    ends = (abs(lam[0]), abs(lam[-1]))
+    return [e * (1.0 + s) for e in ends for s in (-1e-6, 1e-6)] + [3.0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 50, 500])
+def test_gaussian_in_window_matches_full_spectrum(eigensolve_calls, n):
+    paths = set()
+    for replica in range(8):
+        lam = sample_gaussian(n, 2.0, 7, replica=replica).eigenvalues
+        for h in _windows(lam):
+            eigensolve_calls.clear()
+            summary = gaussian_edge_summary(n, 2.0, 7, replica=replica,
+                                            window_h=h)
+            assert summary.in_window == bool(np.max(np.abs(lam)) <= h)
+            paths.add(len(eigensolve_calls))
+    # one solve: the Gershgorin bound certified the left end of the window;
+    # two: it could not, and lambda_min was bisected
+    assert paths == {1, 2}
+
+
+def test_from_eigenvalues_in_window_matches_spectrum(quartic):
+    for s in sample_mcmc_batch(quartic, 2.0, 12, 5, range(3)):
+        lam = s.eigenvalues
+        for h in _windows(lam) + [abs(lam[0]), abs(lam[-1])]:
+            summary = EdgeSummary.from_eigenvalues(lam, 2, h)
+            assert summary.in_window == bool(np.max(np.abs(lam)) <= h)
+            assert summary.lambda_max == lam[-1]
 
 
 # ---------------------------------------------------------------------------
