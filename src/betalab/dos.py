@@ -22,8 +22,8 @@ from .equilibrium import EquilibriumResult, _cheb_project, \
 from .measures import AtomicMeasure, wasserstein
 from .potential import GAUSSIAN_KEY, Potential
 from .sampler import (
-    EdgeSummary, SpectrumSample, gaussian_edge_summary, sample_gaussian,
-    sample_mcmc_batch,
+    EdgeSummary, SpectrumSample, gaussian_edge_summary, mcmc_edge_summaries,
+    sample_gaussian, sample_mcmc_batch,
 )
 
 __all__ = [
@@ -383,8 +383,8 @@ def _summary_chunk(V: Potential, beta: float, seed: int, method: str,
                    degree: int, window_h: float, n: int,
                    chunk: range) -> list[EdgeSummary]:
     if method == "mcmc":
-        return [EdgeSummary.from_eigenvalues(s.eigenvalues, degree, window_h)
-                for s in _spectra_chunk(V, beta, seed, method, n, chunk)]
+        return mcmc_edge_summaries(V, beta, n, seed, chunk, degree,
+                                   window_h=window_h)
     return [gaussian_edge_summary(n, beta, seed, replica=r, degree=degree,
                                   window_h=window_h)
             for r in chunk]
@@ -399,11 +399,12 @@ def fluctuation_ensemble(V: Potential, beta: float, f: TestFunction, sizes,
     N when it vanishes; ambiguity below 1e-4 flagged.
     Every replica also gets the bookkeeping-identity residual, the window
     indicator, and the remainder bound check.  All of them come from the
-    replica's EdgeSummary (see edge_terms), so a tridiagonal replica costs
-    O(N deg) plus the bisection of lambda_max instead of an O(N^2) solve
-    (lambda_min is bisected too only when the Gershgorin bound cannot
-    place the spectrum inside the window, see gaussian_edge_summary); an
-    MCMC replica is summarized from its sampled eigenvalues.  Up to
+    replica's EdgeSummary (see edge_terms), read off its tridiagonal
+    matrix: the Gaussian model's, or the final Jacobi matrix of an MCMC
+    chain.  A replica so costs O(N deg^2) plus the bisection of lambda_max
+    instead of an O(N^2) solve (lambda_min is bisected too only when the
+    Gershgorin bound cannot place the spectrum inside the window, see
+    sampler._edge_summary).  Up to
     `workers` processes draw the summaries (see _map_replicas); the result
     is the same for every `workers`.
     """

@@ -1,14 +1,16 @@
 """Samplers for beta-ensemble eigenvalue configurations.
 
-Two routes to the law  P ~ |Delta(lambda)|^beta exp(-(N beta / 2) sum V):
-a tridiagonal matrix model, exact for V = x^2/2 after a 1/sqrt(N) rescale
-that puts the semicircle edge at +-2, and a Metropolis chain on the log-gas
-for general convex polynomial V.  Replicas draw from counter-based
-splittable streams keyed by (seed, replica), so batched and sequential
-runs are bit-identical.  Which route a potential may take is decided in
-dos, which draws replicas in several processes: each process reduces the
-samples it draws to the numbers the experiment needs, so a sample never
-leaves the process that drew it.
+Two routes to the law  P ~ |Delta(lambda)|^beta exp(-(N beta / 2) sum V),
+both through a symmetric tridiagonal (Jacobi) matrix T whose eigenvalues
+are the sample: the Gaussian tridiagonal model, exact for V = x^2/2 after
+a 1/sqrt(N) rescale that puts the semicircle edge at +-2, and, for general
+convex polynomial V, a Metropolis chain on the entries of T, exact for
+every beta > 0 (its target is log-concave only for beta >= 1).  Replicas
+draw from counter-based splittable streams keyed by (seed, replica), so
+batched and sequential runs are bit-identical.  Which route a potential
+may take is decided in dos, which draws replicas in several processes:
+each process reduces the samples it draws to the numbers the experiment
+needs, so a sample never leaves the process that drew it.
 """
 from __future__ import annotations
 
@@ -18,17 +20,19 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .equilibrium import equilibrium_cached
 from .potential import Potential
 
 __all__ = [
     "SpectrumSample", "EdgeSummary", "rng_for", "sample_gaussian",
     "gaussian_edge_summary", "tridiag_eigenvalues", "tridiag_power_sums",
-    "sample_mcmc_batch",
+    "sample_mcmc_batch", "mcmc_edge_summaries",
 ]
 
-MCMC_CHUNK = 64          # sweeps of randomness drawn per tape refill
+MCMC_BURN_IN = 100       # adaptive sweeps, whatever N
+MCMC_SWEEPS = 50         # measured sweeps at fixed steps
+MCMC_CHUNK = 16          # sweeps of randomness drawn per tape refill
 TARGET_ACCEPT = 0.35
-MCMC_STEP0 = 0.5         # initial proposal scale of every chain
 
 
 def rng_for(seed: int, replica: int = 0) -> np.random.Generator:
@@ -129,67 +133,74 @@ class EdgeSummary:
     in_window: bool
     power_sums: np.ndarray
 
-    @classmethod
-    def from_eigenvalues(cls, eigenvalues, degree: int,
-                         window_h: float) -> "EdgeSummary":
-        """Summary of an explicit spectrum (any sampler), sorted ascending."""
-        lam = np.asarray(eigenvalues, dtype=float)
-        sums = np.array([np.sum(lam ** j) for j in range(degree + 1)])
-        return cls(n=lam.size, lambda_max=float(lam[-1]),
-                   in_window=bool(max(abs(lam[0]), abs(lam[-1])) <= window_h),
-                   power_sums=sums)
 
+def _power_diagonals(diagonal, offdiagonal, degree: int) -> np.ndarray:
+    """diag(T^j), j = 0..degree, of symmetric tridiagonal matrices T given
+    by (..., N) diagonals and (..., N - 1) off-diagonals: an array of shape
+    (degree + 1, ..., N), batched over the leading axes.
 
-def tridiag_power_sums(diagonal, offdiagonal, degree: int) -> np.ndarray:
-    """tr(T^j), j = 0..degree, of a symmetric tridiagonal T.
-
-    Carries the 2k+1 nonzero diagonals of T^k; the next power is three
-    shifted elementwise products per diagonal, so each trace costs
-    O(N degree) and no eigenvalue is solved.
+    Carries the nonzero diagonals of T^k; the next power is three shifted
+    elementwise products per diagonal, so it costs O(N degree^2) and no
+    eigenvalue is solved.  Only the diagonals |m| <= min(k, degree - k)
+    of T^k are formed: the ones the diagonal of a later power reads.
     """
     d = np.asarray(diagonal, dtype=float)
     e = np.asarray(offdiagonal, dtype=float)
-    n, pad = d.size, degree + 1
+    n, pad = d.shape[-1], degree + 1
+    batch = d.size // n
     # T's entries at column c, zero-padded so shifted reads past the ends
     # see zeros: rows above[c] = T[c-1, c], main[c] = T[c, c] and
     # below[c] = T[c+1, c]
-    padded = np.zeros((3, n + 2 * pad))
-    padded[0, pad + 1:pad + n] = e
-    padded[1, pad:pad + n] = d
-    padded[2, pad:pad + n - 1] = e
+    padded = np.zeros((3, batch, n + 2 * pad))
+    padded[0, :, pad + 1:pad + n] = e.reshape(batch, n - 1)
+    padded[1, :, pad:pad + n] = d.reshape(batch, n)
+    padded[2, :, pad:pad + n - 1] = e.reshape(batch, n - 1)
     # shifted[:, r] reads the three rows r - degree columns to the right,
-    # padded[:, r + 1:r + 1 + n], as one view with no copy: a copy is
-    # 15 rows of N, which costs more than the products at N = 2000
+    # padded[:, :, r + 1:r + 1 + n], as one view with no copy
     step = padded.itemsize
-    shifted = np.ndarray((3, 2 * degree + 1, n), buffer=padded,
-                         offset=step, strides=(padded.strides[0], step, step))
+    shifted = np.ndarray((3, 2 * degree + 1, batch, n), buffer=padded,
+                         offset=step, strides=(padded.strides[0], step,
+                                               padded.strides[1], step))
     # row degree+1+m holds (T^k)[i, i+m]; one zero row on each side
-    bands = np.zeros((2 * degree + 3, n))
+    bands = np.zeros((2 * degree + 3, batch, n))
     bands[degree + 1] = 1.0
-    sums = [float(n)]
-    for _ in range(degree):
-        nxt = np.zeros_like(bands)
-        nxt[1:-1] = (bands[:-2] * shifted[0] + bands[1:-1] * shifted[1]
-                     + bands[2:] * shifted[2])
+    out = np.empty((degree + 1, batch, n))
+    out[0] = 1.0
+    term = np.empty_like(bands)
+    for k in range(1, degree + 1):
+        w = min(k, degree - k)
+        lo, hi = degree + 1 - w, degree + 2 + w
+        nxt = np.zeros(bands.shape)
+        acc, tmp = nxt[lo:hi], term[lo:hi]
+        np.multiply(bands[lo - 1:hi - 1], shifted[0, lo - 1:hi - 1], out=acc)
+        acc += np.multiply(bands[lo:hi], shifted[1, lo - 1:hi - 1], out=tmp)
+        acc += np.multiply(bands[lo + 1:hi + 1], shifted[2, lo - 1:hi - 1],
+                           out=tmp)
         bands = nxt
-        sums.append(float(np.sum(bands[degree + 1])))
-    return np.array(sums)
+        out[k] = bands[degree + 1]
+    return out.reshape((degree + 1,) + d.shape)
 
 
-def gaussian_edge_summary(n: int, beta: float, seed: int, replica: int = 0,
-                          degree: int = 2, *, window_h: float) -> EdgeSummary:
-    """EdgeSummary, for the window [-window_h, window_h], of the spectrum
-    sample_gaussian(n, beta, seed, replica) would return, without solving
-    for all N eigenvalues.
+def tridiag_power_sums(diagonal, offdiagonal, degree: int) -> np.ndarray:
+    """tr(T^j), j = 0..degree, of a symmetric tridiagonal T, in O(N degree^2)
+    with no eigenvalue solved (see _power_diagonals)."""
+    diags = _power_diagonals(diagonal, offdiagonal, degree)
+    return np.array([float(np.sum(row)) for row in diags])
 
-    Power sums are traces of powers of the scaled tridiagonal matrix,
-    O(N degree), and lambda_max is one bisection solve.  The left end of
-    the window is certified by the Gershgorin bound min_i(d_i - |e_(i-1)|
-    - |e_i|), lowered by a rounding margin; only when that bound falls
-    below -window_h is lambda_min bisected as well.
+
+def _edge_summary(diag, off, scale: float, degree: int,
+                  window_h: float) -> EdgeSummary:
+    """EdgeSummary, for the window [-window_h, window_h], of the spectrum of
+    scale * T, T the tridiagonal matrix with diagonal diag and off-diagonal
+    off >= 0, without solving for all N eigenvalues.
+
+    Power sums are traces of powers of scale * T, O(N degree^2), and
+    lambda_max is one bisection solve.  The left end of the window is
+    certified by the Gershgorin bound min_i(d_i - e_(i-1) - e_i), lowered
+    by a rounding margin; only when that bound falls below -window_h is
+    lambda_min bisected as well.
     """
-    diag, off = _gaussian_tridiagonal(n, beta, seed, replica)
-    scale = math.sqrt(2.0 / (beta * n))
+    n = diag.size
 
     def eigenvalue(index):
         return float(eigh_tridiagonal(
@@ -197,7 +208,7 @@ def gaussian_edge_summary(n: int, beta: float, seed: int, replica: int = 0,
             select_range=(index, index))[0]) * scale
 
     lambda_max = eigenvalue(n - 1)
-    radius = np.zeros(n)    # |e_(i-1)| + |e_i| of row i (chi draws: e >= 0)
+    radius = np.zeros(n)    # e_(i-1) + e_i of row i
     radius[:-1] += off
     radius[1:] += off
     # the margin, 8 N ulps of the matrix norm, covers the rounding of this
@@ -214,85 +225,176 @@ def gaussian_edge_summary(n: int, beta: float, seed: int, replica: int = 0,
         power_sums=tridiag_power_sums(diag * scale, off * scale, degree))
 
 
-# -- Metropolis log-gas --------------------------------------------------------
+def gaussian_edge_summary(n: int, beta: float, seed: int, replica: int = 0,
+                          degree: int = 2, *, window_h: float) -> EdgeSummary:
+    """EdgeSummary, for the window [-window_h, window_h], of the spectrum
+    sample_gaussian(n, beta, seed, replica) would return (see
+    _edge_summary): one lambda_max bisection and O(N degree^2) traces."""
+    diag, off = _gaussian_tridiagonal(n, beta, seed, replica)
+    return _edge_summary(diag, off, math.sqrt(2.0 / (beta * n)), degree,
+                         window_h)
 
-def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
-                      replicas) -> list[SpectrumSample]:
-    """Metropolis samples for several replicas, vectorized across chains.
 
-    20 N burn-in sweeps adapt each chain's step toward TARGET_ACCEPT, then
-    acceptance_rate is measured over 10 N sweeps at a fixed step.  Per
-    sweep and site, all replicas propose and accept/reject together.  Each
-    replica has its own stream, and its randomness is drawn in fixed chunks
-    (normals then uniforms per chunk), so a batch of size one reproduces
-    any replica of a larger batch bit for bit.
+# -- Metropolis on the Jacobi entries -------------------------------------------
 
-    Site i changes only on its own turn, so when its turn comes its value
-    is still the one it had at the start of the sweep.  The proposals, the
-    potential term (N beta / 2)(V(prop) - V(cur)) and log u are therefore
-    computed once per sweep, as (R, N) arrays.  A site visit only sums
-    log|x - l_j| over the other sites j, for x the proposal and the current
-    value together.  The other sites sit in a buffer in np.delete order
-    (site i's new value replaces site i+1's at column i after its turn),
-    so the sums, and the chain, are the same bit for bit as a per-site
-    np.delete loop.
+def _potential_diagonal(coeffs: np.ndarray, diag, off) -> np.ndarray:
+    """diag V(T), batched like _power_diagonals, for V with ascending
+    coefficients coeffs."""
+    powers = _power_diagonals(diag, off, coeffs.size - 1)
+    out = np.full(powers.shape[1:], coeffs[0])
+    for c, row in zip(coeffs[1:], powers[1:]):
+        if c:
+            out += c * row
+    return out
+
+
+def _colour_classes(n: int, degree: int) -> list[tuple]:
+    """The Jacobi entries of an N x N matrix cut into classes whose members
+    can move at once, for V of even degree p = degree.
+
+    A row r of V(T) sees a_i only through closed walks of length <= p from
+    r that take the loop at i, so only rows |r - i| <= h = p/2 - 1 change
+    when a_i alone moves; b_i, the entry joining rows i and i + 1, reaches
+    rows i - h .. i + 1 + h.  Diagonal entries p - 1 apart, or
+    off-diagonal entries p apart, therefore own disjoint row windows that
+    tile the rows: each site's change of tr V(T) is the sum of
+    diag V(T)_new - diag V(T)_old over its own window, and its accept
+    decision does not depend on the others'.
+
+    Each class is (is_off, sites, starts, owner): sites is a slice of the
+    diagonal (is_off False) or of the off-diagonal, starts the first row
+    of each site's window, clipped at 0, as np.add.reduceat wants it, and
+    owner[r] the site whose window holds row r (a row in no window keeps
+    its value, so it is given to the nearest site).
     """
+    h = degree // 2 - 1
+    rows = np.arange(n)
+    classes = []
+    for is_off, count, spacing in ((False, n, degree - 1),
+                                   (True, n - 1, degree)):
+        for first in range(min(spacing, count)):
+            starts = np.maximum(np.arange(first, count, spacing) - h, 0)
+            owner = np.maximum(
+                np.searchsorted(starts, rows, side="right") - 1, 0)
+            classes.append((is_off, slice(first, None, spacing), starts,
+                            owner))
+    return classes
+
+
+def _mcmc_chains(V: Potential, beta: float, n: int, seed: int,
+                 replicas) -> tuple:
+    """Final Jacobi entries a (R, N) and b (R, N - 1) of the chains of
+    sample_mcmc_batch, and their acceptance rates (R,)."""
+    if n < 2 or beta <= 0:
+        raise ValueError("need n >= 2 and beta > 0")
     rngs = [rng_for(seed, r) for r in replicas]
     R = len(rngs)
-    burn = 20 * n
-    sweeps = burn + 10 * n
-    lam = np.empty((R, n))
-    for j, rng in enumerate(rngs):
-        lam[j] = np.sort(rng.uniform(-3.0, 3.0, n))
-    step = np.full(R, MCMC_STEP0)
+    eq = equilibrium_cached(V)
+    coeffs = V.coeffs
+    classes = _colour_classes(n, V.degree)
+    a = np.full((R, n), eq.center)
+    u = np.full((R, n - 1), math.log(0.5 * eq.radius))
+    b = np.exp(u)
+    diag_v = _potential_diagonal(coeffs, a, b)
     half_nb = 0.5 * n * beta
-
-    # pair[i] = (proposal, current) at site i, as columns against the other
-    # sites, which near = rest[:, :-1] holds in np.delete order
-    pair = np.empty((n, 2, R, 1))
-    rest = np.empty((R, n))
-    near = rest[:, :-1]
-    logs = np.empty((2, R, n - 1))
-    sums = np.empty((2, R))
-    dlog = np.empty(R)
-    finite = np.empty(R, dtype=bool)
-    ok = np.empty((n, R), dtype=bool)
+    weight = beta * np.arange(n - 1, 0, -1)    # beta (N - k), k from the top
+    # Proposal scales: for V = x^2/2 the conditional law of a_i has standard
+    # deviation (radius / 2) sqrt(2 / (beta N)) and that of u_k about
+    # 1 / sqrt(2 beta (N - k)); the adapted steps multiply these, and
+    # start at 2.4, the best random-walk step for a Gaussian target
+    sd = 1.0 / math.sqrt(2.0 * beta * n)
+    scale = np.concatenate([np.full(n, eq.radius * sd),
+                            sd * np.sqrt(n / np.arange(n - 1, 0, -1))])
+    step = np.full((R, 2), 2.4)             # columns: diagonal, off-diagonal
+    sites_per_kind = np.array([n, n - 1])
+    sweeps = MCMC_BURN_IN + MCMC_SWEEPS
+    accepted = np.empty((R, 2))
     post_accepted = np.zeros(R)
     z = logu = None
     for s in range(sweeps):
         if s % MCMC_CHUNK == 0:
             m = min(MCMC_CHUNK, sweeps - s)
-            z = np.stack([rng.standard_normal((m, n)) for rng in rngs])
-            logu = np.log(np.stack([rng.random((m, n)) for rng in rngs]))
-        zs, lus = z[:, s % MCMC_CHUNK], logu[:, s % MCMC_CHUNK].T
-        prop = lam + step[:, None] * zs
-        dpot = (half_nb * (V.eval(prop) - V.eval(lam))).T
-        pair[:, 0, :, 0] = prop.T
-        pair[:, 1, :, 0] = lam.T
-        near[...] = lam[:, 1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(n):
-                np.subtract(pair[i], near, out=logs)
-                np.abs(logs, out=logs)
-                np.log(logs, out=logs)
-                np.add.reduce(logs, axis=2, out=sums)
-                np.subtract(sums[0], sums[1], out=dlog)
-                dlog *= beta
-                dlog -= dpot[i]
-                np.isfinite(dlog, out=finite)
-                np.less(lus[i], dlog, out=ok[i])
-                ok[i] &= finite
-                np.copyto(lam[:, i], pair[i, 0, :, 0], where=ok[i])
-                rest[:, i] = lam[:, i]     # one of the others of site i+1
-        accepted = np.count_nonzero(ok, axis=0)
-        if s < burn:
-            step *= np.exp(0.5 * (accepted / n - TARGET_ACCEPT))
-            np.clip(step, 1e-4, 10.0, out=step)
+            z = np.stack([rng.standard_normal((m, 2 * n - 1))
+                          for rng in rngs])
+            logu = np.log(np.stack([rng.random((m, 2 * n - 1))
+                                    for rng in rngs]))
+        jump = z[:, s % MCMC_CHUNK] * scale
+        jump[:, :n] *= step[:, :1]
+        jump[:, n:] *= step[:, 1:]
+        jump_a, jump_u = jump[:, :n], jump[:, n:]
+        lus = logu[:, s % MCMC_CHUNK]
+        lu_a, lu_u = lus[:, :n], lus[:, n:]
+        accepted[:] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for is_off, sites, starts, owner in classes:
+                if is_off:
+                    prop_u = u[:, sites] + jump_u[:, sites]
+                    prop_b = b.copy()
+                    prop_b[:, sites] = np.exp(prop_u)
+                    new = _potential_diagonal(coeffs, a, prop_b)
+                    gain, log_u = weight[sites] * (prop_u - u[:, sites]), \
+                        lu_u[:, sites]
+                else:
+                    prop_a = a.copy()
+                    prop_a[:, sites] += jump_a[:, sites]
+                    new = _potential_diagonal(coeffs, prop_a, b)
+                    gain, log_u = 0.0, lu_a[:, sites]
+                ok = log_u < gain - half_nb * np.add.reduceat(
+                    new - diag_v, starts, axis=1)
+                if is_off:
+                    np.copyto(u[:, sites], prop_u, where=ok)
+                    np.copyto(b[:, sites], prop_b[:, sites], where=ok)
+                else:
+                    np.copyto(a[:, sites], prop_a[:, sites], where=ok)
+                np.copyto(diag_v, new, where=ok[:, owner])
+                accepted[:, int(is_off)] += np.count_nonzero(ok, axis=1)
+        if s < MCMC_BURN_IN:
+            step *= np.exp(0.5 * (accepted / sites_per_kind - TARGET_ACCEPT))
+            np.clip(step, 1e-3, 1e3, out=step)
         else:
-            post_accepted += accepted
-    acc = post_accepted / ((sweeps - burn) * n)
+            post_accepted += accepted.sum(axis=1)
+    return a, b, post_accepted / (MCMC_SWEEPS * (2 * n - 1))
+
+
+def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
+                      replicas) -> list[SpectrumSample]:
+    """Metropolis samples of the beta-ensemble with potential V, for several
+    replicas, vectorized across chains.
+
+    The chain runs on the entries of a Jacobi matrix T (diagonal a,
+    off-diagonal b > 0), with target density proportional to
+    exp(-(N beta / 2) tr V(T)) prod_k b_k^(beta (N - k) - 1), k = 1..N-1
+    from the top.  T's eigenvalues then follow the beta-ensemble exactly,
+    for any V and any beta > 0 (Dumitriu and Edelman, J. Math. Phys. 43
+    (2002); Krishnapur, Rider and Virag, Comm. Pure Appl. Math. 69 (2016)).
+    The off-diagonal moves as u = ln b, whose Jacobian cancels the -1 in
+    each exponent.  For beta >= 1 the target is log-concave in (a, u): tr
+    V(T) is convex in T for convex V; below 1 it need not be.
+
+    Every chain starts from the constant profile a = centre, b = radius / 2
+    of mu_V.  MCMC_BURN_IN sweeps adapt each chain's two step sizes
+    (diagonal, off-diagonal) toward TARGET_ACCEPT; acceptance_rate is then
+    measured over MCMC_SWEEPS sweeps at fixed steps, and the eigenvalues of
+    the final T are solved once.  A sweep moves each colour class of
+    _colour_classes at once, for all replicas: 2 deg V - 1 batches of
+    O(R N deg V^2) work.  Each replica has its own stream, and its
+    randomness is drawn in fixed chunks (normals then uniforms per chunk),
+    so a batch of size one reproduces any replica of a larger batch bit for
+    bit.
+    """
+    a, b, acc = _mcmc_chains(V, beta, n, seed, replicas)
     return [
-        SpectrumSample(eigenvalues=lam[j], n=n, replica=int(r),
-                       acceptance_rate=float(acc[j]))
+        SpectrumSample(eigenvalues=tridiag_eigenvalues(a[j], b[j]), n=n,
+                       replica=int(r), acceptance_rate=float(acc[j]))
         for j, r in enumerate(replicas)
     ]
+
+
+def mcmc_edge_summaries(V: Potential, beta: float, n: int, seed: int,
+                        replicas, degree: int, *,
+                        window_h: float) -> list[EdgeSummary]:
+    """EdgeSummary of each spectrum sample_mcmc_batch would return, read off
+    the chain's final Jacobi matrix as gaussian_edge_summary does."""
+    a, b, _ = _mcmc_chains(V, beta, n, seed, replicas)
+    return [_edge_summary(a[j], b[j], 1.0, degree, window_h)
+            for j in range(len(a))]

@@ -386,13 +386,14 @@ def pairwise_fw_reference(G: np.ndarray, lin: np.ndarray, w0: np.ndarray,
 
 def metropolis_chain_reference(V: Potential, beta: float, n: int, seed: int,
                                replicas) -> tuple:
-    """The log-gas Metropolis chain of sampler.sample_mcmc_batch, written
-    site by site: sorted eigenvalues (R, n) and acceptance rates (R,).
+    """A Metropolis chain on the eigenvalues of the log-gas, one site at a
+    time: sorted eigenvalues (R, n) and acceptance rates (R,).
 
-    Same law and the same draws: a Philox stream keyed by (seed, replica),
-    uniform(-3, 3) starts, normals then uniforms in chunks of 64 sweeps,
-    20 n adaptive burn-in sweeps toward acceptance 0.35 from step 0.5,
-    then acceptance measured over 10 n sweeps.
+    The same law as sampler.sample_mcmc_batch by a different route: that
+    chain moves the entries of a Jacobi matrix.  A Philox stream keyed by
+    (seed, replica), uniform(-3, 3) starts, normals then uniforms in chunks
+    of 64 sweeps, 20 n adaptive burn-in sweeps toward acceptance 0.35 from
+    step 0.5, then acceptance measured over 10 n sweeps: O(n^3) in all.
     """
     chunk, target = 64, 0.35
     rngs = [np.random.Generator(np.random.Philox(

@@ -15,6 +15,7 @@ from betalab import dos, rates
 from betalab.cli import main
 from betalab.dos import draw_spectra
 from betalab.equilibrium import equilibrium_cached
+from betalab.measures import AtomicMeasure, wasserstein
 from betalab.potential import Potential
 
 
@@ -80,6 +81,20 @@ def test_sample_command_matches_draw_spectra(tmp_path, method, potential, n):
         assert np.array_equal(rows[rows[:, 0] == s.replica, 1], s.eigenvalues)
     assert summary["results"]["acceptance_rate"] == \
         [s.acceptance_rate for s in want]
+
+
+def test_sample_mcmc_quartic_at_n_400(tmp_path, eq_quartic):
+    # a fixed number of sweeps of O(N deg) batches each: seconds at N = 400,
+    # where a chain of O(N) sweeps of O(N^2) work would take hours
+    code, summary = run(tmp_path, "sample", "--method", "mcmc", "--potential",
+                        "0,0,0,0,1", "--n", "400", "--replicas", "2")
+    assert code == 0
+    assert all(0.2 <= a <= 0.6 for a in summary["results"]["acceptance_rate"])
+    eig = np.loadtxt(tmp_path / "out" / "samples.csv", delimiter=",",
+                     skiprows=1, usecols=1)
+    # 0.0015-0.0023 on seeds 0-4
+    assert wasserstein(AtomicMeasure.from_points(eig),
+                       eq_quartic.density) <= 0.01
 
 
 def test_sample_command_reports_lambda_max(tmp_path):

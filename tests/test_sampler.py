@@ -8,9 +8,9 @@ from betalab.equilibrium import equilibrium_cached
 from betalab.measures import AtomicMeasure, GridMeasure, wasserstein
 from betalab.potential import Potential
 from betalab.sampler import (
-    EdgeSummary, SpectrumSample, gaussian_edge_summary, rng_for,
-    sample_gaussian, sample_mcmc_batch, tridiag_eigenvalues,
-    tridiag_power_sums,
+    SpectrumSample, _colour_classes, _edge_summary, _mcmc_chains,
+    _potential_diagonal, gaussian_edge_summary, rng_for, sample_gaussian,
+    sample_mcmc_batch, tridiag_eigenvalues, tridiag_power_sums,
 )
 from oracles import metropolis_chain_reference
 
@@ -162,13 +162,17 @@ def test_gaussian_in_window_matches_full_spectrum(eigensolve_calls, n):
     assert paths == {1, 2}
 
 
-def test_from_eigenvalues_in_window_matches_spectrum(quartic):
-    for s in sample_mcmc_batch(quartic, 2.0, 12, 5, range(3)):
-        lam = s.eigenvalues
-        for h in _windows(lam) + [abs(lam[0]), abs(lam[-1])]:
-            summary = EdgeSummary.from_eigenvalues(lam, 2, h)
+def test_edge_summary_of_chain_matrix_matches_spectrum(quartic):
+    a, b, _ = _mcmc_chains(quartic, 2.0, 12, 5, range(3))
+    for d, e in zip(a, b):
+        lam = tridiag_eigenvalues(d, e)
+        for h in _windows(lam):
+            summary = _edge_summary(d, e, 1.0, 4, h)
             assert summary.in_window == bool(np.max(np.abs(lam)) <= h)
-            assert summary.lambda_max == lam[-1]
+            assert abs(summary.lambda_max - lam[-1]) <= 1e-14 * abs(lam[-1])
+            assert np.allclose(summary.power_sums,
+                               [np.sum(lam ** j) for j in range(5)],
+                               rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +227,90 @@ def test_mcmc_batch_matches_sequential(quartic):
     assert one.acceptance_rate == bat[1].acceptance_rate
 
 
-@pytest.mark.parametrize("coeffs, n, replicas", [
-    ((0, 0, 0, 0, 1), 40, [2]),
-    ((0, 0, 0, 0, 1), 40, [0, 2, 7]),
-    ((0, 0, 0.5), 12, [0, 1]),
-    ((0, 0.3, 0.5, 0.1, 0.2), 20, [0, 1, 2]),
-], ids=["quartic-one", "quartic-three", "gaussian", "asymmetric"])
-def test_mcmc_kernel_matches_reference_chain(coeffs, n, replicas):
-    V = Potential(coeffs)
-    lam, acc = metropolis_chain_reference(V, 2.0, n, 5, replicas)
-    got = sample_mcmc_batch(V, 2.0, n, 5, replicas)
-    assert [s.replica for s in got] == replicas
-    assert np.array_equal(np.stack([s.eigenvalues for s in got]), lam)
-    assert [s.acceptance_rate for s in got] == list(acc)
+@pytest.mark.parametrize("coeffs", [(0, 0, 0, 0, 1), (0, 0.3, 0.5, 0.1, 0.2)],
+                         ids=["quartic", "asymmetric"])
+def test_mcmc_matches_eigenvalue_chain(coeffs):
+    # the oracle is a Metropolis chain on the eigenvalues themselves, one
+    # site at a time: the same law by a different route
+    V, n, replicas = Potential(coeffs), 50, 32
+    lam, _ = metropolis_chain_reference(V, 2.0, n, 1, range(replicas))
+    got = np.stack([s.eigenvalues
+                    for s in sample_mcmc_batch(V, 2.0, n, 2, range(replicas))])
+    assert wasserstein(esd(lam.ravel()), esd(got.ravel())) <= 0.015
+    top, ref = got[:, -1], lam[:, -1]
+    se = math.sqrt((np.var(top, ddof=1) + np.var(ref, ddof=1)) / replicas)
+    assert abs(np.mean(top) - np.mean(ref)) <= 3.0 * se
+
+
+def _two_point_moments(V, beta):
+    """E[lambda_max] and E[lambda^2] (over both eigenvalues) of the N = 2
+    law |l1 - l2|^beta exp(-beta (V(l1) + V(l2))), by a 2-D trapezoid rule
+    on [-4, 4]^2, where the weight is below e^-30 outside."""
+    x = np.linspace(-4.0, 4.0, 1601)
+    l1, l2 = np.meshgrid(x, x, indexing="ij")
+    w = np.abs(l1 - l2) ** beta * np.exp(-beta * (V(l1) + V(l2)))
+    mass = np.sum(w)
+    return (np.sum(w * np.maximum(l1, l2)) / mass,
+            np.sum(w * 0.5 * (l1 * l1 + l2 * l2)) / mass)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("coeffs", [(0, 0, 0, 0, 1), (0, 0.3, 0.5, 0.1, 0.2)],
+                         ids=["quartic", "asymmetric"])
+def test_mcmc_two_point_law_is_exact(coeffs, beta):
+    # at N = 2 the chain moves a_1, a_2 and b_1, whose weight b^(beta - 1)
+    # and the factor N beta / 2 = beta in front of tr V(T) set both moments
+    V, replicas = Potential(coeffs), 2000
+    lam = np.stack([s.eigenvalues for s in
+                    sample_mcmc_batch(V, beta, 2, 3, range(replicas))])
+    top, square = lam[:, 1], np.mean(lam * lam, axis=1)
+    want_top, want_square = _two_point_moments(V, beta)
+    for got, want in ((top, want_top), (square, want_square)):
+        se = np.std(got, ddof=1) / math.sqrt(replicas)
+        assert abs(np.mean(got) - want) <= 3.0 * se
+
+
+@pytest.mark.parametrize("coeffs", [(0, 0, 0.5), (0, 0.3, 0.5, 0.1, 0.2),
+                                    (1, 0, 0, 0, 0, 0, 1)],
+                         ids=["gaussian", "asymmetric", "sextic"])
+def test_colour_class_deltas_are_single_site_changes(rng, coeffs):
+    V, n = Potential(coeffs), 13
+    a = rng.normal(0.0, 1.0, n)
+    b = rng.uniform(0.3, 1.5, n - 1)
+
+    def trace_v(d, e):
+        return tridiag_power_sums(d, e, V.degree) @ V.coeffs
+
+    def with_entries(is_off, entries):
+        return (a, entries) if is_off else (entries, b)
+
+    base = _potential_diagonal(V.coeffs, a, b)
+    tol = 1e-12 * np.sum(np.abs(base))
+    seen = {False: [], True: []}
+    for is_off, sites, starts, owner in _colour_classes(n, V.degree):
+        entries = b if is_off else a
+        idx = np.arange(entries.size)[sites]
+        seen[is_off] += list(idx)
+        moved = entries.copy()
+        moved[idx] *= rng.uniform(0.5, 1.5, idx.size)
+        new = _potential_diagonal(V.coeffs, *with_entries(is_off, moved))
+        delta = np.add.reduceat(new - base, starts)
+        for k, i in enumerate(idx):
+            alone = entries.copy()
+            alone[i] = moved[i]
+            want = trace_v(*with_entries(is_off, alone)) - trace_v(a, b)
+            assert abs(delta[k] - want) <= tol
+        # taking the moved rows of the sites that accept gives diag V(T) of
+        # the state where those sites alone moved
+        ok = rng.random(idx.size) < 0.5
+        kept = entries.copy()
+        kept[idx[ok]] = moved[idx[ok]]
+        merged = base.copy()
+        np.copyto(merged, new, where=ok[owner])
+        assert np.array_equal(
+            merged, _potential_diagonal(V.coeffs, *with_entries(is_off, kept)))
+    assert sorted(seen[False]) == list(range(n))
+    assert sorted(seen[True]) == list(range(n - 1))
 
 
 def test_mcmc_quartic_reaches_equilibrium_profile(quartic, eq_quartic):
