@@ -12,7 +12,7 @@ from betalab.sampler import (
     _potential_diagonal, gaussian_edge_summary, rng_for, sample_gaussian,
     sample_mcmc_batch, tridiag_eigenvalues, tridiag_power_sums,
 )
-from oracles import metropolis_chain_reference
+from oracles import jacobi_chain_reference, metropolis_chain_reference
 
 
 def esd(sample_or_values):
@@ -225,6 +225,26 @@ def test_mcmc_batch_matches_sequential(quartic):
     assert one.replica == bat[1].replica == 2
     assert np.array_equal(one.eigenvalues, bat[1].eigenvalues)
     assert one.acceptance_rate == bat[1].acceptance_rate
+
+
+@pytest.mark.parametrize("coeffs, n, replicas", [
+    ((0, 0, 0, 0, 1), 40, [2]),
+    ((0, 0, 0, 0, 1), 40, [0, 2, 7]),
+    ((0, 0, 0.5), 12, [0, 1]),
+    ((0, 0.3, 0.5, 0.1, 0.2), 20, [0, 1, 2]),
+], ids=["quartic-one", "quartic-three", "gaussian", "asymmetric"])
+def test_mcmc_kernel_matches_reference_chain(coeffs, n, replicas):
+    # the colour-class sweep, batched over sites and replicas, against the
+    # same chain moved one site and one replica at a time
+    V = Potential(coeffs)
+    a, b, lam, acc = jacobi_chain_reference(V, 2.0, n, 5, replicas)
+    got_a, got_b, got_acc = _mcmc_chains(V, 2.0, n, 5, replicas)
+    assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+    got = sample_mcmc_batch(V, 2.0, n, 5, replicas)
+    assert [s.replica for s in got] == replicas
+    assert [s.acceptance_rate for s in got] == list(acc) == list(got_acc)
+    assert np.allclose(np.stack([s.eigenvalues for s in got]), lam,
+                       rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("coeffs", [(0, 0, 0, 0, 1), (0, 0.3, 0.5, 0.1, 0.2)],
