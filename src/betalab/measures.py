@@ -9,14 +9,14 @@ Two concrete representations are used everywhere in the lab:
   (equilibrium densities, variational iterates).
 
 On top of these the module provides moments and variances, the pushforward
-x -> c - x, Wasserstein distances of any order p >= 1 through quantile
-coupling, quantile discretization, and the logarithmic energy
-Sigma(mu) = double integral of ln|x-y|, in a regularized form for atoms
-and a singularity-aware quadrature for grid densities.
+x -> c - x, exact Wasserstein distances through quantile coupling (any
+order p >= 1 between two atomic measures; W1 in closed form between an
+atomic and a grid measure), quantile discretization, and the logarithmic
+energy Sigma(mu) = double integral of ln|x-y|, in a regularized form for
+atoms and a singularity-aware quadrature for grid densities.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,12 +38,7 @@ __all__ = [
     "log_potential_grid",
     "save_measure",
     "load_measure",
-    "measure_to_json_obj",
 ]
-
-#: number of quantile nodes when a Wasserstein integrand cannot be
-#: resolved exactly (a grid measure is involved)
-QUANTILE_POINTS = 1 << 17
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -122,13 +117,6 @@ class AtomicMeasure:
         idx = np.clip(idx, 0, self.size - 1)
         return self.atoms[idx]
 
-    def _midpoint_quantiles(self) -> np.ndarray:
-        """quantile(_midpoints()) by repeating atom i over the midpoints in
-        (F(atom_{i-1}), F(atom_i)]: the N jumps are searched among the
-        sorted midpoints, not the midpoints among the jumps."""
-        pos = np.searchsorted(_midpoints(), self.cdf_jumps(), side="right")
-        return np.repeat(self.atoms, np.diff(pos, prepend=0))
-
     def integrate(self, f) -> float:
         """Integral of a callable against the measure."""
         return float(np.dot(self.weights, f(self.atoms)))
@@ -147,8 +135,6 @@ class GridMeasure:
     hi: float
     values: np.ndarray
     _cdf: np.ndarray = field(
-        default=None, init=False, repr=False, compare=False)
-    _mid_quantiles: np.ndarray = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -192,45 +178,39 @@ class GridMeasure:
 
     def quantile(self, u) -> np.ndarray:
         """Infimum quantile F^{-1}(u), exact per-cell inversion of the
-        piecewise-quadratic CDF.
-
-        Evaluated in blocks of u, so the temporaries stay block-sized; the
-        arithmetic is elementwise, so the values do not depend on it.
-        """
+        piecewise-quadratic CDF, vectorized."""
         u = np.asarray(u, dtype=float)
-        flat = u.ravel()
         cdf = self._cdf
-        block = 8192
-        # the blocks are joined at the end, not written into an output
-        # allocated up front: with that layout every later wasserstein
-        # against the 2^17 midpoint quantiles page-faulted its temporaries
-        # afresh (about 480 minor faults and 1.3 ms more per call, glibc
-        # malloc); the empty part makes an empty u give an empty result
-        parts = [np.empty(0)]
-        for start in range(0, flat.size, block):
-            ub = flat[start:start + block]
-            idx = np.searchsorted(cdf, ub, side="left")
-            idx = np.clip(idx, 1, self.n)
-            i0 = idx - 1
-            dq = np.maximum(ub - cdf[i0], 0.0)
-            v0 = self.values[i0]
-            slope = (self.values[idx] - v0) / self.h
-            # mass within the cell: v0*t + slope*t^2/2 = dq, stable root
-            disc = np.sqrt(np.maximum(v0 * v0 + 2.0 * slope * dq, 0.0))
-            denom = v0 + disc
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(denom > 0.0, 2.0 * dq / denom, 0.0)
-            t = np.clip(t, 0.0, self.h)
-            parts.append(self.lo + self.h * i0 + t)
-        return np.concatenate(parts).reshape(u.shape)
+        idx = np.searchsorted(cdf, u, side="left")
+        idx = np.clip(idx, 1, self.n)
+        i0 = idx - 1
+        dq = np.maximum(u - cdf[i0], 0.0)
+        v0 = self.values[i0]
+        slope = (self.values[idx] - v0) / self.h
+        # mass within the cell: v0*t + slope*t^2/2 = dq, stable root
+        disc = np.sqrt(np.maximum(v0 * v0 + 2.0 * slope * dq, 0.0))
+        denom = v0 + disc
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(denom > 0.0, 2.0 * dq / denom, 0.0)
+        t = np.clip(t, 0.0, self.h)
+        return self.lo + self.h * i0 + t
 
-    def _midpoint_quantiles(self) -> np.ndarray:
-        """quantile() at the QUANTILE_POINTS midpoints that wasserstein
-        integrates over, computed on the first call and kept."""
-        if self._mid_quantiles is None:
-            object.__setattr__(self, "_mid_quantiles",
-                               _readonly(self.quantile(_midpoints())))
-        return self._mid_quantiles
+    def _cdf_and_first_moment(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """F(x) = nu((-inf, x]) and G(x) = int_{t <= x} t dnu(t), exact for
+        the piecewise-linear density (G is cubic on each cell)."""
+        x = np.asarray(x, dtype=float)
+        h, vals, cdf = self.h, self.values, self._cdf
+        cell_g = (self.nodes[:-1] * (0.5 * h) * (vals[:-1] + vals[1:])
+                  + h * h * (vals[:-1] / 6.0 + vals[1:] / 3.0))
+        g_nodes = np.concatenate([[0.0], np.cumsum(cell_g)])
+        i0 = np.clip(np.floor((x - self.lo) / h), 0, self.n - 1).astype(int)
+        x0 = self.lo + h * i0
+        t = np.clip(x - x0, 0.0, h)
+        v0 = vals[i0]
+        slope = (vals[i0 + 1] - v0) / h
+        mass = t * (v0 + 0.5 * slope * t)
+        first = x0 * mass + t * t * (0.5 * v0 + slope * t / 3.0)
+        return cdf[i0] + mass, g_nodes[i0] + first
 
     def integrate(self, f) -> float:
         """Trapezoid integral of a callable against the density."""
@@ -273,11 +253,12 @@ def variance(mu: Measure) -> float:
 # ---------------------------------------------------------------------------
 
 def wasserstein(mu: Measure, nu: Measure, p=1.0) -> float:
-    """d_Wp(mu, nu) = (int_0^1 |F_mu^{-1} - F_nu^{-1}|^p du)^{1/p}.
+    """d_Wp(mu, nu) = (int_0^1 |F_mu^{-1} - F_nu^{-1}|^p du)^{1/p}, exactly.
 
-    Atomic pairs are evaluated exactly on the common refinement of the two
-    quantile staircases; as soon as a grid measure is involved the integral
-    is done by midpoint quadrature at QUANTILE_POINTS nodes.
+    Two routes.  Two atomic measures, any p >= 1: the quantile staircases
+    are compared on their common refinement.  An atomic and a grid
+    measure, in either order, p = 1 only: see :func:`_w1_atomic_grid`.
+    Any other pairing raises.
     """
     q = float(p)
     if not (q >= 1.0):
@@ -293,13 +274,35 @@ def wasserstein(mu: Measure, nu: Measure, p=1.0) -> float:
         mids = 0.5 * (edges[1:] + edges[:-1])
         diffs = np.abs(mu.quantile(mids) - nu.quantile(mids))
         return float(np.dot(du, diffs ** q) ** (1.0 / q))
-    qmu, qnu = mu._midpoint_quantiles(), nu._midpoint_quantiles()
-    return float(np.mean(np.abs(qmu - qnu) ** q) ** (1.0 / q))
+    if isinstance(mu, GridMeasure):
+        mu, nu = nu, mu
+    if not isinstance(mu, AtomicMeasure):
+        raise TypeError("wasserstein needs at least one atomic measure")
+    if q != 1.0:
+        raise ValueError(f"against a grid measure only W1 is exact, got p={q}")
+    return _w1_atomic_grid(mu, nu)
 
 
-@functools.cache
-def _midpoints() -> np.ndarray:
-    return _readonly((np.arange(QUANTILE_POINTS) + 0.5) / QUANTILE_POINTS)
+def _w1_atomic_grid(mu: AtomicMeasure, nu: GridMeasure) -> float:
+    """W1 of atoms a_j against a grid density, in closed form.
+
+    On the quantile step (F_{j-1}, F_j] of a_j the integrand |a_j - Q_nu(u)|
+    changes sign at s_j = F_nu(a_j), clipped to the step.  With
+    P(u) = int_0^u Q_nu = G(Q_nu(u)), G the partial first moment of nu,
+    the step contributes a_j (2 s_j - F_{j-1} - F_j) + P(F_{j-1}) + P(F_j)
+    - 2 P(s_j), and P(s_j) = G(a_j) when F_nu(a_j) lies in the step (G is
+    flat where nu has no mass, so an atom in a gap is exact too).
+    """
+    jumps = np.concatenate([[0.0], mu.cdf_jumps()])
+    _, p_jumps = nu._cdf_and_first_moment(nu.quantile(jumps))
+    f_atoms, g_atoms = nu._cdf_and_first_moment(mu.atoms)
+    lo, hi = jumps[:-1], jumps[1:]
+    s = np.clip(f_atoms, lo, hi)
+    p_s = np.where(f_atoms < lo, p_jumps[:-1],
+                   np.where(f_atoms > hi, p_jumps[1:], g_atoms))
+    steps = (mu.atoms * (2.0 * s - lo - hi)
+             + p_jumps[:-1] + p_jumps[1:] - 2.0 * p_s)
+    return float(np.sum(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +504,6 @@ def log_potential_grid(mu: GridMeasure, xs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def measure_to_json_obj(mu: Measure) -> dict:
-    if isinstance(mu, AtomicMeasure):
-        return {"kind": "atomic",
-                "support": [float(a) for a in mu.atoms],
-                "values": [float(w) for w in mu.weights]}
-    return {"kind": "grid",
-            "support": [mu.lo, mu.hi],
-            "values": [float(v) for v in mu.values]}
-
 
 def save_measure(mu: Measure, path: str) -> None:
     """Write a measure to a `.csv` file, atomically."""

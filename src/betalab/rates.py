@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import EquilibriumResult, constrained_equilibrium
-from .measures import AtomicMeasure, GridMeasure, Measure, log_energy_grid, \
-    log_energy_reg, measure_to_json_obj
+from .measures import AtomicMeasure, Measure, log_energy_grid, log_energy_reg
 from .potential import Potential, g_value, kappa
 
 __all__ = [
@@ -189,10 +188,15 @@ def rate_calJ_delta(eq: EquilibriumResult, V: Potential, c: float,
 
 def rate_report(functional: str, evaluation: RateEvaluation,
                 V: Potential, inputs: dict) -> dict:
-    """JSON-ready record of one evaluation with a content hash of its inputs."""
+    """JSON-ready record of one evaluation with a content hash of its inputs.
+
+    The hash covers the inputs as given, which must be plain JSON values: a
+    measure is named by its spec (``nu_V``, ``mu_V`` or a CSV path), so a
+    file measure is hashed by its path, not by its contents.
+    """
     blob = json.dumps(
         {"functional": functional, "coeffs": list(V.key()), **inputs},
-        sort_keys=True, default=_jsonify)
+        sort_keys=True)
     return {
         "functional": functional,
         "inputs_hash": hashlib.sha256(blob.encode()).hexdigest()[:16],
@@ -206,13 +210,3 @@ def rate_report(functional: str, evaluation: RateEvaluation,
         "M": "exact-grid" if evaluation.regularization is None
              else evaluation.regularization,
     }
-
-
-def _jsonify(obj):
-    if isinstance(obj, (AtomicMeasure, GridMeasure)):
-        return measure_to_json_obj(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")

@@ -14,12 +14,12 @@ from betalab.equilibrium import (
 )
 from betalab.measures import (
     AtomicMeasure, GridMeasure, log_energy_grid, log_energy_reg,
-    log_kernel_mass_form, log_potential_grid, wasserstein,
+    log_kernel_mass_form, log_potential_grid,
 )
 from betalab.potential import Potential
 from oracles import (
     constrained_value_continuum, direct_energy_min, hard_edge_equilibrium,
-    pairwise_fw_reference,
+    pairwise_fw_reference, wasserstein_quadrature_reference,
 )
 
 QUARTIC_B = 1.0745699318235422          # (4/3)^(1/4)
@@ -63,7 +63,7 @@ def test_quartic_gold_values(eq_quartic):
 
 def test_quartic_endpoints_match_direct_grid_minimizer(quartic, eq_quartic):
     mopt = direct_energy_min(quartic, -1.3, 1.3, n=512)
-    assert wasserstein(mopt, eq_quartic.density) <= 2e-3
+    assert wasserstein_quadrature_reference(mopt, eq_quartic.density) <= 2e-3
 
 
 def test_energy_identity_at_minimizer(gauss, quartic):
@@ -172,7 +172,8 @@ def test_constrained_inactive_beyond_edge(gauss, eq_gauss):
         assert isinstance(res, ConstrainedEquilibriumResult)
         assert res.value == 0.0
         assert res.converged and res.gap <= 1e-8
-        assert wasserstein(res.minimizer, eq_gauss.density) <= 2e-3
+        w1 = wasserstein_quadrature_reference(res.minimizer, eq_gauss.density)
+        assert w1 <= 2e-3
 
 
 def test_constrained_strictly_positive_below_edge(gauss):

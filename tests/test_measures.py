@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from betalab.dos import dos_measure
+from betalab.equilibrium import nu_limit
 from betalab.measures import (
-    QUANTILE_POINTS, AtomicMeasure, GridMeasure,
+    AtomicMeasure, GridMeasure,
     load_measure, log_energy_grid, log_energy_reg, log_kernel_mass_form,
     moment, quantile_discretize, reflect_shift, save_measure, variance,
     wasserstein,
 )
 from betalab.potential import Potential
-from betalab.sampler import SpectrumSample
+from betalab.sampler import SpectrumSample, sample_gaussian
 from oracles import (
     log_energy_grid_reference, log_kernel_mass_form_reference,
-    semicircle_grid, uniform_grid,
+    semicircle_grid, uniform_grid, wasserstein_quadrature_reference,
 )
 
 
@@ -42,7 +44,6 @@ def test_atomic_merges_duplicates_and_sorts():
     lambda: Potential([0.0, 0.0, 0.5], _d2=np.zeros(1)),
     lambda: SpectrumSample(eigenvalues=np.array([0.0, 1.0]), n=2,
                            tie_breaks=3),
-    lambda: GridMeasure(0.0, 1.0, np.ones(3), _mid_quantiles=np.zeros(3)),
 ])
 def test_derived_fields_are_not_constructor_parameters(build):
     # __post_init__ computes these; a passed value would be thrown away
@@ -183,37 +184,52 @@ def test_order_monotonicity_w1_below_wq(rng):
             assert d1 <= wasserstein(a, b, q) + 1e-12
 
 
-def test_wasserstein_grid_quantiles_computed_once(rng, monkeypatch):
-    mu = random_atomic(rng)
+def test_w1_against_uniform_gold_values():
+    # int_0^1 |a - u| du: a^2 - a + 1/2 on [0, 1], |a - 1/2| outside
+    unif = uniform_grid(0.0, 1.0, 64)
+    for a in np.linspace(-1.5, 2.5, 33):
+        expect = a * a - a + 0.5 if 0.0 <= a <= 1.0 else abs(a - 0.5)
+        got = wasserstein(AtomicMeasure([a], [1.0]), unif)
+        assert abs(got - expect) <= 1e-15
+    halves = AtomicMeasure([0.0, 1.0], [0.5, 0.5])
+    assert abs(wasserstein(halves, unif) - 0.25) <= 1e-15
+
+
+def test_w1_atoms_outside_support_and_in_gap_match_quadrature():
+    vals = np.ones(41)
+    vals[15:26] = 0.0                      # no mass on [0.5, 1.5]
+    nu = GridMeasure(-1.0, 3.0, vals)
+    # atoms below, inside the gap, on its edge and above the support; the
+    # dyadic weights put every jump of F_mu on a boundary of the
+    # quadrature's cells, where the midpoint rule has no step error
+    mu = AtomicMeasure([-2.0, 0.9, 1.5, 1.8, 4.5],
+                       [0.125, 0.25, 0.25, 0.25, 0.125])
+    ref = wasserstein_quadrature_reference(mu, nu, points=1 << 22)
+    assert abs(wasserstein(mu, nu) - ref) <= 1e-7
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_w1_gaussian_spectrum_matches_quadrature(eq_gauss, n):
+    mu = dos_measure(sample_gaussian(n, 2.0, 3))
+    nu = nu_limit(eq_gauss)
+    ref = wasserstein_quadrature_reference(mu, nu, points=1 << 22)
+    assert abs(wasserstein(mu, nu) - ref) <= 1e-7
+
+
+def test_w1_atomic_grid_is_symmetric(rng):
     nu = semicircle_grid()
-    quantile = GridMeasure.quantile
-    u = (np.arange(QUANTILE_POINTS) + 0.5) / QUANTILE_POINTS
-    expect = {q: float(np.mean(np.abs(mu.quantile(u) - quantile(nu, u)) ** q)
-                       ** (1.0 / q)) for q in (1.0, 2.0)}
-    calls = []
-    monkeypatch.setattr(GridMeasure, "quantile",
-                        lambda self, v: calls.append(self) or quantile(self, v))
-    for _ in range(2):
-        for q in (1.0, 2.0):
-            assert wasserstein(mu, nu, q) == expect[q]
-    assert [c is nu for c in calls] == [True]
+    for _ in range(5):
+        mu = random_atomic(rng, 50)
+        assert wasserstein(nu, mu) == wasserstein(mu, nu)
 
 
-def test_atomic_midpoint_quantiles_match_quantile(rng):
-    u = (np.arange(QUANTILE_POINTS) + 0.5) / QUANTILE_POINTS
-    pts = rng.normal(0.0, 1.0, 400)
-    measures = [
-        AtomicMeasure.from_points(pts),                        # equal weights
-        random_atomic(rng, 300),                               # unequal
-        AtomicMeasure.from_points(np.round(pts, 1)),           # merged ties
-        AtomicMeasure.from_points([0.25]),                     # one atom
-        AtomicMeasure([0.0, 1.0], [0.5 + u[0], 0.5 - u[0]]),
-    ]
-    # the last one's CDF jump lands exactly on a midpoint
-    assert measures[-1].cdf_jumps()[0] in u
-    assert measures[0].equal_weight and not measures[2].equal_weight
-    for mu in measures:
-        assert np.array_equal(mu._midpoint_quantiles(), mu.quantile(u))
+def test_wasserstein_refuses_pairs_without_exact_route(rng):
+    nu = semicircle_grid()
+    with pytest.raises(TypeError):
+        wasserstein(nu, uniform_grid(-1.0, 1.0))
+    for pair in ((random_atomic(rng), nu), (nu, random_atomic(rng))):
+        with pytest.raises(ValueError):
+            wasserstein(*pair, 2.0)
 
 
 # ---------------------------------------------------------------------------

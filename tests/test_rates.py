@@ -297,9 +297,9 @@ def test_calj_delta_monotone(eq_gauss, gauss):
 def test_rate_report_structure_and_stable_hash(eq_gauss, gauss):
     nu = UNIF01(257)
     ev = rate_calI(eq_gauss, gauss, 1.5, nu)
-    rep = rate_report("calI", ev, gauss, {"c": 1.5, "measure": nu})
-    again = rate_report("calI", ev, gauss, {"c": 1.5, "measure": nu})
-    other = rate_report("calI", ev, gauss, {"c": 1.6, "measure": nu})
+    rep = rate_report("calI", ev, gauss, {"c": 1.5, "measure": "nu_V"})
+    again = rate_report("calI", ev, gauss, {"c": 1.5, "measure": "nu_V"})
+    other = rate_report("calI", ev, gauss, {"c": 1.6, "measure": "nu_V"})
     assert rep == again
     assert rep["inputs_hash"] != other["inputs_hash"]
     assert set(rep) == {"functional", "inputs_hash", "terms", "value", "M"}
