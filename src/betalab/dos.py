@@ -22,8 +22,7 @@ from .equilibrium import EquilibriumResult, _cheb_project, \
 from .measures import AtomicMeasure, wasserstein
 from .potential import GAUSSIAN_KEY, Potential
 from .sampler import (
-    EdgeSummary, SpectrumSample, gaussian_edge_summary, mcmc_edge_summaries,
-    sample_gaussian, sample_mcmc_batch,
+    EdgeSummary, SpectrumSample, sample_gaussian, sample_mcmc_batch,
 )
 
 __all__ = [
@@ -355,11 +354,14 @@ def _map_replicas(draw, sizes, replicas: int, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _spectra_chunk(V: Potential, beta: float, seed: int, method: str,
-                   n: int, chunk: range) -> list[SpectrumSample]:
+def _draw_chunk(V: Potential, beta: float, seed: int, method: str, reduce,
+                n: int, chunk: range) -> list:
+    """reduce(sample) for each replica of chunk, in replica order.  A
+    Gaussian replica is reduced as soon as it is drawn, so no chunk's
+    matrices are held at once; an MCMC chunk is one batch of chains."""
     if method == "mcmc":
-        return sample_mcmc_batch(V, beta, n, seed, chunk)
-    return [sample_gaussian(n, beta, seed, replica=r) for r in chunk]
+        return [reduce(s) for s in sample_mcmc_batch(V, beta, n, seed, chunk)]
+    return [reduce(sample_gaussian(n, beta, seed, replica=r)) for r in chunk]
 
 
 def draw_spectra(V: Potential, beta: float, n: int, seed: int,
@@ -370,24 +372,8 @@ def draw_spectra(V: Potential, beta: float, n: int, seed: int,
     which draw chunks of replicas in several processes, see the same
     spectra."""
     _check_method(V, method)
-    return _spectra_chunk(V, beta, seed, method, n, range(replicas))
-
-
-def _w1_chunk(V: Potential, beta: float, seed: int, method: str, nu_v,
-              n: int, chunk: range) -> list[float]:
-    return [wasserstein(dos_measure(sample), nu_v)
-            for sample in _spectra_chunk(V, beta, seed, method, n, chunk)]
-
-
-def _summary_chunk(V: Potential, beta: float, seed: int, method: str,
-                   degree: int, window_h: float, n: int,
-                   chunk: range) -> list[EdgeSummary]:
-    if method == "mcmc":
-        return mcmc_edge_summaries(V, beta, n, seed, chunk, degree,
-                                   window_h=window_h)
-    return [gaussian_edge_summary(n, beta, seed, replica=r, degree=degree,
-                                  window_h=window_h)
-            for r in chunk]
+    return _draw_chunk(V, beta, seed, method, lambda s: s, n,
+                       range(replicas))
 
 
 def fluctuation_ensemble(V: Potential, beta: float, f: TestFunction, sizes,
@@ -404,9 +390,9 @@ def fluctuation_ensemble(V: Potential, beta: float, f: TestFunction, sizes,
     chain.  A replica so costs O(N deg^2) plus the bisection of lambda_max
     instead of an O(N^2) solve (lambda_min is bisected too only when the
     Gershgorin bound cannot place the spectrum inside the window, see
-    sampler._edge_summary).  Up to
-    `workers` processes draw the summaries (see _map_replicas); the result
-    is the same for every `workers`.
+    SpectrumSample.edge_summary).  Up to `workers` processes draw the
+    summaries (see _map_replicas); the result is the same for every
+    `workers`.
     """
     _check_method(V, method)
     eq = equilibrium_cached(V)
@@ -417,8 +403,8 @@ def fluctuation_ensemble(V: Potential, beta: float, f: TestFunction, sizes,
     bound_m = remainder_bound_constant(f)
 
     sizes = [int(n) for n in sizes]
-    draw = partial(_summary_chunk, V, beta, seed, method, f.degree,
-                   f.window_h)
+    draw = partial(_draw_chunk, V, beta, seed, method,
+                   lambda s: s.edge_summary(f.degree, f.window_h))
     per_n = {}
     stats_by_n = {}
     for n, summaries in zip(sizes,
@@ -475,7 +461,9 @@ def dos_convergence(V: Potential, beta: float, sizes, replicas: int,
     """
     _check_method(V, method)
     eq = equilibrium_cached(V)
-    draw = partial(_w1_chunk, V, beta, seed, method, nu_limit(eq))
+    nu_v = nu_limit(eq)
+    draw = partial(_draw_chunk, V, beta, seed, method,
+                   lambda s: wasserstein(dos_measure(s), nu_v))
     sizes = [int(n) for n in sizes]
     out = {}
     for n, w1 in zip(sizes, _map_replicas(draw, sizes, replicas, workers)):

@@ -261,8 +261,9 @@ def wasserstein(mu: Measure, nu: Measure, p=1.0) -> float:
     Any other pairing raises.
     """
     q = float(p)
-    if not (q >= 1.0):
-        raise ValueError(f"Wasserstein order must be >= 1, got {q}")
+    if not (math.isfinite(q) and q >= 1.0):
+        raise ValueError(f"Wasserstein order must be finite and >= 1, "
+                         f"got {q}")
     if isinstance(mu, AtomicMeasure) and isinstance(nu, AtomicMeasure):
         if (mu.equal_weight and nu.equal_weight and mu.size == nu.size):
             # sorted matching of equal atom counts

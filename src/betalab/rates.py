@@ -20,7 +20,7 @@ import numpy as np
 
 from .equilibrium import EquilibriumResult, constrained_equilibrium
 from .measures import AtomicMeasure, Measure, log_energy_grid, log_energy_reg
-from .potential import Potential, g_value, kappa
+from .potential import Potential, kappa
 
 __all__ = [
     "RateEvaluation", "rate_IV", "rate_calI", "rate_IDOS", "rate_calJ",
@@ -101,10 +101,9 @@ def rate_calI(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
 
 def rate_IDOS(eq: EquilibriumResult, V: Potential, nu: Measure,
               m: float | None = None) -> RateEvaluation:
-    """I_V^DOS(nu) = inf_c calI_V(c, nu) = -Sigma(nu) + G_V(nu) - c_V."""
-    _check_nonneg_support(nu)
-    sig, reg = _sigma_term(nu, m)
-    return _evaluation(eq, sig, reg, g_value(V, nu))
+    """I_V^DOS(nu) = inf_c calI_V(c, nu) = -Sigma(nu) + G_V(nu) - c_V,
+    calI taken at its minimizer kappa_V(nu)."""
+    return _calI_of_c(eq, V, nu, m)(kappa(V, nu))
 
 
 _PROJ_CACHE: dict = {}
@@ -152,7 +151,7 @@ def calI_inf_over_c(eq: EquilibriumResult, V: Potential, nu: Measure,
 
     calI depends on c only through int V(c - x) dnu, convex in c and least
     at kappa_V(nu), so the Sigma term is computed once and the minimum is
-    read off there; the value is rate_IDOS's, bit for bit.
+    read off there, as rate_IDOS reads it.
     """
     k = kappa(V, nu)
     return k, _calI_of_c(eq, V, nu, m)(k).value

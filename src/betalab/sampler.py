@@ -7,15 +7,18 @@ a 1/sqrt(N) rescale that puts the semicircle edge at +-2, and, for general
 convex polynomial V, a Metropolis chain on the entries of T, exact for
 every beta > 0 (its target is log-concave only for beta >= 1).  Replicas
 draw from counter-based splittable streams keyed by (seed, replica), so
-batched and sequential runs are bit-identical.  Which route a potential
-may take is decided in dos, which draws replicas in several processes:
-each process reduces the samples it draws to the numbers the experiment
-needs, so a sample never leaves the process that drew it.
+batched and sequential runs are bit-identical.  A sample keeps the
+matrix T it was drawn as, and what is read off it (the whole spectrum, or
+an edge summary) is computed on demand.  Which route a potential may take
+is decided in dos, which draws replicas in several processes: each
+process reduces the samples it draws to the numbers the experiment needs,
+so a sample never leaves the process that drew it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -25,8 +28,7 @@ from .potential import Potential
 
 __all__ = [
     "SpectrumSample", "EdgeSummary", "rng_for", "sample_gaussian",
-    "gaussian_edge_summary", "tridiag_eigenvalues", "tridiag_power_sums",
-    "sample_mcmc_batch", "mcmc_edge_summaries",
+    "tridiag_eigenvalues", "tridiag_power_sums", "sample_mcmc_batch",
 ]
 
 MCMC_BURN_IN = 100       # adaptive sweeps, whatever N
@@ -41,79 +43,6 @@ def rng_for(seed: int, replica: int = 0) -> np.random.Generator:
     key = np.array([np.uint64(seed % (1 << 64)), np.uint64(replica)],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumSample:
-    """One eigenvalue configuration, strictly sorted ascending."""
-
-    eigenvalues: np.ndarray
-    n: int
-    replica: int = 0
-    acceptance_rate: float | None = None
-    tie_breaks: int = field(default=0, init=False)  # ties nudged upward
-
-    def __post_init__(self):
-        lam = np.sort(np.asarray(self.eigenvalues, dtype=float))
-        if lam.size != self.n or self.n < 2:
-            raise ValueError("need N >= 2 eigenvalues")
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("eigenvalues must be finite")
-        ties = 0
-        if not np.all(np.diff(lam) > 0):
-            for i in range(1, lam.size):
-                if lam[i] <= lam[i - 1]:        # stable perturbation upward
-                    lam[i] = np.nextafter(lam[i - 1], np.inf)
-                    ties += 1
-        lam.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "tie_breaks", ties)
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
-
-
-def tridiag_eigenvalues(diagonal, offdiagonal) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix, sorted ascending."""
-    d = np.asarray(diagonal, dtype=float)
-    e = np.asarray(offdiagonal, dtype=float)
-    if e.size != d.size - 1:
-        raise ValueError("off-diagonal must have length N-1")
-    if d.size == 1:
-        return d.copy()
-    return eigh_tridiagonal(d, e, eigvals_only=True)
-
-
-def _gaussian_tridiagonal(n: int, beta: float, seed: int,
-                          replica: int) -> tuple:
-    """Unscaled diagonal and off-diagonal of the Gaussian tridiagonal model.
-
-    Diagonal N(0,1); off-diagonal k (from the top) is chi_{beta(N-k)}/sqrt2,
-    drawn as sqrt(Gamma(beta(N-k)/2)).  The draws from rng_for(seed,
-    replica) come in this order (normals, then gammas), which is the stream
-    contract every replica of every route relies on.
-    """
-    if n < 2 or beta <= 0:
-        raise ValueError("need n >= 2 and beta > 0")
-    rng = rng_for(seed, replica)
-    diag = rng.standard_normal(n)
-    shapes = 0.5 * beta * np.arange(n - 1, 0, -1)
-    off = np.sqrt(rng.gamma(shape=shapes))
-    return diag, off
-
-
-def sample_gaussian(n: int, beta: float, seed: int,
-                    replica: int = 0) -> SpectrumSample:
-    """Gaussian beta-ensemble via its tridiagonal model.
-
-    Eigenvalues of the tridiagonal draw are scaled by sqrt(2/(beta N)) so
-    the empirical law converges to the semicircle on [-2, 2].  All N
-    eigenvalues are solved: O(N^2) per replica.
-    """
-    diag, off = _gaussian_tridiagonal(n, beta, seed, replica)
-    lam = tridiag_eigenvalues(diag, off) * math.sqrt(2.0 / (beta * n))
-    return SpectrumSample(eigenvalues=lam, n=n, replica=int(replica))
 
 
 # -- edge summaries -------------------------------------------------------------
@@ -188,51 +117,139 @@ def tridiag_power_sums(diagonal, offdiagonal, degree: int) -> np.ndarray:
     return np.array([float(np.sum(row)) for row in diags])
 
 
-def _edge_summary(diag, off, scale: float, degree: int,
-                  window_h: float) -> EdgeSummary:
-    """EdgeSummary, for the window [-window_h, window_h], of the spectrum of
-    scale * T, T the tridiagonal matrix with diagonal diag and off-diagonal
-    off >= 0, without solving for all N eigenvalues.
+# -- samples -------------------------------------------------------------------
 
-    Power sums are traces of powers of scale * T, O(N degree^2), and
-    lambda_max is one bisection solve.  The left end of the window is
-    certified by the Gershgorin bound min_i(d_i - e_(i-1) - e_i), lowered
-    by a rounding margin; only when that bound falls below -window_h is
-    lambda_min bisected as well.
+def tridiag_eigenvalues(diagonal, offdiagonal) -> np.ndarray:
+    """All eigenvalues of a symmetric tridiagonal matrix, sorted ascending."""
+    d = np.asarray(diagonal, dtype=float)
+    e = np.asarray(offdiagonal, dtype=float)
+    if e.size != d.size - 1:
+        raise ValueError("off-diagonal must have length N-1")
+    if d.size == 1:
+        return d.copy()
+    return eigh_tridiagonal(d, e, eigvals_only=True)
+
+
+@dataclass(frozen=True, eq=False)
+class SpectrumSample:
+    """One eigenvalue configuration: the spectrum of scale * T, T the
+    symmetric tridiagonal (Jacobi) matrix it was drawn as, with diagonal
+    `diagonal` and off-diagonal `offdiagonal`.
+
+    The N eigenvalues are solved, O(N^2), the first time eigenvalues,
+    lambda_max or tie_breaks is read, and kept; edge_summary reads what a
+    polynomial edge statistic needs off T without solving them.
     """
-    n = diag.size
 
-    def eigenvalue(index):
-        return float(eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="i",
-            select_range=(index, index))[0]) * scale
+    diagonal: np.ndarray
+    offdiagonal: np.ndarray
+    scale: float = 1.0
+    replica: int = 0
+    acceptance_rate: float | None = None
 
-    lambda_max = eigenvalue(n - 1)
-    radius = np.zeros(n)    # e_(i-1) + e_i of row i
-    radius[:-1] += off
-    radius[1:] += off
-    # the margin, 8 N ulps of the matrix norm, covers the rounding of this
-    # bound and of the bisection (LAPACK's stebz widens its own Gershgorin
-    # interval by about 2 N ulps of the norm for the same reason)
-    norm = float(np.max(np.abs(diag) + radius))
-    lower = (float(np.min(diag - radius))
-             - 8.0 * n * np.finfo(float).eps * norm) * scale
-    if lower < -window_h:
-        lower = eigenvalue(0)
-    return EdgeSummary(
-        n=n, lambda_max=lambda_max,
-        in_window=max(abs(lower), abs(lambda_max)) <= window_h,
-        power_sums=tridiag_power_sums(diag * scale, off * scale, degree))
+    def __post_init__(self):
+        # read-only views of the entries, not copies: no write through the
+        # sample can change the matrix its spectrum is solved from
+        d = np.asarray(self.diagonal, dtype=float).view()
+        e = np.asarray(self.offdiagonal, dtype=float).view()
+        if d.size < 2 or e.size != d.size - 1:
+            raise ValueError("need N >= 2 diagonal and N - 1 off-diagonal "
+                             "entries")
+        # edge_summary's Gershgorin bound reads the off-diagonal as >= 0
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))
+                and np.all(e >= 0)):
+            raise ValueError("Jacobi entries must be finite, and the "
+                             "off-diagonal >= 0")
+        for name, entries in (("diagonal", d), ("offdiagonal", e)):
+            entries.setflags(write=False)
+            object.__setattr__(self, name, entries)
+
+    @property
+    def n(self) -> int:
+        return self.diagonal.size
+
+    @cached_property
+    def _spectrum(self) -> tuple:
+        """The eigenvalues, strictly sorted ascending, and how many ties
+        were nudged upward to make them so."""
+        lam = np.sort(tridiag_eigenvalues(self.diagonal, self.offdiagonal)
+                      * self.scale)
+        ties = 0
+        if not np.all(np.diff(lam) > 0):
+            for i in range(1, lam.size):
+                if lam[i] <= lam[i - 1]:        # stable perturbation upward
+                    lam[i] = np.nextafter(lam[i - 1], np.inf)
+                    ties += 1
+        lam.setflags(write=False)
+        return lam, ties
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._spectrum[0]
+
+    @property
+    def tie_breaks(self) -> int:
+        return self._spectrum[1]
+
+    @property
+    def lambda_max(self) -> float:
+        return float(self.eigenvalues[-1])
+
+    def edge_summary(self, degree: int, window_h: float) -> EdgeSummary:
+        """EdgeSummary of the spectrum for the window [-window_h, window_h],
+        without solving for all N eigenvalues.
+
+        Power sums are traces of powers of scale * T, O(N degree^2), and
+        lambda_max is one bisection solve.  The left end of the window is
+        certified by the Gershgorin bound min_i(d_i - e_(i-1) - e_i),
+        lowered by a rounding margin; only when that bound falls below
+        -window_h is lambda_min bisected as well.
+        """
+        diag, off, scale = self.diagonal, self.offdiagonal, self.scale
+        n = diag.size
+
+        def eigenvalue(index):
+            return float(eigh_tridiagonal(
+                diag, off, eigvals_only=True, select="i",
+                select_range=(index, index))[0]) * scale
+
+        lambda_max = eigenvalue(n - 1)
+        radius = np.zeros(n)    # e_(i-1) + e_i of row i
+        radius[:-1] += off
+        radius[1:] += off
+        # the margin, 8 N ulps of the matrix norm, covers the rounding of
+        # this bound and of the bisection (LAPACK's stebz widens its own
+        # Gershgorin interval by about 2 N ulps of the norm for the same
+        # reason)
+        norm = float(np.max(np.abs(diag) + radius))
+        lower = (float(np.min(diag - radius))
+                 - 8.0 * n * np.finfo(float).eps * norm) * scale
+        if lower < -window_h:
+            lower = eigenvalue(0)
+        return EdgeSummary(
+            n=n, lambda_max=lambda_max,
+            in_window=max(abs(lower), abs(lambda_max)) <= window_h,
+            power_sums=tridiag_power_sums(diag * scale, off * scale, degree))
 
 
-def gaussian_edge_summary(n: int, beta: float, seed: int, replica: int = 0,
-                          degree: int = 2, *, window_h: float) -> EdgeSummary:
-    """EdgeSummary, for the window [-window_h, window_h], of the spectrum
-    sample_gaussian(n, beta, seed, replica) would return (see
-    _edge_summary): one lambda_max bisection and O(N degree^2) traces."""
-    diag, off = _gaussian_tridiagonal(n, beta, seed, replica)
-    return _edge_summary(diag, off, math.sqrt(2.0 / (beta * n)), degree,
-                         window_h)
+def sample_gaussian(n: int, beta: float, seed: int,
+                    replica: int = 0) -> SpectrumSample:
+    """Gaussian beta-ensemble via its tridiagonal model.
+
+    Diagonal N(0,1); off-diagonal k (from the top) is chi_{beta(N-k)}/sqrt2,
+    drawn as sqrt(Gamma(beta(N-k)/2)).  The draws from rng_for(seed,
+    replica) come in this order (normals, then gammas), which is the stream
+    contract every replica relies on.  The spectrum is scaled by
+    sqrt(2/(beta N)), so the empirical law converges to the semicircle on
+    [-2, 2].  Nothing is solved here (see SpectrumSample).
+    """
+    if n < 2 or beta <= 0:
+        raise ValueError("need n >= 2 and beta > 0")
+    rng = rng_for(seed, replica)
+    diag = rng.standard_normal(n)
+    off = np.sqrt(rng.gamma(shape=0.5 * beta * np.arange(n - 1, 0, -1)))
+    return SpectrumSample(diag, off, math.sqrt(2.0 / (beta * n)),
+                          replica=int(replica))
 
 
 # -- Metropolis on the Jacobi entries -------------------------------------------
@@ -374,8 +391,9 @@ def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
     Every chain starts from the constant profile a = centre, b = radius / 2
     of mu_V.  MCMC_BURN_IN sweeps adapt each chain's two step sizes
     (diagonal, off-diagonal) toward TARGET_ACCEPT; acceptance_rate is then
-    measured over MCMC_SWEEPS sweeps at fixed steps, and the eigenvalues of
-    the final T are solved once.  A sweep moves each colour class of
+    measured over MCMC_SWEEPS sweeps at fixed steps, and the sample is the
+    final T (its eigenvalues are solved when first read, see
+    SpectrumSample).  A sweep moves each colour class of
     _colour_classes at once, for all replicas: 2 deg V - 1 batches of
     O(R N deg V^2) work.  Each replica has its own stream, and its
     randomness is drawn in fixed chunks (normals then uniforms per chunk),
@@ -384,17 +402,8 @@ def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
     """
     a, b, acc = _mcmc_chains(V, beta, n, seed, replicas)
     return [
-        SpectrumSample(eigenvalues=tridiag_eigenvalues(a[j], b[j]), n=n,
-                       replica=int(r), acceptance_rate=float(acc[j]))
+        SpectrumSample(a[j], b[j], replica=int(r),
+                       acceptance_rate=float(acc[j]))
         for j, r in enumerate(replicas)
     ]
 
-
-def mcmc_edge_summaries(V: Potential, beta: float, n: int, seed: int,
-                        replicas, degree: int, *,
-                        window_h: float) -> list[EdgeSummary]:
-    """EdgeSummary of each spectrum sample_mcmc_batch would return, read off
-    the chain's final Jacobi matrix as gaussian_edge_summary does."""
-    a, b, _ = _mcmc_chains(V, beta, n, seed, replicas)
-    return [_edge_summary(a[j], b[j], 1.0, degree, window_h)
-            for j in range(len(a))]

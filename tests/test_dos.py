@@ -12,14 +12,12 @@ from betalab.dos import (
     linear_statistic, nu_quadrature, remainder_bound_constant, remainder_term,
 )
 from betalab.potential import Potential
-from betalab.sampler import (
-    SpectrumSample, gaussian_edge_summary, sample_gaussian, sample_mcmc_batch,
-)
+from betalab.sampler import SpectrumSample, sample_gaussian, sample_mcmc_batch
 
 
 def _sample(values):
-    return SpectrumSample(eigenvalues=np.asarray(values, float),
-                          n=len(values))
+    # the spectrum of a diagonal Jacobi matrix is its diagonal
+    return SpectrumSample(np.asarray(values, float), np.zeros(len(values) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +109,8 @@ def test_clt_variance_matches_sampler_ensemble(beta):
     # ensemble variances of sum lambda and sum lambda^2 - N; the exact
     # finite-N values are 2/beta and (4/beta)(1 - 1/N) + 8/(beta^2 N)
     n, replicas = 200, 2000
-    sums = np.array([gaussian_edge_summary(n, beta, 0, replica=r,
-                                           window_h=3.0).power_sums
+    sums = np.array([sample_gaussian(n, beta, 0, replica=r)
+                     .edge_summary(2, 3.0).power_sums
                      for r in range(replicas)])
     for stat, f in ((sums[:, 1], lambda x: 2.0 - x),
                     (sums[:, 2] - n, lambda x: (2.0 - x) ** 2)):
@@ -320,9 +318,7 @@ def test_edge_terms_match_eigenvalue_route(eq_gauss, n):
         nu_fp = nu_quadrature(eq_gauss, f.fprime)
         for seed, replica in ((3, 0), (3, 5), (41, 2)):
             sample = sample_gaussian(n, 2.0, seed, replica=replica)
-            summary = gaussian_edge_summary(n, 2.0, seed, replica=replica,
-                                            degree=f.degree,
-                                            window_h=f.window_h)
+            summary = sample.edge_summary(f.degree, f.window_h)
             lam = sample.eigenvalues
             assert abs(summary.lambda_max - lam[-1]) <= 1e-13
             for j in range(f.degree + 1):

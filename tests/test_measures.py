@@ -42,8 +42,9 @@ def test_atomic_merges_duplicates_and_sorts():
     lambda: GridMeasure(0.0, 1.0, np.ones(3), _cdf=np.zeros(3)),
     lambda: Potential([0.0, 0.0, 0.5], _d1=np.zeros(2)),
     lambda: Potential([0.0, 0.0, 0.5], _d2=np.zeros(1)),
-    lambda: SpectrumSample(eigenvalues=np.array([0.0, 1.0]), n=2,
-                           tie_breaks=3),
+    lambda: SpectrumSample(np.array([0.0, 1.0]), np.zeros(1), tie_breaks=3),
+    lambda: SpectrumSample(np.array([0.0, 1.0]), np.zeros(1),
+                           eigenvalues=np.array([0.0, 1.0])),
 ])
 def test_derived_fields_are_not_constructor_parameters(build):
     # __post_init__ computes these; a passed value would be thrown away
@@ -230,6 +231,11 @@ def test_wasserstein_refuses_pairs_without_exact_route(rng):
     for pair in ((random_atomic(rng), nu), (nu, random_atomic(rng))):
         with pytest.raises(ValueError):
             wasserstein(*pair, 2.0)
+    # W_inf of {0, 1} against {5, 9} is 8; the p-th root route would read 1
+    atoms = AtomicMeasure([0.0, 1.0], [0.5, 0.5])
+    for order in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            wasserstein(atoms, AtomicMeasure([5.0, 9.0], [0.5, 0.5]), order)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ from betalab.equilibrium import equilibrium_cached
 from betalab.measures import AtomicMeasure, GridMeasure, wasserstein
 from betalab.potential import Potential
 from betalab.sampler import (
-    SpectrumSample, _colour_classes, _edge_summary, _mcmc_chains,
-    _potential_diagonal, gaussian_edge_summary, rng_for, sample_gaussian,
-    sample_mcmc_batch, tridiag_eigenvalues, tridiag_power_sums,
+    SpectrumSample, _colour_classes, _mcmc_chains, _potential_diagonal,
+    rng_for, sample_gaussian, sample_mcmc_batch, tridiag_eigenvalues,
+    tridiag_power_sums,
 )
 from oracles import jacobi_chain_reference, metropolis_chain_reference
 
@@ -150,11 +150,11 @@ def _windows(lam):
 def test_gaussian_in_window_matches_full_spectrum(eigensolve_calls, n):
     paths = set()
     for replica in range(8):
-        lam = sample_gaussian(n, 2.0, 7, replica=replica).eigenvalues
+        sample = sample_gaussian(n, 2.0, 7, replica=replica)
+        lam = sample.eigenvalues
         for h in _windows(lam):
             eigensolve_calls.clear()
-            summary = gaussian_edge_summary(n, 2.0, 7, replica=replica,
-                                            window_h=h)
+            summary = sample.edge_summary(2, h)
             assert summary.in_window == bool(np.max(np.abs(lam)) <= h)
             paths.add(len(eigensolve_calls))
     # one solve: the Gershgorin bound certified the left end of the window;
@@ -163,11 +163,10 @@ def test_gaussian_in_window_matches_full_spectrum(eigensolve_calls, n):
 
 
 def test_edge_summary_of_chain_matrix_matches_spectrum(quartic):
-    a, b, _ = _mcmc_chains(quartic, 2.0, 12, 5, range(3))
-    for d, e in zip(a, b):
-        lam = tridiag_eigenvalues(d, e)
+    for sample in sample_mcmc_batch(quartic, 2.0, 12, 5, range(3)):
+        lam = sample.eigenvalues
         for h in _windows(lam):
-            summary = _edge_summary(d, e, 1.0, 4, h)
+            summary = sample.edge_summary(4, h)
             assert summary.in_window == bool(np.max(np.abs(lam)) <= h)
             assert abs(summary.lambda_max - lam[-1]) <= 1e-14 * abs(lam[-1])
             assert np.allclose(summary.power_sums,
@@ -180,9 +179,9 @@ def test_edge_summary_of_chain_matrix_matches_spectrum(quartic):
 # ---------------------------------------------------------------------------
 
 def _mk(values, **kw):
-    args = dict(n=len(values))
-    args.update(kw)
-    return SpectrumSample(eigenvalues=np.asarray(values, float), **args)
+    # the spectrum of a diagonal Jacobi matrix is its diagonal
+    return SpectrumSample(np.asarray(values, float),
+                          np.zeros(max(len(values) - 1, 0)), **kw)
 
 
 def test_sample_sorts_input():
@@ -207,12 +206,31 @@ def test_sample_rejects_bad_input():
         _mk([1.0, math.inf])
     with pytest.raises(ValueError):
         _mk([1.0, math.nan])
+    with pytest.raises(ValueError):
+        SpectrumSample(np.array([0.0, 1.0]), np.array([-0.5]))
 
 
 def test_sample_is_immutable():
     s = _mk([1.0, 2.0])
     with pytest.raises(ValueError):
         s.eigenvalues[0] = 5.0
+    with pytest.raises(ValueError):
+        s.diagonal[0] = 5.0
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: [sample_gaussian(300, 2.0, 3, replica=1)],
+    lambda: sample_mcmc_batch(Potential.quartic(), 2.0, 12, 5, range(2)),
+], ids=["gaussian", "mcmc"])
+def test_sample_solves_its_spectrum_once_when_read(eigensolve_calls, draw):
+    samples = draw()
+    assert eigensolve_calls == []
+    for sample in samples:
+        eigensolve_calls.clear()
+        for _ in range(2):
+            assert sample.lambda_max == sample.eigenvalues[-1]
+            assert sample.tie_breaks == 0
+        assert eigensolve_calls == [None]     # one full solve, no select
 
 
 # ---------------------------------------------------------------------------
