@@ -112,8 +112,10 @@ def _cmd_rate(cfg: dict):
         ev = rate_IDOS(eq, V, mu, m)
     else:
         ev = rate_calJ(eq, V, c, mu, m, n=cfg["grid"])
-    return rate_report(functional, ev, V,
-                       {"c": c, "measure": cfg["measure"]}), {}
+    inputs = {"measure": spec}
+    if functional in ("cali", "calj"):
+        inputs["c"] = c
+    return rate_report(functional, ev, V, inputs), {}
 
 
 def _cmd_dos_converge(cfg: dict):

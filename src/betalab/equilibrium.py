@@ -250,7 +250,6 @@ class ConstrainedEquilibriumResult:
     value: float
     gap: float
     iterations: int
-    converged: bool
 
 
 def _hard_edge(V: Potential, c: float) -> tuple:
@@ -357,6 +356,9 @@ def _fw_minimize(G, lin, w0):
     return w, float(-w @ (G @ w) + lin @ w), gap, it
 
 
+_HARD_WALL_CACHE: dict = {}
+
+
 def constrained_equilibrium(V: Potential, x: float,
                             n: int = 2048) -> ConstrainedEquilibriumResult:
     """Minimize E(mu) = -Sigma(mu) + int V dmu over measures on [L, x].
@@ -367,7 +369,14 @@ def constrained_equilibrium(V: Potential, x: float,
     of the log-kernel cancels and the anchor J^-(x >= b_V) = 0 is exact.
     Walls at or left of a_V - (b_V - a_V) are refused: right of it the grid
     has at most 3.25 n cells and holds the continuum minimizer's support.
+
+    One solve per (V, x, n) and process: the result is memoised.  Raises
+    RuntimeError, memoising nothing, when Frank-Wolfe stops without its
+    duality-gap certificate.
     """
+    key = (V.key(), float(x), n)
+    if key in _HARD_WALL_CACHE:
+        return _HARD_WALL_CACHE[key]
     eq = equilibrium_cached(V)
     a, b = eq.a_v, eq.b_v
     width = b - a
@@ -381,32 +390,27 @@ def constrained_equilibrium(V: Potential, x: float,
     nodes, tw, G = log_kernel_mass_form(L, L + cells * h, cells)
     lin = V.eval(nodes)
 
-    if n_extra == 0:
-        w_c, val_c, gap_c, it_c = _fw_minimize(
-            G, lin, w0=_seed_masses(V, eq, nodes, x))
-        val_u = val_c
-    else:
-        mkeep = n + 1
-        w_c, val_c, gap_c, it_c = _fw_minimize(
-            G[:mkeep, :mkeep], lin[:mkeep],
-            w0=_seed_masses(V, eq, nodes[:mkeep], x))
-        w_u, val_u, gap_u, it_u = _fw_minimize(
+    m = n + 1       # nodes of [L, x]
+    w_c, val_c, gap, it = _fw_minimize(
+        G[:m, :m], lin[:m], w0=_seed_masses(V, eq, nodes[:m], x))
+    val_u = val_c
+    if n_extra:     # the unconstrained problem, on the whole grid
+        _, val_u, gap_u, it_u = _fw_minimize(
             G, lin, w0=_seed_masses(V, eq, nodes, nodes[-1]))
-        gap_c = max(gap_c, gap_u)
-        it_c = it_c + it_u
+        gap, it = max(gap, gap_u), it + it_u
+    if gap > FW_GAP_TOL:
+        raise RuntimeError(
+            f"J^-({x}) on {n} cells: Frank-Wolfe did not converge, "
+            f"gap {gap} after {it} iterations")
     value = val_c - val_u
     if value < -1e-6:
         raise RuntimeError(
             f"constrained minimum below unconstrained: {value}")
-    value = max(value, 0.0)
 
-    vals = np.zeros(n + 1)
-    np.divide(w_c[:n + 1], tw[:n + 1], out=vals)
-    minimizer = GridMeasure(L, x, vals)
-    return ConstrainedEquilibriumResult(
-        minimizer=minimizer, value=float(value),
-        gap=float(gap_c), iterations=int(it_c),
-        converged=bool(gap_c <= FW_GAP_TOL))
+    res = _HARD_WALL_CACHE[key] = ConstrainedEquilibriumResult(
+        minimizer=GridMeasure(L, x, w_c / tw[:m]),
+        value=float(max(value, 0.0)), gap=float(gap), iterations=int(it))
+    return res
 
 
 # -- serialization ------------------------------------------------------------

@@ -58,7 +58,6 @@ class AtomicMeasure:
 
     atoms: np.ndarray
     weights: np.ndarray
-    equal_weight: bool = field(default=False, init=False, compare=False)
 
     def __post_init__(self) -> None:
         atoms = np.asarray(self.atoms, dtype=float).ravel()
@@ -91,8 +90,6 @@ class AtomicMeasure:
         weights = weights / math.fsum(weights.tolist())
         object.__setattr__(self, "atoms", _readonly(atoms))
         object.__setattr__(self, "weights", _readonly(weights))
-        eq = bool(np.all(np.abs(weights - 1.0 / weights.size) <= 1e-15))
-        object.__setattr__(self, "equal_weight", eq)
 
     @classmethod
     def from_points(cls, points) -> "AtomicMeasure":
@@ -265,10 +262,6 @@ def wasserstein(mu: Measure, nu: Measure, p=1.0) -> float:
         raise ValueError(f"Wasserstein order must be finite and >= 1, "
                          f"got {q}")
     if isinstance(mu, AtomicMeasure) and isinstance(nu, AtomicMeasure):
-        if (mu.equal_weight and nu.equal_weight and mu.size == nu.size):
-            # sorted matching of equal atom counts
-            diffs = np.abs(mu.atoms - nu.atoms)
-            return float(np.mean(diffs ** q) ** (1.0 / q))
         edges = np.union1d(mu.cdf_jumps(), nu.cdf_jumps())
         edges = np.concatenate([[0.0], edges])
         du = np.diff(edges)
@@ -342,7 +335,6 @@ def log_energy_reg(mu: AtomicMeasure, m: float) -> float:
         d = np.abs(x[sl, None] - x[None, :])
         with np.errstate(divide="ignore"):
             k = np.minimum(-np.log(d), m)
-        k[~np.isfinite(k)] = m          # coincident pairs hit the cap
         total += float(w[sl] @ k @ w)
     return total
 

@@ -106,27 +106,11 @@ def rate_IDOS(eq: EquilibriumResult, V: Potential, nu: Measure,
     return _calI_of_c(eq, V, nu, m)(kappa(V, nu))
 
 
-_PROJ_CACHE: dict = {}
-
-
 def projection_J(eq: EquilibriumResult, V: Potential, c: float,
                  n: int = 2048) -> float:
-    """J_V^-(c): zero at and right of b_V, else the constrained minimum.
-
-    Raises RuntimeError, caching nothing, when Frank-Wolfe stops without
-    its duality-gap certificate.
-    """
-    if c >= eq.b_v:
-        return 0.0
-    key = (V.key(), float(c), n)
-    if key not in _PROJ_CACHE:
-        res = constrained_equilibrium(V, c, n)
-        if not res.converged:
-            raise RuntimeError(
-                f"J^-({c}) on {n} cells: Frank-Wolfe did not converge, "
-                f"gap {res.gap} after {res.iterations} iterations")
-        _PROJ_CACHE[key] = res.value
-    return _PROJ_CACHE[key]
+    """J_V^-(c): zero at and right of b_V, else the constrained minimum of
+    the memoised hard-wall solve, which raises when it is uncertified."""
+    return 0.0 if c >= eq.b_v else constrained_equilibrium(V, c, n).value
 
 
 def rate_calJ(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,

@@ -125,8 +125,6 @@ def tridiag_eigenvalues(diagonal, offdiagonal) -> np.ndarray:
     e = np.asarray(offdiagonal, dtype=float)
     if e.size != d.size - 1:
         raise ValueError("off-diagonal must have length N-1")
-    if d.size == 1:
-        return d.copy()
     return eigh_tridiagonal(d, e, eigvals_only=True)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from betalab import sampler
+from betalab import equilibrium, sampler
 from betalab.equilibrium import equilibrium_cached
 from betalab.potential import Potential
 
@@ -43,3 +43,10 @@ def eigensolve_calls(monkeypatch):
 
     monkeypatch.setattr(sampler, "eigh_tridiagonal", counted)
     return calls
+
+
+@pytest.fixture()
+def empty_hard_wall_memo(monkeypatch):
+    """constrained_equilibrium starts from an empty memo and keeps nothing
+    this test solves, so it can count solves or fake the solver's parts."""
+    monkeypatch.setattr(equilibrium, "_HARD_WALL_CACHE", {})

@@ -124,6 +124,16 @@ def test_rate_command_iv_of_equilibrium(tmp_path):
     assert abs(summary["results"]["value"]) <= 1e-4
 
 
+@pytest.mark.parametrize("functional, reads_c",
+                         [("iv", False), ("idos", False), ("cali", True)])
+def test_rate_hash_covers_c_only_where_read(tmp_path, functional, reads_c):
+    # rate takes --c for every functional; iv and idos never read it
+    plain = run(tmp_path / "a", "rate", functional)[1]["results"]
+    moved = run(tmp_path / "b", "rate", functional, "--c", "5")[1]["results"]
+    assert (plain["inputs_hash"] != moved["inputs_hash"]) == reads_c
+    assert (plain["value"] != moved["value"]) == reads_c
+
+
 def test_rate_command_projection_zero_at_edge(tmp_path):
     code, summary = run(tmp_path, "rate", "projection", "--c", "2.0")
     assert code == 0

@@ -132,6 +132,21 @@ def test_gaussian_bias_rejects_other_potentials(quartic):
         gaussian_bias(lambda x: x, 2.0, V=quartic)
 
 
+@pytest.mark.parametrize("call, needle", [
+    (lambda V: dos.draw_spectra(V, 2.0, 8, 1, 2, "lanczos"),
+     "unknown 'lanczos'"),
+    (lambda V: dos_convergence(V, 2.0, [8], 2, 1, method="lanczos"),
+     "unknown 'lanczos'"),
+    (lambda V: fluctuation_ensemble(V, 2.0, TestFunction.identity(3.0), [8],
+                                    2, 1, method="lanczos"),
+     "unknown 'lanczos'"),
+    (lambda V: TestFunction(()), "at least one coefficient"),
+])
+def test_dos_refuses_bad_input(gauss, call, needle):
+    with pytest.raises(ValueError, match=needle):
+        call(gauss)
+
+
 def test_bias_constant_matches_beta_shift_of_ensemble_means(eq_gauss):
     # the beta-dependence of the CLT-scaled mean is the bias measure; the
     # beta-independent part cancels in the difference

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import betalab.equilibrium as equilibrium
-import betalab.rates as rates
 from betalab.cli import main
 from betalab.equilibrium import (
     ConstrainedEquilibriumResult, constrained_equilibrium, equilibrium_cached,
@@ -100,6 +99,12 @@ def test_exterior_log_potential_closed_form(eq_gauss):
             expect, abs=1e-12)
 
 
+@pytest.mark.parametrize("x", [0.0, 1.9, -1.5, [2.5, 1.0]])
+def test_exterior_log_potential_refuses_the_support(eq_gauss, x):
+    with pytest.raises(ValueError, match="needs x outside the support"):
+        eq_gauss.log_potential_exterior(x)
+
+
 def test_cached_solve_is_shared(gauss):
     assert equilibrium_cached(gauss) is equilibrium_cached(gauss)
 
@@ -171,7 +176,7 @@ def test_constrained_inactive_beyond_edge(gauss, eq_gauss):
         res = constrained_equilibrium(gauss, x, n=1024)
         assert isinstance(res, ConstrainedEquilibriumResult)
         assert res.value == 0.0
-        assert res.converged and res.gap <= 1e-8
+        assert res.gap <= 1e-8
         w1 = wasserstein_quadrature_reference(res.minimizer, eq_gauss.density)
         assert w1 <= 2e-3
 
@@ -180,7 +185,7 @@ def test_constrained_strictly_positive_below_edge(gauss):
     res = constrained_equilibrium(gauss, 1.5, n=1024)
     assert res.value > 1e-3
     assert res.minimizer.hi <= 1.5 + 1e-12
-    assert res.converged and res.gap <= 1e-8
+    assert res.gap <= 1e-8
 
 
 def test_constrained_monotone_ten_point_scan(gauss):
@@ -192,14 +197,13 @@ def test_constrained_monotone_ten_point_scan(gauss):
 
 
 def test_constrained_below_unconstrained_is_a_solver_failure(
-        gauss, monkeypatch, tmp_path, capsys):
+        gauss, monkeypatch, tmp_path, capsys, empty_hard_wall_memo):
     # the fake minimum grows with the cell count, so the unconstrained
     # problem (more cells) reports the larger one
     def fake_fw(G, lin, w0=None, **kwargs):
         return w0, float(lin.size), 0.0, 1
 
     monkeypatch.setattr(equilibrium, "_fw_minimize", fake_fw)
-    monkeypatch.setattr(rates, "_PROJ_CACHE", {})
     with pytest.raises(RuntimeError, match="below unconstrained"):
         constrained_equilibrium(gauss, 1.5, n=64)
     assert main(["rate", "projection", "--c", "1.5", "--grid", "64",
@@ -232,7 +236,7 @@ def test_constrained_non_gaussian_walls(coeffs):
     for frac in (0.5, 0.75, 0.95):
         c = eq.a_v + frac * (eq.b_v - eq.a_v)
         res = constrained_equilibrium(V, c, n=1024)
-        assert res.converged and res.gap <= 1e-8
+        assert res.gap <= 1e-8
         assert abs(res.value - constrained_value_continuum(V, c, eq.c_v)) \
             <= 5e-3
         vals.append(res.value)
@@ -268,7 +272,8 @@ FW_WALLS = [("0,0,0.5", 0.775), ("0,0,0.5", 0.8625), ("0,0,0.5", 0.9375),
 
 @pytest.mark.parametrize("solve", ["constrained", "unconstrained"])
 @pytest.mark.parametrize("coeffs, frac", FW_WALLS)
-def test_fw_matches_reference_loop(coeffs, frac, solve, monkeypatch):
+def test_fw_matches_reference_loop(coeffs, frac, solve, monkeypatch,
+                                  empty_hard_wall_memo):
     V = Potential.from_string(coeffs)
     eq = equilibrium_cached(V)
     solves = []

@@ -38,7 +38,6 @@ def test_atomic_merges_duplicates_and_sorts():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: AtomicMeasure([0.0, 1.0], [0.5, 0.5], equal_weight=False),
     lambda: GridMeasure(0.0, 1.0, np.ones(3), _cdf=np.zeros(3)),
     lambda: Potential([0.0, 0.0, 0.5], _d1=np.zeros(2)),
     lambda: Potential([0.0, 0.0, 0.5], _d2=np.zeros(1)),
@@ -70,6 +69,32 @@ def test_grid_measure_normalizes_and_validates():
         GridMeasure(0.0, 1.0, [1.0, -1.0, 1.0])
     with pytest.raises(ValueError):
         GridMeasure(0.0, 1.0, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("call, error, needle", [
+    (lambda: AtomicMeasure([], []), ValueError, "at least one atom"),
+    (lambda: AtomicMeasure([0.0, 1.0], [1.0]), ValueError, "equal length"),
+    (lambda: AtomicMeasure([0.0, 1.0], [0.0, 0.0]), ValueError,
+     "total mass must be positive"),
+    (lambda: GridMeasure(0.0, 1.0, [1.0, np.nan, 1.0]), ValueError,
+     "must be finite"),
+    (lambda: GridMeasure(0.0, 1.0, [0.0, 0.0, 0.0]), ValueError,
+     "zero mass"),
+    (lambda: moment(AtomicMeasure.from_points([1.0, 2.0]), 1.5), ValueError,
+     "nonnegative integer"),
+    (lambda: quantile_discretize(AtomicMeasure.from_points([1.0, 2.0]), 4),
+     TypeError, "atomless grid measure"),
+    (lambda: log_energy_reg(uniform_grid(0.0, 1.0, 8), 2.0), TypeError,
+     "expects an atomic measure"),
+    (lambda: log_energy_grid(AtomicMeasure.from_points([1.0, 2.0])),
+     TypeError, "expects a grid measure"),
+    (lambda: save_measure(AtomicMeasure.from_points([1.0, 2.0]),
+                          "measure.json"), ValueError,
+     "unsupported measure file extension"),
+])
+def test_measures_refuse_bad_input(call, error, needle):
+    with pytest.raises(error, match=needle):
+        call()
 
 
 # ---------------------------------------------------------------------------

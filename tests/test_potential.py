@@ -67,6 +67,16 @@ def test_constructor_enforces_assumptions():
         Potential((1.0,))                         # degree < 2
 
 
+@pytest.mark.parametrize("call, needle", [
+    (lambda: Potential((0.0, 0.0, np.inf, 0.0, 1.0)), "must be finite"),
+    (lambda: Potential.from_string("0,x,0.5"), "bad potential string"),
+    (lambda: Potential.gaussian().deriv(1.0, 3), "order must be 1 or 2"),
+])
+def test_potential_refuses_bad_input(call, needle):
+    with pytest.raises(ValueError, match=needle):
+        call()
+
+
 def test_parse_and_json_roundtrip():
     V = Potential.from_string("0, 0, 0.5")
     assert V.key() == Potential.gaussian().key()

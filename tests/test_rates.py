@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import betalab.equilibrium as equilibrium
 import betalab.rates as rates
 from betalab.cli import main
-from betalab.equilibrium import ConstrainedEquilibriumResult, \
-    constrained_equilibrium, nu_limit
+from betalab.equilibrium import constrained_equilibrium, nu_limit
 from betalab.measures import (
     AtomicMeasure, GridMeasure, quantile_discretize, reflect_shift, variance,
 )
@@ -152,42 +152,47 @@ def test_projection_equals_constrained_value(eq_gauss, gauss):
 
 
 def test_projection_refuses_unconverged_frank_wolfe(
-        eq_gauss, gauss, monkeypatch, tmp_path, capsys):
-    stub = ConstrainedEquilibriumResult(
-        minimizer=UNIF01(65), value=0.25, gap=1e-3, iterations=7,
-        converged=False)
-    monkeypatch.setattr(rates, "constrained_equilibrium",
-                        lambda V, x, n=2048: stub)
-    monkeypatch.setattr(rates, "_PROJ_CACHE", {})
-    with pytest.raises(RuntimeError, match="gap 0.001 after 7 iterations"):
+        eq_gauss, gauss, monkeypatch, tmp_path, capsys, empty_hard_wall_memo):
+    # both solves of the wall stop short of the certificate, and the
+    # unconstrained minimum (more cells) comes out the larger: the solver
+    # reports the missing certificate before "below unconstrained"
+    def stalled_fw(G, lin, w0):
+        return w0, float(lin.size), 1e-3, 7
+
+    monkeypatch.setattr(equilibrium, "_fw_minimize", stalled_fw)
+    with pytest.raises(RuntimeError, match="gap 0.001 after 14 iterations"):
         projection_J(eq_gauss, gauss, 1.5, n=64)
-    assert rates._PROJ_CACHE == {}
-    assert main(["rate", "projection", "--c", "1.5", "--grid", "64",
-                 "--out", str(tmp_path / "o")]) == 3
-    assert "solver failure" in capsys.readouterr().err
-    assert rates._PROJ_CACHE == {}
+    assert equilibrium._HARD_WALL_CACHE == {}
+    for argv in (["rate", "projection", "--c", "1.5"],
+                 ["rate", "calj", "--c", "1.5"],
+                 ["tail-scan", "--left", "1.5"]):
+        assert main(argv + ["--grid", "64", "--out", str(tmp_path / "o")]) \
+            == 3
+        err = capsys.readouterr().err
+        assert "solver failure" in err
+        assert "gap 0.001 after 14 iterations" in err
+    assert equilibrium._HARD_WALL_CACHE == {}
 
 
-def test_calj_vanishes_at_conditional_minimizer(eq_gauss, gauss,
-                                                monkeypatch):
-    # projection_J reuses the test's own solve of the c = 1.5 wall
-    solves = {}
+def test_calj_vanishes_at_conditional_minimizer(eq_gauss, gauss, monkeypatch,
+                                                empty_hard_wall_memo):
+    # the direct solve, rate_calJ and projection_J share one solve of the
+    # c = 1.5 wall: one constrained and one unconstrained Frank-Wolfe run
+    runs = []
+    fw = equilibrium._fw_minimize
 
-    def solve_once(V, c, n):
-        if (V.key(), c, n) not in solves:
-            solves[V.key(), c, n] = constrained_equilibrium(V, c, n)
-        return solves[V.key(), c, n]
+    def counted(G, lin, w0):
+        runs.append(lin.size)
+        return fw(G, lin, w0)
 
-    monkeypatch.setattr(rates, "constrained_equilibrium", solve_once)
-    monkeypatch.delitem(rates._PROJ_CACHE, (gauss.key(), 1.5, 2048),
-                        raising=False)
+    monkeypatch.setattr(equilibrium, "_fw_minimize", counted)
     res = rates.constrained_equilibrium(gauss, 1.5, 2048)
     nu_star = reflect_shift(res.minimizer, 1.5)
     ev = rate_calJ(eq_gauss, gauss, 1.5, nu_star)
     assert abs(ev.value) <= 1e-3
     assert ev.offset_term == -projection_J(eq_gauss, gauss, 1.5)
     assert ev.identity_residual() == 0.0
-    assert list(solves) == [(gauss.key(), 1.5, 2048)]
+    assert len(runs) == 2 and runs[0] == 2049 < runs[1]
 
 
 def test_calj_positive_off_minimizer(eq_gauss, gauss):

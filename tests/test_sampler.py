@@ -33,6 +33,7 @@ def semicircle():
 def test_tridiag_diagonal_matrix():
     lam = tridiag_eigenvalues([2.0, 2.0, 2.0], [0.0, 0.0])
     assert np.allclose(lam, [2.0, 2.0, 2.0], atol=1e-14)
+    assert tridiag_eigenvalues([3.0], []).tolist() == [3.0]
 
 
 def test_tridiag_two_by_two_closed_form():
@@ -104,6 +105,12 @@ def test_sample_gaussian_rejects_bad_args():
         sample_gaussian(1, 2.0, 0)
     with pytest.raises(ValueError):
         sample_gaussian(10, 0.0, 0)
+
+
+@pytest.mark.parametrize("n, beta", [(1, 2.0), (10, 0.0), (10, -1.0)])
+def test_sample_mcmc_batch_rejects_bad_args(quartic, n, beta):
+    with pytest.raises(ValueError, match="need n >= 2 and beta > 0"):
+        sample_mcmc_batch(quartic, beta, n, 0, range(2))
 
 
 def test_esd_near_semicircle():
