@@ -112,9 +112,11 @@ def _cmd_rate(cfg: dict):
         ev = rate_IDOS(eq, V, mu, m)
     else:
         ev = rate_calJ(eq, V, c, mu, m, n=cfg["grid"])
-    inputs = {"measure": spec}
+    inputs = {"measure": spec, "reg_m": m}
     if functional in ("cali", "calj"):
         inputs["c"] = c
+    if functional == "calj":
+        inputs["grid"] = cfg["grid"]
     return rate_report(functional, ev, V, inputs), {}
 
 

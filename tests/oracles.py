@@ -4,15 +4,16 @@ Everything here deliberately avoids the solver paths under test: the
 constrained equilibrium is solved through its hard-edge Chebyshev
 structure (scalar root-find plus exact finite moment series), and the
 direct grid minimizations use an accelerated projected-gradient method
-instead of Frank-Wolfe, the Metropolis chain is run site by site with
-np.delete instead of through per-sweep arrays, the Jacobi-entry chain
+or pairwise Frank-Wolfe instead of an active-set KKT solve, the
+Metropolis chain is run site by site with np.delete instead of through
+per-sweep arrays, the Jacobi-entry chain
 is run one site at a time with a dense tr V(T) per proposal instead of
 in colour classes, infima over c are found by golden-section search
 instead of at kappa, and Wasserstein distances involving a grid measure
 are integrated by the midpoint rule in u instead of in closed form.
 Where a test pins a faster src loop bit for bit, the slower
 straightforward loop it replaced is kept here: the dense-mask log
-kernels and the column-gather Frank-Wolfe loop.
+kernels.
 """
 
 import math
@@ -355,7 +356,8 @@ def log_kernel_mass_form_reference(lo: float, hi: float, n: int):
 
 
 # ---------------------------------------------------------------------------
-# pairwise Frank-Wolfe, one strided column gather and support scan per step
+# pairwise Frank-Wolfe on the grid simplex: its gap bounds the suboptimality
+# of its value, so it brackets the minimum the active-set solve reaches
 # ---------------------------------------------------------------------------
 
 

@@ -134,6 +134,27 @@ def test_rate_hash_covers_c_only_where_read(tmp_path, functional, reads_c):
     assert (plain["value"] != moved["value"]) == reads_c
 
 
+@pytest.mark.parametrize("functional, option, values", [
+    ("calj", "--grid", ("64", "128")),
+    ("iv", "--reg-m", ("auto", "3")),
+    ("cali", "--reg-m", ("auto", "3")),
+    ("idos", "--reg-m", ("auto", "3")),
+])
+def test_rate_hash_covers_grid_and_reg_m(tmp_path, functional, option,
+                                         values):
+    # a 4-atom measure, so --reg-m changes the value (a grid measure is
+    # exact and ignores it); --grid moves calj's J^- offset
+    atoms = tmp_path / "atoms.csv"
+    atoms.write_text("position,weight\n0,0.25\n0.5,0.25\n1,0.25\n1.5,0.25\n")
+    base = ["rate", functional, "--c", "1.5", "--measure", str(atoms)]
+    res = [run(tmp_path / f"r{i}", *base, option, v)[1]["results"]
+           for i, v in enumerate(values + values[:1])]
+    assert res[0]["inputs_hash"] != res[1]["inputs_hash"]
+    assert res[0]["value"] != res[1]["value"]
+    assert res[0]["inputs_hash"] == res[2]["inputs_hash"]
+    assert res[0]["value"] == res[2]["value"]
+
+
 def test_rate_command_projection_zero_at_edge(tmp_path):
     code, summary = run(tmp_path, "rate", "projection", "--c", "2.0")
     assert code == 0

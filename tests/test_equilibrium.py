@@ -200,10 +200,10 @@ def test_constrained_below_unconstrained_is_a_solver_failure(
         gauss, monkeypatch, tmp_path, capsys, empty_hard_wall_memo):
     # the fake minimum grows with the cell count, so the unconstrained
     # problem (more cells) reports the larger one
-    def fake_fw(G, lin, w0=None, **kwargs):
+    def fake_solve(G, lin, w0=None, **kwargs):
         return w0, float(lin.size), 0.0, 1
 
-    monkeypatch.setattr(equilibrium, "_fw_minimize", fake_fw)
+    monkeypatch.setattr(equilibrium, "_simplex_minimize", fake_solve)
     with pytest.raises(RuntimeError, match="below unconstrained"):
         constrained_equilibrium(gauss, 1.5, n=64)
     assert main(["rate", "projection", "--c", "1.5", "--grid", "64",
@@ -270,26 +270,99 @@ FW_WALLS = [("0,0,0.5", 0.775), ("0,0,0.5", 0.8625), ("0,0,0.5", 0.9375),
             ("0,0.3,0.5,0.1,0.2", 0.7)]
 
 
+def recorded_solves(monkeypatch, coeffs, frac):
+    """((G, lin, w0), (w, value, gap, rounds)) of the constrained and the
+    unconstrained solve of the wall at a_V + frac (b_V - a_V), n = 1024."""
+    V = Potential.from_string(coeffs)
+    eq = equilibrium_cached(V)
+    solves = []
+    solve = equilibrium._simplex_minimize
+
+    def recorded(G, lin, w0):
+        solves.append(((G, lin, w0.copy()), solve(G, lin, w0)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(equilibrium, "_simplex_minimize", recorded)
+    constrained_equilibrium(V, eq.a_v + frac * (eq.b_v - eq.a_v), n=1024)
+    assert len(solves) == 2
+    return dict(zip(("constrained", "unconstrained"), solves))
+
+
 @pytest.mark.parametrize("solve", ["constrained", "unconstrained"])
 @pytest.mark.parametrize("coeffs, frac", FW_WALLS)
 def test_fw_matches_reference_loop(coeffs, frac, solve, monkeypatch,
                                   empty_hard_wall_memo):
-    V = Potential.from_string(coeffs)
-    eq = equilibrium_cached(V)
-    solves = []
-    fw = equilibrium._fw_minimize
+    # the Frank-Wolfe gap of the reference loop bounds its suboptimality,
+    # so an exact minimum lies at most ref_gap below ref_value
+    (G, lin, w0), (_, value, _, _) = recorded_solves(
+        monkeypatch, coeffs, frac)[solve]
+    _, ref_value, ref_gap, _ = pairwise_fw_reference(G, lin, w0)
+    assert ref_gap <= 1e-8
+    assert value <= ref_value + 1e-12
+    assert ref_value - value <= ref_gap
 
-    def recorded(G, lin, w0):
-        solves.append(((G, lin, w0.copy()), fw(G, lin, w0)))
-        return solves[-1][1]
 
-    monkeypatch.setattr(equilibrium, "_fw_minimize", recorded)
-    constrained_equilibrium(V, eq.a_v + frac * (eq.b_v - eq.a_v), n=1024)
-    assert len(solves) == 2
-    (G, lin, w0), (w, value, gap, it) = solves[solve == "unconstrained"]
-    ref_w, ref_value, ref_gap, ref_it = pairwise_fw_reference(G, lin, w0)
-    assert np.array_equal(w, ref_w)
-    assert (value, gap, it) == (ref_value, ref_gap, ref_it)
+@pytest.mark.parametrize("solve", ["constrained", "unconstrained"])
+@pytest.mark.parametrize("coeffs, frac", FW_WALLS)
+def test_simplex_minimum_meets_kkt_conditions(coeffs, frac, solve,
+                                              monkeypatch,
+                                              empty_hard_wall_memo):
+    # KKT of min -w G w + lin.w on the simplex, from the symmetrized
+    # gradient: constant on the support, no smaller off it
+    (G, lin, _), (w, value, gap, _) = recorded_solves(
+        monkeypatch, coeffs, frac)[solve]
+    assert np.all(w >= 0.0)
+    assert abs(w.sum() - 1.0) <= 1e-13
+    g = -(G @ w) - (G.T @ w) + lin
+    on = w > 0.0
+    lam = g[on].mean()
+    assert np.ptp(g[on]) <= 1e-10
+    assert np.all(g[~on] >= lam - 1e-10)
+    assert gap <= 1e-12 and float(g @ w - g.min()) <= 1e-12
+    assert value == float(-w @ (G @ w) + lin @ w)
+
+
+def one_node_seed(V, eq, nodes, cutoff):
+    """A seed for _seed_masses' place: all mass on the node nearest 0."""
+    w = np.zeros(nodes.size)
+    w[np.argmin(np.abs(nodes))] = 1.0
+    return w
+
+
+@pytest.mark.parametrize("wall", [-1.0, 1.5, 2.3])
+def test_simplex_solve_grows_support_from_one_node(gauss, wall, monkeypatch,
+                                                   empty_hard_wall_memo):
+    # every node but one must join the support through g < lam
+    seeded = constrained_equilibrium(gauss, wall, n=256)
+    monkeypatch.setattr(equilibrium, "_HARD_WALL_CACHE", {})
+    monkeypatch.setattr(equilibrium, "_seed_masses", one_node_seed)
+    grown = constrained_equilibrium(gauss, wall, n=256)
+    assert grown.gap <= 1e-8
+    assert grown.iterations > seeded.iterations
+    assert abs(grown.value - seeded.value) <= 1e-12
+
+
+@pytest.mark.parametrize("failure", ["singular", "round cap"])
+def test_unconverged_simplex_solve_is_a_solver_failure(
+        gauss, failure, monkeypatch, tmp_path, capsys, empty_hard_wall_memo):
+    if failure == "singular":
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        message = "gap inf after 2 iterations"
+    else:
+        # a one-node seed needs more than the one round allowed
+        monkeypatch.setattr(equilibrium, "ACTIVE_SET_MAX_ROUNDS", 1)
+        monkeypatch.setattr(equilibrium, "_seed_masses", one_node_seed)
+        message = r"gap [\d.e+-]+ after 2 iterations"
+    with pytest.raises(RuntimeError, match=message):
+        constrained_equilibrium(gauss, 1.5, n=64)
+    assert equilibrium._HARD_WALL_CACHE == {}
+    assert main(["rate", "projection", "--c", "1.5", "--grid", "64",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "solver failure" in capsys.readouterr().err
+    assert equilibrium._HARD_WALL_CACHE == {}
 
 
 # ---------------------------------------------------------------------------

@@ -151,15 +151,15 @@ def test_projection_equals_constrained_value(eq_gauss, gauss):
     assert projection_J(eq_gauss, gauss, 1.5, n=1024) == direct
 
 
-def test_projection_refuses_unconverged_frank_wolfe(
+def test_projection_refuses_unconverged_hard_wall_solve(
         eq_gauss, gauss, monkeypatch, tmp_path, capsys, empty_hard_wall_memo):
     # both solves of the wall stop short of the certificate, and the
     # unconstrained minimum (more cells) comes out the larger: the solver
     # reports the missing certificate before "below unconstrained"
-    def stalled_fw(G, lin, w0):
+    def stalled_solve(G, lin, w0):
         return w0, float(lin.size), 1e-3, 7
 
-    monkeypatch.setattr(equilibrium, "_fw_minimize", stalled_fw)
+    monkeypatch.setattr(equilibrium, "_simplex_minimize", stalled_solve)
     with pytest.raises(RuntimeError, match="gap 0.001 after 14 iterations"):
         projection_J(eq_gauss, gauss, 1.5, n=64)
     assert equilibrium._HARD_WALL_CACHE == {}
@@ -177,15 +177,15 @@ def test_projection_refuses_unconverged_frank_wolfe(
 def test_calj_vanishes_at_conditional_minimizer(eq_gauss, gauss, monkeypatch,
                                                 empty_hard_wall_memo):
     # the direct solve, rate_calJ and projection_J share one solve of the
-    # c = 1.5 wall: one constrained and one unconstrained Frank-Wolfe run
+    # c = 1.5 wall: one constrained and one unconstrained simplex solve
     runs = []
-    fw = equilibrium._fw_minimize
+    solve = equilibrium._simplex_minimize
 
     def counted(G, lin, w0):
         runs.append(lin.size)
-        return fw(G, lin, w0)
+        return solve(G, lin, w0)
 
-    monkeypatch.setattr(equilibrium, "_fw_minimize", counted)
+    monkeypatch.setattr(equilibrium, "_simplex_minimize", counted)
     res = rates.constrained_equilibrium(gauss, 1.5, 2048)
     nu_star = reflect_shift(res.minimizer, 1.5)
     ev = rate_calJ(eq_gauss, gauss, 1.5, nu_star)
