@@ -78,7 +78,7 @@ def _list(convert):
 def _cmd_equilibrium(cfg: dict):
     eq = equilibrium_cached(cfg["potential"], cfg["grid"])
     save_equilibrium(eq, cfg["out"])
-    return {"a_v": eq.a_v, "b_v": eq.b_v, "c_v": eq.c_v, "sigma": eq.sigma}, {}
+    return {"a_v": eq.a_v, "b_v": eq.b_v, "c_v": eq.c_v, "sigma": eq.measure.sigma}, {}
 
 
 def _cmd_sample(cfg: dict):

@@ -2,10 +2,11 @@
 
 solve_equilibrium computes the one-cut equilibrium measure of a convex
 polynomial potential: the support endpoints solve two moment conditions
-(Newton on Gauss-Chebyshev quadrature), the density comes out as
+(Newton on Gauss-Chebyshev quadrature), and the density comes out as
 sqrt((x-a)(b-x)) times a polynomial read off the Chebyshev coefficients of
-V', and the log-energy sigma, the constant c_V, and the exterior
-log-potential all have finite closed series in the same coefficients.
+V'.  mu_V and the hard-edge measure below a wall are both AngularMeasures,
+whose log-energy Sigma, energy -Sigma + int V (c_V for mu_V), CDF and
+exterior log-potential are finite series in their cosine moments.
 
 constrained_equilibrium minimizes the discretized energy
 E(mu) = -Sigma(mu) + int V dmu over probability measures supported in
@@ -29,12 +30,12 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from ._fsio import write_text_atomic
-from .measures import GridMeasure, load_measure, log_kernel_mass_form, \
-    reflect_shift, save_measure
+from .measures import GridMeasure, _readonly, load_measure, \
+    log_kernel_mass_form, reflect_shift, save_measure
 from .potential import Potential
 
 __all__ = [
-    "EquilibriumResult", "ConstrainedEquilibriumResult",
+    "AngularMeasure", "EquilibriumResult", "ConstrainedEquilibriumResult",
     "solve_equilibrium", "equilibrium_cached", "nu_limit",
     "constrained_equilibrium", "effective_potential_tail",
     "equilibrium_integral",
@@ -73,44 +74,50 @@ def _angular_series(cheb_u: np.ndarray, theta) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class EquilibriumResult:
-    """One-cut equilibrium measure with its derived scalars.
+class AngularMeasure:
+    """Probability measure on [center - radius, center + radius] with
+    angular density (1 + 2 sum_k mom_k cos k theta) / pi in
+    x = center + radius cos theta.
 
-    cheb_u holds the Chebyshev coefficients of V'(center + radius cos theta);
-    cos_moments[k] = int cos(k theta) dmu in the angular variable, the
-    currency in which sigma, c_V and the exterior log-potential are exact
-    finite series.
+    cos_moments[k] = mom_k = int cos(k theta) dmu, with mom_0 = 1.
     """
 
-    a_v: float
-    b_v: float
-    density: GridMeasure
-    c_v: float
-    sigma: float
-    cheb_u: np.ndarray = field(repr=False)
+    center: float
+    radius: float
     cos_moments: np.ndarray = field(repr=False)
-    potential_coeffs: tuple = field(repr=False)
 
     def __post_init__(self):
-        for name in ("cheb_u", "cos_moments"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "cos_moments", _readonly(self.cos_moments))
 
     @property
-    def center(self) -> float:
-        return 0.5 * (self.a_v + self.b_v)
+    def sigma(self) -> float:
+        """Sigma(mu) = ln(radius / 2) - 2 sum_k mom_k^2 / k."""
+        mom = self.cos_moments
+        return math.log(0.5 * self.radius) - 2.0 * sum(
+            mom[k] ** 2 / k for k in range(1, mom.size))
 
-    @property
-    def radius(self) -> float:
-        return 0.5 * (self.b_v - self.a_v)
+    def energy(self, V: Potential) -> float:
+        """-Sigma(mu) + int V dmu, int V = sum_k v_k mom_k with v_k the
+        Chebyshev coefficients of V on the support."""
+        v = _cheb_project(V.eval, self.center, self.radius,
+                          self.cos_moments.size - 1)
+        return -self.sigma + float(v @ self.cos_moments)
+
+    def cdf(self, x) -> np.ndarray:
+        """mu((-inf, x]) = 1 - (alpha + 2 sum_k mom_k sin(k alpha) / k) / pi,
+        alpha = arccos((x - center) / radius)."""
+        x = np.asarray(x, dtype=float)
+        alpha = np.arccos(np.clip((x - self.center) / self.radius, -1.0, 1.0))
+        k = np.arange(1, self.cos_moments.size)
+        tail = alpha + 2.0 * _angular_series(
+            np.append(0.0, self.cos_moments[1:] / k), alpha)
+        return 1.0 - tail / np.pi
 
     def log_potential_exterior(self, x):
-        """U(x) = int ln|x - y| dmu(y) for x outside (a_v, b_v).
+        """U(x) = int ln|x - y| dmu(y) for x outside the support.
 
         Finite series in the cosine moments through the conformal variable
-        w = |z| + sqrt(z^2 - 1), z = (x - center)/radius; exact up to the
-        solver tolerance, no quadrature.
+        w = |z| + sqrt(z^2 - 1), z = (x - center)/radius; no quadrature.
         """
         x = np.asarray(x, dtype=float)
         z = (x - self.center) / self.radius
@@ -126,6 +133,27 @@ class EquilibriumResult:
             fac = fac * sgn / w
             out -= 2.0 * self.cos_moments[m] * fac / m
         return out if out.ndim else float(out)
+
+
+@dataclass(frozen=True, eq=False)
+class EquilibriumResult:
+    """One-cut equilibrium measure with its derived scalars.
+
+    measure is mu_V, centred at 0.5 (a_v + b_v): c_v = measure.energy(V).
+    cheb_u holds the Chebyshev coefficients of V' on the support, the
+    series of the density grid and of equilibrium_integral's weights.
+    """
+
+    a_v: float
+    b_v: float
+    density: GridMeasure
+    c_v: float
+    measure: AngularMeasure
+    cheb_u: np.ndarray = field(repr=False)
+    potential_coeffs: tuple = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cheb_u", _readonly(self.cheb_u))
 
 
 def _newton_endpoints(V: Potential) -> tuple:
@@ -186,19 +214,16 @@ def solve_equilibrium(V: Potential, n: int = 4096) -> EquilibriumResult:
     mom[0] = 1.0
     for k in range(1, p + 1):
         mom[k] = 0.125 * r * (uu[k + 1] - uu[k - 1])   # uu[0] == 0 by design
-    sigma = math.log(0.5 * r) - 2.0 * sum(
-        mom[k] ** 2 / k for k in range(1, p + 1))
-    v = _cheb_project(V.eval, c, r, p)
-    int_v = float(v @ mom[:v.size])
-    c_v = -sigma + int_v
-
-    xs = np.linspace(c - r, c + r, n + 1)
+    a, b = c - r, c + r
+    measure = AngularMeasure(0.5 * (a + b), 0.5 * (b - a), mom)
+    # the density grid keeps Newton's (c, r): they fix its CSV digits
+    xs = np.linspace(a, b, n + 1)
     phi = np.arccos(np.clip((xs - c) / r, -1.0, 1.0))
     dens = _angular_series(u, phi) / (2.0 * np.pi)
-    density = GridMeasure(c - r, c + r, np.maximum(dens, 0.0))
+    density = GridMeasure(a, b, np.maximum(dens, 0.0))
     return EquilibriumResult(
-        a_v=c - r, b_v=c + r, density=density, c_v=c_v, sigma=sigma,
-        cheb_u=u, cos_moments=mom, potential_coeffs=V.key())
+        a_v=a, b_v=b, density=density, c_v=measure.energy(V),
+        measure=measure, cheb_u=u, potential_coeffs=V.key())
 
 
 _EQ_CACHE: dict = {}
@@ -224,7 +249,7 @@ def equilibrium_integral(eq: EquilibriumResult, f) -> float:
     """
     theta = (np.arange(INTEGRAL_NODES) + 0.5) * (np.pi / INTEGRAL_NODES)
     w = _angular_series(eq.cheb_u, theta) * np.sin(theta)
-    x = eq.center + eq.radius * np.cos(theta)
+    x = eq.measure.center + eq.measure.radius * np.cos(theta)
     fw = np.dot(np.asarray(f(x), dtype=float), w)
     return float(fw / np.dot(np.ones_like(w), w))
 
@@ -235,8 +260,8 @@ def effective_potential_tail(eq: EquilibriumResult, V: Potential,
     if x < eq.b_v - 1e-12:
         raise ValueError(f"effective potential tail needs x >= b_V = {eq.b_v}")
     x = max(float(x), eq.b_v)
-    val = (V.eval(x) - 2.0 * eq.log_potential_exterior(x)) \
-        - (V.eval(eq.b_v) - 2.0 * eq.log_potential_exterior(eq.b_v))
+    U = eq.measure.log_potential_exterior
+    val = (V.eval(x) - 2.0 * U(x)) - (V.eval(eq.b_v) - 2.0 * U(eq.b_v))
     return max(float(val), 0.0)
 
 
@@ -253,9 +278,9 @@ class ConstrainedEquilibriumResult:
     iterations: int
 
 
-def _hard_edge(V: Potential, c: float) -> tuple:
-    """Center, radius and cosine moments of the continuum minimizer of the
-    energy over measures on (-inf, c], for a wall c < b_V.
+def _hard_edge(V: Potential, c: float) -> AngularMeasure:
+    """The continuum minimizer of the energy over measures on (-inf, c],
+    for a wall c < b_V.
 
     On [c - 2r, c] write x = m + r cos theta, m = c - r.  The Euler-Lagrange
     equation fixes every cosine moment, <cos k theta> = -k v_k / 4 with v_k
@@ -276,30 +301,19 @@ def _hard_edge(V: Potential, c: float) -> tuple:
     r = float(pos.min())
     v = _cheb_project(V.eval, c - r, r, V.degree)
     k = np.arange(1, v.size)
-    return c - r, r, -k * v[1:] / 4.0
+    return AngularMeasure(c - r, r, np.append(1.0, -k * v[1:] / 4.0))
 
 
 def _seed_masses(V: Potential, eq: EquilibriumResult, nodes: np.ndarray,
                  cutoff: float) -> np.ndarray:
     """Node masses of the continuum energy minimizer on (-inf, cutoff]:
-    mu_V for cutoff >= b_V, the hard-edge measure below it.
-
-    Either measure has angular density (1 + 2 sum_k mom_k cos k theta) / pi
-    on x = m + r cos theta, so node x_i gets the exact mass of
-    [x_i - h/2, x_i + h/2] from the closed-form CDF
-    1 - (alpha + 2 sum_k mom_k sin(k alpha) / k) / pi,
-    alpha = arccos((x - m) / r).
+    mu_V for cutoff >= b_V, the hard-edge measure below it.  Node x_i gets
+    the exact mass of [x_i - h/2, x_i + h/2] from the measure's CDF.
     """
-    if cutoff >= eq.b_v:
-        m, r, mom = eq.center, eq.radius, eq.cos_moments[1:]
-    else:
-        m, r, mom = _hard_edge(V, cutoff)
+    measure = eq.measure if cutoff >= eq.b_v else _hard_edge(V, cutoff)
     h = nodes[1] - nodes[0]
     edges = np.append(nodes - 0.5 * h, nodes[-1] + 0.5 * h)
-    alpha = np.arccos(np.clip((edges - m) / r, -1.0, 1.0))
-    k = np.arange(1, mom.size + 1)
-    tail = alpha + 2.0 * _angular_series(np.append(0.0, mom / k), alpha)
-    w = np.maximum(-np.diff(tail), 0.0)
+    w = np.maximum(np.diff(measure.cdf(edges)), 0.0)
     return w / w.sum()
 
 
@@ -422,10 +436,10 @@ def save_equilibrium(eq: EquilibriumResult, directory: str) -> dict:
     cpath = os.path.join(directory, f"{EQUILIBRIUM_STEM}_density.csv")
     obj = {
         "a_v": float(eq.a_v), "b_v": float(eq.b_v),
-        "c_v": float(eq.c_v), "sigma": float(eq.sigma),
+        "c_v": float(eq.c_v), "sigma": float(eq.measure.sigma),
         "potential_coeffs": list(eq.potential_coeffs),
         "cheb_u": [float(u) for u in eq.cheb_u],
-        "cos_moments": [float(m) for m in eq.cos_moments],
+        "cos_moments": [float(m) for m in eq.measure.cos_moments],
     }
     write_text_atomic(jpath, json.dumps(obj, indent=2) + "\n")
     save_measure(eq.density, cpath)
@@ -437,9 +451,10 @@ def load_equilibrium(directory: str) -> EquilibriumResult:
         obj = json.load(fh)
     density = load_measure(
         os.path.join(directory, f"{EQUILIBRIUM_STEM}_density.csv"))
+    a, b = obj["a_v"], obj["b_v"]
     return EquilibriumResult(
-        a_v=obj["a_v"], b_v=obj["b_v"], density=density,
-        c_v=obj["c_v"], sigma=obj["sigma"],
+        a_v=a, b_v=b, density=density, c_v=obj["c_v"],
+        measure=AngularMeasure(0.5 * (a + b), 0.5 * (b - a),
+                               obj["cos_moments"]),
         cheb_u=np.asarray(obj["cheb_u"]),
-        cos_moments=np.asarray(obj["cos_moments"]),
         potential_coeffs=tuple(obj["potential_coeffs"]))

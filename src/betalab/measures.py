@@ -35,7 +35,6 @@ __all__ = [
     "log_energy_reg",
     "log_energy_grid",
     "log_kernel_mass_form",
-    "log_potential_grid",
     "save_measure",
     "load_measure",
 ]
@@ -458,40 +457,6 @@ def log_kernel_mass_form(lo: float, hi: float, n: int):
     g *= inv[:, None]
     g *= inv[None, :]
     return nodes, tw, g
-
-
-def log_potential_grid(mu: GridMeasure, xs) -> np.ndarray:
-    """U(x) = int ln|x-y| dmu(y), exact per cell for the PL density.
-
-    Safe on and off the support, including at the logarithmic singularity.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    y = mu.nodes
-    v0, v1 = mu.values[:-1], mu.values[1:]
-    h = mu.h
-    out = np.empty(xs.size)
-    block = 256
-
-    def p0(s):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = s * (np.log(np.abs(s)) - 1.0)
-        return np.where(s == 0.0, 0.0, r)
-
-    def p1(s):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = s * s * (0.5 * np.log(np.abs(s)) - 0.25)
-        return np.where(s == 0.0, 0.0, r)
-
-    for start in range(0, xs.size, block):
-        xb = xs[start:start + block, None]
-        s0 = y[None, :-1] - xb
-        s1 = y[None, 1:] - xb
-        d0 = p0(s1) - p0(s0)
-        d1 = p1(s1) - p1(s0)
-        beta = (v1 - v0)[None, :] / h
-        cell = (v0[None, :] - beta * s0) * d0 + beta * d1
-        out[start:start + block] = np.sum(cell, axis=1)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -307,8 +307,8 @@ def _mcmc_chains(V: Potential, beta: float, n: int, seed: int,
     eq = equilibrium_cached(V)
     coeffs = V.coeffs
     classes = _colour_classes(n, V.degree)
-    a = np.full((R, n), eq.center)
-    u = np.full((R, n - 1), math.log(0.5 * eq.radius))
+    a = np.full((R, n), eq.measure.center)
+    u = np.full((R, n - 1), math.log(0.5 * eq.measure.radius))
     b = np.exp(u)
     diag_v = _potential_diagonal(coeffs, a, b)
     half_nb = 0.5 * n * beta
@@ -318,7 +318,7 @@ def _mcmc_chains(V: Potential, beta: float, n: int, seed: int,
     # 1 / sqrt(2 beta (N - k)); the adapted steps multiply these, and
     # start at 2.4, the best random-walk step for a Gaussian target
     sd = 1.0 / math.sqrt(2.0 * beta * n)
-    scale = np.concatenate([np.full(n, eq.radius * sd),
+    scale = np.concatenate([np.full(n, eq.measure.radius * sd),
                             sd * np.sqrt(n / np.arange(n - 1, 0, -1))])
     step = np.full((R, 2), 2.4)             # columns: diagonal, off-diagonal
     sites_per_kind = np.array([n, n - 1])

@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the solver paths under test: the
 constrained equilibrium is solved through its hard-edge Chebyshev
-structure (scalar root-find plus exact finite moment series), and the
-direct grid minimizations use an accelerated projected-gradient method
-or pairwise Frank-Wolfe instead of an active-set KKT solve, the
+structure (scalar root-find plus exact finite moment series), the
+direct grid minimizations use the dense-mask kernel below and an
+accelerated projected-gradient method or pairwise Frank-Wolfe instead of
+an active-set KKT solve, the log-potential of a grid density is
+integrated cell by cell instead of by a closed-form series, the
 Metropolis chain is run site by site with np.delete instead of through
 per-sweep arrays, the Jacobi-entry chain
 is run one site at a time with a dense tr V(T) per proposal instead of
@@ -20,7 +22,7 @@ import math
 
 import numpy as np
 
-from betalab.measures import GridMeasure, log_kernel_mass_form
+from betalab.measures import GridMeasure
 from betalab.potential import Potential
 
 # ---------------------------------------------------------------------------
@@ -188,7 +190,7 @@ def direct_calI_min(V: Potential, eq, c: float, n: int = 2048,
     """
     L = eq.a_v - 2.0 * (eq.b_v - eq.a_v)
     S = c - L
-    nodes, tw, G = log_kernel_mass_form(0.0, S, n)
+    nodes, tw, G = log_kernel_mass_form_reference(0.0, S, n)
     lin = V.eval(c - nodes)
     sol = hard_edge_equilibrium(V, c)
     cdf = sol["mass_below"](c - nodes)           # decreasing in s
@@ -211,7 +213,7 @@ def direct_energy_min(V: Potential, lo: float, hi: float, n: int = 512,
                       gap_tol: float = 5e-7) -> GridMeasure:
     """Brute-force grid minimizer of -Sigma(mu) + int V dmu from a uniform
     start; independent of the Chebyshev equilibrium solve."""
-    nodes, tw, G = log_kernel_mass_form(lo, hi, n)
+    nodes, tw, G = log_kernel_mass_form_reference(lo, hi, n)
     lin = V.eval(nodes)
     w0 = np.full(n + 1, 1.0 / (n + 1))
     w, _, _ = fista_simplex_min(G, lin, w0, gap_tol=gap_tol,
@@ -356,6 +358,46 @@ def log_kernel_mass_form_reference(lo: float, hi: float, n: int):
 
 
 # ---------------------------------------------------------------------------
+# log-potential of a grid density (Euler-Lagrange flatness checks)
+# ---------------------------------------------------------------------------
+
+
+def log_potential_grid(mu: GridMeasure, xs) -> np.ndarray:
+    """U(x) = int ln|x-y| dmu(y), exact per cell for the PL density.
+
+    Safe on and off the support, including at the logarithmic singularity;
+    independent of the closed-form exterior series of AngularMeasure.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    y = mu.nodes
+    v0, v1 = mu.values[:-1], mu.values[1:]
+    h = mu.h
+    out = np.empty(xs.size)
+    block = 256
+
+    def p0(s):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = s * (np.log(np.abs(s)) - 1.0)
+        return np.where(s == 0.0, 0.0, r)
+
+    def p1(s):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = s * s * (0.5 * np.log(np.abs(s)) - 0.25)
+        return np.where(s == 0.0, 0.0, r)
+
+    for start in range(0, xs.size, block):
+        xb = xs[start:start + block, None]
+        s0 = y[None, :-1] - xb
+        s1 = y[None, 1:] - xb
+        d0 = p0(s1) - p0(s0)
+        d1 = p1(s1) - p1(s0)
+        beta = (v1 - v0)[None, :] / h
+        cell = (v0[None, :] - beta * s0) * d0 + beta * d1
+        out[start:start + block] = np.sum(cell, axis=1)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # pairwise Frank-Wolfe on the grid simplex: its gap bounds the suboptimality
 # of its value, so it brackets the minimum the active-set solve reaches
 # ---------------------------------------------------------------------------
@@ -493,7 +535,7 @@ def jacobi_chain_reference(V: Potential, beta: float, n: int, seed: int,
     p = V.degree
     eq = equilibrium_cached(V)
     sd = 1.0 / math.sqrt(2.0 * beta * n)
-    scale = np.concatenate([np.full(n, eq.radius * sd),
+    scale = np.concatenate([np.full(n, eq.measure.radius * sd),
                             sd * np.sqrt(n / np.arange(n - 1, 0, -1))])
     order = ([i for _, i in sorted((i % (p - 1), i) for i in range(n))]
              + [n + k for _, k in sorted((k % p, k) for k in range(n - 1))])
@@ -502,8 +544,8 @@ def jacobi_chain_reference(V: Potential, beta: float, n: int, seed: int,
     for r in replicas:
         rng = np.random.Generator(np.random.Philox(
             key=np.array([seed % (1 << 64), r], dtype=np.uint64)))
-        a = np.full(n, eq.center)
-        u = np.full(n - 1, math.log(0.5 * eq.radius))
+        a = np.full(n, eq.measure.center)
+        u = np.full(n - 1, math.log(0.5 * eq.measure.radius))
         b = np.exp(u)
         cur = _dense_trace_v(V, a, b)
         step = np.full(2, 2.4)

@@ -18,13 +18,12 @@ from betalab.equilibrium import (
 )
 from betalab.measures import (
     AtomicMeasure, GridMeasure, log_energy_grid, log_kernel_mass_form,
-    log_potential_grid, quantile_discretize, reflect_shift, variance,
-    wasserstein,
+    quantile_discretize, reflect_shift, variance, wasserstein,
 )
 from betalab.potential import Potential, kappa
 from betalab.rates import projection_J, rate_IDOS
 from betalab.sampler import sample_gaussian, sample_mcmc_batch
-from oracles import direct_calI_min
+from oracles import direct_calI_min, log_potential_grid
 
 GAUSS = Potential.gaussian()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -7,22 +8,34 @@ import pytest
 import betalab.equilibrium as equilibrium
 from betalab.cli import main
 from betalab.equilibrium import (
-    ConstrainedEquilibriumResult, constrained_equilibrium, equilibrium_cached,
+    AngularMeasure, ConstrainedEquilibriumResult, constrained_equilibrium,
+    equilibrium_cached,
     effective_potential_tail, equilibrium_integral, load_equilibrium,
     nu_limit, save_equilibrium, solve_equilibrium,
 )
 from betalab.measures import (
     AtomicMeasure, GridMeasure, log_energy_grid, log_energy_reg,
-    log_kernel_mass_form, log_potential_grid,
+    log_kernel_mass_form,
 )
 from betalab.potential import Potential
 from oracles import (
     constrained_value_continuum, direct_energy_min, hard_edge_equilibrium,
-    pairwise_fw_reference, wasserstein_quadrature_reference,
+    log_potential_grid, pairwise_fw_reference,
+    wasserstein_quadrature_reference,
 )
 
 QUARTIC_B = 1.0745699318235422          # (4/3)^(1/4)
 QUARTIC_SIGMA = -0.7462266624470001     # ln(4/3)/4 - ln 2 - 1/8
+
+
+def j_minus_dean_majumdar(c):
+    """Left-tail rate of the semicircle, 2 Phi_-(c / sqrt 2) (Dean and
+    Majumdar, PRE 77, 041108 (2008))."""
+    w = c / math.sqrt(2.0)
+    s = math.sqrt(w * w + 6.0)
+    phi = (36.0 * w * w - w ** 4 - (15.0 * w + w ** 3) * s
+           + 27.0 * (math.log(18.0) - 2.0 * math.log(w + s))) / 108.0
+    return 2.0 * phi
 
 
 def j_plus_closed(x):
@@ -42,7 +55,7 @@ def test_gaussian_gold_values(gauss):
     assert abs(eq.a_v + 2.0) <= 1e-10
     assert abs(eq.b_v - 2.0) <= 1e-10
     assert abs(eq.c_v - 0.75) <= 1e-10
-    assert abs(eq.sigma + 0.25) <= 1e-10
+    assert abs(eq.measure.sigma + 0.25) <= 1e-10
     assert elapsed < 1.0
 
 
@@ -56,7 +69,7 @@ def test_gaussian_density_is_semicircle(eq_gauss):
 def test_quartic_gold_values(eq_quartic):
     assert abs(eq_quartic.b_v - QUARTIC_B) <= 1e-10
     assert abs(eq_quartic.a_v + QUARTIC_B) <= 1e-10
-    assert abs(eq_quartic.sigma - QUARTIC_SIGMA) <= 1e-10
+    assert abs(eq_quartic.measure.sigma - QUARTIC_SIGMA) <= 1e-10
     assert abs(eq_quartic.c_v - (0.25 - QUARTIC_SIGMA)) <= 1e-10
 
 
@@ -69,7 +82,7 @@ def test_energy_identity_at_minimizer(gauss, quartic):
     for V in (gauss, quartic):
         eq = equilibrium_cached(V)
         int_v = equilibrium_integral(eq, V.eval)
-        assert abs(eq.c_v - (-eq.sigma + int_v)) <= 1e-12
+        assert abs(eq.c_v - (-eq.measure.sigma + int_v)) <= 1e-12
 
 
 def test_density_vanishes_like_sqrt(eq_gauss):
@@ -95,14 +108,14 @@ def test_exterior_log_potential_closed_form(eq_gauss):
     # for the semicircle: U(x) = x^2/4 - 1/2 - int_2^x sqrt(t^2-4)/2 dt
     for x in (2.0, 2.5, 3.0, 5.0):
         expect = x * x / 4.0 - 0.5 - 0.5 * j_plus_closed(x)
-        assert eq_gauss.log_potential_exterior(x) == pytest.approx(
+        assert eq_gauss.measure.log_potential_exterior(x) == pytest.approx(
             expect, abs=1e-12)
 
 
 @pytest.mark.parametrize("x", [0.0, 1.9, -1.5, [2.5, 1.0]])
 def test_exterior_log_potential_refuses_the_support(eq_gauss, x):
     with pytest.raises(ValueError, match="needs x outside the support"):
-        eq_gauss.log_potential_exterior(x)
+        eq_gauss.measure.log_potential_exterior(x)
 
 
 def test_cached_solve_is_shared(gauss):
@@ -113,8 +126,25 @@ def test_equilibrium_roundtrip(tmp_path, eq_gauss):
     save_equilibrium(eq_gauss, str(tmp_path))
     back = load_equilibrium(str(tmp_path))
     assert back.a_v == eq_gauss.a_v and back.b_v == eq_gauss.b_v
-    assert back.c_v == eq_gauss.c_v and back.sigma == eq_gauss.sigma
+    assert back.c_v == eq_gauss.c_v
+    assert back.measure.sigma == eq_gauss.measure.sigma
     assert np.array_equal(back.density.values, eq_gauss.density.values)
+
+
+@pytest.mark.parametrize("coeffs", ["0,0,0,0,1", "0,0.3,0.5,0.1,0.2"])
+def test_non_gaussian_equilibrium_roundtrip(tmp_path, coeffs):
+    eq = equilibrium_cached(Potential.from_string(coeffs))
+    first, second = tmp_path / "first", tmp_path / "second"
+    paths = save_equilibrium(eq, str(first))
+    back = load_equilibrium(str(first))
+    save_equilibrium(back, str(second))
+    for path in paths.values():
+        name = path.rsplit("/", 1)[-1]
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    for f in dataclasses.fields(AngularMeasure):
+        assert np.array_equal(getattr(back.measure, f.name),
+                              getattr(eq.measure, f.name)), f.name
+    assert back.measure.cos_moments.flags.writeable is False
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +195,46 @@ def test_tail_dominated_by_potential_growth(eq_gauss, gauss):
               for x in (5.0, 8.0, 12.0)]
     assert ratios[0] < ratios[1] < ratios[2] <= 1.0
     assert ratios[2] >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# hard-edge measure in closed form
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("c", [-1.0, 0.0, 0.5, 1.0, 1.5, 1.9, 1.99])
+def test_hard_edge_energy_matches_dean_majumdar(gauss, eq_gauss, c):
+    j_minus = equilibrium._hard_edge(gauss, c).energy(gauss) - eq_gauss.c_v
+    assert abs(j_minus - j_minus_dean_majumdar(c)) <= 2e-15
+
+
+def test_hard_edge_third_order_coefficient(gauss, eq_gauss):
+    # J^-(c) ~ (2 - c)^3 / 12 as the wall reaches b_V = 2
+    c = 1.99
+    j_minus = equilibrium._hard_edge(gauss, c).energy(gauss) - eq_gauss.c_v
+    assert abs(j_minus / (2.0 - c) ** 3 - 1.0 / 12.0) <= 1e-3
+
+
+@pytest.mark.parametrize("coeffs, c", [("0,0,0,0,1", 0.8),
+                                       ("0,0.3,0.5,0.1,0.2", 0.9)])
+def test_hard_edge_sigma_and_int_v_match_oracle(coeffs, c):
+    V = Potential.from_string(coeffs)
+    measure = equilibrium._hard_edge(V, c)
+    ref = hard_edge_equilibrium(V, c)
+    assert abs(measure.sigma - ref["sigma"]) <= 1e-12
+    assert abs(measure.energy(V) + measure.sigma - ref["int_v"]) <= 1e-12
+
+
+@pytest.mark.parametrize("coeffs, c", [("0,0,0.5", 1.5), ("0,0,0.5", -1.0),
+                                       ("0,0,0,0,1", 0.8)])
+def test_hard_edge_effective_potential_falls_to_soft_edge(coeffs, c):
+    # Euler-Lagrange left of the support: V - 2 U is at least its support
+    # value there, so it does not increase on the way in to the soft edge
+    V = Potential.from_string(coeffs)
+    measure = equilibrium._hard_edge(V, c)
+    soft = measure.center - measure.radius
+    xs = np.linspace(soft - 3.0, soft, 601)
+    f = V.eval(xs) - 2.0 * measure.log_potential_exterior(xs)
+    assert np.max(np.diff(f)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
