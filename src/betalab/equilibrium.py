@@ -30,8 +30,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from ._fsio import write_text_atomic
-from .measures import GridMeasure, _readonly, load_measure, \
-    log_kernel_mass_form, reflect_shift, save_measure
+from .measures import GridMeasure, _log_energy_series, _readonly, \
+    load_measure, log_kernel_mass_form, reflect_shift, save_measure
 from .potential import Potential
 
 __all__ = [
@@ -92,9 +92,7 @@ class AngularMeasure:
     @property
     def sigma(self) -> float:
         """Sigma(mu) = ln(radius / 2) - 2 sum_k mom_k^2 / k."""
-        mom = self.cos_moments
-        return math.log(0.5 * self.radius) - 2.0 * sum(
-            mom[k] ** 2 / k for k in range(1, mom.size))
+        return _log_energy_series(self.radius, self.cos_moments)
 
     def energy(self, V: Potential) -> float:
         """-Sigma(mu) + int V dmu, int V = sum_k v_k mom_k with v_k the
@@ -447,14 +445,18 @@ def save_equilibrium(eq: EquilibriumResult, directory: str) -> dict:
 
 
 def load_equilibrium(directory: str) -> EquilibriumResult:
-    with open(os.path.join(directory, f"{EQUILIBRIUM_STEM}.json")) as fh:
+    """Inverse of :func:`save_equilibrium`; refuses a tampered `sigma`."""
+    jpath = os.path.join(directory, f"{EQUILIBRIUM_STEM}.json")
+    with open(jpath) as fh:
         obj = json.load(fh)
     density = load_measure(
         os.path.join(directory, f"{EQUILIBRIUM_STEM}_density.csv"))
     a, b = obj["a_v"], obj["b_v"]
+    measure = AngularMeasure(0.5 * (a + b), 0.5 * (b - a), obj["cos_moments"])
+    if obj["sigma"] != measure.sigma:
+        raise ValueError(f"{jpath}: stored sigma {obj['sigma']!r} is not "
+                         f"the cos_moments' {measure.sigma!r}")
     return EquilibriumResult(
-        a_v=a, b_v=b, density=density, c_v=obj["c_v"],
-        measure=AngularMeasure(0.5 * (a + b), 0.5 * (b - a),
-                               obj["cos_moments"]),
+        a_v=a, b_v=b, density=density, c_v=obj["c_v"], measure=measure,
         cheb_u=np.asarray(obj["cheb_u"]),
         potential_coeffs=tuple(obj["potential_coeffs"]))

@@ -13,7 +13,8 @@ x -> c - x, exact Wasserstein distances through quantile coupling (any
 order p >= 1 between two atomic measures; W1 in closed form between an
 atomic and a grid measure), quantile discretization, and the logarithmic
 energy Sigma(mu) = double integral of ln|x-y|, in a regularized form for
-atoms and a singularity-aware quadrature for grid densities.
+atoms and as a Chebyshev-moment series for grid densities; the quadratic
+form of Sigma on a grid integrates cell pairs sharing a node exactly.
 """
 from __future__ import annotations
 
@@ -338,71 +339,66 @@ def log_energy_reg(mu: AtomicMeasure, m: float) -> float:
     return total
 
 
-# exact Galerkin integrals of ln|x-y| against linear shape functions on the
-# unit cell [0,1]^2 and the adjacent pair [0,1]x[1,2]; closed forms checked
-# against high-precision quadrature in the test suite
-_LN2 = math.log(2.0)
-_T_SAME = ((-7.0 / 16.0, -5.0 / 16.0), (-5.0 / 16.0, -7.0 / 16.0))
-_A_ADJ = ((2.0 * _LN2 / 3.0 - 23.0 / 48.0, 1.0 / 16.0),
-          (2.0 * _LN2 / 3.0 - 29.0 / 48.0, 2.0 * _LN2 / 3.0 - 23.0 / 48.0))
+def _log_energy_series(radius: float, mom: np.ndarray) -> float:
+    """Sigma = ln(radius / 2) m_0^2 - 2 sum_{k>=1} m_k^2 / k of a measure on
+    [c - radius, c + radius] with Chebyshev moments m_k, by the expansion
+    ln|x - y| = ln(radius / 2) - sum_k (2 / k) T_k(s) T_k(t); summed left to
+    right, so a moment sequence keeps its bits."""
+    tail = np.add.accumulate(mom[1:] ** 2 / np.arange(1.0, mom.size))[-1]
+    return math.log(0.5 * radius) * mom[0] ** 2 - 2.0 * float(tail)
 
 
-def _sigma_near_terms(vals: np.ndarray, h: float) -> float:
-    """Cell pairs sharing a node, integrated exactly for the PL density."""
-    lnh = math.log(h)
-    v0, v1 = vals[:-1], vals[1:]
-    same = (_T_SAME[0][0] * (v0 * v0 + v1 * v1)
-            + 2.0 * _T_SAME[0][1] * v0 * v1
-            + lnh * 0.25 * (v0 + v1) ** 2)
-    out = float(np.sum(same))
-    a0, a1, b1 = vals[:-2], vals[1:-1], vals[2:]
-    adj = (_A_ADJ[0][0] * a0 * a1 + _A_ADJ[0][1] * a0 * b1
-           + _A_ADJ[1][0] * a1 * a1 + _A_ADJ[1][1] * a1 * b1
-           + lnh * 0.25 * (a0 + a1) * (a1 + b1))
-    out += 2.0 * float(np.sum(adj))
-    return out * h * h
-
-
-def _far_log_kernel(mids: np.ndarray, start: int, stop: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Rows start:stop of ln|mids_i - mids_j|, zero where |i - j| <= 1.
-
-    Those cell pairs share a node; the callers integrate them exactly.
-    Written into the leading stop - start rows of `out` when given.
-    """
-    lk = np.subtract(mids[start:stop, None], mids[None, :],
-                     out=None if out is None else out[:stop - start])
-    np.abs(lk, out=lk)
-    with np.errstate(divide="ignore"):
-        np.log(lk, out=lk)
-    rows = np.arange(stop - start)
-    for off in (-1, 0, 1):
-        cols = rows + (start + off)
-        ok = (cols >= 0) & (cols < mids.size)
-        lk[rows[ok], cols[ok]] = 0.0
-    return lk
+def _cos_moments(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """m_k = sum_j p_j cos(k (j + 1/2) pi / 2N), k < 2N = 2 even.size, p the
+    even part for even k, the odd part for odd k: a DCT-II and a DCT-IV."""
+    n = even.size
+    mom = np.empty(2 * n)
+    v = np.fft.rfft(np.concatenate([even[::2], even[::-2]]))
+    v *= np.exp(-0.5j * np.pi / n * np.arange(n // 2 + 1))
+    mom[:n + 1:2] = v.real
+    mom[-2:n:-2] = -v.imag[1:n // 2]
+    j = np.arange(n // 2)
+    z = np.fft.fft((odd[::2] + 1j * odd[::-2]) * np.exp(-1j * np.pi / n * j))
+    z *= np.exp(-0.25j * np.pi / n * (4 * j + 1))
+    mom[1::4] = z.real
+    mom[::-4] = -z.imag
+    return mom
 
 
 def log_energy_grid(mu: GridMeasure) -> float:
     """Sigma(mu) = iint ln|x-y| dmu dmu for a grid density.
 
-    Cell pairs sharing a node are integrated analytically against the
-    piecewise-linear density; all other pairs use the midpoint kernel
-    against exact cell masses.
+    Chebyshev moments of the piecewise-linear density by an angular midpoint
+    rule in x = center + r cos theta on the least power of two >= max(2^16,
+    64 n) nodes, divided by the rule's own mass.  Reading only `h` and
+    `values`, with theta and pi - theta sharing their cell weights, makes
+    x -> c - x negate the odd moments exactly: Sigma keeps its bits when the
+    pushforward mirrors `values` exactly.
     """
     if not isinstance(mu, GridMeasure):
         raise TypeError("log_energy_grid expects a grid measure")
     vals, h, n = mu.values, mu.h, mu.n
-    mids = mu.lo + h * (np.arange(n) + 0.5)
-    cmass = 0.5 * h * (vals[:-1] + vals[1:])
-    total = _sigma_near_terms(vals, h)
-    block = 1024
-    buf = np.empty((min(block, n), n))     # one kernel block at a time
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        lk = _far_log_kernel(mids, start, stop, out=buf)
-        total += float(cmass[start:stop] @ lk @ cmass)
-    return total
+    m = 1 << (max(1 << 16, 64 * n) - 1).bit_length()
+    theta = (np.arange(m // 2) + 0.5) * (np.pi / m)     # theta < pi / 2
+    # theta: position u in cell i; pi - theta: n - u in cell n - 1 - i
+    u = 0.5 * n * (1.0 + np.cos(theta))
+    i = np.minimum(u.astype(np.intp), n - 1)
+    f = u - i
+    g = 1.0 - f
+    s = np.sin(theta)
+    right = s * (g * vals[i] + f * vals[i + 1])
+    left = s * (f * vals[n - 1 - i] + g * vals[n - i])
+    mom = _cos_moments(right + left, right - left)
+    return _log_energy_series(0.5 * n * h, mom / mom[0])
+
+
+# exact Galerkin integrals of ln|x-y| against linear shape functions on the
+# unit cell [0,1]^2 and the adjacent pair [0,1]x[1,2]; on the two-cell hat
+# they give its Sigma in closed form, checked in the test suite
+_LN2 = math.log(2.0)
+_T_SAME = (-7.0 / 16.0, -5.0 / 16.0)      # diagonal, off-diagonal
+_A_ADJ = ((2.0 * _LN2 / 3.0 - 23.0 / 48.0, 1.0 / 16.0),
+          (2.0 * _LN2 / 3.0 - 29.0 / 48.0, 2.0 * _LN2 / 3.0 - 23.0 / 48.0))
 
 
 def log_kernel_mass_form(lo: float, hi: float, n: int):
@@ -413,8 +409,8 @@ def log_kernel_mass_form(lo: float, hi: float, n: int):
     sum(w) = 1 on probability densities).  ``g`` is symmetric only to
     roundoff: its entries differ from those of ``g.T`` by up to ~1e-15,
     because g[i, j] and g[j, i] add the same four far-field terms, and
-    apply the same two scalings, in different orders.  Same singularity
-    treatment as :func:`log_energy_grid`.
+    apply the same two scalings, in different orders.  Cell pairs sharing
+    a node are exact for the PL density; the rest use the midpoint kernel.
     """
     if n < 2:
         raise ValueError("need n >= 2 cells")
@@ -424,7 +420,13 @@ def log_kernel_mass_form(lo: float, hi: float, n: int):
     # map node values to cell masses: mcell[i, :] = h/2 at nodes i, i+1
     # g_far = mcell^T lk mcell expanded by hand to stay O(n^2)
     g = np.zeros((n + 1, n + 1))
-    q = _far_log_kernel(mids, 0, n)
+    q = np.subtract.outer(mids, mids)
+    np.abs(q, out=q)
+    with np.errstate(divide="ignore"):
+        np.log(q, out=q)
+    np.fill_diagonal(q, 0.0)        # cell pairs sharing a node: exact below
+    np.fill_diagonal(q[1:], 0.0)
+    np.fill_diagonal(q[:, 1:], 0.0)
     q *= 0.25 * h * h
     g[:-1, :-1] += q
     g[:-1, 1:] += q
@@ -433,23 +435,18 @@ def log_kernel_mass_form(lo: float, hi: float, n: int):
     # near-field exact PL Galerkin blocks
     lnh = math.log(h)
     hh = h * h
-    s00 = hh * (_T_SAME[0][0] + 0.25 * lnh)
-    s01 = hh * (_T_SAME[0][1] + 0.25 * lnh)
+    s00, s01 = (hh * (t + 0.25 * lnh) for t in _T_SAME)
     a = [[hh * (_A_ADJ[i][j] + 0.25 * lnh) for j in range(2)] for i in range(2)]
     di = np.arange(n + 1)
-    dg = np.zeros(n + 1)
-    dg[:-1] += s00
-    dg[1:] += s00
-    dg[1:-1] += 2.0 * a[1][0]
+    dg = np.full(n + 1, 2.0 * s00 + 2.0 * a[1][0])
+    dg[[0, -1]] = s00
     g[di, di] += dg
     off = np.full(n, s01)
     off[:-1] += a[0][0]
     off[1:] += a[1][1]
-    g[di[:-1], di[:-1] + 1] += off
-    g[di[:-1] + 1, di[:-1]] += off
-    off2 = np.full(n - 1, a[0][1])
-    g[di[:-2], di[:-2] + 2] += off2
-    g[di[:-2] + 2, di[:-2]] += off2
+    for k, band in ((1, off), (2, np.full(n - 1, a[0][1]))):
+        g[di[:-k], di[k:]] += band
+        g[di[k:], di[:-k]] += band
     tw = np.full(n + 1, h)
     tw[0] = tw[-1] = 0.5 * h
     # convert from node-value to node-mass coordinates

@@ -5,7 +5,7 @@ Every evaluator decomposes its value as
     value = sigma_term + potential_term + offset_term - c_V
 
 held as an exact arithmetic identity in RateEvaluation.  sigma_term is
--Sigma for grid measures (singularity-aware kernel) or -Sigma^M for atomic
+-Sigma for grid measures (Chebyshev-moment series) or -Sigma^M for atomic
 measures, with the M used always reported; offset_term is zero except for
 the conditional functional, where it carries -J^-(c).
 """

@@ -296,7 +296,9 @@ def _near_terms_reference(vals: np.ndarray, h: float) -> float:
 
 
 def log_energy_grid_reference(mu: GridMeasure) -> float:
-    """Sigma(mu) for a grid density, far field in blocks of 1024 rows."""
+    """Sigma(mu) for a grid density: exact near-field cell pairs plus a
+    midpoint far field in blocks of 1024 rows, independent of the
+    library's Chebyshev-moment series."""
     vals, h, n = mu.values, mu.h, mu.n
     mids = mu.lo + h * (np.arange(n) + 0.5)
     cmass = 0.5 * h * (vals[:-1] + vals[1:])

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import re
 import time
 
 import numpy as np
@@ -145,6 +147,16 @@ def test_non_gaussian_equilibrium_roundtrip(tmp_path, coeffs):
         assert np.array_equal(getattr(back.measure, f.name),
                               getattr(eq.measure, f.name)), f.name
     assert back.measure.cos_moments.flags.writeable is False
+
+
+def test_load_refuses_tampered_sigma(tmp_path, eq_gauss):
+    paths = save_equilibrium(eq_gauss, str(tmp_path))
+    obj = json.loads(open(paths["json"]).read())
+    obj["sigma"] = 123.0
+    with open(paths["json"], "w") as fh:
+        json.dump(obj, fh)
+    with pytest.raises(ValueError, match=re.escape(paths["json"]) + ".*sigma"):
+        load_equilibrium(str(tmp_path))
 
 
 # ---------------------------------------------------------------------------
