@@ -23,8 +23,8 @@ import numpy as np
 
 from ._fsio import fmt, write_text_atomic
 from . import dos as dosmod
-from .equilibrium import effective_potential_tail, equilibrium_cached, \
-    nu_limit, save_equilibrium
+from .equilibrium import constrained_equilibrium, effective_potential_tail, \
+    equilibrium_cached, nu_limit, save_equilibrium
 from .measures import load_measure
 from .potential import Potential
 from .rates import projection_J, rate_IDOS, rate_IV, rate_calI, rate_calJ, \
@@ -173,12 +173,19 @@ def _cmd_tail_scan(cfg: dict):
         cfg["xs"] = [float(eq.b_v) + d for d in (0.0, 0.5, 1.0)]
     plus = [(x, effective_potential_tail(eq, V, x)) for x in cfg["xs"]]
     minus = [(c, projection_J(eq, V, c, n=cfg["grid"])) for c in cfg["left"]]
+    # each wall below b_V was solved once, above; read its certificate
+    # back from the memo
+    walls = {fmt(c): constrained_equilibrium(V, c, cfg["grid"])
+             for c in cfg["left"] if c < eq.b_v}
     tables = {"tail_plus.csv": ("x,j_plus", plus)}
     if minus:
         tables["tail_minus.csv"] = ("c,j_minus", minus)
     return {
         "j_plus": {fmt(x): v for x, v in plus},
         "j_minus": {fmt(c): v for c, v in minus},
+        "j_minus_certificate": {
+            c: {"gap": res.gap, "rounds": res.iterations}
+            for c, res in walls.items()},
     }, tables
 
 

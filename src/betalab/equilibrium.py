@@ -30,8 +30,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from ._fsio import write_text_atomic
-from .measures import GridMeasure, _log_energy_series, _readonly, \
-    load_measure, log_kernel_mass_form, reflect_shift, save_measure
+from .measures import GridMeasure, LogKernel, _log_energy_series, \
+    _readonly, load_measure, reflect_shift, save_measure
 from .potential import Potential
 
 __all__ = [
@@ -315,35 +315,35 @@ def _seed_masses(V: Potential, eq: EquilibriumResult, nodes: np.ndarray,
     return w / w.sum()
 
 
-def _simplex_minimize(G, lin, w0):
-    """Minimize f(w) = -w G w + lin.w over the probability simplex, starting
-    from the support of w0.
+def _simplex_minimize(K: LogKernel, lin, w0):
+    """Minimize f(w) = -w G w + lin.w over the probability simplex of the
+    first m = lin.size nodes of the kernel K, starting from the support of
+    w0.
 
     Active-set solve of the KKT conditions.  On the support S the gradient
-    -(G + G.T) w + lin equals the multiplier lam of sum(w) = 1, and off it
-    it is at least lam.  A round solves the bordered system
-    [[-(G_SS + G_SS.T), -1], [1, 0]] [w_S; lam] = [-lin_S; 1]; nodes with
+    g = -2 G w + lin (G is symmetric) equals the multiplier lam of
+    sum(w) = 1, and off it it is at least lam.  A round solves the bordered
+    system [[-2 G_SS, -1], [1, 0]] [w_S; lam] = [-lin_S; 1]; nodes with
     w_S <= 0 leave S, and once w_S > 0, nodes with g < lam join it.
     Sigma is negative definite on signed measures of mass zero, so
-    -(G_SS + G_SS.T) is positive definite on sum-zero vectors and every
-    such system is regular.  Started from the support of the continuum
-    minimizer, the solve meets the GAP_TOL duality-gap certificate
-    g.w - min g, g = -2 G w + lin, in one to three rounds.
+    -2 G_SS is positive definite on sum-zero vectors and every such system
+    is regular.  Started from the support of the continuum minimizer, the
+    solve meets the GAP_TOL duality-gap certificate g.w - min g in one to
+    three rounds.
 
-    Only the support block of G is gathered; no symmetrized copy of all of
-    G is made.  Returns (w, value, gap, rounds) of the last feasible round.
-    The gap exceeds GAP_TOL at the round cap; a singular system, or no
-    feasible round, leaves it inf, with w0 and a nan value.
+    K is read only through K.block(S) and K.matvec(w): w is zero past m,
+    so (G w)[:m] = G[:m, :m] w.  Returns (w, value, gap, rounds) of the
+    last feasible round.  The gap exceeds GAP_TOL at the round cap; a
+    singular system, or no feasible round, leaves it inf, with w0 and a
+    nan value.
     """
     w = w0.astype(float)
     S = np.flatnonzero(w > 0.0)
     value, gap = math.nan, math.inf
     for rounds in range(1, ACTIVE_SET_MAX_ROUNDS + 1):
         k = S.size
-        block = G[np.ix_(S, S)]
         kkt = np.empty((k + 1, k + 1))
-        np.add(block, block.T, out=kkt[:k, :k])
-        np.negative(kkt[:k, :k], out=kkt[:k, :k])
+        np.multiply(K.block(S), -2.0, out=kkt[:k, :k])
         kkt[:k, k] = -1.0
         kkt[k, :k] = 1.0
         kkt[k, k] = 0.0
@@ -357,7 +357,7 @@ def _simplex_minimize(G, lin, w0):
             continue
         w = np.zeros_like(lin)
         w[S] = w_S
-        Gw = G @ w
+        Gw = K.matvec(w)
         value = float(-w @ Gw + lin @ w)
         g = -2.0 * Gw + lin
         gap = float(g @ w - g.min())
@@ -399,16 +399,17 @@ def constrained_equilibrium(V: Potential, x: float,
     h = (x - L) / n
     n_extra = 0 if x >= b else int(math.ceil((b + 0.25 * width - x) / h))
     cells = n + n_extra
-    nodes, tw, G = log_kernel_mass_form(L, L + cells * h, cells)
+    K = LogKernel(L, L + cells * h, cells)
+    nodes = K.nodes
     lin = V.eval(nodes)
 
     m = n + 1       # nodes of [L, x]
     w_c, val_c, gap, it = _simplex_minimize(
-        G[:m, :m], lin[:m], w0=_seed_masses(V, eq, nodes[:m], x))
+        K, lin[:m], w0=_seed_masses(V, eq, nodes[:m], x))
     val_u = val_c
     if n_extra:     # the unconstrained problem, on the whole grid
         _, val_u, gap_u, it_u = _simplex_minimize(
-            G, lin, w0=_seed_masses(V, eq, nodes, nodes[-1]))
+            K, lin, w0=_seed_masses(V, eq, nodes, nodes[-1]))
         gap, it = max(gap, gap_u), it + it_u
     if gap > GAP_TOL:
         raise RuntimeError(
@@ -420,7 +421,7 @@ def constrained_equilibrium(V: Potential, x: float,
             f"constrained minimum below unconstrained: {value}")
 
     res = _HARD_WALL_CACHE[key] = ConstrainedEquilibriumResult(
-        minimizer=GridMeasure(L, x, w_c / tw[:m]),
+        minimizer=GridMeasure(L, x, w_c / K.tw[:m]),
         value=float(max(value, 0.0)), gap=float(gap), iterations=int(it))
     return res
 

@@ -14,7 +14,8 @@ order p >= 1 between two atomic measures; W1 in closed form between an
 atomic and a grid measure), quantile discretization, and the logarithmic
 energy Sigma(mu) = double integral of ln|x-y|, in a regularized form for
 atoms and as a Chebyshev-moment series for grid densities; the quadratic
-form of Sigma on a grid integrates cell pairs sharing a node exactly.
+form of Sigma on a uniform grid, which integrates cell pairs sharing a node
+exactly, is an O(n) Toeplitz operator.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ __all__ = [
     "quantile_discretize",
     "log_energy_reg",
     "log_energy_grid",
-    "log_kernel_mass_form",
+    "LogKernel",
     "save_measure",
     "load_measure",
 ]
@@ -380,15 +381,32 @@ def log_energy_grid(mu: GridMeasure) -> float:
     vals, h, n = mu.values, mu.h, mu.n
     m = 1 << (max(1 << 16, 64 * n) - 1).bit_length()
     theta = (np.arange(m // 2) + 0.5) * (np.pi / m)     # theta < pi / 2
-    # theta: position u in cell i; pi - theta: n - u in cell n - 1 - i
-    u = 0.5 * n * (1.0 + np.cos(theta))
-    i = np.minimum(u.astype(np.intp), n - 1)
-    f = u - i
-    g = 1.0 - f
+    # theta: position u in cell i, f = u - i; pi - theta: n - u in cell
+    # n - 1 - i.  The sums are built in place from gathers of shifted views,
+    # not of shifted index arrays, and the working arrays go before the
+    # transforms, since this call sets the peak memory of `rate calj`
+    f = 0.5 * n * (1.0 + np.cos(theta))
     s = np.sin(theta)
-    right = s * (g * vals[i] + f * vals[i + 1])
-    left = s * (f * vals[n - 1 - i] + g * vals[n - i])
-    mom = _cos_moments(right + left, right - left)
+    del theta
+    i = np.minimum(f.astype(np.intp), n - 1)
+    f -= i
+    g = 1.0 - f
+    ahead, back = vals[1:], vals[::-1]          # vals[i + 1], vals[n - i]
+    right, tmp = vals[i], ahead[i]
+    right *= g
+    tmp *= f
+    right += tmp
+    right *= s
+    left, tmp = back[1:][i], back[i]
+    left *= f
+    tmp *= g
+    left += tmp
+    left *= s
+    del f, g, s, i, tmp
+    odd = right - left
+    right += left
+    del left
+    mom = _cos_moments(right, odd)
     return _log_energy_series(0.5 * n * h, mom / mom[0])
 
 
@@ -401,59 +419,81 @@ _A_ADJ = ((2.0 * _LN2 / 3.0 - 23.0 / 48.0, 1.0 / 16.0),
           (2.0 * _LN2 / 3.0 - 29.0 / 48.0, 2.0 * _LN2 / 3.0 - 23.0 / 48.0))
 
 
-def log_kernel_mass_form(lo: float, hi: float, n: int):
-    """Quadratic form of Sigma in node-mass coordinates.
+class LogKernel:
+    """Quadratic form of Sigma in node-mass coordinates on the uniform grid
+    of n cells on [lo, hi], as an O(n) operator.
 
-    Returns ``(nodes, tw, g)`` where ``tw`` are trapezoid weights and ``g``
-    is the matrix with Sigma(mu) ~= w^T g w for ``w = tw * values`` (so
-    sum(w) = 1 on probability densities).  ``g`` is symmetric only to
-    roundoff: its entries differ from those of ``g.T`` by up to ~1e-15,
-    because g[i, j] and g[j, i] add the same four far-field terms, and
-    apply the same two scalings, in different orders.  Cell pairs sharing
-    a node are exact for the PL density; the rest use the midpoint kernel.
+    Sigma(mu) ~= w^T G w for ``w = tw * values`` (so sum(w) = 1 on
+    probability densities), ``tw`` the trapezoid weights.  Cell pairs
+    sharing a node are exact for the PL density; the rest use the midpoint
+    kernel (h^2 / 4) ln(h |d|), d the distance of the cells.  G[i, j]
+    depends on |i - j| alone except in the rows and columns of nodes 0 and
+    n, which have one cell and half a trapezoid weight: the operator keeps
+    that interior symbol and the exact row of node 0 (node n's is its
+    mirror image), and never forms G.  G is exactly symmetric.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 cells")
-    h = (hi - lo) / n
-    nodes = lo + h * np.arange(n + 1)
-    mids = lo + h * (np.arange(n) + 0.5)
-    # map node values to cell masses: mcell[i, :] = h/2 at nodes i, i+1
-    # g_far = mcell^T lk mcell expanded by hand to stay O(n^2)
-    g = np.zeros((n + 1, n + 1))
-    q = np.subtract.outer(mids, mids)
-    np.abs(q, out=q)
-    with np.errstate(divide="ignore"):
-        np.log(q, out=q)
-    np.fill_diagonal(q, 0.0)        # cell pairs sharing a node: exact below
-    np.fill_diagonal(q[1:], 0.0)
-    np.fill_diagonal(q[:, 1:], 0.0)
-    q *= 0.25 * h * h
-    g[:-1, :-1] += q
-    g[:-1, 1:] += q
-    g[1:, :-1] += q
-    g[1:, 1:] += q
-    # near-field exact PL Galerkin blocks
-    lnh = math.log(h)
-    hh = h * h
-    s00, s01 = (hh * (t + 0.25 * lnh) for t in _T_SAME)
-    a = [[hh * (_A_ADJ[i][j] + 0.25 * lnh) for j in range(2)] for i in range(2)]
-    di = np.arange(n + 1)
-    dg = np.full(n + 1, 2.0 * s00 + 2.0 * a[1][0])
-    dg[[0, -1]] = s00
-    g[di, di] += dg
-    off = np.full(n, s01)
-    off[:-1] += a[0][0]
-    off[1:] += a[1][1]
-    for k, band in ((1, off), (2, np.full(n - 1, a[0][1]))):
-        g[di[:-k], di[k:]] += band
-        g[di[k:], di[:-k]] += band
-    tw = np.full(n + 1, h)
-    tw[0] = tw[-1] = 0.5 * h
-    # convert from node-value to node-mass coordinates
-    inv = 1.0 / tw
-    g *= inv[:, None]
-    g *= inv[None, :]
-    return nodes, tw, g
+
+    def __init__(self, lo: float, hi: float, n: int):
+        if n < 2:
+            raise ValueError("need n >= 2 cells")
+        self.lo, self.hi, self.n = float(lo), float(hi), int(n)
+        h = (self.hi - self.lo) / n
+        self.nodes = self.lo + h * np.arange(n + 1)
+        self.tw = np.full(n + 1, h)
+        self.tw[0] = self.tw[-1] = 0.5 * h
+        # far field of cells d apart, d = 0..n + 1; pairs sharing a node
+        # (d <= 1) are exact in the bands below
+        d = np.arange(n + 2)
+        q = np.zeros(n + 2)
+        q[2:] = 0.25 * h * h * np.log(h * d[2:])
+        lnh, hh = math.log(h), h * h
+        s00, s01 = (hh * (t + 0.25 * lnh) for t in _T_SAME)
+        a00, a01, a10, a11 = (hh * (t + 0.25 * lnh)
+                              for row in _A_ADJ for t in row)
+        # interior node pairs: cells {i-1, i} x {j-1, j}
+        sym = 2.0 * q[:-1] + q[1:]
+        sym[1:] += q[:-2]
+        sym[:3] += (2.0 * s00 + 2.0 * a10, s01 + a00 + a11, a01)
+        self._symbol = sym / hh
+        # node 0: cell 0 x {j-1, j}
+        row = np.zeros(n + 1)
+        row[1:] += q[:n]
+        row[:-1] += q[:n]
+        row[:3] += (s00, s01 + a00, a01)
+        self._row0 = row / (0.5 * h * self.tw)
+
+    def block(self, S) -> np.ndarray:
+        """G[S, S] for increasing node indices S."""
+        S = np.asarray(S, dtype=np.intp)
+        dist = np.subtract.outer(S, S)
+        np.abs(dist, out=dist)
+        out = self._symbol[dist]
+        if S.size and S[0] == 0:
+            out[0] = out[:, 0] = self._row0[S]
+        if S.size and S[-1] == self.n:
+            out[-1] = out[:, -1] = self._row0[self.n - S]
+        return out
+
+    def matvec(self, w) -> np.ndarray:
+        """G[:k, :k] @ w for k = w.size <= n + 1 (G @ w of a w that is zero
+        past its first k nodes, read at those nodes): the interior symbol
+        as one convolution, then the rows and columns of nodes 0 and n."""
+        w = np.asarray(w, dtype=float)
+        k = w.size
+        full = k == self.n + 1
+        inner = w.copy()
+        inner[0] = 0.0
+        if full:
+            inner[-1] = 0.0
+        sym = self._symbol[:k]
+        out = np.convolve(np.concatenate([sym[:0:-1], sym]), inner, "valid")
+        row0 = self._row0[:k]
+        out += w[0] * row0
+        if full:
+            out += w[-1] * row0[::-1]
+            out[-1] = row0[::-1] @ w
+        out[0] = row0 @ w
+        return out
 
 
 # ---------------------------------------------------------------------------

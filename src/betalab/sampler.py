@@ -71,29 +71,33 @@ def _power_diagonals(diagonal, offdiagonal, degree: int) -> np.ndarray:
     Carries the nonzero diagonals of T^k; the next power is three shifted
     elementwise products per diagonal, so it costs O(N degree^2) and no
     eigenvalue is solved.  Only the diagonals |m| <= min(k, degree - k)
-    of T^k are formed: the ones the diagonal of a later power reads.
+    of T^k are formed: the ones the diagonal of a later power reads.  The
+    batch is laid end to end as one tridiagonal matrix with zero couplings
+    between blocks, whose powers are block diagonal, so each product runs
+    once over all R N entries.
     """
     d = np.asarray(diagonal, dtype=float)
     e = np.asarray(offdiagonal, dtype=float)
     n, pad = d.shape[-1], degree + 1
-    batch = d.size // n
+    size = d.size
     # T's entries at column c, zero-padded so shifted reads past the ends
     # see zeros: rows above[c] = T[c-1, c], main[c] = T[c, c] and
-    # below[c] = T[c+1, c]
-    padded = np.zeros((3, batch, n + 2 * pad))
-    padded[0, :, pad + 1:pad + n] = e.reshape(batch, n - 1)
-    padded[1, :, pad:pad + n] = d.reshape(batch, n)
-    padded[2, :, pad:pad + n - 1] = e.reshape(batch, n - 1)
+    # below[c] = T[c+1, c]; a block's first above and last below are the
+    # zero couplings
+    padded = np.zeros((3, size + 2 * pad))
+    blocks = padded[:, pad:pad + size].reshape(3, -1, n)
+    blocks[0, :, 1:] = e.reshape(-1, n - 1)
+    blocks[1] = d.reshape(-1, n)
+    blocks[2, :, :-1] = e.reshape(-1, n - 1)
     # shifted[:, r] reads the three rows r - degree columns to the right,
-    # padded[:, :, r + 1:r + 1 + n], as one view with no copy
+    # padded[:, r + 1:r + 1 + size], as one view with no copy
     step = padded.itemsize
-    shifted = np.ndarray((3, 2 * degree + 1, batch, n), buffer=padded,
-                         offset=step, strides=(padded.strides[0], step,
-                                               padded.strides[1], step))
+    shifted = np.ndarray((3, 2 * degree + 1, size), buffer=padded,
+                         offset=step, strides=(padded.strides[0], step, step))
     # row degree+1+m holds (T^k)[i, i+m]; one zero row on each side
-    bands = np.zeros((2 * degree + 3, batch, n))
+    bands = np.zeros((2 * degree + 3, size))
     bands[degree + 1] = 1.0
-    out = np.empty((degree + 1, batch, n))
+    out = np.empty((degree + 1, size))
     out[0] = 1.0
     term = np.empty_like(bands)
     for k in range(1, degree + 1):

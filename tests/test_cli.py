@@ -14,7 +14,7 @@ import pytest
 from betalab import dos, rates
 from betalab.cli import main
 from betalab.dos import draw_spectra
-from betalab.equilibrium import equilibrium_cached
+from betalab.equilibrium import constrained_equilibrium, equilibrium_cached
 from betalab.measures import AtomicMeasure, wasserstein
 from betalab.potential import Potential
 
@@ -206,6 +206,24 @@ def test_tail_scan_command(tmp_path):
     out = tmp_path / "out"
     assert (out / "tail_plus.csv").exists()
     assert (out / "tail_minus.csv").exists()
+
+
+def test_tail_scan_records_hard_wall_certificates(tmp_path):
+    # one certificate per wall below b_V = 2, from the memoised solve;
+    # the CSV keeps its two columns
+    code, summary = run(tmp_path, "tail-scan", "--left", "1.0,1.5,2.5",
+                        "--grid", "256")
+    assert code == 0
+    cert = summary["results"]["j_minus_certificate"]
+    assert sorted(cert) == ["1.0", "1.5"]
+    for c, entry in cert.items():
+        res = constrained_equilibrium(Potential.gaussian(), float(c), 256)
+        assert entry == {"gap": res.gap, "rounds": res.iterations}
+        assert entry["gap"] <= 1e-8 and entry["rounds"] >= 1
+    rows = (tmp_path / "out" / "tail_minus.csv").read_text().splitlines()
+    assert rows[0] == "c,j_minus"
+    assert [r.split(",")[0] for r in rows[1:]] == ["1.0", "1.5", "2.5"]
+    assert rows[-1] == "2.5,0.0"
 
 
 def test_tail_scan_reruns_byte_identical(tmp_path):
@@ -450,7 +468,8 @@ def test_benchmark_wrap_sites_resolve():
     # a traced benchmark pass wraps each (module, attribute) of WRAP_SITES;
     # a site that no longer resolves zeroes its layer with only a printed
     # line, so a rename in betalab fails here.  The two betalab.cli sampler
-    # sites are known stale (the CLI samples through betalab.dos)
+    # sites are known stale (the CLI samples through betalab.dos), and so is
+    # the dense hard-wall kernel build, which the O(n) LogKernel replaced
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -458,7 +477,8 @@ def test_benchmark_wrap_sites_resolve():
     unresolved = {(mod, attr) for mod, attr, _ in spans.WRAP_SITES
                   if not hasattr(importlib.import_module(mod), attr)}
     assert unresolved == {("betalab.cli", "sample_gaussian"),
-                          ("betalab.cli", "sample_mcmc_batch")}
+                          ("betalab.cli", "sample_mcmc_batch"),
+                          ("betalab.equilibrium", "log_kernel_mass_form")}
 
 
 def test_module_precondition_maps_to_exit_two(tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,13 +17,13 @@ from betalab.equilibrium import (
     nu_limit, save_equilibrium, solve_equilibrium,
 )
 from betalab.measures import (
-    AtomicMeasure, GridMeasure, log_energy_grid, log_energy_reg,
-    log_kernel_mass_form,
+    AtomicMeasure, GridMeasure, LogKernel, log_energy_grid, log_energy_reg,
 )
 from betalab.potential import Potential
 from oracles import (
     constrained_value_continuum, direct_energy_min, hard_edge_equilibrium,
-    log_potential_grid, pairwise_fw_reference,
+    log_kernel_mass_form_reference, log_potential_grid,
+    pairwise_fw_reference,
     wasserstein_quadrature_reference,
 )
 
@@ -270,6 +271,18 @@ def test_constrained_strictly_positive_below_edge(gauss):
     assert res.gap <= 1e-8
 
 
+def test_constrained_peak_memory(gauss, eq_gauss, empty_hard_wall_memo):
+    # the kernel is an O(n) operator: a dense one on the 2317-node grid of
+    # this wall is 41 MiB, and the solve's peak was 82 MiB with it
+    tracemalloc.start()
+    try:
+        constrained_equilibrium(gauss, 1.5, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20
+
+
 def test_constrained_monotone_ten_point_scan(gauss):
     xs = np.linspace(0.9, 2.1, 10)
     vals = [constrained_equilibrium(gauss, float(x), n=768).value for x in xs]
@@ -282,7 +295,7 @@ def test_constrained_below_unconstrained_is_a_solver_failure(
         gauss, monkeypatch, tmp_path, capsys, empty_hard_wall_memo):
     # the fake minimum grows with the cell count, so the unconstrained
     # problem (more cells) reports the larger one
-    def fake_solve(G, lin, w0=None, **kwargs):
+    def fake_solve(K, lin, w0=None, **kwargs):
         return w0, float(lin.size), 0.0, 1
 
     monkeypatch.setattr(equilibrium, "_simplex_minimize", fake_solve)
@@ -302,7 +315,7 @@ def test_constrained_refuses_walls_left_of_window(
     def no_kernel(*args):
         raise AssertionError("kernel built for a refused wall")
 
-    monkeypatch.setattr(equilibrium, "log_kernel_mass_form", no_kernel)
+    monkeypatch.setattr(equilibrium, "LogKernel", no_kernel)
     with pytest.raises(ValueError, match="window edge"):
         constrained_equilibrium(gauss, wall, n=512)
     assert main(["rate", "projection", "--c", repr(wall), "--grid", "512",
@@ -353,15 +366,15 @@ FW_WALLS = [("0,0,0.5", 0.775), ("0,0,0.5", 0.8625), ("0,0,0.5", 0.9375),
 
 
 def recorded_solves(monkeypatch, coeffs, frac):
-    """((G, lin, w0), (w, value, gap, rounds)) of the constrained and the
+    """((K, lin, w0), (w, value, gap, rounds)) of the constrained and the
     unconstrained solve of the wall at a_V + frac (b_V - a_V), n = 1024."""
     V = Potential.from_string(coeffs)
     eq = equilibrium_cached(V)
     solves = []
     solve = equilibrium._simplex_minimize
 
-    def recorded(G, lin, w0):
-        solves.append(((G, lin, w0.copy()), solve(G, lin, w0)))
+    def recorded(K, lin, w0):
+        solves.append(((K, lin, w0.copy()), solve(K, lin, w0)))
         return solves[-1][1]
 
     monkeypatch.setattr(equilibrium, "_simplex_minimize", recorded)
@@ -375,9 +388,13 @@ def recorded_solves(monkeypatch, coeffs, frac):
 def test_fw_matches_reference_loop(coeffs, frac, solve, monkeypatch,
                                   empty_hard_wall_memo):
     # the Frank-Wolfe gap of the reference loop bounds its suboptimality,
-    # so an exact minimum lies at most ref_gap below ref_value
-    (G, lin, w0), (_, value, _, _) = recorded_solves(
+    # so an exact minimum lies at most ref_gap below ref_value; the loop
+    # runs on the dense reference kernel of the same grid, the leading
+    # lin.size nodes of it for the constrained solve
+    (K, lin, w0), (_, value, _, _) = recorded_solves(
         monkeypatch, coeffs, frac)[solve]
+    m = lin.size
+    G = log_kernel_mass_form_reference(K.lo, K.hi, K.n)[2][:m, :m]
     _, ref_value, ref_gap, _ = pairwise_fw_reference(G, lin, w0)
     assert ref_gap <= 1e-8
     assert value <= ref_value + 1e-12
@@ -389,19 +406,19 @@ def test_fw_matches_reference_loop(coeffs, frac, solve, monkeypatch,
 def test_simplex_minimum_meets_kkt_conditions(coeffs, frac, solve,
                                               monkeypatch,
                                               empty_hard_wall_memo):
-    # KKT of min -w G w + lin.w on the simplex, from the symmetrized
-    # gradient: constant on the support, no smaller off it
-    (G, lin, _), (w, value, gap, _) = recorded_solves(
+    # KKT of min -w G w + lin.w on the simplex, from the gradient of the
+    # symmetric kernel: constant on the support, no smaller off it
+    (K, lin, _), (w, value, gap, _) = recorded_solves(
         monkeypatch, coeffs, frac)[solve]
     assert np.all(w >= 0.0)
     assert abs(w.sum() - 1.0) <= 1e-13
-    g = -(G @ w) - (G.T @ w) + lin
+    g = -2.0 * K.matvec(w) + lin
     on = w > 0.0
     lam = g[on].mean()
     assert np.ptp(g[on]) <= 1e-10
     assert np.all(g[~on] >= lam - 1e-10)
     assert gap <= 1e-12 and float(g @ w - g.min()) <= 1e-12
-    assert value == float(-w @ (G @ w) + lin @ w)
+    assert value == float(-w @ K.matvec(w) + lin @ w)
 
 
 def one_node_seed(V, eq, nodes, cutoff):
@@ -453,11 +470,11 @@ def test_unconverged_simplex_solve_is_a_solver_failure(
 
 def test_constrained_objective_gradient_matches_fd(rng, gauss):
     n = 256
-    nodes, tw, G = log_kernel_mass_form(-10.0, 1.5, n)
-    lin = gauss.eval(nodes)
+    kernel = LogKernel(-10.0, 1.5, n)
+    lin = gauss.eval(kernel.nodes)
 
     def f(w):
-        return float(-w @ (G @ w) + lin @ w)
+        return float(-w @ kernel.matvec(w) + lin @ w)
 
     for _ in range(20):
         w = rng.dirichlet(np.ones(n + 1)) + 0.2
@@ -465,7 +482,7 @@ def test_constrained_objective_gradient_matches_fd(rng, gauss):
         d = rng.normal(0.0, 1.0, n + 1)
         d -= d.mean()                      # stay on the mass-1 affine hull
         d /= np.linalg.norm(d)
-        grad_d = float((-2.0 * (G @ w) + lin) @ d)
+        grad_d = float((-2.0 * kernel.matvec(w) + lin) @ d)
         h = 1e-5
         fd = (f(w + h * d) - f(w - h * d)) / (2.0 * h)
         assert abs(fd - grad_d) <= 1e-6 * max(1.0, abs(grad_d))

@@ -156,7 +156,7 @@ def test_projection_refuses_unconverged_hard_wall_solve(
     # both solves of the wall stop short of the certificate, and the
     # unconstrained minimum (more cells) comes out the larger: the solver
     # reports the missing certificate before "below unconstrained"
-    def stalled_solve(G, lin, w0):
+    def stalled_solve(K, lin, w0):
         return w0, float(lin.size), 1e-3, 7
 
     monkeypatch.setattr(equilibrium, "_simplex_minimize", stalled_solve)
@@ -181,9 +181,9 @@ def test_calj_vanishes_at_conditional_minimizer(eq_gauss, gauss, monkeypatch,
     runs = []
     solve = equilibrium._simplex_minimize
 
-    def counted(G, lin, w0):
+    def counted(K, lin, w0):
         runs.append(lin.size)
-        return solve(G, lin, w0)
+        return solve(K, lin, w0)
 
     monkeypatch.setattr(equilibrium, "_simplex_minimize", counted)
     res = rates.constrained_equilibrium(gauss, 1.5, 2048)
