@@ -8,16 +8,13 @@ V'.  mu_V and the hard-edge measure below a wall are both AngularMeasures,
 whose log-energy Sigma, energy -Sigma + int V (c_V for mu_V), CDF and
 exterior log-potential are finite series in their cosine moments.
 
-constrained_equilibrium minimizes the discretized energy
-E(mu) = -Sigma(mu) + int V dmu over probability measures supported in
-[L, x] by an active-set solve of the KKT conditions on the simplex
-(a bordered linear system on the support per round, duality-gap
-certificate), started from the support of the continuum minimizer: mu_V
-itself, or for x < b_V the closed-form hard-edge measure with a soft left
-edge and a hard wall at x.  The reported value J^-(x)
-is the difference between the constrained and the unconstrained minima
-on the same grid, which makes nonnegativity, monotonicity in x, and
-J^-(x) = 0 for x >= b_V structural rather than numerical accidents.
+constrained_equilibrium minimizes the energy E(mu) = -Sigma(mu) + int V dmu
+over probability measures on (-inf, x] in closed form: the minimizer is
+mu_V for x >= b_V, and below it the hard-edge measure with a soft left
+edge and a hard wall at x, whose cosine moments the Euler-Lagrange
+equation fixes and whose radius is the least positive root of one
+polynomial.  J^-(x) is its energy minus c_V, a finite sum; the soft-edge
+residual of the minimizer is its certificate.
 """
 from __future__ import annotations
 
@@ -30,8 +27,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from ._fsio import write_text_atomic
-from .measures import GridMeasure, LogKernel, _log_energy_series, \
-    _readonly, load_measure, reflect_shift, save_measure
+from .measures import GridMeasure, _log_energy_series, _readonly, \
+    load_measure, reflect_shift, save_measure
 from .potential import Potential
 
 __all__ = [
@@ -47,7 +44,6 @@ INTEGRAL_NODES = 2048    # angular midpoint nodes of equilibrium_integral
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
 GAP_TOL = 1e-8
-ACTIVE_SET_MAX_ROUNDS = 50
 EQUILIBRIUM_STEM = "equilibrium"   # file names written by save_equilibrium
 
 
@@ -267,13 +263,17 @@ def effective_potential_tail(eq: EquilibriumResult, V: Potential,
 
 @dataclass(frozen=True, eq=False)
 class ConstrainedEquilibriumResult:
-    """Minimizer of the energy over probability measures on [L, x], the
-    support interval of `minimizer`."""
+    """Minimizer of the energy over probability measures on (-inf, x].
 
-    minimizer: GridMeasure
+    gap is the soft-edge residual |1 + 2 sum_k (-1)^k mom_k| of the
+    minimizer: pi times its angular density at the left edge, which the
+    closed form puts at 0.  Nothing iterates, so iterations is 0.
+    """
+
+    minimizer: AngularMeasure
     value: float
     gap: float
-    iterations: int
+    iterations: int = 0
 
 
 def _hard_edge(V: Potential, c: float) -> AngularMeasure:
@@ -302,128 +302,31 @@ def _hard_edge(V: Potential, c: float) -> AngularMeasure:
     return AngularMeasure(c - r, r, np.append(1.0, -k * v[1:] / 4.0))
 
 
-def _seed_masses(V: Potential, eq: EquilibriumResult, nodes: np.ndarray,
-                 cutoff: float) -> np.ndarray:
-    """Node masses of the continuum energy minimizer on (-inf, cutoff]:
-    mu_V for cutoff >= b_V, the hard-edge measure below it.  Node x_i gets
-    the exact mass of [x_i - h/2, x_i + h/2] from the measure's CDF.
+def constrained_equilibrium(V: Potential,
+                            x: float) -> ConstrainedEquilibriumResult:
+    """Minimize E(mu) = -Sigma(mu) + int V dmu over measures on (-inf, x].
+
+    In closed form: mu_V for x >= b_V, where J^-(x) = 0, and the hard-edge
+    measure of _hard_edge below it, where J^-(x) = E(minimizer) - c_V.
+    Raises RuntimeError when the minimizer's soft-edge residual exceeds
+    GAP_TOL, or when its energy falls below c_V.
     """
-    measure = eq.measure if cutoff >= eq.b_v else _hard_edge(V, cutoff)
-    h = nodes[1] - nodes[0]
-    edges = np.append(nodes - 0.5 * h, nodes[-1] + 0.5 * h)
-    w = np.maximum(np.diff(measure.cdf(edges)), 0.0)
-    return w / w.sum()
-
-
-def _simplex_minimize(K: LogKernel, lin, w0):
-    """Minimize f(w) = -w G w + lin.w over the probability simplex of the
-    first m = lin.size nodes of the kernel K, starting from the support of
-    w0.
-
-    Active-set solve of the KKT conditions.  On the support S the gradient
-    g = -2 G w + lin (G is symmetric) equals the multiplier lam of
-    sum(w) = 1, and off it it is at least lam.  A round solves the bordered
-    system [[-2 G_SS, -1], [1, 0]] [w_S; lam] = [-lin_S; 1]; nodes with
-    w_S <= 0 leave S, and once w_S > 0, nodes with g < lam join it.
-    Sigma is negative definite on signed measures of mass zero, so
-    -2 G_SS is positive definite on sum-zero vectors and every such system
-    is regular.  Started from the support of the continuum minimizer, the
-    solve meets the GAP_TOL duality-gap certificate g.w - min g in one to
-    three rounds.
-
-    K is read only through K.block(S) and K.matvec(w): w is zero past m,
-    so (G w)[:m] = G[:m, :m] w.  Returns (w, value, gap, rounds) of the
-    last feasible round.  The gap exceeds GAP_TOL at the round cap; a
-    singular system, or no feasible round, leaves it inf, with w0 and a
-    nan value.
-    """
-    w = w0.astype(float)
-    S = np.flatnonzero(w > 0.0)
-    value, gap = math.nan, math.inf
-    for rounds in range(1, ACTIVE_SET_MAX_ROUNDS + 1):
-        k = S.size
-        kkt = np.empty((k + 1, k + 1))
-        np.multiply(K.block(S), -2.0, out=kkt[:k, :k])
-        kkt[:k, k] = -1.0
-        kkt[k, :k] = 1.0
-        kkt[k, k] = 0.0
-        try:
-            sol = np.linalg.solve(kkt, np.append(-lin[S], 1.0))
-        except np.linalg.LinAlgError:
-            break
-        w_S, lam = sol[:k], sol[k]
-        if np.any(w_S <= 0.0):
-            S = S[w_S > 0.0]
-            continue
-        w = np.zeros_like(lin)
-        w[S] = w_S
-        Gw = K.matvec(w)
-        value = float(-w @ Gw + lin @ w)
-        g = -2.0 * Gw + lin
-        gap = float(g @ w - g.min())
-        if gap <= GAP_TOL:
-            break
-        S = np.union1d(S, np.flatnonzero(g < lam))
-    return w, value, gap, rounds
-
-
-_HARD_WALL_CACHE: dict = {}
-
-
-def constrained_equilibrium(V: Potential, x: float,
-                            n: int = 2048) -> ConstrainedEquilibriumResult:
-    """Minimize E(mu) = -Sigma(mu) + int V dmu over measures on [L, x].
-
-    The grid spans [L, max(x, b_V + margin)] with x exactly on a node; the
-    constrained and unconstrained problems share the same kernel, and
-    J^-(x) is the difference of their minima, so the discretization bias
-    of the log-kernel cancels and the anchor J^-(x >= b_V) = 0 is exact.
-    Walls at or left of a_V - (b_V - a_V) are refused: right of it the grid
-    has at most 3.25 n cells and holds the continuum minimizer's support.
-
-    One solve per (V, x, n) and process: the result is memoised.  Raises
-    RuntimeError, memoising nothing, when either active-set solve stops
-    without its duality-gap certificate (a singular system or the round
-    cap); `iterations` counts the rounds of both solves.
-    """
-    key = (V.key(), float(x), n)
-    if key in _HARD_WALL_CACHE:
-        return _HARD_WALL_CACHE[key]
     eq = equilibrium_cached(V)
-    a, b = eq.a_v, eq.b_v
-    width = b - a
-    L = a - 2.0 * width
-    if x <= L + width:
-        raise ValueError(
-            f"cutoff {x} is at or left of the window edge {L + width}")
-    h = (x - L) / n
-    n_extra = 0 if x >= b else int(math.ceil((b + 0.25 * width - x) / h))
-    cells = n + n_extra
-    K = LogKernel(L, L + cells * h, cells)
-    nodes = K.nodes
-    lin = V.eval(nodes)
-
-    m = n + 1       # nodes of [L, x]
-    w_c, val_c, gap, it = _simplex_minimize(
-        K, lin[:m], w0=_seed_masses(V, eq, nodes[:m], x))
-    val_u = val_c
-    if n_extra:     # the unconstrained problem, on the whole grid
-        _, val_u, gap_u, it_u = _simplex_minimize(
-            K, lin, w0=_seed_masses(V, eq, nodes, nodes[-1]))
-        gap, it = max(gap, gap_u), it + it_u
+    if x >= eq.b_v:
+        minimizer, value = eq.measure, 0.0
+    else:
+        minimizer = _hard_edge(V, x)
+        value = minimizer.energy(V) - eq.c_v
+    mom = minimizer.cos_moments
+    gap = abs(1.0 + 2.0 * float(mom[1:] @ (-1.0) ** np.arange(1, mom.size)))
     if gap > GAP_TOL:
         raise RuntimeError(
-            f"J^-({x}) on {n} cells: the active-set solve did not converge, "
-            f"gap {gap} after {it} iterations")
-    value = val_c - val_u
+            f"J^-({x}): soft-edge residual {gap} of the hard-wall minimizer")
     if value < -1e-6:
         raise RuntimeError(
             f"constrained minimum below unconstrained: {value}")
-
-    res = _HARD_WALL_CACHE[key] = ConstrainedEquilibriumResult(
-        minimizer=GridMeasure(L, x, w_c / K.tw[:m]),
-        value=float(max(value, 0.0)), gap=float(gap), iterations=int(it))
-    return res
+    return ConstrainedEquilibriumResult(
+        minimizer=minimizer, value=max(value, 0.0), gap=gap)
 
 
 # -- serialization ------------------------------------------------------------

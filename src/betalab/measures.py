@@ -13,9 +13,7 @@ x -> c - x, exact Wasserstein distances through quantile coupling (any
 order p >= 1 between two atomic measures; W1 in closed form between an
 atomic and a grid measure), quantile discretization, and the logarithmic
 energy Sigma(mu) = double integral of ln|x-y|, in a regularized form for
-atoms and as a Chebyshev-moment series for grid densities; the quadratic
-form of Sigma on a uniform grid, which integrates cell pairs sharing a node
-exactly, is an O(n) Toeplitz operator.
+atoms and as a Chebyshev-moment series for grid densities.
 """
 from __future__ import annotations
 
@@ -36,7 +34,6 @@ __all__ = [
     "quantile_discretize",
     "log_energy_reg",
     "log_energy_grid",
-    "LogKernel",
     "save_measure",
     "load_measure",
 ]
@@ -408,92 +405,6 @@ def log_energy_grid(mu: GridMeasure) -> float:
     del left
     mom = _cos_moments(right, odd)
     return _log_energy_series(0.5 * n * h, mom / mom[0])
-
-
-# exact Galerkin integrals of ln|x-y| against linear shape functions on the
-# unit cell [0,1]^2 and the adjacent pair [0,1]x[1,2]; on the two-cell hat
-# they give its Sigma in closed form, checked in the test suite
-_LN2 = math.log(2.0)
-_T_SAME = (-7.0 / 16.0, -5.0 / 16.0)      # diagonal, off-diagonal
-_A_ADJ = ((2.0 * _LN2 / 3.0 - 23.0 / 48.0, 1.0 / 16.0),
-          (2.0 * _LN2 / 3.0 - 29.0 / 48.0, 2.0 * _LN2 / 3.0 - 23.0 / 48.0))
-
-
-class LogKernel:
-    """Quadratic form of Sigma in node-mass coordinates on the uniform grid
-    of n cells on [lo, hi], as an O(n) operator.
-
-    Sigma(mu) ~= w^T G w for ``w = tw * values`` (so sum(w) = 1 on
-    probability densities), ``tw`` the trapezoid weights.  Cell pairs
-    sharing a node are exact for the PL density; the rest use the midpoint
-    kernel (h^2 / 4) ln(h |d|), d the distance of the cells.  G[i, j]
-    depends on |i - j| alone except in the rows and columns of nodes 0 and
-    n, which have one cell and half a trapezoid weight: the operator keeps
-    that interior symbol and the exact row of node 0 (node n's is its
-    mirror image), and never forms G.  G is exactly symmetric.
-    """
-
-    def __init__(self, lo: float, hi: float, n: int):
-        if n < 2:
-            raise ValueError("need n >= 2 cells")
-        self.lo, self.hi, self.n = float(lo), float(hi), int(n)
-        h = (self.hi - self.lo) / n
-        self.nodes = self.lo + h * np.arange(n + 1)
-        self.tw = np.full(n + 1, h)
-        self.tw[0] = self.tw[-1] = 0.5 * h
-        # far field of cells d apart, d = 0..n + 1; pairs sharing a node
-        # (d <= 1) are exact in the bands below
-        d = np.arange(n + 2)
-        q = np.zeros(n + 2)
-        q[2:] = 0.25 * h * h * np.log(h * d[2:])
-        lnh, hh = math.log(h), h * h
-        s00, s01 = (hh * (t + 0.25 * lnh) for t in _T_SAME)
-        a00, a01, a10, a11 = (hh * (t + 0.25 * lnh)
-                              for row in _A_ADJ for t in row)
-        # interior node pairs: cells {i-1, i} x {j-1, j}
-        sym = 2.0 * q[:-1] + q[1:]
-        sym[1:] += q[:-2]
-        sym[:3] += (2.0 * s00 + 2.0 * a10, s01 + a00 + a11, a01)
-        self._symbol = sym / hh
-        # node 0: cell 0 x {j-1, j}
-        row = np.zeros(n + 1)
-        row[1:] += q[:n]
-        row[:-1] += q[:n]
-        row[:3] += (s00, s01 + a00, a01)
-        self._row0 = row / (0.5 * h * self.tw)
-
-    def block(self, S) -> np.ndarray:
-        """G[S, S] for increasing node indices S."""
-        S = np.asarray(S, dtype=np.intp)
-        dist = np.subtract.outer(S, S)
-        np.abs(dist, out=dist)
-        out = self._symbol[dist]
-        if S.size and S[0] == 0:
-            out[0] = out[:, 0] = self._row0[S]
-        if S.size and S[-1] == self.n:
-            out[-1] = out[:, -1] = self._row0[self.n - S]
-        return out
-
-    def matvec(self, w) -> np.ndarray:
-        """G[:k, :k] @ w for k = w.size <= n + 1 (G @ w of a w that is zero
-        past its first k nodes, read at those nodes): the interior symbol
-        as one convolution, then the rows and columns of nodes 0 and n."""
-        w = np.asarray(w, dtype=float)
-        k = w.size
-        full = k == self.n + 1
-        inner = w.copy()
-        inner[0] = 0.0
-        if full:
-            inner[-1] = 0.0
-        sym = self._symbol[:k]
-        out = np.convolve(np.concatenate([sym[:0:-1], sym]), inner, "valid")
-        row0 = self._row0[:k]
-        out += w[0] * row0
-        if full:
-            out += w[-1] * row0[::-1]
-            out[-1] = row0[::-1] @ w
-        out[0] = row0 @ w
-        return out
 
 
 # ---------------------------------------------------------------------------

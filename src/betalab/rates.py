@@ -106,27 +106,25 @@ def rate_IDOS(eq: EquilibriumResult, V: Potential, nu: Measure,
     return _calI_of_c(eq, V, nu, m)(kappa(V, nu))
 
 
-def projection_J(eq: EquilibriumResult, V: Potential, c: float,
-                 n: int = 2048) -> float:
-    """J_V^-(c): zero at and right of b_V, else the constrained minimum of
-    the memoised hard-wall solve, which raises when it is uncertified."""
-    return 0.0 if c >= eq.b_v else constrained_equilibrium(V, c, n).value
+def projection_J(eq: EquilibriumResult, V: Potential, c: float) -> float:
+    """J_V^-(c): zero at and right of b_V, else the closed-form constrained
+    minimum, which raises when it is uncertified."""
+    return 0.0 if c >= eq.b_v else constrained_equilibrium(V, c).value
 
 
 def rate_calJ(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
-              m: float | None = None, n: int = 2048) -> RateEvaluation:
+              m: float | None = None) -> RateEvaluation:
     """calJ_V(c, nu) = calI_V(c, nu) - J_V^-(c), the conditional rate given
     that the rightmost particle sits at c < b_V."""
     if c >= eq.b_v:
         raise ValueError(
             f"calJ needs c < b_V = {eq.b_v}; use the unconditional rate")
-    return _calI_of_c(eq, V, nu, m)(c, -projection_J(eq, V, c, n))
+    return _calI_of_c(eq, V, nu, m)(c, -projection_J(eq, V, c))
 
 
 # -- infima over c ------------------------------------------------------------
 
-CALJ_SCAN = 9            # scan points of rate_calJ_delta, one solve each
-CALJ_GRID = 512          # cells of each rate_calJ_delta hard-wall solve
+CALJ_SCAN = 9            # scan points of rate_calJ_delta
 
 
 def calI_inf_over_c(eq: EquilibriumResult, V: Potential, nu: Measure,
@@ -154,16 +152,13 @@ def rate_calI_delta(eq: EquilibriumResult, V: Potential, c: float,
 def rate_calJ_delta(eq: EquilibriumResult, V: Potential, c: float,
                     delta: float, nu: Measure,
                     m: float | None = None) -> float:
-    """calJ^delta(c, nu) = inf over a in [c, c+delta] of calJ(a, nu), by scan.
-
-    Each scan point needs its own constrained solve, so the scan is coarse
-    (CALJ_SCAN points) and the grid moderate (CALJ_GRID cells).
-    """
+    """calJ^delta(c, nu) = inf over a in [c, c+delta] of calJ(a, nu), by a
+    scan of CALJ_SCAN points, each with its own J^-(a)."""
     cal = _calI_of_c(eq, V, nu, m)
     out = math.inf
     for a in np.linspace(c, c + delta, CALJ_SCAN):
         a = float(min(a, eq.b_v - 1e-9))
-        out = min(out, cal(a, -projection_J(eq, V, a, CALJ_GRID)).value)
+        out = min(out, cal(a, -projection_J(eq, V, a)).value)
     return out
 
 

@@ -2,25 +2,25 @@
 
 Everything here deliberately avoids the solver paths under test: the
 constrained equilibrium is solved through its hard-edge Chebyshev
-structure (scalar root-find plus exact finite moment series), the
-direct grid minimizations use the dense-mask kernel below and an
-accelerated projected-gradient method or pairwise Frank-Wolfe instead of
-an active-set KKT solve, the log-potential of a grid density is
-integrated cell by cell instead of by a closed-form series, the
+structure (bisection for the soft-edge radius plus exact finite moment
+series), the direct grid minimizations solve the discretized problem
+(the dense-mask kernel below, by accelerated projected gradient or
+pairwise Frank-Wolfe) instead of reading the closed form, the
+log-potential of a grid density is integrated cell by cell and that
+of a closed-form measure by adaptive quadrature instead of by a
+closed-form series, the
 Metropolis chain is run site by site with np.delete instead of through
 per-sweep arrays, the Jacobi-entry chain
 is run one site at a time with a dense tr V(T) per proposal instead of
 in colour classes, infima over c are found by golden-section search
 instead of at kappa, and Wasserstein distances involving a grid measure
 are integrated by the midpoint rule in u instead of in closed form.
-Where a test pins a faster src loop bit for bit, the slower
-straightforward loop it replaced is kept here: the dense-mask log
-kernels.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 from betalab.measures import GridMeasure
 from betalab.potential import Potential
@@ -360,7 +360,7 @@ def log_kernel_mass_form_reference(lo: float, hi: float, n: int):
 
 
 # ---------------------------------------------------------------------------
-# log-potential of a grid density (Euler-Lagrange flatness checks)
+# log-potentials (Euler-Lagrange flatness checks)
 # ---------------------------------------------------------------------------
 
 
@@ -399,9 +399,28 @@ def log_potential_grid(mu: GridMeasure, xs) -> np.ndarray:
     return out
 
 
+def log_potential_quadrature(measure, x: float) -> float:
+    """U(x) = int ln|x - y| dmu(y) for a measure on [m - r, m + r] with
+    angular density (1 + 2 sum_k mom_k cos k t) / pi in y = m + r cos t,
+    by adaptive quadrature in t with the log singularity of an x inside the
+    support as a break point; independent of the Chebyshev expansion of
+    ln|x - y| that the closed forms use."""
+    m, r, mom = measure.center, measure.radius, measure.cos_moments
+    k = np.arange(1, mom.size)
+
+    def integrand(t):
+        dens = (1.0 + 2.0 * float(np.cos(k * t) @ mom[1:])) / math.pi
+        return math.log(abs(x - m - r * math.cos(t))) * dens
+
+    s = (x - m) / r
+    points = [math.acos(s)] if abs(s) < 1.0 else None
+    return quad(integrand, 0.0, math.pi, points=points, limit=200,
+                epsabs=1e-13, epsrel=1e-13)[0]
+
+
 # ---------------------------------------------------------------------------
 # pairwise Frank-Wolfe on the grid simplex: its gap bounds the suboptimality
-# of its value, so it brackets the minimum the active-set solve reaches
+# of its value, so it brackets the grid minimum
 # ---------------------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import pytest
 from betalab.dos import dos_measure
 from betalab.equilibrium import equilibrium_cached, nu_limit
 from betalab.measures import (
-    AtomicMeasure, GridMeasure, LogKernel,
+    AtomicMeasure, GridMeasure,
     load_measure, log_energy_grid, log_energy_reg,
     moment, quantile_discretize, reflect_shift, save_measure, variance,
     wasserstein,
@@ -390,9 +390,9 @@ def test_log_energy_grid_two_cell_hat_gold():
 
 def test_log_kernel_mass_form_exact_on_two_cell_hat():
     # every cell pair of two cells shares a node: Galerkin terms only
-    kernel = LogKernel(0.0, 2.0, 2)
-    w = kernel.tw * np.array([0.0, 1.0, 0.0])
-    assert abs(w @ kernel.matvec(w) - HAT_SIGMA) <= 1e-15
+    _, tw, g = log_kernel_mass_form_reference(0.0, 2.0, 2)
+    w = tw * np.array([0.0, 1.0, 0.0])
+    assert abs(w @ g @ w - HAT_SIGMA) <= 1e-15
 
 
 def test_log_energy_grid_semicircle_within_1e_5():
@@ -420,39 +420,21 @@ def test_log_energy_grid_peak_memory():
     assert peak <= 12 * 2 ** 20
 
 
-def _rel_err(got, ref):
-    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
-
-
 # the smallest grids, where a neighbour column falls off both ends of most
-# rows, and large ones; the reference takes ln of rounded midpoint
-# differences, the operator ln(h |d|), so they agree to roundoff only
+# rows, and large ones
 @pytest.mark.parametrize("n", [2, 3, 1023, 1024, 1025, 2049, 4096])
 def test_log_kernels_match_dense_mask_reference(n):
-    kernel = LogKernel(-10.0, 1.5, n)
-    nodes, tw, g = log_kernel_mass_form_reference(-10.0, 1.5, n)
-    assert np.array_equal(kernel.nodes, nodes)
-    assert np.array_equal(kernel.tw, tw)
-    every = np.arange(n + 1)
-    assert _rel_err(kernel.block(every), g) <= 1e-13
-    rng = np.random.default_rng(n)
-    w = rng.random(n + 1)
-    assert _rel_err(kernel.matvec(w), g @ w) <= 1e-13
-    # the leading k nodes, as in the constrained problem, and a support
-    # holding both end nodes
-    k = n // 2 + 2
-    assert _rel_err(kernel.matvec(w[:k]), g[:k, :k] @ w[:k]) <= 1e-13
-    S = np.union1d(rng.choice(n + 1, size=min(n + 1, 40), replace=False),
-                   [0, n])
-    assert _rel_err(kernel.block(S), g[np.ix_(S, S)]) <= 1e-13
-
-
-def test_log_kernel_is_symmetric():
-    # the active-set solve forms -2 G_SS for -(G_SS + G_SS.T)
-    kernel = LogKernel(-10.0, 1.5, 257)
-    g = kernel.block(np.arange(258))
-    assert np.array_equal(g, g.T)
-    assert np.array_equal(g, g[::-1, ::-1])
+    # the node-mass quadratic form that the FISTA and Frank-Wolfe oracles
+    # minimize is the near/far reference Sigma to roundoff, and within the
+    # reference's 0.2 / n of the library's moment series
+    vals = np.random.default_rng(n).random(n + 1) + 0.05
+    mu = GridMeasure(-10.0, 1.5, vals)
+    _, tw, g = log_kernel_mass_form_reference(mu.lo, mu.hi, n)
+    w = tw * mu.values
+    quadratic = float(w @ g @ w)
+    near_far = log_energy_grid_reference(mu)
+    assert abs(quadratic - near_far) <= 1e-13 * max(1.0, abs(near_far))
+    assert abs(quadratic - log_energy_grid(mu)) <= 0.2 / n
 
 
 @pytest.mark.parametrize("n", [2, 3, 1023, 1024, 1025, 2049, 4096])

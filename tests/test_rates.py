@@ -147,52 +147,46 @@ def test_projection_zero_at_and_beyond_edge(eq_gauss, gauss):
 
 
 def test_projection_equals_constrained_value(eq_gauss, gauss):
-    direct = constrained_equilibrium(gauss, 1.5, n=1024).value
-    assert projection_J(eq_gauss, gauss, 1.5, n=1024) == direct
+    direct = constrained_equilibrium(gauss, 1.5).value
+    assert projection_J(eq_gauss, gauss, 1.5) == direct
 
 
 def test_projection_refuses_unconverged_hard_wall_solve(
-        eq_gauss, gauss, monkeypatch, tmp_path, capsys, empty_hard_wall_memo):
-    # both solves of the wall stop short of the certificate, and the
-    # unconstrained minimum (more cells) comes out the larger: the solver
-    # reports the missing certificate before "below unconstrained"
-    def stalled_solve(K, lin, w0):
-        return w0, float(lin.size), 1e-3, 7
-
-    monkeypatch.setattr(equilibrium, "_simplex_minimize", stalled_solve)
-    with pytest.raises(RuntimeError, match="gap 0.001 after 14 iterations"):
-        projection_J(eq_gauss, gauss, 1.5, n=64)
-    assert equilibrium._HARD_WALL_CACHE == {}
+        eq_gauss, gauss, monkeypatch, tmp_path, capsys):
+    # a soft-edge radius 1 % off the root leaves a residual far above
+    # GAP_TOL: every command that reads J^- of the wall exits 3
+    roots = equilibrium.P.polyroots
+    monkeypatch.setattr(equilibrium.P, "polyroots",
+                        lambda coeffs: 1.01 * roots(coeffs))
+    with pytest.raises(RuntimeError, match="soft-edge residual"):
+        projection_J(eq_gauss, gauss, 1.5)
     for argv in (["rate", "projection", "--c", "1.5"],
                  ["rate", "calj", "--c", "1.5"],
                  ["tail-scan", "--left", "1.5"]):
-        assert main(argv + ["--grid", "64", "--out", str(tmp_path / "o")]) \
-            == 3
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "solver failure" in err
-        assert "gap 0.001 after 14 iterations" in err
-    assert equilibrium._HARD_WALL_CACHE == {}
+        assert "soft-edge residual" in err
 
 
-def test_calj_vanishes_at_conditional_minimizer(eq_gauss, gauss, monkeypatch,
-                                                empty_hard_wall_memo):
-    # the direct solve, rate_calJ and projection_J share one solve of the
-    # c = 1.5 wall: one constrained and one unconstrained simplex solve
-    runs = []
-    solve = equilibrium._simplex_minimize
+def grid_of(measure, n: int) -> GridMeasure:
+    """A closed-form measure on n cells of its support: node i holds half
+    the mass of each cell it bounds, from measure.cdf."""
+    lo, hi = measure.center - measure.radius, measure.center + measure.radius
+    cells = np.diff(measure.cdf(np.linspace(lo, hi, n + 1)))
+    w = 0.5 * (np.append(cells, 0.0) + np.append(0.0, cells))
+    tw = np.full(n + 1, (hi - lo) / n)       # trapezoid weights
+    tw[0] = tw[-1] = 0.5 * tw[1]
+    return GridMeasure(lo, hi, w / tw)
 
-    def counted(K, lin, w0):
-        runs.append(lin.size)
-        return solve(K, lin, w0)
 
-    monkeypatch.setattr(equilibrium, "_simplex_minimize", counted)
-    res = rates.constrained_equilibrium(gauss, 1.5, 2048)
-    nu_star = reflect_shift(res.minimizer, 1.5)
+def test_calj_vanishes_at_conditional_minimizer(eq_gauss, gauss):
+    res = rates.constrained_equilibrium(gauss, 1.5)
+    nu_star = reflect_shift(grid_of(res.minimizer, 2048), 1.5)
     ev = rate_calJ(eq_gauss, gauss, 1.5, nu_star)
     assert abs(ev.value) <= 1e-3
     assert ev.offset_term == -projection_J(eq_gauss, gauss, 1.5)
     assert ev.identity_residual() == 0.0
-    assert len(runs) == 2 and runs[0] == 2049 < runs[1]
 
 
 def test_calj_positive_off_minimizer(eq_gauss, gauss):
@@ -289,7 +283,7 @@ def test_cali_delta_is_exact_minimum(eq_gauss, gauss, eq_quartic, quartic):
 def test_calj_delta_monotone(eq_gauss, gauss):
     nu = UNIF01(2049)
     c = 0.2
-    base = rate_calJ(eq_gauss, gauss, c, nu, n=512).value
+    base = rate_calJ(eq_gauss, gauss, c, nu).value
     vals = [rate_calJ_delta(eq_gauss, gauss, c, d, nu) for d in (0.2, 0.1, 0.05)]
     assert vals[0] <= vals[1] + 1e-9 <= vals[2] + 2e-9
     assert vals[2] <= base + 1e-9
