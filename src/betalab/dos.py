@@ -17,8 +17,8 @@ from functools import cached_property, partial
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .equilibrium import EquilibriumResult, _cheb_project, \
-    equilibrium_cached, equilibrium_integral, nu_limit
+from .equilibrium import AngularMeasure, EquilibriumResult, _cheb_project, \
+    equilibrium_cached, nu_limit
 from .measures import AtomicMeasure, wasserstein
 from .potential import GAUSSIAN_KEY, Potential
 from .sampler import (
@@ -134,8 +134,8 @@ def linear_statistic(sample: SpectrumSample, f: TestFunction) -> float:
 
 def nu_quadrature(eq: EquilibriumResult, f) -> float:
     """nu_V(f) = int f(b_V - x) dmu_V(x), by the self-normalized angular
-    rule of equilibrium_integral, so nu(const) = const exactly."""
-    return equilibrium_integral(eq, lambda x: f(eq.b_v - x))
+    rule of AngularMeasure.integrate, so nu(const) = const exactly."""
+    return eq.measure.integrate(lambda x: f(eq.b_v - x))
 
 
 def delta_statistic(sample: SpectrumSample, eq: EquilibriumResult,
@@ -179,9 +179,7 @@ def gaussian_bias(f, beta: float, V: Potential | None = None) -> float:
     """
     if V is not None and V.key() != GAUSSIAN_KEY:
         raise ValueError("bias measure implemented for the Gaussian potential only")
-    theta = (np.arange(CLT_NODES) + 0.5) * (np.pi / CLT_NODES)
-    arcsine = float(np.mean(np.asarray(f(2.0 - 2.0 * np.cos(theta)),
-                                       dtype=float))) * 0.5
+    arcsine = 0.5 * AngularMeasure(2.0, 2.0, [1.0]).integrate(f)
     atoms = 0.25 * float(f(4.0)) + 0.25 * float(f(0.0))
     return (2.0 / beta - 1.0) * (atoms - arcsine)
 

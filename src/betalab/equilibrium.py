@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as P
+from numpy.polynomial import chebyshev as C, polynomial as P
 
 from ._fsio import write_text_atomic
 from .measures import GridMeasure, _log_energy_series, _readonly, \
@@ -35,12 +35,11 @@ __all__ = [
     "AngularMeasure", "EquilibriumResult", "ConstrainedEquilibriumResult",
     "solve_equilibrium", "equilibrium_cached", "nu_limit",
     "constrained_equilibrium", "effective_potential_tail",
-    "equilibrium_integral",
     "save_equilibrium", "load_equilibrium",
 ]
 
 CHEB_NODES = 512
-INTEGRAL_NODES = 2048    # angular midpoint nodes of equilibrium_integral
+INTEGRAL_NODES = 2048    # angular midpoint nodes of AngularMeasure.integrate
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
 GAP_TOL = 1e-8
@@ -62,11 +61,21 @@ def _cheb_project(g, c: float, r: float, kmax: int,
     return proj
 
 
-def _angular_series(cheb_u: np.ndarray, theta) -> np.ndarray:
-    """sum_{k>=1} u_k sin(k theta): 2 pi times the density of mu_V at
-    center + radius cos theta."""
-    ks = np.arange(1, cheb_u.size)
-    return np.sin(np.outer(theta, ks)) @ cheb_u[1:]
+def _compose(coeffs, center: float, radius: float) -> np.ndarray:
+    """Ascending coefficients of t -> p(center + radius t), by Horner's rule
+    on coefficient arrays: exact to roundoff, where a quadrature of V on a
+    narrow support far from 0 loses the low coefficients to |V|."""
+    out = np.asarray(coeffs[-1:], dtype=float)
+    for a in coeffs[-2::-1]:
+        out = np.convolve(out, [center, radius])
+        out[0] += a
+    return out
+
+
+def _angular_series(coeffs: np.ndarray, theta) -> np.ndarray:
+    """sum_{k>=1} coeffs_k sin(k theta)."""
+    ks = np.arange(1, coeffs.size)
+    return np.sin(np.outer(theta, ks)) @ coeffs[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +102,23 @@ class AngularMeasure:
     def energy(self, V: Potential) -> float:
         """-Sigma(mu) + int V dmu, int V = sum_k v_k mom_k with v_k the
         Chebyshev coefficients of V on the support."""
-        v = _cheb_project(V.eval, self.center, self.radius,
-                          self.cos_moments.size - 1)
-        return -self.sigma + float(v @ self.cos_moments)
+        v = C.poly2cheb(_compose(V.coeffs, self.center, self.radius))
+        k = min(v.size, self.cos_moments.size)
+        return -self.sigma + float(v[:k] @ self.cos_moments[:k])
+
+    def integrate(self, f) -> float:
+        """int f dmu as a self-normalized midpoint rule in the angle, with
+        weights the angular density 1 + 2 sum_k mom_k cos k theta.
+
+        Dividing by the rule's own mass makes the integral of a constant
+        exact, so mass cancellations downstream are exact too.
+        """
+        theta = (np.arange(INTEGRAL_NODES) + 0.5) * (np.pi / INTEGRAL_NODES)
+        k = np.arange(1, self.cos_moments.size)
+        w = 1.0 + 2.0 * (np.cos(np.outer(theta, k)) @ self.cos_moments[1:])
+        x = self.center + self.radius * np.cos(theta)
+        fw = np.dot(np.asarray(f(x), dtype=float), w)
+        return float(fw / np.dot(np.ones_like(w), w))
 
     def cdf(self, x) -> np.ndarray:
         """mu((-inf, x]) = 1 - (alpha + 2 sum_k mom_k sin(k alpha) / k) / pi,
@@ -133,9 +156,8 @@ class AngularMeasure:
 class EquilibriumResult:
     """One-cut equilibrium measure with its derived scalars.
 
-    measure is mu_V, centred at 0.5 (a_v + b_v): c_v = measure.energy(V).
-    cheb_u holds the Chebyshev coefficients of V' on the support, the
-    series of the density grid and of equilibrium_integral's weights.
+    measure is mu_V, centred at 0.5 (a_v + b_v): c_v = measure.energy(V),
+    and density is its grid on [a_v, b_v].
     """
 
     a_v: float
@@ -143,11 +165,7 @@ class EquilibriumResult:
     density: GridMeasure
     c_v: float
     measure: AngularMeasure
-    cheb_u: np.ndarray = field(repr=False)
     potential_coeffs: tuple = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "cheb_u", _readonly(self.cheb_u))
 
 
 def _newton_endpoints(V: Potential) -> tuple:
@@ -210,14 +228,14 @@ def solve_equilibrium(V: Potential, n: int = 4096) -> EquilibriumResult:
         mom[k] = 0.125 * r * (uu[k + 1] - uu[k - 1])   # uu[0] == 0 by design
     a, b = c - r, c + r
     measure = AngularMeasure(0.5 * (a + b), 0.5 * (b - a), mom)
-    # the density grid keeps Newton's (c, r): they fix its CSV digits
+    # u is about Newton's (c, r), which equal the measure's to roundoff
     xs = np.linspace(a, b, n + 1)
-    phi = np.arccos(np.clip((xs - c) / r, -1.0, 1.0))
+    phi = np.arccos(np.clip((xs - measure.center) / measure.radius, -1.0, 1.0))
     dens = _angular_series(u, phi) / (2.0 * np.pi)
     density = GridMeasure(a, b, np.maximum(dens, 0.0))
     return EquilibriumResult(
         a_v=a, b_v=b, density=density, c_v=measure.energy(V),
-        measure=measure, cheb_u=u, potential_coeffs=V.key())
+        measure=measure, potential_coeffs=V.key())
 
 
 _EQ_CACHE: dict = {}
@@ -233,19 +251,6 @@ def equilibrium_cached(V: Potential, n: int = 4096) -> EquilibriumResult:
 def nu_limit(eq: EquilibriumResult) -> GridMeasure:
     """nu_V: the equilibrium measure seen from its right edge, on [0, b-a]."""
     return reflect_shift(eq.density, eq.b_v)
-
-
-def equilibrium_integral(eq: EquilibriumResult, f) -> float:
-    """int f dmu_V as a self-normalized midpoint rule in the angular variable.
-
-    Dividing by the rule's own mass makes the integral of a constant exact,
-    so mass cancellations downstream are exact too.
-    """
-    theta = (np.arange(INTEGRAL_NODES) + 0.5) * (np.pi / INTEGRAL_NODES)
-    w = _angular_series(eq.cheb_u, theta) * np.sin(theta)
-    x = eq.measure.center + eq.measure.radius * np.cos(theta)
-    fw = np.dot(np.asarray(f(x), dtype=float), w)
-    return float(fw / np.dot(np.ones_like(w), w))
 
 
 def effective_potential_tail(eq: EquilibriumResult, V: Potential,
@@ -287,17 +292,19 @@ def _hard_edge(V: Potential, c: float) -> AngularMeasure:
     phi(pi) = 1 + (r / 2 pi) int_0^pi (1 - cos t) V'(c - r (1 - cos t)) dt.
     With V'(c - y) = sum_j d_j y^j and (1/pi) int_0^pi (1 - cos t)^k dt
     = C(2k, k) / 2^k, phi(pi) is a polynomial of degree p in r, equal to 1
-    at r = 0; r is its smallest positive root.
+    at r = 0; r is its smallest positive root, polished by one Newton step.
     """
-    d = P.Polynomial(V._d1)(P.Polynomial([c, -1.0])).coef
+    d = _compose(V._d1, c, -1.0)
     j = np.arange(1, d.size + 1)
     binom = np.array([math.comb(2 * i, i) for i in j], dtype=float)
-    roots = P.polyroots(np.concatenate([[1.0], 0.5 * d * binom / 2.0 ** j]))
+    soft = np.concatenate([[1.0], 0.5 * d * binom / 2.0 ** j])
+    roots = P.polyroots(soft)
     pos = roots.real[(np.abs(roots.imag) < 1e-8) & (roots.real > 0.0)]
     if pos.size == 0:
         raise RuntimeError(f"no soft-edge radius for the hard wall at {c}")
     r = float(pos.min())
-    v = _cheb_project(V.eval, c - r, r, V.degree)
+    r -= P.polyval(r, soft) / P.polyval(r, P.polyder(soft))
+    v = C.poly2cheb(_compose(V.coeffs, c - r, r))
     k = np.arange(1, v.size)
     return AngularMeasure(c - r, r, np.append(1.0, -k * v[1:] / 4.0))
 
@@ -340,7 +347,6 @@ def save_equilibrium(eq: EquilibriumResult, directory: str) -> dict:
         "a_v": float(eq.a_v), "b_v": float(eq.b_v),
         "c_v": float(eq.c_v), "sigma": float(eq.measure.sigma),
         "potential_coeffs": list(eq.potential_coeffs),
-        "cheb_u": [float(u) for u in eq.cheb_u],
         "cos_moments": [float(m) for m in eq.measure.cos_moments],
     }
     write_text_atomic(jpath, json.dumps(obj, indent=2) + "\n")
@@ -349,7 +355,8 @@ def save_equilibrium(eq: EquilibriumResult, directory: str) -> dict:
 
 
 def load_equilibrium(directory: str) -> EquilibriumResult:
-    """Inverse of :func:`save_equilibrium`; refuses a tampered `sigma`."""
+    """Inverse of :func:`save_equilibrium`; refuses a tampered `sigma` and
+    ignores keys it does not read, such as older files' second series."""
     jpath = os.path.join(directory, f"{EQUILIBRIUM_STEM}.json")
     with open(jpath) as fh:
         obj = json.load(fh)
@@ -362,5 +369,4 @@ def load_equilibrium(directory: str) -> EquilibriumResult:
                          f"the cos_moments' {measure.sigma!r}")
     return EquilibriumResult(
         a_v=a, b_v=b, density=density, c_v=obj["c_v"], measure=measure,
-        cheb_u=np.asarray(obj["cheb_u"]),
         potential_coeffs=tuple(obj["potential_coeffs"]))

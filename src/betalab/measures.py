@@ -123,7 +123,8 @@ class GridMeasure:
 
     Values are clipped at 0 (tiny negative quadrature noise is tolerated up
     to 1e-10 before construction fails) and rescaled so the trapezoid
-    integral over [lo, hi] is exactly 1.
+    integral over [lo, hi] is 1; values already within n eps of that are
+    kept, so a rebuild, reflect_shift and a save/load keep every bit.
     """
 
     lo: float
@@ -148,7 +149,8 @@ class GridMeasure:
         mass = float(np.trapezoid(vals, dx=h))
         if mass <= 0.0:
             raise ValueError("density has zero mass")
-        vals = vals / mass
+        if abs(mass - 1.0) > (vals.size - 1) * np.finfo(float).eps:
+            vals = vals / mass
         cdf = np.concatenate(
             [[0.0], np.cumsum(0.5 * h * (vals[1:] + vals[:-1]))])
         cdf[-1] = 1.0

@@ -3,9 +3,9 @@
 A potential is a polynomial of even degree p >= 2 with positive leading
 coefficient and V'' >= 0 on all of R (checked exactly at construction via
 the roots of V'').  The module also provides kappa_V(nu), the unique root
-of c -> int V'(c - x) dnu(x), found by bisection on that integral, and
-G_V(nu) = int V(kappa - x) dnu(x), the infimum over c of the potential
-term of a reflected measure.
+of c -> int V'(c - x) dnu(x), found by bisection on that integral: the c
+at which int V(c - x) dnu(x), the potential term of a reflected measure,
+is least (rates.rate_IDOS reads it there).
 """
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from numpy.polynomial import polynomial as P
 
 from .measures import Measure, moment, variance
 
-__all__ = ["Potential", "GAUSSIAN_KEY", "validate_convex", "kappa",
-           "g_value"]
+__all__ = ["Potential", "GAUSSIAN_KEY", "validate_convex", "kappa"]
 
 
 def validate_convex(coeffs) -> tuple[bool, float | None]:
@@ -160,9 +159,3 @@ def kappa(V: Potential, nu: Measure) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def g_value(V: Potential, nu: Measure) -> float:
-    """G_V(nu) = int V(kappa_V(nu) - x) dnu(x) = inf_c int V d tau_c nu."""
-    k = kappa(V, nu)
-    return nu.integrate(lambda x: V.eval(k - x))

@@ -228,6 +228,16 @@ def test_tail_scan_records_hard_wall_certificates(tmp_path):
     assert rows[-1] == "2.5,0.0"
 
 
+@pytest.mark.parametrize("coeffs, c", [("0,0,0,0,1", -100.0),
+                                       ("0,0.3,0.5,0.1,0.2", -300.0)])
+def test_tail_scan_certifies_far_left_walls(tmp_path, coeffs, c):
+    code, summary = run(tmp_path, "tail-scan", "--potential", coeffs,
+                        f"--left={c}")
+    assert code == 0
+    cert = summary["results"]["j_minus_certificate"][repr(c)]
+    assert cert["soft_edge_residual"] <= 1e-12
+
+
 def test_tail_scan_reruns_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):

@@ -127,6 +127,19 @@ def test_gaussian_bias_values():
     assert gaussian_bias(sq, 4.0) == pytest.approx(-0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("beta", [1.0, 4.0])
+def test_gaussian_bias_arcsine_term_matches_midpoint_mean(beta):
+    # the arcsine term as a plain mean of f(2 - 2 cos t) over 4096 midpoint
+    # nodes in t, a route that shares no code with AngularMeasure.integrate
+    t = (np.arange(4096) + 0.5) * (np.pi / 4096)
+    for f in (lambda x: x, lambda x: (x - 2.0) ** 2, lambda x: x ** 3,
+              lambda x: np.exp(-x)):
+        arcsine = 0.5 * float(np.mean(f(2.0 - 2.0 * np.cos(t))))
+        expect = (2.0 / beta - 1.0) * (0.25 * f(4.0) + 0.25 * f(0.0)
+                                       - arcsine)
+        assert abs(gaussian_bias(f, beta) - expect) <= 1e-14
+
+
 def test_gaussian_bias_rejects_other_potentials(quartic):
     with pytest.raises(ValueError):
         gaussian_bias(lambda x: x, 2.0, V=quartic)

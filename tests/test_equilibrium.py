@@ -13,7 +13,7 @@ from betalab.cli import main
 from betalab.equilibrium import (
     AngularMeasure, ConstrainedEquilibriumResult, constrained_equilibrium,
     equilibrium_cached,
-    effective_potential_tail, equilibrium_integral, load_equilibrium,
+    effective_potential_tail, load_equilibrium,
     nu_limit, save_equilibrium, solve_equilibrium,
 )
 from betalab.measures import (
@@ -34,11 +34,18 @@ QUARTIC_SIGMA = -0.7462266624470001     # ln(4/3)/4 - ln 2 - 1/8
 
 def j_minus_dean_majumdar(c):
     """Left-tail rate of the semicircle, 2 Phi_-(c / sqrt 2) (Dean and
-    Majumdar, PRE 77, 041108 (2008))."""
+    Majumdar, PRE 77, 041108 (2008)).  For w < 0 the cancelling pairs are
+    rewritten with w + s = 6 / (s - w), so far walls keep their digits."""
     w = c / math.sqrt(2.0)
     s = math.sqrt(w * w + 6.0)
-    phi = (36.0 * w * w - w ** 4 - (15.0 * w + w ** 3) * s
-           + 27.0 * (math.log(18.0) - 2.0 * math.log(w + s))) / 108.0
+    if w >= 0.0:
+        phi = (36.0 * w * w - w ** 4 - (15.0 * w + w ** 3) * s
+               + 27.0 * (math.log(18.0) - 2.0 * math.log(w + s))) / 108.0
+    else:
+        a = -w
+        phi = (36.0 * a * a + 15.0 * a * s + 6.0 * a ** 3 / (s + a)
+               + 27.0 * (math.log(18.0) - 2.0 * math.log(6.0 / (s + a)))) \
+            / 108.0
     return 2.0 * phi
 
 
@@ -85,8 +92,33 @@ def test_quartic_endpoints_match_direct_grid_minimizer(quartic, eq_quartic):
 def test_energy_identity_at_minimizer(gauss, quartic):
     for V in (gauss, quartic):
         eq = equilibrium_cached(V)
-        int_v = equilibrium_integral(eq, V.eval)
+        int_v = eq.measure.integrate(V.eval)
         assert abs(eq.c_v - (-eq.measure.sigma + int_v)) <= 1e-12
+
+
+def test_integrate_constant_is_exact(quartic, eq_quartic):
+    # the rule divides by its own mass, and doubling a dot product is exact
+    for measure in (eq_quartic.measure, equilibrium._hard_edge(quartic, 0.8)):
+        assert measure.integrate(np.ones_like) == 1.0
+        assert measure.integrate(lambda x: np.full_like(x, 2.0)) == 2.0
+
+
+@pytest.mark.parametrize("coeffs", ["0,0,0.5", "0,0,0,0,1",
+                                    "0,0.3,0.5,0.1,0.2"])
+def test_integrate_potential_matches_moment_series(coeffs):
+    # the angular midpoint rule against the exact sum_k v_k mom_k of energy
+    V = Potential.from_string(coeffs)
+    measure = equilibrium_cached(V).measure
+    assert abs(measure.integrate(V.eval)
+               - (measure.energy(V) + measure.sigma)) <= 1e-13
+
+
+@pytest.mark.parametrize("coeffs, c", [("0,0,0.5", 1.5), ("0,0,0,0,1", 0.8),
+                                       ("0,0.3,0.5,0.1,0.2", -1.0)])
+def test_hard_edge_mean_is_first_cosine_moment(coeffs, c):
+    measure = equilibrium._hard_edge(Potential.from_string(coeffs), c)
+    mean = measure.center + measure.radius * measure.cos_moments[1]
+    assert abs(measure.integrate(lambda x: x) - mean) <= 1e-14
 
 
 def test_density_vanishes_like_sqrt(eq_gauss):
@@ -149,6 +181,24 @@ def test_non_gaussian_equilibrium_roundtrip(tmp_path, coeffs):
         assert np.array_equal(getattr(back.measure, f.name),
                               getattr(eq.measure, f.name)), f.name
     assert back.measure.cos_moments.flags.writeable is False
+
+
+def test_load_ignores_cheb_u_of_older_files(tmp_path, eq_quartic):
+    # files written while mu_V kept a second series carry a cheb_u key
+    paths = save_equilibrium(eq_quartic, str(tmp_path))
+    obj = json.loads(open(paths["json"]).read())
+    assert "cheb_u" not in obj
+    with open(paths["json"], "w") as fh:
+        json.dump({**obj, "cheb_u": [0.0, 3.7, 0.0, 1.2, 0.0]}, fh)
+    back = load_equilibrium(str(tmp_path))
+    assert [f.name for f in dataclasses.fields(back)] == [
+        "a_v", "b_v", "density", "c_v", "measure", "potential_coeffs"]
+    for name in ("a_v", "b_v", "c_v", "potential_coeffs"):
+        assert getattr(back, name) == getattr(eq_quartic, name), name
+    assert np.array_equal(back.density.values, eq_quartic.density.values)
+    for f in dataclasses.fields(AngularMeasure):
+        assert np.array_equal(getattr(back.measure, f.name),
+                              getattr(eq_quartic.measure, f.name)), f.name
 
 
 def test_load_refuses_tampered_sigma(tmp_path, eq_gauss):
@@ -256,11 +306,15 @@ def test_hard_edge_effective_potential_falls_to_soft_edge(coeffs, c):
 # constrained equilibrium J^-
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("c", [-10.0, -1.0, 0.0, 1.0, 1.5, 1.9, 1.99])
+@pytest.mark.parametrize("c", [-1000.0, -100.0, -10.0, -1.0, 0.0, 1.0, 1.5,
+                               1.9, 1.99])
 def test_constrained_matches_dean_majumdar(gauss, eq_gauss, c):
-    # c = -10 is 5.5 support widths left of b_V: any wall has a minimizer
+    # c = -10 is 5.5 support widths left of b_V: any wall has a minimizer;
+    # at -100 and -1000, where J^- is 5e3 and 5e5, the bound is relative
     res = constrained_equilibrium(gauss, c)
-    assert abs(res.value - j_minus_dean_majumdar(c)) <= 1e-12
+    expect = j_minus_dean_majumdar(c)
+    tol = 1e-12 * (abs(expect) if c <= -100.0 else 1.0)
+    assert abs(res.value - expect) <= tol
     assert projection_J(eq_gauss, gauss, c) == res.value
     assert res.gap <= 1e-12
 
@@ -346,6 +400,20 @@ def test_unconverged_soft_edge_root_is_a_solver_failure(
                  "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "solver failure" in err and message in err
+
+
+@pytest.mark.parametrize("coeffs, c", [
+    ("0,0,0,0,1", -100.0), ("0,0,0,0,1", -1000.0),
+    ("0,0.3,0.5,0.1,0.2", -300.0), ("0,0.3,0.5,0.1,0.2", -1000.0),
+    ("0,0,0.5", -1e5), ("0,0,0.5", -1e6),
+])
+def test_far_left_walls_are_certified(coeffs, c):
+    # supports about 1e-6 wide where |V| reaches 1e12: the exact Chebyshev
+    # coefficients of V and the Newton-polished radius keep the soft edge
+    res = constrained_equilibrium(Potential.from_string(coeffs), c)
+    assert res.gap <= 1e-12
+    assert math.isclose(res.minimizer.center + res.minimizer.radius, c,
+                        rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("coeffs", ["0,0,0,0,1", "0,0.3,0.5,0.1,0.2"])

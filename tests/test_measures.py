@@ -72,6 +72,24 @@ def test_grid_measure_normalizes_and_validates():
         GridMeasure(0.0, 1.0, [1.0, 1.0])
 
 
+def test_grid_normalization_is_idempotent(tmp_path, rng):
+    # one normalization leaves the trapezoid mass within n eps of 1, so a
+    # rebuild, a double reflect_shift and a save/load/save keep every bit
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    for i in range(200):
+        n = int(rng.integers(2, 5001))
+        g = GridMeasure(rng.normal(), 10.0 + rng.normal(),
+                        rng.random(n + 1) * rng.exponential(3.0))
+        assert np.array_equal(GridMeasure(g.lo, g.hi, g.values).values,
+                              g.values)
+        twice = reflect_shift(reflect_shift(g, 1.3), 1.3)
+        assert np.array_equal(twice.values, g.values)
+        if i % 10 == 0:
+            save_measure(g, str(first))
+            save_measure(load_measure(str(first)), str(second))
+            assert first.read_bytes() == second.read_bytes()
+
+
 @pytest.mark.parametrize("call, error, needle", [
     (lambda: AtomicMeasure([], []), ValueError, "at least one atom"),
     (lambda: AtomicMeasure([0.0, 1.0], [1.0]), ValueError, "equal length"),

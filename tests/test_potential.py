@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from betalab.cli import main
+from betalab.equilibrium import equilibrium_cached
 from betalab.measures import AtomicMeasure, variance, wasserstein
 from betalab.potential import (
-    Potential, g_value, kappa, validate_convex,
+    Potential, kappa, validate_convex,
 )
+from betalab.rates import rate_IDOS
 from oracles import semicircle_grid
 from betalab.measures import reflect_shift
 
@@ -179,12 +181,24 @@ def test_kappa_bracket_failure_is_a_solver_failure(
 
 
 # ---------------------------------------------------------------------------
-# G_V
+# G_V, the potential term of I_DOS
 # ---------------------------------------------------------------------------
+
+def g_value(V, nu):
+    """G_V(nu) = int V(kappa_V(nu) - x) dnu(x) = inf_c int V d tau_c nu,
+    read as the potential term of I_DOS."""
+    return rate_IDOS(equilibrium_cached(V), V, nu).potential_term
+
+
+def random_on_half_line(rng, n=8):
+    """random_atomic shifted to start at 0: I_DOS takes measures on R+."""
+    nu = random_atomic(rng, n)
+    return AtomicMeasure(nu.atoms - nu.atoms[0], nu.weights)
+
 
 def test_g_value_quadratic_is_half_variance(rng, gauss):
     for _ in range(10):
-        nu = random_atomic(rng)
+        nu = random_on_half_line(rng)
         assert g_value(gauss, nu) == pytest.approx(
             0.5 * variance(nu), rel=1e-12, abs=1e-14)
 
@@ -196,12 +210,12 @@ def test_g_value_point_mass_zero(gauss, quartic):
 
 
 def test_g_value_quartic_pair(quartic):
-    nu = AtomicMeasure([-1.0, 1.0], [0.5, 0.5])
+    nu = AtomicMeasure([0.0, 2.0], [0.5, 0.5])
     assert g_value(quartic, nu) == 1.0
 
 
 def test_g_value_shift_invariant(rng, quartic):
-    nu = random_atomic(rng)
+    nu = random_on_half_line(rng)
     shifted = AtomicMeasure(nu.atoms + 0.8, nu.weights)
     assert g_value(quartic, shifted) == pytest.approx(
         g_value(quartic, nu), rel=1e-10)
@@ -210,7 +224,7 @@ def test_g_value_shift_invariant(rng, quartic):
 def test_g_value_is_infimum_over_shifts(rng, gauss, quartic):
     for V in (gauss, quartic):
         for _ in range(3):
-            nu = random_atomic(rng)
+            nu = random_on_half_line(rng)
             g = g_value(V, nu)
             for _ in range(50):
                 c = float(rng.normal(kappa(V, nu), 1.5))
