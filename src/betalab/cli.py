@@ -12,6 +12,7 @@ a finite number (nothing is written then).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -103,7 +104,7 @@ def _cmd_rate(cfg: dict):
         return {"functional": "projection", "c": c, "value": value}, {}
     spec = cfg["measure"]
     mu = nu_limit(eq) if spec == "nu_V" else \
-        eq.density if spec == "mu_V" else load_measure(spec)
+        eq.measure if spec == "mu_V" else load_measure(spec)
     if functional == "iv":
         ev = rate_IV(eq, V, mu, m)
     elif functional == "cali":
@@ -268,6 +269,7 @@ class _ArgParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache          # built once per process; a parse changes nothing in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgParser(
         prog="betalab",

@@ -17,9 +17,9 @@ from functools import cached_property, partial
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .equilibrium import AngularMeasure, EquilibriumResult, _cheb_project, \
+from .equilibrium import EquilibriumResult, _cheb_project, \
     equilibrium_cached, nu_limit
-from .measures import AtomicMeasure, wasserstein
+from .measures import AngularMeasure, AtomicMeasure, wasserstein
 from .potential import GAUSSIAN_KEY, Potential
 from .sampler import (
     EdgeSummary, SpectrumSample, sample_gaussian, sample_mcmc_batch,

@@ -4,9 +4,10 @@ solve_equilibrium computes the one-cut equilibrium measure of a convex
 polynomial potential: the support endpoints solve two moment conditions
 (Newton on Gauss-Chebyshev quadrature), and the density comes out as
 sqrt((x-a)(b-x)) times a polynomial read off the Chebyshev coefficients of
-V'.  mu_V and the hard-edge measure below a wall are both AngularMeasures,
-whose log-energy Sigma, energy -Sigma + int V (c_V for mu_V), CDF and
-exterior log-potential are finite series in their cosine moments.
+V'.  mu_V and the hard-edge measure below a wall are both AngularMeasures
+(see measures), whose log-energy Sigma, energy -Sigma + int V (c_V for
+mu_V), CDF and exterior log-potential are finite series in their cosine
+moments; nu_V is mu_V's reflection, exactly.
 
 constrained_equilibrium minimizes the energy E(mu) = -Sigma(mu) + int V dmu
 over probability measures on (-inf, x] in closed form: the minimizer is
@@ -27,19 +28,18 @@ import numpy as np
 from numpy.polynomial import chebyshev as C, polynomial as P
 
 from ._fsio import write_text_atomic
-from .measures import GridMeasure, _log_energy_series, _readonly, \
-    load_measure, reflect_shift, save_measure
+from .measures import AngularMeasure, GridMeasure, _compose, load_measure, \
+    reflect_shift, save_measure
 from .potential import Potential
 
 __all__ = [
-    "AngularMeasure", "EquilibriumResult", "ConstrainedEquilibriumResult",
+    "EquilibriumResult", "ConstrainedEquilibriumResult",
     "solve_equilibrium", "equilibrium_cached", "nu_limit",
     "constrained_equilibrium", "effective_potential_tail",
     "save_equilibrium", "load_equilibrium",
 ]
 
 CHEB_NODES = 512
-INTEGRAL_NODES = 2048    # angular midpoint nodes of AngularMeasure.integrate
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
 GAP_TOL = 1e-8
@@ -61,17 +61,6 @@ def _cheb_project(g, c: float, r: float, kmax: int,
     return proj
 
 
-def _compose(coeffs, center: float, radius: float) -> np.ndarray:
-    """Ascending coefficients of t -> p(center + radius t), by Horner's rule
-    on coefficient arrays: exact to roundoff, where a quadrature of V on a
-    narrow support far from 0 loses the low coefficients to |V|."""
-    out = np.asarray(coeffs[-1:], dtype=float)
-    for a in coeffs[-2::-1]:
-        out = np.convolve(out, [center, radius])
-        out[0] += a
-    return out
-
-
 def _angular_series(coeffs: np.ndarray, theta) -> np.ndarray:
     """sum_{k>=1} coeffs_k sin(k theta)."""
     ks = np.arange(1, coeffs.size)
@@ -79,85 +68,12 @@ def _angular_series(coeffs: np.ndarray, theta) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class AngularMeasure:
-    """Probability measure on [center - radius, center + radius] with
-    angular density (1 + 2 sum_k mom_k cos k theta) / pi in
-    x = center + radius cos theta.
-
-    cos_moments[k] = mom_k = int cos(k theta) dmu, with mom_0 = 1.
-    """
-
-    center: float
-    radius: float
-    cos_moments: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "cos_moments", _readonly(self.cos_moments))
-
-    @property
-    def sigma(self) -> float:
-        """Sigma(mu) = ln(radius / 2) - 2 sum_k mom_k^2 / k."""
-        return _log_energy_series(self.radius, self.cos_moments)
-
-    def energy(self, V: Potential) -> float:
-        """-Sigma(mu) + int V dmu, int V = sum_k v_k mom_k with v_k the
-        Chebyshev coefficients of V on the support."""
-        v = C.poly2cheb(_compose(V.coeffs, self.center, self.radius))
-        k = min(v.size, self.cos_moments.size)
-        return -self.sigma + float(v[:k] @ self.cos_moments[:k])
-
-    def integrate(self, f) -> float:
-        """int f dmu as a self-normalized midpoint rule in the angle, with
-        weights the angular density 1 + 2 sum_k mom_k cos k theta.
-
-        Dividing by the rule's own mass makes the integral of a constant
-        exact, so mass cancellations downstream are exact too.
-        """
-        theta = (np.arange(INTEGRAL_NODES) + 0.5) * (np.pi / INTEGRAL_NODES)
-        k = np.arange(1, self.cos_moments.size)
-        w = 1.0 + 2.0 * (np.cos(np.outer(theta, k)) @ self.cos_moments[1:])
-        x = self.center + self.radius * np.cos(theta)
-        fw = np.dot(np.asarray(f(x), dtype=float), w)
-        return float(fw / np.dot(np.ones_like(w), w))
-
-    def cdf(self, x) -> np.ndarray:
-        """mu((-inf, x]) = 1 - (alpha + 2 sum_k mom_k sin(k alpha) / k) / pi,
-        alpha = arccos((x - center) / radius)."""
-        x = np.asarray(x, dtype=float)
-        alpha = np.arccos(np.clip((x - self.center) / self.radius, -1.0, 1.0))
-        k = np.arange(1, self.cos_moments.size)
-        tail = alpha + 2.0 * _angular_series(
-            np.append(0.0, self.cos_moments[1:] / k), alpha)
-        return 1.0 - tail / np.pi
-
-    def log_potential_exterior(self, x):
-        """U(x) = int ln|x - y| dmu(y) for x outside the support.
-
-        Finite series in the cosine moments through the conformal variable
-        w = |z| + sqrt(z^2 - 1), z = (x - center)/radius; no quadrature.
-        """
-        x = np.asarray(x, dtype=float)
-        z = (x - self.center) / self.radius
-        az = np.abs(z)
-        if np.any(az < 1.0 - 1e-9):
-            raise ValueError("log_potential_exterior needs x outside the support")
-        az = np.maximum(az, 1.0)
-        w = az + np.sqrt(az * az - 1.0)
-        out = np.log(0.5 * self.radius * w)
-        sgn = np.where(z < 0.0, -1.0, 1.0)
-        fac = np.ones_like(w)
-        for m in range(1, self.cos_moments.size):
-            fac = fac * sgn / w
-            out -= 2.0 * self.cos_moments[m] * fac / m
-        return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True, eq=False)
 class EquilibriumResult:
     """One-cut equilibrium measure with its derived scalars.
 
-    measure is mu_V, centred at 0.5 (a_v + b_v): c_v = measure.energy(V),
-    and density is its grid on [a_v, b_v].
+    measure is mu_V, centred at 0.5 (a_v + b_v): c_v = measure.energy(V).
+    density is its grid on [a_v, b_v], which save_equilibrium writes; the
+    library computes with measure alone.
     """
 
     a_v: float
@@ -248,9 +164,10 @@ def equilibrium_cached(V: Potential, n: int = 4096) -> EquilibriumResult:
     return _EQ_CACHE[key]
 
 
-def nu_limit(eq: EquilibriumResult) -> GridMeasure:
-    """nu_V: the equilibrium measure seen from its right edge, on [0, b-a]."""
-    return reflect_shift(eq.density, eq.b_v)
+def nu_limit(eq: EquilibriumResult) -> AngularMeasure:
+    """nu_V: the equilibrium measure seen from its right edge, on [0, b-a],
+    exactly (the reflected angular series of mu_V)."""
+    return reflect_shift(eq.measure, eq.b_v)
 
 
 def effective_potential_tail(eq: EquilibriumResult, V: Potential,

@@ -1,32 +1,41 @@
-"""Probability measures on the line: atoms, grid densities, transport, log-energy.
+"""Probability measures on the line: atoms, grid densities, angular series,
+transport, log-energy.
 
-Two concrete representations are used everywhere in the lab:
+Three concrete representations are used everywhere in the lab:
 
 * :class:`AtomicMeasure` -- a finite weighted point measure with sorted
   support (empirical spectra, quantile discretizations).
 * :class:`GridMeasure` -- a nonnegative density sampled at ``n + 1`` uniform
-  nodes on an interval, normalized so the trapezoid integral is 1
-  (equilibrium densities, variational iterates).
+  nodes on an interval, normalized so the trapezoid integral is 1 (measures
+  read from CSV files, the saved equilibrium density).
+* :class:`AngularMeasure` -- a density on [center - radius, center + radius]
+  given by finitely many cosine moments in the angle of
+  x = center + radius cos theta (mu_V, nu_V and the hard-edge minimizers,
+  exactly).
 
 On top of these the module provides moments and variances, the pushforward
-x -> c - x, exact Wasserstein distances through quantile coupling (any
-order p >= 1 between two atomic measures; W1 in closed form between an
-atomic and a grid measure), quantile discretization, and the logarithmic
-energy Sigma(mu) = double integral of ln|x-y|, in a regularized form for
-atoms and as a Chebyshev-moment series for grid densities.
+x -> c - x (exact for every representation), exact Wasserstein distances
+through quantile coupling (any order p >= 1 between two atomic measures;
+W1 in closed form between an atomic measure and a grid or angular one),
+quantile discretization, and the logarithmic energy Sigma(mu) = double
+integral of ln|x-y|, in a regularized form for atoms and as a
+Chebyshev-moment series for grid and angular densities.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.polynomial import chebyshev as C
 
 from ._fsio import fmt, write_text_atomic
 
 __all__ = [
     "AtomicMeasure",
     "GridMeasure",
+    "AngularMeasure",
     "reflect_shift",
     "moment",
     "variance",
@@ -215,7 +224,216 @@ class GridMeasure:
         return float(np.trapezoid(f(x) * self.values, dx=self.h))
 
 
-Measure = AtomicMeasure | GridMeasure
+INTEGRAL_NODES = 2048    # angular midpoint nodes of AngularMeasure.integrate
+QUANTILE_TABLE = 1024    # angle cells of AngularMeasure.quantile's start table
+QUANTILE_STEP = 1e-13    # angle step at which the quantile's Newton stops
+QUANTILE_MAX_ITER = 100
+
+
+def _compose(coeffs, center: float, radius: float) -> np.ndarray:
+    """Ascending coefficients of t -> p(center + radius t), by Horner's rule
+    on coefficient arrays: exact to roundoff, where a quadrature of V on a
+    narrow support far from 0 loses the low coefficients to |V|."""
+    out = np.asarray(coeffs[-1:], dtype=float)
+    for a in coeffs[-2::-1]:
+        out = np.convolve(out, [center, radius])
+        out[0] += a
+    return out
+
+
+def _chebyshev_rows(t0, t1, z: np.ndarray, kmax: int) -> np.ndarray:
+    """Rows t_0..t_kmax of t_k = 2 z t_{k-1} - t_{k-2}: cos(k a) from
+    (1, cos a) and sin(k a) from (0, sin a), where z = cos a."""
+    out = np.empty((kmax + 1,) + np.shape(z))
+    out[0] = t0
+    if kmax:
+        out[1] = t1
+    two_z = 2.0 * z
+    for k in range(2, kmax + 1):
+        out[k] = two_z * out[k - 1] - out[k - 2]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class AngularMeasure:
+    """Probability measure on [center - radius, center + radius] with
+    angular density phi(theta) / pi = (1 + 2 sum_k mom_k cos k theta) / pi
+    in x = center + radius cos theta.
+
+    cos_moments[k] = mom_k = int cos(k theta) dmu, with mom_0 = 1.  Sigma,
+    int V, the CDF, the partial first moment and the exterior log-potential
+    are finite series in the moments; quantiles invert the CDF by Newton's
+    method in the angle.
+    """
+
+    center: float
+    radius: float
+    cos_moments: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cos_moments", _readonly(self.cos_moments))
+
+    @property
+    def sigma(self) -> float:
+        """Sigma(mu) = ln(radius / 2) - 2 sum_k mom_k^2 / k."""
+        return _log_energy_series(self.radius, self.cos_moments)
+
+    def energy(self, V) -> float:
+        """-Sigma(mu) + int V dmu for a Potential V, int V = sum_k v_k mom_k
+        with v_k the Chebyshev coefficients of V on the support."""
+        v = C.poly2cheb(_compose(V.coeffs, self.center, self.radius))
+        k = min(v.size, self.cos_moments.size)
+        return -self.sigma + float(v[:k] @ self.cos_moments[:k])
+
+    @cached_property
+    def _integral_rule(self) -> tuple:
+        """(nodes, weights, mass) of integrate, built once per measure."""
+        theta = (np.arange(INTEGRAL_NODES) + 0.5) * (np.pi / INTEGRAL_NODES)
+        k = np.arange(1, self.cos_moments.size)
+        w = 1.0 + 2.0 * (np.cos(np.outer(theta, k)) @ self.cos_moments[1:])
+        x = self.center + self.radius * np.cos(theta)
+        return _readonly(x), _readonly(w), np.dot(np.ones_like(w), w)
+
+    def integrate(self, f) -> float:
+        """int f dmu as a self-normalized midpoint rule in the angle, with
+        weights the angular density 1 + 2 sum_k mom_k cos k theta.
+
+        Dividing by the rule's own mass makes the integral of a constant
+        exact, so mass cancellations downstream are exact too.
+        """
+        x, w, mass = self._integral_rule
+        return float(np.dot(np.asarray(f(x), dtype=float), w) / mass)
+
+    @cached_property
+    def _sine_coeffs(self) -> tuple:
+        """(s, g): F(a) = 1 - (a + sum_k s_k sin k a) / pi with s_k =
+        2 mom_k / k, and (1/pi) int_a^pi cos t phi(t) dt = (mom_1 (pi - a)
+        - sum_j g_j sin j a) / pi with g_j = (mom_{j-1} + mom_{j+1}) / j,
+        from cos t cos kt = (cos (k+1)t + cos (k-1)t) / 2; index 0 unused."""
+        mom = np.concatenate([self.cos_moments, [0.0, 0.0]])
+        k = np.arange(1.0, mom.size - 1)
+        s = np.concatenate([[0.0], 2.0 * mom[1:-2] / k[:-1]])
+        g = np.concatenate([[0.0], (mom[:-2] + mom[2:]) / k])
+        return s, g
+
+    def _cdf_at(self, a, sines) -> np.ndarray:
+        s = self._sine_coeffs[0]
+        return 1.0 - (a + s[1:] @ sines[1:s.size]) / np.pi
+
+    def _cdf_and_first_moment(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """F(x) = mu((-inf, x]) and G(x) = int_{t <= x} t dmu(t), in the
+        angle a = arccos((x - center) / radius):
+
+            G(x) = center F(x) + (radius / pi) int_a^pi cos t phi(t) dt,
+
+        a finite sine series in a plus mom_1 (pi - a) (see _sine_coeffs).
+        sin a = sqrt((1 - z)(1 + z)) is exactly 0 at the edges, so F and G
+        are exactly 0 at and left of the support."""
+        z = np.clip((np.asarray(x, dtype=float) - self.center) / self.radius,
+                    -1.0, 1.0)
+        a = np.arccos(z)
+        g = self._sine_coeffs[1]
+        sines = _chebyshev_rows(0.0, np.sqrt((1.0 - z) * (1.0 + z)), z,
+                                g.size - 1)
+        f = self._cdf_at(a, sines)
+        m1 = self.cos_moments[1] if self.cos_moments.size > 1 else 0.0
+        first = self.radius * (m1 * (np.pi - a) - g[1:] @ sines[1:]) / np.pi
+        return f, self.center * f + first
+
+    def cdf(self, x) -> np.ndarray:
+        """mu((-inf, x]) = 1 - (a + 2 sum_k mom_k sin(k a) / k) / pi,
+        a = arccos((x - center) / radius)."""
+        return self._cdf_and_first_moment(x)[0]
+
+    @cached_property
+    def _quantile_table(self) -> tuple:
+        """(angles from pi down to 0, F there): nondecreasing, exactly 0
+        and 1 at the ends."""
+        a = np.linspace(np.pi, 0.0, QUANTILE_TABLE + 1)
+        f = self._cdf_at(a, _chebyshev_rows(
+            0.0, np.sin(a), np.cos(a), self.cos_moments.size - 1))
+        f[0], f[-1] = 0.0, 1.0
+        return a, np.maximum.accumulate(np.clip(f, 0.0, 1.0))
+
+    def quantile(self, u) -> np.ndarray:
+        """Infimum quantile F^{-1}(u), vectorized; u <= 0 and u >= 1 give
+        the lower and upper edge.
+
+        Newton's method on F in the angle (F' = -phi / pi), started by
+        linear interpolation in a table of F and kept inside the bracket
+        of the table cell that holds u: a step that leaves the bracket, or
+        does not halve the step before it, bisects instead (safe where a
+        soft edge makes phi vanish).  Stops at an angle step of
+        QUANTILE_STEP; RuntimeError if QUANTILE_MAX_ITER steps do not get
+        there.
+        """
+        u = np.asarray(u, dtype=float)
+        x = np.where(u <= 0.0, self.center - self.radius,
+                     self.center + self.radius)
+        inner = (u > 0.0) & (u < 1.0)
+        if not np.any(inner):
+            return x
+        v = u[inner]
+        tab_a, tab_f = self._quantile_table
+        i = np.clip(np.searchsorted(tab_f, v, side="left"), 1, tab_a.size - 1)
+        lo, hi = tab_a[i], tab_a[i - 1]      # F(lo) >= v > F(hi), lo < hi
+        df = tab_f[i] - tab_f[i - 1]
+        a = lo + (hi - lo) * np.clip(
+            (tab_f[i] - v) / np.where(df > 0.0, df, 1.0), 0.0, 1.0)
+        kmax = self.cos_moments.size - 1
+        mom = self.cos_moments[1:]
+        prev = hi - lo
+        out = np.empty_like(v)
+        todo = np.arange(v.size)          # entries still stepping
+        for _ in range(QUANTILE_MAX_ITER):
+            z, s = np.cos(a), np.sin(a)
+            resid = self._cdf_at(a, _chebyshev_rows(0.0, s, z, kmax)) - v
+            phi = 1.0 + 2.0 * (mom @ _chebyshev_rows(1.0, z, z, kmax)[1:])
+            lo = np.where(resid > 0.0, a, lo)
+            hi = np.where(resid < 0.0, a, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = a + resid * np.pi / phi
+            bisect = ~((newton >= lo) & (newton <= hi)) \
+                | (np.abs(2.0 * (newton - a)) > np.abs(prev))
+            step = np.where(bisect, 0.5 * (lo + hi), newton) - a
+            a = a + step
+            done = np.abs(step) <= QUANTILE_STEP
+            out[todo[done]] = a[done]
+            if np.all(done):
+                break
+            go = ~done
+            todo, a, lo, hi, v, prev = \
+                todo[go], a[go], lo[go], hi[go], v[go], step[go]
+        else:
+            raise RuntimeError(
+                f"angular quantile: Newton did not reach an angle step of "
+                f"{QUANTILE_STEP} in {QUANTILE_MAX_ITER} steps")
+        x[inner] = self.center + self.radius * np.cos(out)
+        return x
+
+    def log_potential_exterior(self, x):
+        """U(x) = int ln|x - y| dmu(y) for x outside the support.
+
+        Finite series in the cosine moments through the conformal variable
+        w = |z| + sqrt(z^2 - 1), z = (x - center)/radius; no quadrature.
+        """
+        x = np.asarray(x, dtype=float)
+        z = (x - self.center) / self.radius
+        az = np.abs(z)
+        if np.any(az < 1.0 - 1e-9):
+            raise ValueError("log_potential_exterior needs x outside the support")
+        az = np.maximum(az, 1.0)
+        w = az + np.sqrt(az * az - 1.0)
+        out = np.log(0.5 * self.radius * w)
+        sgn = np.where(z < 0.0, -1.0, 1.0)
+        fac = np.ones_like(w)
+        for m in range(1, self.cos_moments.size):
+            fac = fac * sgn / w
+            out -= 2.0 * self.cos_moments[m] * fac / m
+        return out if out.ndim else float(out)
+
+
+Measure = AtomicMeasure | GridMeasure | AngularMeasure
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +441,22 @@ Measure = AtomicMeasure | GridMeasure
 # ---------------------------------------------------------------------------
 
 def reflect_shift(mu: Measure, c: float):
-    """Pushforward of mu under x -> c - x (an involution)."""
+    """Pushforward of mu under x -> c - x (an involution).  An angular
+    measure maps exactly: theta -> pi - theta flips the sign of the odd
+    cosine moments."""
     if isinstance(mu, AtomicMeasure):
         return AtomicMeasure((c - mu.atoms)[::-1], mu.weights[::-1])
+    if isinstance(mu, AngularMeasure):
+        sign = (-1.0) ** np.arange(mu.cos_moments.size)
+        return AngularMeasure(c - mu.center, mu.radius,
+                              sign * mu.cos_moments)
     return GridMeasure(c - mu.hi, c - mu.lo, mu.values[::-1])
 
 
 def moment(mu: Measure, k: int) -> float:
-    """k-th raw moment; exact weighted sum for atoms, trapezoid for grids."""
+    """k-th raw moment through the measure's integrate: an exact weighted
+    sum for atoms, the trapezoid for grids, the angular rule for angular
+    measures."""
     if k < 0 or k != int(k):
         raise ValueError(f"moment order must be a nonnegative integer, got {k}")
     k = int(k)
@@ -253,32 +479,32 @@ def wasserstein(mu: Measure, nu: Measure, p=1.0) -> float:
     """d_Wp(mu, nu) = (int_0^1 |F_mu^{-1} - F_nu^{-1}|^p du)^{1/p}, exactly.
 
     Two routes.  Two atomic measures, any p >= 1: the quantile staircases
-    are compared on their common refinement.  An atomic and a grid
-    measure, in either order, p = 1 only: see :func:`_w1_atomic_grid`.
-    Any other pairing raises.
+    are compared on their common refinement.  An atomic measure and a grid
+    or angular one, in either order, p = 1 only: see
+    :func:`_w1_atomic_density`.  Any other pairing raises.
     """
     q = float(p)
     if not (math.isfinite(q) and q >= 1.0):
         raise ValueError(f"Wasserstein order must be finite and >= 1, "
                          f"got {q}")
-    if isinstance(mu, AtomicMeasure) and isinstance(nu, AtomicMeasure):
+    if not isinstance(mu, AtomicMeasure):
+        mu, nu = nu, mu
+    if not isinstance(mu, AtomicMeasure):
+        raise TypeError("wasserstein needs at least one atomic measure")
+    if isinstance(nu, AtomicMeasure):
         edges = np.union1d(mu.cdf_jumps(), nu.cdf_jumps())
         edges = np.concatenate([[0.0], edges])
         du = np.diff(edges)
         mids = 0.5 * (edges[1:] + edges[:-1])
         diffs = np.abs(mu.quantile(mids) - nu.quantile(mids))
         return float(np.dot(du, diffs ** q) ** (1.0 / q))
-    if isinstance(mu, GridMeasure):
-        mu, nu = nu, mu
-    if not isinstance(mu, AtomicMeasure):
-        raise TypeError("wasserstein needs at least one atomic measure")
     if q != 1.0:
-        raise ValueError(f"against a grid measure only W1 is exact, got p={q}")
-    return _w1_atomic_grid(mu, nu)
+        raise ValueError(f"against a density only W1 is exact, got p={q}")
+    return _w1_atomic_density(mu, nu)
 
 
-def _w1_atomic_grid(mu: AtomicMeasure, nu: GridMeasure) -> float:
-    """W1 of atoms a_j against a grid density, in closed form.
+def _w1_atomic_density(mu: AtomicMeasure, nu) -> float:
+    """W1 of atoms a_j against a grid or angular density, in closed form.
 
     On the quantile step (F_{j-1}, F_j] of a_j the integrand |a_j - Q_nu(u)|
     changes sign at s_j = F_nu(a_j), clipped to the step.  With
@@ -415,6 +641,8 @@ def log_energy_grid(mu: GridMeasure) -> float:
 
 def save_measure(mu: Measure, path: str) -> None:
     """Write a measure to a `.csv` file, atomically."""
+    if isinstance(mu, AngularMeasure):
+        raise TypeError("save_measure writes atomic and grid measures")
     if path.endswith(".csv"):
         if isinstance(mu, AtomicMeasure):
             rows = ["position,weight"]

@@ -5,9 +5,11 @@ Every evaluator decomposes its value as
     value = sigma_term + potential_term + offset_term - c_V
 
 held as an exact arithmetic identity in RateEvaluation.  sigma_term is
--Sigma for grid measures (Chebyshev-moment series) or -Sigma^M for atomic
-measures, with the M used always reported; offset_term is zero except for
-the conditional functional, where it carries -J^-(c).
+-Sigma for angular measures (exact: their own moment series, so nu_V and
+mu_V cost no grid), -Sigma for grid measures (the same series on the
+grid's Chebyshev moments), or -Sigma^M for atomic measures, with the M
+used always reported; offset_term is zero except for the conditional
+functional, where it carries -J^-(c).
 """
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import EquilibriumResult, constrained_equilibrium
-from .measures import AtomicMeasure, Measure, log_energy_grid, log_energy_reg
+from .measures import AngularMeasure, AtomicMeasure, Measure, \
+    log_energy_grid, log_energy_reg
 from .potential import Potential, kappa
 
 __all__ = [
@@ -37,7 +40,7 @@ class RateEvaluation:
     potential_term: float
     c_v: float
     value: float
-    regularization: float | None   # M for atomic inputs, None = exact grid
+    regularization: float | None   # M for atomic inputs, None = exact
     offset_term: float = 0.0
 
     def identity_residual(self) -> float:
@@ -54,11 +57,18 @@ def _sigma_term(mu: Measure, m: float | None) -> tuple[float, float | None]:
         if m is None:
             m = 2.0 * math.log(mu.size)
         return log_energy_reg(mu, m), float(m)
+    if isinstance(mu, AngularMeasure):
+        return -mu.sigma, None
     return -log_energy_grid(mu), None
 
 
 def _check_nonneg_support(nu: Measure) -> None:
-    lo = nu.atoms[0] if isinstance(nu, AtomicMeasure) else nu.lo
+    if isinstance(nu, AtomicMeasure):
+        lo = nu.atoms[0]
+    elif isinstance(nu, AngularMeasure):
+        lo = nu.center - nu.radius
+    else:
+        lo = nu.lo
     if lo < -1e-9:
         raise ValueError(f"measure must be supported in R+, support starts at {lo}")
 

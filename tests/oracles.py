@@ -13,14 +13,19 @@ Metropolis chain is run site by site with np.delete instead of through
 per-sweep arrays, the Jacobi-entry chain
 is run one site at a time with a dense tr V(T) per proposal instead of
 in colour classes, infima over c are found by golden-section search
-instead of at kappa, and Wasserstein distances involving a grid measure
-are integrated by the midpoint rule in u instead of in closed form.
+instead of at kappa, Wasserstein distances involving a grid measure
+are integrated by the midpoint rule in u instead of in closed form, and
+the CDF, partial first moment and quantiles of an angular measure come
+from adaptive quadrature of its density in the angle and brentq instead
+of its sine series and Newton steps.
 """
 
 import math
+import warnings
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 
 from betalab.measures import GridMeasure
 from betalab.potential import Potential
@@ -265,6 +270,67 @@ def wasserstein_quadrature_reference(mu, nu, p: float = 1.0,
         u = (np.arange(start, min(start + block, points)) + 0.5) / points
         total += float(np.sum(np.abs(mu.quantile(u) - nu.quantile(u)) ** p))
     return (total / points) ** (1.0 / p)
+
+
+# ---------------------------------------------------------------------------
+# angular measures by adaptive quadrature in the angle
+# ---------------------------------------------------------------------------
+# A measure with cosine moments m_k on [c - r, c + r] has angular density
+# phi(t) / pi, phi(t) = 1 + 2 sum_k m_k cos(k t), in x = c + r cos t; these
+# routes evaluate phi term by term with math.cos, integrate it by quad and
+# invert the CDF by brentq, instead of the sine series and Newton steps of
+# AngularMeasure.
+
+
+def _angular_phi(measure, t: float) -> float:
+    return 1.0 + 2.0 * sum(m * math.cos(k * t)
+                           for k, m in enumerate(measure.cos_moments) if k)
+
+
+def _angle(measure, x: float) -> float:
+    z = (x - measure.center) / measure.radius
+    return math.acos(min(max(z, -1.0), 1.0))
+
+
+def angular_cdf_quadrature(measure, x: float) -> float:
+    """mu((-inf, x]) = (1/pi) int_a^pi phi(t) dt, a the angle of x."""
+    return quad(lambda t: _angular_phi(measure, t), _angle(measure, x),
+                math.pi, epsabs=1e-15, epsrel=1e-13)[0] / math.pi
+
+
+def angular_first_moment_quadrature(measure, x: float) -> float:
+    """int_{y <= x} y dmu(y) = (1/pi) int_a^pi (c + r cos t) phi(t) dt.
+    quad flags roundoff where the integral cancels to about 0 (the mean of
+    a centred measure); the callers' bounds judge the value."""
+    c, r = measure.center, measure.radius
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(lambda t: (c + r * math.cos(t)) * _angular_phi(measure, t),
+                    _angle(measure, x), math.pi,
+                    epsabs=1e-14, epsrel=1e-13)[0] / math.pi
+
+
+def angular_quantile_brentq(measure, u: float) -> float:
+    """F^{-1}(u) for u in (0, 1), by brentq on angular_cdf_quadrature."""
+    lo = measure.center - measure.radius
+    hi = measure.center + measure.radius
+    return brentq(lambda x: angular_cdf_quadrature(measure, x) - u, lo, hi,
+                  xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+
+
+def angular_grid(measure, cells: int) -> GridMeasure:
+    """The density phi(t) / (pi r sin t) at cells + 1 uniform nodes of the
+    support, as a GridMeasure (0 at the end nodes)."""
+    x = np.linspace(measure.center - measure.radius,
+                    measure.center + measure.radius, cells + 1)
+    t = np.arccos(np.clip((x - measure.center) / measure.radius, -1.0, 1.0))
+    phi = np.ones_like(t)
+    for k, m in enumerate(measure.cos_moments):
+        if k:
+            phi += 2.0 * m * np.cos(k * t)
+    vals = np.zeros_like(x)
+    vals[1:-1] = phi[1:-1] / (math.pi * measure.radius * np.sin(t[1:-1]))
+    return GridMeasure(x[0], x[-1], np.maximum(vals, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def test_rate_command_idos_of_limit_shape(tmp_path):
     code, summary = run(tmp_path, "rate", "idos", "--measure", "nu_V")
     assert code == 0
     rep = summary["results"]
-    assert abs(rep["value"]) <= 1e-4
+    assert abs(rep["value"]) <= 1e-14
     assert rep["functional"] == "idos"
     assert rep["M"] == "exact-grid"
     assert set(rep["terms"]) == {"sigma_term", "potential_term",
@@ -121,7 +121,55 @@ def test_rate_command_idos_of_limit_shape(tmp_path):
 def test_rate_command_iv_of_equilibrium(tmp_path):
     code, summary = run(tmp_path, "rate", "iv", "--measure", "mu_V")
     assert code == 0
-    assert abs(summary["results"]["value"]) <= 1e-4
+    assert abs(summary["results"]["value"]) <= 1e-14
+
+
+def test_rate_on_mu_v_and_nu_v_builds_no_grid(tmp_path, monkeypatch,
+                                               capsys):
+    # nu_V and mu_V are angular series with their own exact Sigma; only a
+    # grid measure read from a CSV file reaches the grid log-energy
+    calls = []
+
+    def refuse(mu):
+        calls.append(mu)
+        raise RuntimeError("grid log-energy called")
+
+    monkeypatch.setattr(rates, "log_energy_grid", refuse)
+    for i, argv in enumerate((["calj", "--measure", "nu_V", "--c", "1.5"],
+                              ["idos", "--measure", "nu_V"],
+                              ["iv", "--measure", "mu_V"])):
+        assert main(["rate", *argv, "--out", str(tmp_path / str(i))]) == 0
+    assert calls == []
+    grid = tmp_path / "grid.csv"
+    grid.write_text("position,density\n0,0.5\n1,1\n2,0.5\n")
+    assert main(["rate", "idos", "--measure", str(grid),
+                 "--out", str(tmp_path / "csv")]) == 3
+    assert len(calls) == 1
+    assert "grid log-energy called" in capsys.readouterr().err
+
+
+def test_repeated_main_resolves_like_fresh_processes(tmp_path):
+    # the parser is built once per process: a parse must leave nothing in
+    # it, so an option given in one call is back at its default in the next
+    runs = [["rate", "iv", "--measure", "mu_V", "--reg-m", "3", "--c", "1"],
+            ["tail-scan", "--left", "1.5", "--grid", "64"],
+            ["rate", "iv", "--measure", "mu_V"],
+            ["tail-scan"]]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(dos.__file__)),
+        os.environ.get("PYTHONPATH")]))}
+    for i, argv in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        assert main([*argv, "--out", str(here)]) == 0
+        subprocess.run([sys.executable, "-m", "betalab.cli", *argv,
+                        "--out", str(fresh)], check=True, env=env,
+                       capture_output=True)
+        configs = [load_summary(d / "summary.json")["config"]
+                   for d in (here, fresh)]
+        for cfg in configs:
+            cfg.pop("out")
+        assert configs[0] == configs[1]
+    assert configs[0]["grid"] == 1024
 
 
 @pytest.mark.parametrize("functional, reads_c",

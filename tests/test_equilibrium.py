@@ -11,13 +11,14 @@ import pytest
 import betalab.equilibrium as equilibrium
 from betalab.cli import main
 from betalab.equilibrium import (
-    AngularMeasure, ConstrainedEquilibriumResult, constrained_equilibrium,
+    ConstrainedEquilibriumResult, constrained_equilibrium,
     equilibrium_cached,
     effective_potential_tail, load_equilibrium,
     nu_limit, save_equilibrium, solve_equilibrium,
 )
 from betalab.measures import (
-    AtomicMeasure, GridMeasure, log_energy_grid, log_energy_reg,
+    AngularMeasure, AtomicMeasure, GridMeasure, log_energy_grid,
+    log_energy_reg,
 )
 from betalab.potential import Potential
 from betalab.rates import projection_J
@@ -216,17 +217,27 @@ def test_load_refuses_tampered_sigma(tmp_path, eq_gauss):
 # ---------------------------------------------------------------------------
 
 def test_nu_limit_gaussian_closed_form(eq_gauss):
+    # the semicircle on [0, 4]: F(2 + y) = 1/2 + y sqrt(4 - y^2) / (4 pi)
+    # + arcsin(y / 2) / pi, and mean 2
     nu = nu_limit(eq_gauss)
-    assert nu.lo == 0.0
-    assert abs(nu.hi - 4.0) <= 1e-10
-    x = nu.nodes
-    expect = np.sqrt(np.maximum(4.0 * x - x * x, 0.0)) / (2.0 * math.pi)
-    assert np.max(np.abs(nu.values - expect)) <= 2e-6
-    assert nu.integrate(lambda t: t) == pytest.approx(2.0, abs=1e-9)
+    assert isinstance(nu, AngularMeasure)
+    assert nu.center - nu.radius == 0.0
+    assert abs(nu.center + nu.radius - 4.0) <= 1e-10
+    y = np.linspace(-2.0, 2.0, 201)
+    expect = 0.5 + y * np.sqrt(4.0 - y * y) / (4.0 * math.pi) \
+        + np.arcsin(0.5 * y) / math.pi
+    f, g = nu._cdf_and_first_moment(2.0 + y)
+    assert np.max(np.abs(f - expect)) <= 1e-12
+    assert abs(g[-1] - 2.0) <= 1e-12
+    assert nu.integrate(lambda t: t) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_nu_limit_lower_edge_always_zero(eq_quartic):
-    assert nu_limit(eq_quartic).lo == 0.0
+    for eq in (eq_quartic, equilibrium_cached(Potential.gaussian()),
+               equilibrium_cached(Potential.from_string("0,0.3,0.5,0.1,0.2"))):
+        nu = nu_limit(eq)
+        assert abs(nu.center - nu.radius) <= math.ulp(nu.radius)
+        assert nu.cdf(0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from betalab.dos import dos_measure
-from betalab.equilibrium import equilibrium_cached, nu_limit
+from betalab.equilibrium import constrained_equilibrium, \
+    equilibrium_cached, nu_limit
 from betalab.measures import (
-    AtomicMeasure, GridMeasure,
+    AngularMeasure, AtomicMeasure, GridMeasure,
     load_measure, log_energy_grid, log_energy_reg,
     moment, quantile_discretize, reflect_shift, save_measure, variance,
     wasserstein,
@@ -15,8 +16,10 @@ from betalab.measures import (
 from betalab.potential import Potential
 from betalab.sampler import SpectrumSample, sample_gaussian
 from oracles import (
-    log_energy_grid_reference, log_kernel_mass_form_reference,
-    semicircle_grid, uniform_grid, wasserstein_quadrature_reference,
+    angular_cdf_quadrature, angular_first_moment_quadrature, angular_grid,
+    angular_quantile_brentq, log_energy_grid_reference,
+    log_kernel_mass_form_reference, semicircle_grid, uniform_grid,
+    wasserstein_quadrature_reference,
 )
 
 
@@ -110,6 +113,8 @@ def test_grid_normalization_is_idempotent(tmp_path, rng):
     (lambda: save_measure(AtomicMeasure.from_points([1.0, 2.0]),
                           "measure.json"), ValueError,
      "unsupported measure file extension"),
+    (lambda: save_measure(AngularMeasure(0.0, 1.0, [1.0]), "measure.csv"),
+     TypeError, "atomic and grid"),
 ])
 def test_measures_refuse_bad_input(call, error, needle):
     with pytest.raises(error, match=needle):
@@ -256,7 +261,7 @@ def test_w1_atoms_outside_support_and_in_gap_match_quadrature():
 @pytest.mark.parametrize("n", [100, 1000])
 def test_w1_gaussian_spectrum_matches_quadrature(eq_gauss, n):
     mu = dos_measure(sample_gaussian(n, 2.0, 3))
-    nu = nu_limit(eq_gauss)
+    nu = reflect_shift(eq_gauss.density, eq_gauss.b_v)
     ref = wasserstein_quadrature_reference(mu, nu, points=1 << 22)
     assert abs(wasserstein(mu, nu) - ref) <= 1e-7
 
@@ -427,7 +432,8 @@ def test_log_energy_grid_stable_under_doubling_nodes():
 
 
 def test_log_energy_grid_peak_memory():
-    nu = nu_limit(equilibrium_cached(Potential.gaussian()))
+    eq = equilibrium_cached(Potential.gaussian())
+    nu = reflect_shift(eq.density, eq.b_v)
     assert nu.n == 4096
     tracemalloc.start()
     try:
@@ -484,3 +490,120 @@ def test_grid_roundtrip_bit_exact(tmp_path):
     back = load_measure(path)
     assert back.lo == mu.lo and back.hi == mu.hi
     assert np.array_equal(back.values, mu.values)
+
+
+# ---------------------------------------------------------------------------
+# angular measures: CDF, partial first moment, quantile, W1, reflection
+# ---------------------------------------------------------------------------
+
+ANGULAR_POTENTIALS = ["0,0,0.5", "0,0,0,0,1", "0,0.3,0.5,0.1,0.2"]
+
+
+def angular_measure(coeffs: str, kind: str) -> AngularMeasure:
+    """mu_V, nu_V, or the hard-edge minimizer below a wall at mid-support."""
+    V = Potential.from_string(coeffs)
+    eq = equilibrium_cached(V)
+    if kind == "mu_V":
+        return eq.measure
+    if kind == "nu_V":
+        return nu_limit(eq)
+    return constrained_equilibrium(V, 0.5 * (eq.a_v + eq.b_v)).minimizer
+
+
+ANGULAR_CASES = pytest.mark.parametrize(
+    "coeffs, kind", [(c, k) for c in ANGULAR_POTENTIALS
+                     for k in ("mu_V", "nu_V", "hard_edge")])
+
+
+@ANGULAR_CASES
+def test_angular_cdf_and_first_moment_match_quadrature(coeffs, kind):
+    m = angular_measure(coeffs, kind)
+    lo, hi = m.center - m.radius, m.center + m.radius
+    xs = np.concatenate([[lo - 0.5, lo], np.linspace(lo, hi, 41)[1:-1],
+                         [hi, hi + 0.5]])
+    f, g = m._cdf_and_first_moment(xs)
+    assert np.array_equal(m.cdf(xs), f)
+    assert f[0] == f[1] == 0.0 and g[0] == g[1] == 0.0
+    assert f[-1] == f[-2] == 1.0
+    for x, fx, gx in zip(xs, f, g):
+        assert abs(fx - angular_cdf_quadrature(m, x)) <= 1e-14
+        assert abs(gx - angular_first_moment_quadrature(m, x)) <= 1e-13
+
+
+@ANGULAR_CASES
+def test_angular_quantile_inverts_quadrature_cdf(coeffs, kind):
+    m = angular_measure(coeffs, kind)
+    lo, hi = m.center - m.radius, m.center + m.radius
+    assert m.quantile([0.0, 1.0]).tolist() == [lo, hi]
+    # floats resolve z = (x - center) / radius to about eps, and next to a
+    # hard edge 1 - F is like sqrt(1 - z): u = 1 - 1e-6 is still resolved
+    us = np.array([1e-12, 1e-9, 1e-4, 0.01, 0.3, 0.5, 0.77, 0.99, 0.999,
+                   1.0 - 1e-6])
+    q = m.quantile(us)
+    assert np.all(np.diff(q) > 0.0)
+    dx = 4.0 * np.finfo(float).eps * m.radius
+    for u, x in zip(us, q):
+        # Q(u) -+ dx, a few steps of z either side, bracket u
+        assert angular_cdf_quadrature(m, x - dx) <= u + 1e-14
+        assert angular_cdf_quadrature(m, x + dx) >= u - 1e-14
+        if 0.01 <= u <= 0.99:
+            assert abs(x - angular_quantile_brentq(m, u)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_w1_angular_matches_fine_grid_quadrature(eq_gauss, n):
+    # the oracle integrates in u against a 2^17-cell grid of the closed-form
+    # density, sharing no code with the angular CDF, moment or quantile
+    sample = sample_gaussian(n, 2.0, 3)
+    for mu, nu in ((dos_measure(sample), nu_limit(eq_gauss)),
+                   (AtomicMeasure.from_points(sample.eigenvalues),
+                    eq_gauss.measure)):
+        ref = wasserstein_quadrature_reference(
+            mu, angular_grid(nu, 1 << 17), points=1 << 22)
+        assert abs(wasserstein(mu, nu) - ref) <= 1e-6
+
+
+def test_w1_angular_quartic_matches_fine_grid_quadrature(rng, eq_quartic):
+    for _ in range(3):
+        mu = AtomicMeasure.from_points(rng.uniform(-1.5, 1.5, 200))
+        ref = wasserstein_quadrature_reference(
+            mu, angular_grid(eq_quartic.measure, 1 << 17), points=1 << 22)
+        assert abs(wasserstein(mu, eq_quartic.measure) - ref) <= 1e-6
+
+
+@ANGULAR_CASES
+def test_w1_atomic_angular_is_symmetric(rng, coeffs, kind):
+    nu = angular_measure(coeffs, kind)
+    for _ in range(3):
+        mu = random_atomic(rng, 50)
+        assert wasserstein(nu, mu) == wasserstein(mu, nu)
+    with pytest.raises(ValueError, match="only W1"):
+        wasserstein(mu, nu, 2.0)
+    with pytest.raises(TypeError, match="at least one atomic"):
+        wasserstein(nu, nu)
+
+
+@ANGULAR_CASES
+def test_reflect_shift_angular_twice_keeps_moments(coeffs, kind):
+    m = angular_measure(coeffs, kind)
+    tau = reflect_shift(m, 0.7)
+    assert tau.radius == m.radius
+    assert tau.center == 0.7 - m.center
+    assert np.array_equal(np.abs(tau.cos_moments), np.abs(m.cos_moments))
+    assert tau.sigma == m.sigma
+    back = reflect_shift(tau, 0.7)
+    assert back.cos_moments.tobytes() == m.cos_moments.tobytes()
+    # the reflection is the pushforward: F_tau(c - x) = 1 - F(x)
+    xs = np.linspace(m.center - m.radius, m.center + m.radius, 17)[1:-1]
+    assert np.max(np.abs(tau.cdf(0.7 - xs) - (1.0 - m.cdf(xs)))) <= 1e-14
+
+
+def test_angular_integrate_keeps_its_rule(eq_quartic):
+    # the nodes and weights are built once per measure; a fresh measure with
+    # the same moments integrates to the same bits
+    m = eq_quartic.measure
+    fresh = AngularMeasure(m.center, m.radius, m.cos_moments.copy())
+    f = lambda x: np.exp(x) * x ** 3
+    assert m.integrate(f) == fresh.integrate(f) == fresh.integrate(f)
+    assert m._integral_rule is m._integral_rule
+    assert not m._integral_rule[0].flags.writeable

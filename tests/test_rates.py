@@ -11,7 +11,7 @@ from betalab.equilibrium import constrained_equilibrium, nu_limit
 from betalab.measures import (
     AtomicMeasure, GridMeasure, quantile_discretize, reflect_shift, variance,
 )
-from betalab.potential import kappa
+from betalab.potential import Potential, kappa
 from betalab.rates import (
     calI_inf_over_c, projection_J, rate_calI, rate_calI_delta, rate_calJ,
     rate_calJ_delta, rate_IDOS, rate_IV, rate_report,
@@ -55,8 +55,9 @@ def test_iv_atomic_reports_default_regularization(eq_gauss, gauss):
 # ---------------------------------------------------------------------------
 
 def test_cali_vanishes_at_edge_view(eq_gauss, gauss):
+    # exact: nu_V is the reflected angular series of mu_V, not a grid
     ev = rate_calI(eq_gauss, gauss, 2.0, nu_limit(eq_gauss))
-    assert abs(ev.value) <= 1e-4
+    assert abs(ev.value) <= 1e-14
 
 
 def test_cali_agrees_with_iv_of_reflected(eq_gauss, gauss):
@@ -74,6 +75,28 @@ def test_cali_rejects_negative_support(eq_gauss, gauss):
 
 def test_cali_positive_away_from_minimizer(eq_gauss, gauss):
     assert rate_calI(eq_gauss, gauss, 3.0, UNIF01()).value > 0.5
+
+
+@pytest.mark.parametrize("coeffs", ["0,0,0.5", "0,0,0,0,1",
+                                    "0,0.3,0.5,0.1,0.2"])
+def test_rates_vanish_exactly_on_mu_v_and_nu_v(coeffs):
+    # I^DOS is 0 at nu_V and positive elsewhere; through the old 4096-cell
+    # grid the Gaussian value read -7.9e-8, a rate below 0 at its own zero
+    V = Potential.from_string(coeffs)
+    eq = equilibrium.equilibrium_cached(V)
+    nu = nu_limit(eq)
+    assert nu.sigma == eq.measure.sigma
+    # kappa solves int V'(c - x) dnu_V(x) = 0, and at c = b_V that integral
+    # is int V' dmu_V, the endpoint Newton residual (-1.4e-13 for the last
+    # potential, below 1e-15 for the others): one Newton step off b_V
+    m = eq.measure
+    shift = m.integrate(V.deriv) / m.integrate(lambda x: V.deriv(x, 2))
+    assert abs(kappa(V, nu) - (eq.b_v - shift)) <= 4.0 * math.ulp(eq.b_v)
+    for ev in (rate_IDOS(eq, V, nu), rate_calI(eq, V, eq.b_v, nu),
+               rate_IV(eq, V, eq.measure)):
+        assert abs(ev.value) <= 1e-14
+        assert -ev.sigma_term == eq.measure.sigma
+        assert ev.regularization is None
 
 
 # ---------------------------------------------------------------------------
