@@ -63,62 +63,104 @@ class EdgeSummary:
     power_sums: np.ndarray
 
 
-def _power_diagonals(diagonal, offdiagonal, degree: int) -> np.ndarray:
-    """diag(T^j), j = 0..degree, of symmetric tridiagonal matrices T given
-    by (..., N) diagonals and (..., N - 1) off-diagonals: an array of shape
-    (degree + 1, ..., N), batched over the leading axes.
+class _JacobiBands:
+    """Workspace for diag(T^j), j = 0..degree, of R symmetric tridiagonal
+    N x N matrices T, made once and recomputed in place.
 
-    Carries the nonzero diagonals of T^k; the next power is three shifted
-    elementwise products per diagonal, so it costs O(N degree^2) and no
-    eigenvalue is solved.  Only the diagonals |m| <= min(k, degree - k)
-    of T^k are formed: the ones the diagonal of a later power reads.  The
-    batch is laid end to end as one tridiagonal matrix with zero couplings
-    between blocks, whose powers are block diagonal, so each product runs
-    once over all R N entries.
+    The batch is laid end to end as one tridiagonal matrix with zero
+    couplings between blocks, whose powers are block diagonal, so each
+    product runs once over all R N entries.  T's entries sit at column c,
+    zero-padded so shifted reads past the ends see zeros: rows above[c] =
+    T[c-1, c], main[c] = T[c, c] and below[c] = T[c+1, c]; a block's first
+    above and last below are the zero couplings.  They are written in place
+    through `diagonal` (R, N) and set_offdiagonal; power_diagonals reads
+    them afresh.
+
+    Band k holds the diagonals (T^k)[i, i+m], |m| <= min(k, degree - k):
+    the ones the diagonal of a later power reads.  With P = T^(k-1),
+    (T^k)[i, i+m] = (P[i, i+m-1] above[i+m] + P[i, i+m] main[i+m])
+    + P[i, i+m+1] below[i+m], so a power costs one multiply over a window
+    of the previous band and one sum of its three slices, O(N degree^2) in
+    all, and no eigenvalue is solved.  Each band also keeps the zero rows
+    beyond it that the next power reads; nothing writes them.
     """
-    d = np.asarray(diagonal, dtype=float)
-    e = np.asarray(offdiagonal, dtype=float)
-    n, pad = d.shape[-1], degree + 1
-    size = d.size
-    # T's entries at column c, zero-padded so shifted reads past the ends
-    # see zeros: rows above[c] = T[c-1, c], main[c] = T[c, c] and
-    # below[c] = T[c+1, c]; a block's first above and last below are the
-    # zero couplings
-    padded = np.zeros((3, size + 2 * pad))
-    blocks = padded[:, pad:pad + size].reshape(3, -1, n)
-    blocks[0, :, 1:] = e.reshape(-1, n - 1)
-    blocks[1] = d.reshape(-1, n)
-    blocks[2, :, :-1] = e.reshape(-1, n - 1)
-    # shifted[:, r] reads the three rows r - degree columns to the right,
-    # padded[:, r + 1:r + 1 + size], as one view with no copy
-    step = padded.itemsize
-    shifted = np.ndarray((3, 2 * degree + 1, size), buffer=padded,
-                         offset=step, strides=(padded.strides[0], step, step))
-    # row degree+1+m holds (T^k)[i, i+m]; one zero row on each side
-    bands = np.zeros((2 * degree + 3, size))
-    bands[degree + 1] = 1.0
-    out = np.empty((degree + 1, size))
-    out[0] = 1.0
-    term = np.empty_like(bands)
-    for k in range(1, degree + 1):
-        w = min(k, degree - k)
-        lo, hi = degree + 1 - w, degree + 2 + w
-        nxt = np.zeros(bands.shape)
-        acc, tmp = nxt[lo:hi], term[lo:hi]
-        np.multiply(bands[lo - 1:hi - 1], shifted[0, lo - 1:hi - 1], out=acc)
-        acc += np.multiply(bands[lo:hi], shifted[1, lo - 1:hi - 1], out=tmp)
-        acc += np.multiply(bands[lo + 1:hi + 1], shifted[2, lo - 1:hi - 1],
-                           out=tmp)
-        bands = nxt
-        out[k] = bands[degree + 1]
-    return out.reshape((degree + 1,) + d.shape)
+
+    def __init__(self, diagonal, offdiagonal, degree: int):
+        d = np.asarray(diagonal, dtype=float)
+        e = np.asarray(offdiagonal, dtype=float)
+        n, size = d.shape[-1], d.size
+        half = degree // 2          # the widest band a later power reads
+        self._padded = np.zeros((3, size + 2 * half))
+        blocks = self._padded[:, half:half + size].reshape(3, -1, n)
+        self.diagonal = blocks[1]
+        self._above, self._below = blocks[0, :, 1:], blocks[2, :, :-1]
+        self.diagonal[:] = d.reshape(-1, n)
+        self.set_offdiagonal(slice(None), e.reshape(-1, n - 1))
+        # columns[:, half + m] reads the three rows m columns to the right,
+        # as one overlapping view; shifted, its contiguous copy, is what the
+        # products read, refreshed with one copy per call
+        item, row = self._padded.itemsize, self._padded.strides[0]
+        self._columns = np.ndarray((3, 2 * half + 1, size),
+                                   buffer=self._padded,
+                                   strides=(row, item, item))
+        self._shifted = np.empty(self._columns.shape)
+        product = np.empty(self._columns.shape)
+        widths = [min(k, degree - k) for k in range(degree + 1)]
+        heights = [max(w, widths[k + 1] + 1) if k < degree else w
+                   for k, w in enumerate(widths)]
+        bands = [np.zeros((2 * h + 1, size)) for h in heights]
+        bands[0][heights[0]] = 1.0
+        self._diagonals = [band[h] for band, h in zip(bands, heights)]
+        self._steps = []
+        for k in range(1, degree + 1):
+            w, prev, h = widths[k], bands[k - 1], heights[k - 1]
+            stride = prev.strides[0]
+            # window[j, w + m] is row m - 1 + j of band k - 1
+            window = np.ndarray((3, 2 * w + 1, size), buffer=prev,
+                                offset=(h - w - 1) * stride,
+                                strides=(stride, stride, item))
+            self._steps.append((
+                window, self._shifted[:, half - w:half + w + 1],
+                product[:, :2 * w + 1],
+                bands[k][heights[k] - w:heights[k] + w + 1]))
+        self._potential = np.empty(d.shape)
+        self._term = np.empty(size)
+
+    @property
+    def offdiagonal(self) -> np.ndarray:
+        return self._below
+
+    def set_offdiagonal(self, sites, values, where=True) -> None:
+        """Write off-diagonal entries (R, N - 1)[:, sites] of T, both sides
+        of the diagonal."""
+        np.copyto(self._above[:, sites], values, where=where)
+        np.copyto(self._below[:, sites], values, where=where)
+
+    def power_diagonals(self) -> list:
+        """diag(T^j), j = 0..degree, of the entries as they stand: flat
+        (R N,) rows of the workspace, overwritten by the next call."""
+        np.copyto(self._shifted, self._columns)
+        for window, shifted, product, band in self._steps:
+            np.multiply(window, shifted, out=product)
+            np.add.reduce(product, axis=0, out=band)
+        return self._diagonals
+
+    def potential_diagonal(self, coeffs: np.ndarray) -> np.ndarray:
+        """diag V(T) (R, N), V with ascending coefficients coeffs, summed as
+        c_0 + c_k diag(T^k) in k order; overwritten by the next call."""
+        out = self._potential.reshape(-1)
+        out.fill(coeffs[0])
+        for c, row in zip(coeffs[1:], self.power_diagonals()[1:]):
+            if c:
+                out += np.multiply(c, row, out=self._term)
+        return self._potential
 
 
 def tridiag_power_sums(diagonal, offdiagonal, degree: int) -> np.ndarray:
     """tr(T^j), j = 0..degree, of a symmetric tridiagonal T, in O(N degree^2)
-    with no eigenvalue solved (see _power_diagonals)."""
-    diags = _power_diagonals(diagonal, offdiagonal, degree)
-    return np.array([float(np.sum(row)) for row in diags])
+    with no eigenvalue solved (see _JacobiBands)."""
+    bands = _JacobiBands(diagonal, offdiagonal, degree)
+    return np.array([float(np.sum(row)) for row in bands.power_diagonals()])
 
 
 # -- samples -------------------------------------------------------------------
@@ -256,17 +298,6 @@ def sample_gaussian(n: int, beta: float, seed: int,
 
 # -- Metropolis on the Jacobi entries -------------------------------------------
 
-def _potential_diagonal(coeffs: np.ndarray, diag, off) -> np.ndarray:
-    """diag V(T), batched like _power_diagonals, for V with ascending
-    coefficients coeffs."""
-    powers = _power_diagonals(diag, off, coeffs.size - 1)
-    out = np.full(powers.shape[1:], coeffs[0])
-    for c, row in zip(coeffs[1:], powers[1:]):
-        if c:
-            out += c * row
-    return out
-
-
 def _colour_classes(n: int, degree: int) -> list[tuple]:
     """The Jacobi entries of an N x N matrix cut into classes whose members
     can move at once, for V of even degree p = degree.
@@ -303,7 +334,15 @@ def _colour_classes(n: int, degree: int) -> list[tuple]:
 def _mcmc_chains(V: Potential, beta: float, n: int, seed: int,
                  replicas) -> tuple:
     """Final Jacobi entries a (R, N) and b (R, N - 1) of the chains of
-    sample_mcmc_batch, and their acceptance rates (R,)."""
+    sample_mcmc_batch, and their acceptance rates (R,).
+
+    The chains' state is one _JacobiBands workspace, made once per call: a
+    class writes its proposal into the entries in place, reads diag V(T)
+    off the workspace, and restores the sites that reject from the kept
+    values.  A class costs O(R N deg V^2) arithmetic in a number of numpy
+    calls that grows with deg V but not with R or N, and allocates nothing
+    for the powers; acceptances are counted once per sweep.
+    """
     if n < 2 or beta <= 0:
         raise ValueError("need n >= 2 and beta > 0")
     rngs = [rng_for(seed, r) for r in replicas]
@@ -311,10 +350,11 @@ def _mcmc_chains(V: Potential, beta: float, n: int, seed: int,
     eq = equilibrium_cached(V)
     coeffs = V.coeffs
     classes = _colour_classes(n, V.degree)
-    a = np.full((R, n), eq.measure.center)
     u = np.full((R, n - 1), math.log(0.5 * eq.measure.radius))
-    b = np.exp(u)
-    diag_v = _potential_diagonal(coeffs, a, b)
+    bands = _JacobiBands(np.full((R, n), eq.measure.center), np.exp(u),
+                         V.degree)
+    a, b = bands.diagonal, bands.offdiagonal
+    diag_v = bands.potential_diagonal(coeffs).copy()
     half_nb = 0.5 * n * beta
     weight = beta * np.arange(n - 1, 0, -1)    # beta (N - k), k from the top
     # Proposal scales: for V = x^2/2 the conditional law of a_i has standard
@@ -327,7 +367,8 @@ def _mcmc_chains(V: Potential, beta: float, n: int, seed: int,
     step = np.full((R, 2), 2.4)             # columns: diagonal, off-diagonal
     sites_per_kind = np.array([n, n - 1])
     sweeps = MCMC_BURN_IN + MCMC_SWEEPS
-    accepted = np.empty((R, 2))
+    taken = np.empty((R, 2 * n - 1), dtype=bool)    # this sweep's accepts
+    taken_a, taken_u = taken[:, :n], taken[:, n:]
     post_accepted = np.zeros(R)
     z = logu = None
     for s in range(sweeps):
@@ -335,44 +376,45 @@ def _mcmc_chains(V: Potential, beta: float, n: int, seed: int,
             m = min(MCMC_CHUNK, sweeps - s)
             z = np.stack([rng.standard_normal((m, 2 * n - 1))
                           for rng in rngs])
-            logu = np.log(np.stack([rng.random((m, 2 * n - 1))
-                                    for rng in rngs]))
+            logu = np.stack([rng.random((m, 2 * n - 1)) for rng in rngs])
+            np.log(logu, out=logu)
         jump = z[:, s % MCMC_CHUNK] * scale
         jump[:, :n] *= step[:, :1]
         jump[:, n:] *= step[:, 1:]
         jump_a, jump_u = jump[:, :n], jump[:, n:]
         lus = logu[:, s % MCMC_CHUNK]
         lu_a, lu_u = lus[:, :n], lus[:, n:]
-        accepted[:] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             for is_off, sites, starts, owner in classes:
                 if is_off:
+                    kept = b[:, sites].copy()
                     prop_u = u[:, sites] + jump_u[:, sites]
-                    prop_b = b.copy()
-                    prop_b[:, sites] = np.exp(prop_u)
-                    new = _potential_diagonal(coeffs, a, prop_b)
+                    bands.set_offdiagonal(sites, np.exp(prop_u))
                     gain, log_u = weight[sites] * (prop_u - u[:, sites]), \
                         lu_u[:, sites]
                 else:
-                    prop_a = a.copy()
-                    prop_a[:, sites] += jump_a[:, sites]
-                    new = _potential_diagonal(coeffs, prop_a, b)
+                    kept = a[:, sites].copy()
+                    a[:, sites] += jump_a[:, sites]
                     gain, log_u = 0.0, lu_a[:, sites]
+                new = bands.potential_diagonal(coeffs)
                 ok = log_u < gain - half_nb * np.add.reduceat(
                     new - diag_v, starts, axis=1)
                 if is_off:
                     np.copyto(u[:, sites], prop_u, where=ok)
-                    np.copyto(b[:, sites], prop_b[:, sites], where=ok)
+                    bands.set_offdiagonal(sites, kept, where=~ok)
+                    taken_u[:, sites] = ok
                 else:
-                    np.copyto(a[:, sites], prop_a[:, sites], where=ok)
+                    np.copyto(a[:, sites], kept, where=~ok)
+                    taken_a[:, sites] = ok
                 np.copyto(diag_v, new, where=ok[:, owner])
-                accepted[:, int(is_off)] += np.count_nonzero(ok, axis=1)
+        accepted = np.stack([np.count_nonzero(taken_a, axis=1),
+                             np.count_nonzero(taken_u, axis=1)], axis=1)
         if s < MCMC_BURN_IN:
             step *= np.exp(0.5 * (accepted / sites_per_kind - TARGET_ACCEPT))
             np.clip(step, 1e-3, 1e3, out=step)
         else:
             post_accepted += accepted.sum(axis=1)
-    return a, b, post_accepted / (MCMC_SWEEPS * (2 * n - 1))
+    return a.copy(), b.copy(), post_accepted / (MCMC_SWEEPS * (2 * n - 1))
 
 
 def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
@@ -397,7 +439,9 @@ def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
     final T (its eigenvalues are solved when first read, see
     SpectrumSample).  A sweep moves each colour class of
     _colour_classes at once, for all replicas: 2 deg V - 1 batches of
-    O(R N deg V^2) work.  Each replica has its own stream, and its
+    O(R N deg V^2) work, each about 30 numpy calls for a quartic, on one
+    workspace that the whole batch of chains shares (see _mcmc_chains).
+    Each replica has its own stream, and its
     randomness is drawn in fixed chunks (normals then uniforms per chunk),
     so a batch of size one reproduces any replica of a larger batch bit for
     bit.

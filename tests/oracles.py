@@ -12,7 +12,9 @@ closed-form series, the
 Metropolis chain is run site by site with np.delete instead of through
 per-sweep arrays, the Jacobi-entry chain
 is run one site at a time with a dense tr V(T) per proposal instead of
-in colour classes, infima over c are found by golden-section search
+in colour classes, and in colour classes with diag V(T) rebuilt from
+fresh arrays for every proposal instead of in one persistent band
+workspace, infima over c are found by golden-section search
 instead of at kappa, Wasserstein distances involving a grid measure
 are integrated by the midpoint rule in u instead of in closed form, and
 the CDF, partial first moment and quantiles of an angular measure come
@@ -27,8 +29,13 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
+from betalab.equilibrium import equilibrium_cached
 from betalab.measures import GridMeasure
 from betalab.potential import Potential
+from betalab.sampler import (
+    MCMC_BURN_IN, MCMC_CHUNK, MCMC_SWEEPS, TARGET_ACCEPT, _colour_classes,
+    rng_for,
+)
 
 # ---------------------------------------------------------------------------
 # closed-form fixtures
@@ -616,8 +623,6 @@ def jacobi_chain_reference(V: Potential, beta: float, n: int, seed: int,
     diagonal and an off-diagonal step from 2.4 toward acceptance 0.35, and
     acceptance is measured over 50 more.  O(n^3 deg V) per site.
     """
-    from betalab.equilibrium import equilibrium_cached
-
     chunk, target, burn, sweeps = 16, 0.35, 100, 150
     p = V.degree
     eq = equilibrium_cached(V)
@@ -679,3 +684,148 @@ def jacobi_chain_reference(V: Potential, beta: float, n: int, seed: int,
             np.diag(a) + np.diag(b, 1) + np.diag(b, -1)))
         rates.append(post_accepted / ((sweeps - burn) * (2 * n - 1)))
     return np.stack(diags), np.stack(offs), np.stack(lam), np.array(rates)
+
+
+# ---------------------------------------------------------------------------
+# colour-class Jacobi-entry chain (diag V(T) rebuilt for every proposal)
+# ---------------------------------------------------------------------------
+
+
+def _power_diagonals(diagonal, offdiagonal, degree: int) -> np.ndarray:
+    """diag(T^j), j = 0..degree, of symmetric tridiagonal matrices T given
+    by (..., N) diagonals and (..., N - 1) off-diagonals: an array of shape
+    (degree + 1, ..., N), batched over the leading axes.
+
+    Carries the nonzero diagonals of T^k; the next power is three shifted
+    elementwise products per diagonal, so it costs O(N degree^2) and no
+    eigenvalue is solved.  Only the diagonals |m| <= min(k, degree - k)
+    of T^k are formed: the ones the diagonal of a later power reads.  The
+    batch is laid end to end as one tridiagonal matrix with zero couplings
+    between blocks, whose powers are block diagonal, so each product runs
+    once over all R N entries.
+    """
+    d = np.asarray(diagonal, dtype=float)
+    e = np.asarray(offdiagonal, dtype=float)
+    n, pad = d.shape[-1], degree + 1
+    size = d.size
+    # T's entries at column c, zero-padded so shifted reads past the ends
+    # see zeros: rows above[c] = T[c-1, c], main[c] = T[c, c] and
+    # below[c] = T[c+1, c]; a block's first above and last below are the
+    # zero couplings
+    padded = np.zeros((3, size + 2 * pad))
+    blocks = padded[:, pad:pad + size].reshape(3, -1, n)
+    blocks[0, :, 1:] = e.reshape(-1, n - 1)
+    blocks[1] = d.reshape(-1, n)
+    blocks[2, :, :-1] = e.reshape(-1, n - 1)
+    # shifted[:, r] reads the three rows r - degree columns to the right,
+    # padded[:, r + 1:r + 1 + size], as one view with no copy
+    step = padded.itemsize
+    shifted = np.ndarray((3, 2 * degree + 1, size), buffer=padded,
+                         offset=step, strides=(padded.strides[0], step, step))
+    # row degree+1+m holds (T^k)[i, i+m]; one zero row on each side
+    bands = np.zeros((2 * degree + 3, size))
+    bands[degree + 1] = 1.0
+    out = np.empty((degree + 1, size))
+    out[0] = 1.0
+    term = np.empty_like(bands)
+    for k in range(1, degree + 1):
+        w = min(k, degree - k)
+        lo, hi = degree + 1 - w, degree + 2 + w
+        nxt = np.zeros(bands.shape)
+        acc, tmp = nxt[lo:hi], term[lo:hi]
+        np.multiply(bands[lo - 1:hi - 1], shifted[0, lo - 1:hi - 1], out=acc)
+        acc += np.multiply(bands[lo:hi], shifted[1, lo - 1:hi - 1], out=tmp)
+        acc += np.multiply(bands[lo + 1:hi + 1], shifted[2, lo - 1:hi - 1],
+                           out=tmp)
+        bands = nxt
+        out[k] = bands[degree + 1]
+    return out.reshape((degree + 1,) + d.shape)
+
+
+def _potential_diagonal(coeffs: np.ndarray, diag, off) -> np.ndarray:
+    """diag V(T), batched like _power_diagonals, for V with ascending
+    coefficients coeffs."""
+    powers = _power_diagonals(diag, off, coeffs.size - 1)
+    out = np.full(powers.shape[1:], coeffs[0])
+    for c, row in zip(coeffs[1:], powers[1:]):
+        if c:
+            out += c * row
+    return out
+
+
+def colour_class_chain_reference(V: Potential, beta: float, n: int,
+                                 seed: int, replicas) -> tuple:
+    """Final Jacobi entries a (R, N) and b (R, N - 1) of the chains of
+    sampler.sample_mcmc_batch, and their acceptance rates (R,), by the
+    colour-class sweep that builds diag V(T) afresh for every proposal
+    (_potential_diagonal), with the proposal in a copy of the entries."""
+    if n < 2 or beta <= 0:
+        raise ValueError("need n >= 2 and beta > 0")
+    rngs = [rng_for(seed, r) for r in replicas]
+    R = len(rngs)
+    eq = equilibrium_cached(V)
+    coeffs = V.coeffs
+    classes = _colour_classes(n, V.degree)
+    a = np.full((R, n), eq.measure.center)
+    u = np.full((R, n - 1), math.log(0.5 * eq.measure.radius))
+    b = np.exp(u)
+    diag_v = _potential_diagonal(coeffs, a, b)
+    half_nb = 0.5 * n * beta
+    weight = beta * np.arange(n - 1, 0, -1)    # beta (N - k), k from the top
+    # Proposal scales: for V = x^2/2 the conditional law of a_i has standard
+    # deviation (radius / 2) sqrt(2 / (beta N)) and that of u_k about
+    # 1 / sqrt(2 beta (N - k)); the adapted steps multiply these, and
+    # start at 2.4, the best random-walk step for a Gaussian target
+    sd = 1.0 / math.sqrt(2.0 * beta * n)
+    scale = np.concatenate([np.full(n, eq.measure.radius * sd),
+                            sd * np.sqrt(n / np.arange(n - 1, 0, -1))])
+    step = np.full((R, 2), 2.4)             # columns: diagonal, off-diagonal
+    sites_per_kind = np.array([n, n - 1])
+    sweeps = MCMC_BURN_IN + MCMC_SWEEPS
+    accepted = np.empty((R, 2))
+    post_accepted = np.zeros(R)
+    z = logu = None
+    for s in range(sweeps):
+        if s % MCMC_CHUNK == 0:
+            m = min(MCMC_CHUNK, sweeps - s)
+            z = np.stack([rng.standard_normal((m, 2 * n - 1))
+                          for rng in rngs])
+            logu = np.log(np.stack([rng.random((m, 2 * n - 1))
+                                    for rng in rngs]))
+        jump = z[:, s % MCMC_CHUNK] * scale
+        jump[:, :n] *= step[:, :1]
+        jump[:, n:] *= step[:, 1:]
+        jump_a, jump_u = jump[:, :n], jump[:, n:]
+        lus = logu[:, s % MCMC_CHUNK]
+        lu_a, lu_u = lus[:, :n], lus[:, n:]
+        accepted[:] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for is_off, sites, starts, owner in classes:
+                if is_off:
+                    prop_u = u[:, sites] + jump_u[:, sites]
+                    prop_b = b.copy()
+                    prop_b[:, sites] = np.exp(prop_u)
+                    new = _potential_diagonal(coeffs, a, prop_b)
+                    gain, log_u = weight[sites] * (prop_u - u[:, sites]), \
+                        lu_u[:, sites]
+                else:
+                    prop_a = a.copy()
+                    prop_a[:, sites] += jump_a[:, sites]
+                    new = _potential_diagonal(coeffs, prop_a, b)
+                    gain, log_u = 0.0, lu_a[:, sites]
+                ok = log_u < gain - half_nb * np.add.reduceat(
+                    new - diag_v, starts, axis=1)
+                if is_off:
+                    np.copyto(u[:, sites], prop_u, where=ok)
+                    np.copyto(b[:, sites], prop_b[:, sites], where=ok)
+                else:
+                    np.copyto(a[:, sites], prop_a[:, sites], where=ok)
+                np.copyto(diag_v, new, where=ok[:, owner])
+                accepted[:, int(is_off)] += np.count_nonzero(ok, axis=1)
+        if s < MCMC_BURN_IN:
+            step *= np.exp(0.5 * (accepted / sites_per_kind - TARGET_ACCEPT))
+            np.clip(step, 1e-3, 1e3, out=step)
+        else:
+            post_accepted += accepted.sum(axis=1)
+    return a, b, post_accepted / (MCMC_SWEEPS * (2 * n - 1))
+

@@ -8,11 +8,14 @@ from betalab.equilibrium import equilibrium_cached
 from betalab.measures import AtomicMeasure, GridMeasure, wasserstein
 from betalab.potential import Potential
 from betalab.sampler import (
-    SpectrumSample, _colour_classes, _mcmc_chains, _potential_diagonal,
-    rng_for, sample_gaussian, sample_mcmc_batch, tridiag_eigenvalues,
+    SpectrumSample, _colour_classes, _JacobiBands, _mcmc_chains, rng_for,
+    sample_gaussian, sample_mcmc_batch, tridiag_eigenvalues,
     tridiag_power_sums,
 )
-from oracles import jacobi_chain_reference, metropolis_chain_reference
+from oracles import (
+    _power_diagonals, colour_class_chain_reference, jacobi_chain_reference,
+    metropolis_chain_reference,
+)
 
 
 def esd(sample_or_values):
@@ -98,6 +101,56 @@ def test_tridiag_power_sums_match_dense_traces(rng):
                   for j in range(7)]
         got = tridiag_power_sums(d, e, 6)
         assert np.allclose(got, expect, rtol=1e-13, atol=1e-13)
+
+
+def _dense_power_diagonals(a, b, degree):
+    """diag(T^k), k = 0..degree, (degree + 1, R, N), one dense block per
+    row of a (R, N) and b (R, N - 1)."""
+    out = np.empty((degree + 1,) + a.shape)
+    for j in range(a.shape[0]):
+        T = np.diag(a[j]) + np.diag(b[j], 1) + np.diag(b[j], -1)
+        for k in range(degree + 1):
+            out[k, j] = np.diag(np.linalg.matrix_power(T, k))
+    return out
+
+
+def _assert_dense_diagonals(got, a, b, degree):
+    want = _dense_power_diagonals(a, b, degree)
+    for k in range(degree + 1):
+        assert np.allclose(got[k].reshape(a.shape), want[k], rtol=1e-12,
+                           atol=1e-12 * np.max(np.abs(want[k])))
+
+
+@pytest.mark.parametrize("n", [2, 3, 11])
+@pytest.mark.parametrize("degree", [2, 4, 6, 8])
+def test_band_workspace_matches_dense_powers(rng, degree, n):
+    # three blocks laid end to end with zero couplings between them: each
+    # block's diagonals are those of its own powers
+    a = rng.normal(0.0, 1.0, (3, n))
+    b = rng.uniform(0.3, 1.5, (3, n - 1))
+    bands = _JacobiBands(a, b, degree)
+    first = [row.copy() for row in bands.power_diagonals()]
+    _assert_dense_diagonals(first, a, b, degree)
+    # the band arithmetic is that of the per-call kernel it replaced
+    assert np.array_equal(np.stack(first).reshape((degree + 1,) + a.shape),
+                          _power_diagonals(a, b, degree))
+    # a proposal written in place is read by the next call, and restoring
+    # the kept entries gives back the same bits
+    sites = slice(n % 2, None, 2)
+    kept_a, kept_b = a[:, sites].copy(), b[:, sites].copy()
+    moved_a, moved_b = a.copy(), b.copy()
+    moved_a[:, sites] += 0.5
+    moved_b[:, sites] *= 1.5
+    bands.diagonal[:, sites] = moved_a[:, sites]
+    bands.set_offdiagonal(sites, moved_b[:, sites])
+    _assert_dense_diagonals(bands.power_diagonals(), moved_a, moved_b,
+                            degree)
+    np.copyto(bands.diagonal[:, sites], kept_a)
+    bands.set_offdiagonal(sites, kept_b)
+    assert np.array_equal(bands.diagonal, a)
+    assert np.array_equal(bands.offdiagonal, b)
+    again = bands.power_diagonals()
+    assert all(np.array_equal(x, y) for x, y in zip(again, first))
 
 
 def test_sample_gaussian_rejects_bad_args():
@@ -272,6 +325,31 @@ def test_mcmc_kernel_matches_reference_chain(coeffs, n, replicas):
                        rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("coeffs, beta, n, replicas, seed", [
+    ((0, 0, 0, 0, 1), 2.0, 50, 16, 1),
+    ((0, 0, 0, 0, 1), 2.0, 50, 16, 2),
+    ((0, 0, 0, 0, 1), 2.0, 50, 16, 3),
+    ((0, 0.3, 0.5, 0.1, 0.2), 2.0, 20, 3, 5),
+    ((1, 0, 0, 0, 0, 0, 1), 1.0, 30, 4, 5),
+    ((0, 0, 0, 0, 1), 4.0, 400, 4, 5),
+    ((0, 0.3, 0.5, 0.1, 0.2), 0.5, 2, 50, 5),
+    ((0, 0, 0.5), 2.0, 30, 4, 5),
+], ids=["quartic-seed1", "quartic-seed2", "quartic-seed3", "asymmetric",
+        "sextic-beta1", "quartic-n400-beta4", "asymmetric-n2-beta05",
+        "gaussian"])
+def test_sweep_matches_colour_class_reference(coeffs, beta, n, replicas,
+                                              seed):
+    # the sweep on one persistent band workspace against the same sweep
+    # with diag V(T) rebuilt from fresh arrays for every proposal: the same
+    # arithmetic, so every accept decision and every entry agree bit for bit
+    V = Potential(coeffs)
+    a, b, acc = colour_class_chain_reference(V, beta, n, seed,
+                                             range(replicas))
+    got_a, got_b, got_acc = _mcmc_chains(V, beta, n, seed, range(replicas))
+    assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+    assert list(got_acc) == list(acc)
+
+
 @pytest.mark.parametrize("coeffs", [(0, 0, 0, 0, 1), (0, 0.3, 0.5, 0.1, 0.2)],
                          ids=["quartic", "asymmetric"])
 def test_mcmc_matches_eigenvalue_chain(coeffs):
@@ -329,7 +407,15 @@ def test_colour_class_deltas_are_single_site_changes(rng, coeffs):
     def with_entries(is_off, entries):
         return (a, entries) if is_off else (entries, b)
 
-    base = _potential_diagonal(V.coeffs, a, b)
+    # one workspace, its entries rewritten in place for every state read
+    bands = _JacobiBands(a, b, V.degree)
+
+    def diag_v(d, e):
+        bands.diagonal[:] = d
+        bands.set_offdiagonal(slice(None), e)
+        return bands.potential_diagonal(V.coeffs).copy()
+
+    base = diag_v(a, b)
     tol = 1e-12 * np.sum(np.abs(base))
     seen = {False: [], True: []}
     for is_off, sites, starts, owner in _colour_classes(n, V.degree):
@@ -338,7 +424,7 @@ def test_colour_class_deltas_are_single_site_changes(rng, coeffs):
         seen[is_off] += list(idx)
         moved = entries.copy()
         moved[idx] *= rng.uniform(0.5, 1.5, idx.size)
-        new = _potential_diagonal(V.coeffs, *with_entries(is_off, moved))
+        new = diag_v(*with_entries(is_off, moved))
         delta = np.add.reduceat(new - base, starts)
         for k, i in enumerate(idx):
             alone = entries.copy()
@@ -353,7 +439,7 @@ def test_colour_class_deltas_are_single_site_changes(rng, coeffs):
         merged = base.copy()
         np.copyto(merged, new, where=ok[owner])
         assert np.array_equal(
-            merged, _potential_diagonal(V.coeffs, *with_entries(is_off, kept)))
+            merged, diag_v(*with_entries(is_off, kept)))
     assert sorted(seen[False]) == list(range(n))
     assert sorted(seen[True]) == list(range(n - 1))
 
