@@ -17,9 +17,9 @@ from functools import cached_property, partial
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .equilibrium import EquilibriumResult, _cheb_project, \
-    equilibrium_cached, nu_limit
-from .measures import AngularMeasure, AtomicMeasure, wasserstein
+from .equilibrium import EquilibriumResult, equilibrium_cached, nu_limit
+from .measures import AngularMeasure, AtomicMeasure, _cheb_coeffs, \
+    wasserstein
 from .potential import GAUSSIAN_KEY, Potential
 from .sampler import (
     EdgeSummary, SpectrumSample, sample_gaussian, sample_mcmc_batch,
@@ -34,7 +34,6 @@ __all__ = [
     "dos_convergence", "draw_spectra",
 ]
 
-CLT_NODES = 4096         # midpoint nodes of the CLT-constant quadratures
 BOUND_GRID = 8193        # sample points of the remainder-bound sup
 
 
@@ -129,32 +128,36 @@ def dos_measure(sample: SpectrumSample) -> AtomicMeasure:
 
 def linear_statistic(sample: SpectrumSample, f: TestFunction) -> float:
     """S_N(f) = (N-1) mu_N(f) = sum_{k<N} f(lambda_max - lambda_(k))."""
-    return (sample.n - 1) * dos_measure(sample).integrate(f.f)
+    return (sample.n - 1) * dos_measure(sample).integrate(f.coeffs, -f.center)
 
 
-def nu_quadrature(eq: EquilibriumResult, f) -> float:
-    """nu_V(f) = int f(b_V - x) dmu_V(x), by the self-normalized angular
-    rule of AngularMeasure.integrate, so nu(const) = const exactly."""
-    return eq.measure.integrate(lambda x: f(eq.b_v - x))
+def nu_quadrature(eq: EquilibriumResult, f: TestFunction) -> float:
+    """nu_V(f) = int f(b_V - x) dmu_V(x), f's coefficients integrated
+    against mu_V's moment series (AngularMeasure.integrate): exact to
+    roundoff, and nu(const) = const exactly."""
+    return eq.measure.integrate(f.coeffs, eq.b_v - f.center, -1.0)
 
 
 def delta_statistic(sample: SpectrumSample, eq: EquilibriumResult,
                     f: TestFunction) -> float:
     """Delta_N(f) = sum_i f(b_V - lambda_i) - N nu_V(f)."""
     vals = np.asarray(f.f(eq.b_v - sample.eigenvalues), dtype=float)
-    return float(math.fsum(vals) - sample.n * nu_quadrature(eq, f.f))
+    return float(math.fsum(vals) - sample.n * nu_quadrature(eq, f))
 
 
 # -- CLT constants --------------------------------------------------------------
 
-def cheb_coefficients(f, a_v: float, b_v: float, count: int) -> np.ndarray:
+def cheb_coefficients(f: TestFunction, a_v: float, b_v: float,
+                      count: int) -> np.ndarray:
     """a_k = (2/pi) int_0^pi f((b-a)/2 (1 - cos t)) cos(k t) dt, k < count.
 
-    The Chebyshev projection of x -> f(r - x) on [-r, r], r = (b-a)/2,
-    with a_0 doubled to match the (2/pi) normalization.
+    The Chebyshev coefficients of x -> f(r - x) on [-r, r], r = (b-a)/2,
+    exact for the polynomial f, with a_0 doubled to match the (2/pi)
+    normalization; zero past f's degree.
     """
     r = 0.5 * (b_v - a_v)
-    a = _cheb_project(lambda x: f(r - x), 0.0, r, count - 1, CLT_NODES)
+    v = _cheb_coeffs(f.coeffs, r - f.center, -r)[:count]
+    a = np.pad(v, (0, count - v.size))
     a[0] *= 2.0
     return a
 
@@ -171,7 +174,8 @@ def clt_variance(coeffs, beta: float) -> float:
     return float(np.sum(k * a * a) / (2.0 * beta))
 
 
-def gaussian_bias(f, beta: float, V: Potential | None = None) -> float:
+def gaussian_bias(f: TestFunction, beta: float,
+                  V: Potential | None = None) -> float:
     """m_V(f) = (2/beta - 1)[f(4)/4 + f(0)/4 - (1/2pi) int f(2-t)/sqrt(4-t^2) dt].
 
     Gaussian potential only: the bias measure has no closed form for other
@@ -179,9 +183,9 @@ def gaussian_bias(f, beta: float, V: Potential | None = None) -> float:
     """
     if V is not None and V.key() != GAUSSIAN_KEY:
         raise ValueError("bias measure implemented for the Gaussian potential only")
-    arcsine = 0.5 * AngularMeasure(2.0, 2.0, [1.0]).integrate(f)
-    atoms = 0.25 * float(f(4.0)) + 0.25 * float(f(0.0))
-    return (2.0 / beta - 1.0) * (atoms - arcsine)
+    arcsine = AngularMeasure(2.0, 2.0, [1.0]).integrate(f.coeffs, -f.center)
+    atoms = 0.25 * float(f.f(4.0)) + 0.25 * float(f.f(0.0))
+    return (2.0 / beta - 1.0) * (atoms - 0.5 * arcsine)
 
 
 # -- bookkeeping identity --------------------------------------------------------
@@ -206,8 +210,8 @@ def bookkeeping_residual(sample: SpectrumSample, eq: EquilibriumResult,
     arithmetic, roundoff-sized in floats."""
     eps = sample.lambda_max - eq.b_v
     fp = f.derivative()
-    lhs = linear_statistic(sample, f) - sample.n * nu_quadrature(eq, f.f)
-    rhs = sample.n * eps * nu_quadrature(eq, f.fprime) \
+    lhs = linear_statistic(sample, f) - sample.n * nu_quadrature(eq, f)
+    rhs = sample.n * eps * nu_quadrature(eq, fp) \
         + delta_statistic(sample, eq, f) \
         + eps * delta_statistic(sample, eq, fp) \
         + remainder_term(sample, eq, f)
@@ -394,8 +398,8 @@ def fluctuation_ensemble(V: Potential, beta: float, f: TestFunction, sizes,
     """
     _check_method(V, method)
     eq = equilibrium_cached(V)
-    nu_f = nu_quadrature(eq, f.f)
-    nu_fp = nu_quadrature(eq, f.fprime)
+    nu_f = nu_quadrature(eq, f)
+    nu_fp = nu_quadrature(eq, f.derivative())
     regime = "edge" if abs(nu_fp) > REGIME_ZERO else "clt"
     ambiguous = REGIME_ZERO < abs(nu_fp) < REGIME_AMBIGUOUS
     bound_m = remainder_bound_constant(f)

@@ -2,12 +2,13 @@
 
 solve_equilibrium computes the one-cut equilibrium measure of a convex
 polynomial potential: the support endpoints solve two moment conditions
-(Newton on Gauss-Chebyshev quadrature), and the density comes out as
-sqrt((x-a)(b-x)) times a polynomial read off the Chebyshev coefficients of
-V'.  mu_V and the hard-edge measure below a wall are both AngularMeasures
-(see measures), whose log-energy Sigma, energy -Sigma + int V (c_V for
-mu_V), CDF and exterior log-potential are finite series in their cosine
-moments; nu_V is mu_V's reflection, exactly.
+(Newton on the exact Chebyshev coefficients of V' and V'' on the
+support), and the density comes out as sqrt((x-a)(b-x)) times a
+polynomial read off the Chebyshev coefficients of V'.  mu_V and the
+hard-edge measure below a wall are both AngularMeasures (see measures),
+whose log-energy Sigma, energy -Sigma + int V (c_V for mu_V), CDF and
+exterior log-potential are finite series in their cosine moments; nu_V
+is mu_V's reflection, exactly.
 
 constrained_equilibrium minimizes the energy E(mu) = -Sigma(mu) + int V dmu
 over probability measures on (-inf, x] in closed form: the minimizer is
@@ -25,11 +26,11 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as C, polynomial as P
+from numpy.polynomial import polynomial as P
 
 from ._fsio import write_text_atomic
-from .measures import AngularMeasure, GridMeasure, _compose, load_measure, \
-    reflect_shift, save_measure
+from .measures import AngularMeasure, GridMeasure, _cheb_coeffs, _compose, \
+    load_measure, reflect_shift, save_measure
 from .potential import Potential
 
 __all__ = [
@@ -39,26 +40,10 @@ __all__ = [
     "save_equilibrium", "load_equilibrium",
 ]
 
-CHEB_NODES = 512
-NEWTON_TOL = 1e-12
+NEWTON_TOL = 8.0 * np.finfo(float).eps   # relative: roundoff of the residual
 NEWTON_MAX_ITER = 200
 GAP_TOL = 1e-8
 EQUILIBRIUM_STEM = "equilibrium"   # file names written by save_equilibrium
-
-
-def _cheb_project(g, c: float, r: float, kmax: int,
-                  nodes: int = CHEB_NODES) -> np.ndarray:
-    """Chebyshev coefficients u_0..u_kmax of theta -> g(c + r cos theta).
-
-    Midpoint Gauss-Chebyshev quadrature; exact to roundoff for polynomial
-    integrands of the degrees that occur here.
-    """
-    theta = (np.arange(nodes) + 0.5) * (np.pi / nodes)
-    vals = g(c + r * np.cos(theta))
-    ks = np.arange(kmax + 1)
-    proj = np.cos(np.outer(ks, theta)) @ vals * (2.0 / nodes)
-    proj[0] *= 0.5
-    return proj
 
 
 def _angular_series(coeffs: np.ndarray, theta) -> np.ndarray:
@@ -85,17 +70,18 @@ class EquilibriumResult:
 
 
 def _newton_endpoints(V: Potential) -> tuple:
-    """Solve u_0(c,r) = 0 and r u_1(c,r)/4 = 1 for the center and radius."""
-    d1 = V._d1
-    roots = P.polyroots(d1)
+    """Solve u_0(c,r) = 0 and r u_1(c,r)/4 = 1 for the center and radius,
+    u_k the Chebyshev coefficients of V' on [c - r, c + r] and s_k those of
+    V'' for the Jacobian, both exact to roundoff; Newton stops when the
+    residual is at roundoff, NEWTON_TOL relative to sum |u_k|."""
+    roots = P.polyroots(V._d1)
     real = np.real(roots[np.abs(np.imag(roots)) < 1e-8])
     c = float(real[np.argmin(V.eval(real))]) if real.size else 0.0
     curv = V.deriv(c, 2)
     r = 2.0 / math.sqrt(curv) if curv > 1e-3 else 1.0
-    kmax = max(V.degree, 2)
 
     def residual(c, r):
-        u = _cheb_project(V.deriv, c, r, kmax)
+        u = _cheb_coeffs(V._d1, c, r)
         return u, np.array([u[0], 0.25 * r * u[1] - 1.0])
 
     u, F = residual(c, r)
@@ -103,7 +89,8 @@ def _newton_endpoints(V: Potential) -> tuple:
     for _ in range(NEWTON_MAX_ITER):
         if err <= NEWTON_TOL * max(1.0, float(np.sum(np.abs(u)))):
             break
-        s = _cheb_project(lambda x: V.deriv(x, 2), c, r, kmax)
+        # the Jacobian reads s_0..s_2; a quadratic V'' has s_0 alone
+        s = np.append(_cheb_coeffs(V._d2, c, r), [0.0, 0.0])
         J = np.array([
             [s[0], 0.5 * s[1]],
             [0.25 * r * s[1], 0.25 * u[1] + 0.25 * r * (s[0] + 0.5 * s[2])],
@@ -134,14 +121,10 @@ def solve_equilibrium(V: Potential, n: int = 4096) -> EquilibriumResult:
     """Equilibrium measure of V on its one-cut support [a_V, b_V]."""
     c, r, u = _newton_endpoints(V)
     p = V.degree
-    # cosine moments <cos k theta>: finite ladder in the u_k, with u_0
-    # entering as exactly 0 (the solved constraint)
-    uu = np.zeros(p + 3)
-    uu[1:min(u.size, p + 2)] = u[1:min(u.size, p + 2)]
-    mom = np.zeros(p + 1)
-    mom[0] = 1.0
-    for k in range(1, p + 1):
-        mom[k] = 0.125 * r * (uu[k + 1] - uu[k - 1])   # uu[0] == 0 by design
+    # cosine moments <cos k theta> = r (u_{k+1} - u_{k-1}) / 8, k = 1..p,
+    # with u_0 entering as exactly 0 (the solved constraint); u has p terms
+    uu = np.concatenate([[0.0], u[1:], [0.0, 0.0]])
+    mom = np.append(1.0, 0.125 * r * (uu[2:] - uu[:p]))
     a, b = c - r, c + r
     measure = AngularMeasure(0.5 * (a + b), 0.5 * (b - a), mom)
     # u is about Newton's (c, r), which equal the measure's to roundoff
@@ -221,7 +204,7 @@ def _hard_edge(V: Potential, c: float) -> AngularMeasure:
         raise RuntimeError(f"no soft-edge radius for the hard wall at {c}")
     r = float(pos.min())
     r -= P.polyval(r, soft) / P.polyval(r, P.polyder(soft))
-    v = C.poly2cheb(_compose(V.coeffs, c - r, r))
+    v = _cheb_coeffs(V.coeffs, c - r, r)
     k = np.arange(1, v.size)
     return AngularMeasure(c - r, r, np.append(1.0, -k * v[1:] / 4.0))
 

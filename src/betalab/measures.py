@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import chebyshev as C
+from numpy.polynomial import chebyshev as C, polynomial as P
 
 from ._fsio import fmt, write_text_atomic
 
@@ -121,9 +121,12 @@ class AtomicMeasure:
         idx = np.clip(idx, 0, self.size - 1)
         return self.atoms[idx]
 
-    def integrate(self, f) -> float:
-        """Integral of a callable against the measure."""
-        return float(np.dot(self.weights, f(self.atoms)))
+    def integrate(self, coeffs, shift: float = 0.0,
+                  scale: float = 1.0) -> float:
+        """int p(shift + scale x) dmu(x), p with ascending coefficients: a
+        weighted sum of p at the atoms."""
+        x = shift + scale * self.atoms
+        return float(np.dot(self.weights, P.polyval(x, _polynomial(coeffs))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,16 +221,29 @@ class GridMeasure:
         first = x0 * mass + t * t * (0.5 * v0 + slope * t / 3.0)
         return cdf[i0] + mass, g_nodes[i0] + first
 
-    def integrate(self, f) -> float:
-        """Trapezoid integral of a callable against the density."""
-        x = self.nodes
-        return float(np.trapezoid(f(x) * self.values, dx=self.h))
+    def integrate(self, coeffs, shift: float = 0.0,
+                  scale: float = 1.0) -> float:
+        """int p(shift + scale x) dmu(x), p with ascending coefficients, by
+        the trapezoid rule on the nodes."""
+        vals = P.polyval(shift + scale * self.nodes, _polynomial(coeffs))
+        return float(np.trapezoid(vals * self.values, dx=self.h))
 
 
-INTEGRAL_NODES = 2048    # angular midpoint nodes of AngularMeasure.integrate
 QUANTILE_TABLE = 1024    # angle cells of AngularMeasure.quantile's start table
 QUANTILE_STEP = 1e-13    # angle step at which the quantile's Newton stops
 QUANTILE_MAX_ITER = 100
+
+
+def _polynomial(coeffs) -> np.ndarray:
+    """Ascending polynomial coefficients as a float array; a callable, an
+    empty list or a non-finite coefficient is refused."""
+    if callable(coeffs):
+        raise TypeError("integrate takes polynomial coefficients, not a "
+                        "callable")
+    p = np.asarray(coeffs, dtype=float).ravel()
+    if p.size == 0 or not np.all(np.isfinite(p)):
+        raise ValueError(f"need finite polynomial coefficients, got {p}")
+    return p
 
 
 def _compose(coeffs, center: float, radius: float) -> np.ndarray:
@@ -239,6 +255,12 @@ def _compose(coeffs, center: float, radius: float) -> np.ndarray:
         out = np.convolve(out, [center, radius])
         out[0] += a
     return out
+
+
+def _cheb_coeffs(coeffs, center: float, radius: float) -> np.ndarray:
+    """Chebyshev coefficients v_0..v_deg of t -> p(center + radius t), so
+    p(center + radius cos theta) = sum_k v_k cos(k theta) exactly."""
+    return C.poly2cheb(_compose(coeffs, center, radius))
 
 
 def _chebyshev_rows(t0, t1, z: np.ndarray, kmax: int) -> np.ndarray:
@@ -261,9 +283,9 @@ class AngularMeasure:
     in x = center + radius cos theta.
 
     cos_moments[k] = mom_k = int cos(k theta) dmu, with mom_0 = 1.  Sigma,
-    int V, the CDF, the partial first moment and the exterior log-potential
-    are finite series in the moments; quantiles invert the CDF by Newton's
-    method in the angle.
+    the integral of a polynomial, the CDF, the partial first moment and the
+    exterior log-potential are finite series in the moments; quantiles
+    invert the CDF by Newton's method in the angle.
     """
 
     center: float
@@ -279,30 +301,19 @@ class AngularMeasure:
         return _log_energy_series(self.radius, self.cos_moments)
 
     def energy(self, V) -> float:
-        """-Sigma(mu) + int V dmu for a Potential V, int V = sum_k v_k mom_k
-        with v_k the Chebyshev coefficients of V on the support."""
-        v = C.poly2cheb(_compose(V.coeffs, self.center, self.radius))
+        """-Sigma(mu) + int V dmu for a Potential V."""
+        return -self.sigma + self.integrate(V.coeffs)
+
+    def integrate(self, coeffs, shift: float = 0.0,
+                  scale: float = 1.0) -> float:
+        """int p(shift + scale x) dmu(x), p with ascending coefficients:
+        sum_k v_k mom_k, v_k the Chebyshev coefficients of p on the image
+        of the support.  No quadrature: the sum is exact to roundoff, and
+        a constant integrates to itself exactly, since mom_0 = 1."""
+        v = _cheb_coeffs(_polynomial(coeffs), shift + scale * self.center,
+                         scale * self.radius)
         k = min(v.size, self.cos_moments.size)
-        return -self.sigma + float(v[:k] @ self.cos_moments[:k])
-
-    @cached_property
-    def _integral_rule(self) -> tuple:
-        """(nodes, weights, mass) of integrate, built once per measure."""
-        theta = (np.arange(INTEGRAL_NODES) + 0.5) * (np.pi / INTEGRAL_NODES)
-        k = np.arange(1, self.cos_moments.size)
-        w = 1.0 + 2.0 * (np.cos(np.outer(theta, k)) @ self.cos_moments[1:])
-        x = self.center + self.radius * np.cos(theta)
-        return _readonly(x), _readonly(w), np.dot(np.ones_like(w), w)
-
-    def integrate(self, f) -> float:
-        """int f dmu as a self-normalized midpoint rule in the angle, with
-        weights the angular density 1 + 2 sum_k mom_k cos k theta.
-
-        Dividing by the rule's own mass makes the integral of a constant
-        exact, so mass cancellations downstream are exact too.
-        """
-        x, w, mass = self._integral_rule
-        return float(np.dot(np.asarray(f(x), dtype=float), w) / mass)
+        return float(v[:k] @ self.cos_moments[:k])
 
     @cached_property
     def _sine_coeffs(self) -> tuple:
@@ -454,15 +465,14 @@ def reflect_shift(mu: Measure, c: float):
 
 
 def moment(mu: Measure, k: int) -> float:
-    """k-th raw moment through the measure's integrate: an exact weighted
-    sum for atoms, the trapezoid for grids, the angular rule for angular
-    measures."""
+    """k-th raw moment, the integrate of x^k: a weighted sum for atoms, the
+    trapezoid for grids, the exact moment series for angular measures."""
     if k < 0 or k != int(k):
         raise ValueError(f"moment order must be a nonnegative integer, got {k}")
     k = int(k)
     if k == 0:
         return 1.0
-    return mu.integrate(lambda x: x ** k)
+    return mu.integrate(np.eye(k + 1)[k])
 
 
 def variance(mu: Measure) -> float:

@@ -126,13 +126,15 @@ def kappa(V: Potential, nu: Measure) -> float:
 
     A bracket grows geometrically from the mean of nu; bisection on g itself
     then shrinks it to a few ulps of max(|lo|, |hi|, 1), the floor keeping a
-    root at 0 out of the subnormals.  g is evaluated as the integral, not
-    expanded through the moments of nu, so its sign stays reliable next to
-    a multiple root.  A bracket that cannot be found is a solver failure
-    (RuntimeError).
+    root at 0 out of the subnormals.  g is not expanded in c through the
+    raw moments of nu, which would cancel next to a multiple root: atoms
+    and grids evaluate V'(c - x) at their points, and an angular measure
+    composes V'(c - x) about its own centre, so each term of g is exact to
+    roundoff on the support and its sign stays reliable.  A bracket that
+    cannot be found is a solver failure (RuntimeError).
     """
     def g(c: float) -> float:
-        return nu.integrate(lambda x: V.deriv(c - x))
+        return nu.integrate(V._d1, c, -1.0)
 
     step = 1.0 + sqrt(variance(nu))
     lo = hi = moment(nu, 1)

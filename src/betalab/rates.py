@@ -89,8 +89,7 @@ def _calI_of_c(eq: EquilibriumResult, V: Potential, nu: Measure,
     sig, reg = _sigma_term(nu, m)
 
     def at(c: float, off: float = 0.0) -> RateEvaluation:
-        return _evaluation(eq, sig, reg,
-                           nu.integrate(lambda x: V.eval(c - x)), off)
+        return _evaluation(eq, sig, reg, nu.integrate(V.coeffs, c, -1.0), off)
 
     return at
 
@@ -99,7 +98,7 @@ def rate_IV(eq: EquilibriumResult, V: Potential, mu: Measure,
             m: float | None = None) -> RateEvaluation:
     """I_V(mu) = -Sigma(mu) + int V dmu - c_V."""
     sig, reg = _sigma_term(mu, m)
-    return _evaluation(eq, sig, reg, mu.integrate(V.eval))
+    return _evaluation(eq, sig, reg, mu.integrate(V.coeffs))
 
 
 def rate_calI(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,

@@ -19,7 +19,10 @@ instead of at kappa, Wasserstein distances involving a grid measure
 are integrated by the midpoint rule in u instead of in closed form, and
 the CDF, partial first moment and quantiles of an angular measure come
 from adaptive quadrature of its density in the angle and brentq instead
-of its sine series and Newton steps.
+of its sine series and Newton steps, and the Chebyshev coefficients of a
+polynomial on an interval, with the integrals against an angular measure
+that they give, come from the midpoint rule in the angle instead of from
+polynomial composition.
 """
 
 import math
@@ -67,17 +70,27 @@ def uniform_grid(lo: float, hi: float, n: int = 4096) -> GridMeasure:
 # int V dmu = v_0 + sum_k v_k <cos k theta>, both exact finite sums.
 
 
-def _cheb_v(V: Potential, m: float, r: float, kmax: int,
-            nodes: int = 256) -> np.ndarray:
+def cheb_midpoint(g, m: float, r: float, kmax: int,
+                  nodes: int = 512) -> np.ndarray:
+    """Chebyshev coefficients g_0..g_kmax of theta -> g(m + r cos theta) by
+    the Gauss-Chebyshev midpoint rule on `nodes` angles: exact to roundoff
+    for a polynomial g of degree below 2 nodes - kmax."""
     theta = (np.arange(nodes) + 0.5) * (math.pi / nodes)
-    vals = V.eval(m + r * np.cos(theta))
+    vals = g(m + r * np.cos(theta))
     proj = np.cos(np.outer(np.arange(kmax + 1), theta)) @ vals * (2.0 / nodes)
     proj[0] *= 0.5
     return proj
 
 
+def angular_integral_midpoint(mu, g) -> float:
+    """int g dmu for an AngularMeasure: g's midpoint-rule Chebyshev
+    coefficients on the support dotted with the cosine moments."""
+    mom = mu.cos_moments
+    return float(cheb_midpoint(g, mu.center, mu.radius, mom.size - 1) @ mom)
+
+
 def _phi_pi(V: Potential, c: float, r: float) -> float:
-    v = _cheb_v(V, c - r, r, V.degree)
+    v = cheb_midpoint(V.eval, c - r, r, V.degree)
     k = np.arange(1, v.size)
     return 1.0 - 0.5 * float(np.sum(k * v[1:] * ((-1.0) ** k)))
 
@@ -103,7 +116,7 @@ def hard_edge_equilibrium(V: Potential, c: float) -> dict:
             break
     r = 0.5 * (r_lo + r_hi)
     m = c - r
-    v = _cheb_v(V, m, r, V.degree)
+    v = cheb_midpoint(V.eval, m, r, V.degree)
     k = np.arange(1, v.size)
     mom = -k * v[1:] / 4.0
     theta_probe = np.linspace(0.0, math.pi, 2001)

@@ -80,7 +80,7 @@ def test_criterion_04_kappa_exactness():
         n = int(rng.integers(2, 60))
         nu = AtomicMeasure(rng.normal(0.0, rng.uniform(0.3, 3.0), n),
                            rng.dirichlet(np.ones(n)))
-        worst = max(worst, abs(kappa(GAUSS, nu) - nu.integrate(lambda x: x)))
+        worst = max(worst, abs(kappa(GAUSS, nu) - nu.integrate([0.0, 1.0])))
     ok = worst <= 1e-10
     _report(4, ok, f"max |kappa - mean| over 100 atomics = {worst:.2e}")
     assert ok
@@ -130,9 +130,9 @@ def test_criterion_07_clt_regime_constants():
     n, beta, replicas = 1000, 2.0, 500
     f = TestFunction.square_about(2.0)
     eq = equilibrium_cached(GAUSS)
-    limit_mean = (gaussian_bias(f.f, beta) - float(f.f(0.0))
-                  + nu_quadrature(eq, f.f))
-    limit_var = clt_variance(cheb_coefficients(f.f, eq.a_v, eq.b_v, 16), beta)
+    limit_mean = (gaussian_bias(f, beta) - float(f.f(0.0))
+                  + nu_quadrature(eq, f))
+    limit_var = clt_variance(cheb_coefficients(f, eq.a_v, eq.b_v, 16), beta)
     assert abs(limit_mean + 3.0) <= 1e-9
     assert abs(limit_var - 4.0 / beta) <= 1e-9
     edge_term = n ** (-1.0 / 3.0) * (TW2_MEAN ** 2 + TW2_VARIANCE)
@@ -142,7 +142,7 @@ def test_criterion_07_clt_regime_constants():
     t0 = time.perf_counter()
     stats = np.array([
         n * (dos_measure(sample_gaussian(n, beta, 0, replica=r))
-             .integrate(f.f) - 1.0)
+             .integrate(f.coeffs, -f.center) - 1.0)
         for r in range(replicas)])
     elapsed = time.perf_counter() - t0
     mean, var = float(np.mean(stats)), float(np.var(stats, ddof=1))

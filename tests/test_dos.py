@@ -11,8 +11,10 @@ from betalab.dos import (
     dos_measure, edge_terms, fluctuation_ensemble, gaussian_bias, ks_distance,
     linear_statistic, nu_quadrature, remainder_bound_constant, remainder_term,
 )
+from betalab.equilibrium import equilibrium_cached
 from betalab.potential import Potential
 from betalab.sampler import SpectrumSample, sample_gaussian, sample_mcmc_batch
+from oracles import cheb_midpoint
 
 
 def _sample(values):
@@ -56,11 +58,10 @@ def test_delta_statistic_of_constant_is_exactly_zero(eq_gauss):
 
 
 def test_nu_quadrature_moments(eq_gauss):
-    assert nu_quadrature(eq_gauss, lambda x: np.ones_like(x)) == 1.0
-    assert nu_quadrature(eq_gauss, lambda x: x) == pytest.approx(2.0, abs=1e-12)
+    assert nu_quadrature(eq_gauss, TestFunction.constant(1.0)) == 1.0
+    assert nu_quadrature(eq_gauss, TestFunction.identity()) == 2.0
     # second moment about the mean of nu_V is the semicircle variance
-    assert nu_quadrature(eq_gauss, lambda x: (x - 2.0) ** 2) \
-        == pytest.approx(1.0, abs=1e-12)
+    assert nu_quadrature(eq_gauss, TestFunction.square_about(2.0)) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -68,39 +69,53 @@ def test_nu_quadrature_moments(eq_gauss):
 # ---------------------------------------------------------------------------
 
 def test_cheb_coefficients_constant():
-    a = cheb_coefficients(lambda x: np.ones_like(x), -2.0, 2.0, 6)
+    a = cheb_coefficients(TestFunction.constant(1.0), -2.0, 2.0, 6)
     assert a[0] == pytest.approx(2.0, abs=1e-14)
     assert np.max(np.abs(a[1:])) <= 1e-14
 
 
 def test_cheb_coefficients_identity():
-    a = cheb_coefficients(lambda x: x, -2.0, 2.0, 6)
+    a = cheb_coefficients(TestFunction.identity(), -2.0, 2.0, 6)
     assert a[0] == pytest.approx(4.0, abs=1e-13)
     assert a[1] == pytest.approx(-2.0, abs=1e-13)
     assert np.max(np.abs(a[2:])) <= 1e-13
 
 
 def test_cheb_coefficients_square_about_edge():
-    a = cheb_coefficients(lambda x: (x - 2.0) ** 2, -2.0, 2.0, 8)
+    a = cheb_coefficients(TestFunction.square_about(2.0), -2.0, 2.0, 8)
     assert a[0] == pytest.approx(4.0, abs=1e-12)
     assert a[2] == pytest.approx(2.0, abs=1e-12)
     assert abs(a[1]) <= 1e-12 and np.max(np.abs(a[3:])) <= 1e-12
 
 
 def test_cheb_coefficients_degree_truncation():
-    a = cheb_coefficients(lambda x: x ** 4 - 0.3 * x, -2.0, 2.0, 12)
+    a = cheb_coefficients(TestFunction((0.0, -0.3, 0.0, 0.0, 1.0)),
+                          -2.0, 2.0, 12)
     assert np.max(np.abs(a[5:])) <= 1e-11
 
 
+@pytest.mark.parametrize("coeffs", ["0,0,0.5", "0,0,0,0,1",
+                                    "0,0.3,0.5,0.1,0.2"])
+def test_cheb_coefficients_match_midpoint_rule(coeffs):
+    eq = equilibrium_cached(Potential.from_string(coeffs))
+    r = 0.5 * (eq.b_v - eq.a_v)
+    for f in (TestFunction.identity(), TestFunction.square_about(eq.b_v),
+              TestFunction((0.5, -1.0, 0.25, 2.0), center=0.7)):
+        a = cheb_coefficients(f, eq.a_v, eq.b_v, 8)
+        ref = cheb_midpoint(lambda x: f.f(r - x), 0.0, r, 7)
+        ref[0] *= 2.0
+        assert np.max(np.abs(a - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
 def test_clt_variance_values():
-    flat = cheb_coefficients(lambda x: np.ones_like(x), -2.0, 2.0, 8)
+    flat = cheb_coefficients(TestFunction.constant(1.0), -2.0, 2.0, 8)
     assert clt_variance(flat, 2.0) == pytest.approx(0.0, abs=1e-28)
     # sum_k k a_k^2 / (2 beta): f(x) = x has a_1 = -2 alone, so the value
     # at beta = 1 is Var tr(H) = 2/beta = 2, exact for the tridiagonal
     # model (its diagonal is N(0, 2/(beta N)))
-    sq = cheb_coefficients(lambda x: (x - 2.0) ** 2, -2.0, 2.0, 16)
+    sq = cheb_coefficients(TestFunction.square_about(2.0), -2.0, 2.0, 16)
     assert clt_variance(sq, 2.0) == pytest.approx(2.0, abs=1e-12)
-    ident = cheb_coefficients(lambda x: x, -2.0, 2.0, 16)
+    ident = cheb_coefficients(TestFunction.identity(), -2.0, 2.0, 16)
     assert clt_variance(ident, 1.0) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -112,16 +127,16 @@ def test_clt_variance_matches_sampler_ensemble(beta):
     sums = np.array([sample_gaussian(n, beta, 0, replica=r)
                      .edge_summary(2, 3.0).power_sums
                      for r in range(replicas)])
-    for stat, f in ((sums[:, 1], lambda x: 2.0 - x),
-                    (sums[:, 2] - n, lambda x: (2.0 - x) ** 2)):
+    for stat, f in ((sums[:, 1], TestFunction((2.0, -1.0))),
+                    (sums[:, 2] - n, TestFunction.square_about(2.0))):
         limit = clt_variance(cheb_coefficients(f, -2.0, 2.0, 8), beta)
         assert np.var(stat, ddof=1) == pytest.approx(limit, rel=0.10)
 
 
 def test_gaussian_bias_values():
-    sq = lambda x: (np.asarray(x, float) - 2.0) ** 2
+    sq = TestFunction.square_about(2.0)
     assert gaussian_bias(sq, 2.0) == 0.0                  # prefactor vanishes
-    assert gaussian_bias(lambda x: np.ones_like(np.asarray(x, float)), 1.0) \
+    assert gaussian_bias(TestFunction.constant(1.0), 1.0) \
         == 0.0                                            # atoms cancel arcsine
     assert gaussian_bias(sq, 1.0) == pytest.approx(1.0, abs=1e-9)
     assert gaussian_bias(sq, 4.0) == pytest.approx(-0.5, abs=1e-9)
@@ -132,17 +147,17 @@ def test_gaussian_bias_arcsine_term_matches_midpoint_mean(beta):
     # the arcsine term as a plain mean of f(2 - 2 cos t) over 4096 midpoint
     # nodes in t, a route that shares no code with AngularMeasure.integrate
     t = (np.arange(4096) + 0.5) * (np.pi / 4096)
-    for f in (lambda x: x, lambda x: (x - 2.0) ** 2, lambda x: x ** 3,
-              lambda x: np.exp(-x)):
-        arcsine = 0.5 * float(np.mean(f(2.0 - 2.0 * np.cos(t))))
-        expect = (2.0 / beta - 1.0) * (0.25 * f(4.0) + 0.25 * f(0.0)
+    for f in (TestFunction.identity(), TestFunction.square_about(2.0),
+              TestFunction((0.0, 0.0, 0.0, 1.0))):
+        arcsine = 0.5 * float(np.mean(f.f(2.0 - 2.0 * np.cos(t))))
+        expect = (2.0 / beta - 1.0) * (0.25 * f.f(4.0) + 0.25 * f.f(0.0)
                                        - arcsine)
         assert abs(gaussian_bias(f, beta) - expect) <= 1e-14
 
 
 def test_gaussian_bias_rejects_other_potentials(quartic):
     with pytest.raises(ValueError):
-        gaussian_bias(lambda x: x, 2.0, V=quartic)
+        gaussian_bias(TestFunction.identity(), 2.0, V=quartic)
 
 
 @pytest.mark.parametrize("call, needle", [
@@ -164,14 +179,14 @@ def test_bias_constant_matches_beta_shift_of_ensemble_means(eq_gauss):
     # the beta-dependence of the CLT-scaled mean is the bias measure; the
     # beta-independent part cancels in the difference
     f = TestFunction.square_about(2.0)
-    nu_f = nu_quadrature(eq_gauss, f.f)
+    nu_f = nu_quadrature(eq_gauss, f)
     means = {}
     for beta in (2.0, 1.0):
         vals = [500 * (dos_measure(sample_gaussian(500, beta, 21, replica=r))
-                       .integrate(f.f) - nu_f)
+                       .integrate(f.coeffs, -f.center) - nu_f)
                 for r in range(300)]
         means[beta] = np.mean(vals)
-    expect = gaussian_bias(f.f, 1.0) - gaussian_bias(f.f, 2.0)
+    expect = gaussian_bias(f, 1.0) - gaussian_bias(f, 2.0)
     assert abs((means[1.0] - means[2.0]) - expect) <= 0.45
 
 
@@ -342,8 +357,8 @@ def test_test_function_derivatives_are_polynomial():
 @pytest.mark.parametrize("n", [64, 500, 2000])
 def test_edge_terms_match_eigenvalue_route(eq_gauss, n):
     for f in _test_functions(eq_gauss.b_v):
-        nu_f = nu_quadrature(eq_gauss, f.f)
-        nu_fp = nu_quadrature(eq_gauss, f.fprime)
+        nu_f = nu_quadrature(eq_gauss, f)
+        nu_fp = nu_quadrature(eq_gauss, f.derivative())
         for seed, replica in ((3, 0), (3, 5), (41, 2)):
             sample = sample_gaussian(n, 2.0, seed, replica=replica)
             summary = sample.edge_summary(f.degree, f.window_h)
@@ -356,7 +371,7 @@ def test_edge_terms_match_eigenvalue_route(eq_gauss, n):
                 assert abs(summary.power_sums[j] - np.sum(lam ** j)) \
                     <= 1e-12 * scale
             terms = edge_terms(summary, eq_gauss, f, nu_f, nu_fp)
-            mu = dos_measure(sample).integrate(f.f)
+            mu = dos_measure(sample).integrate(f.coeffs, -f.center)
             assert abs(terms.mu_f - mu) <= 1e-13 * max(1.0, abs(mu))
             assert abs(n * (terms.mu_f - nu_f) - n * (mu - nu_f)) \
                 <= 1e-12 * n
@@ -368,8 +383,8 @@ def test_edge_terms_match_eigenvalue_route(eq_gauss, n):
 
 def _eigenvalue_route(f, eq, samples_by_n):
     """fluctuation_ensemble's per-replica quantities from full spectra."""
-    nu_f = nu_quadrature(eq, f.f)
-    nu_fp = nu_quadrature(eq, f.fprime)
+    nu_f = nu_quadrature(eq, f)
+    nu_fp = nu_quadrature(eq, f.derivative())
     regime = "edge" if abs(nu_fp) > 1e-8 else "clt"
     bound_m = remainder_bound_constant(f)
     out = {}
@@ -377,7 +392,8 @@ def _eigenvalue_route(f, eq, samples_by_n):
         scale = n ** (2.0 / 3.0) if regime == "edge" else float(n)
         stats, residuals, window, bound = [], [], [], []
         for sample in samples:
-            stats.append(scale * (dos_measure(sample).integrate(f.f) - nu_f))
+            stats.append(scale * (dos_measure(sample)
+                                  .integrate(f.coeffs, -f.center) - nu_f))
             residuals.append(bookkeeping_residual(sample, eq, f))
             window.append(
                 bool(np.max(np.abs(sample.eigenvalues)) <= f.window_h))

@@ -17,13 +17,14 @@ from betalab.equilibrium import (
     nu_limit, save_equilibrium, solve_equilibrium,
 )
 from betalab.measures import (
-    AngularMeasure, AtomicMeasure, GridMeasure, log_energy_grid,
-    log_energy_reg,
+    AngularMeasure, AtomicMeasure, GridMeasure, _cheb_coeffs,
+    log_energy_grid, log_energy_reg,
 )
 from betalab.potential import Potential
 from betalab.rates import projection_J
 from oracles import (
-    constrained_value_continuum, direct_energy_min, hard_edge_equilibrium,
+    cheb_midpoint, constrained_value_continuum, direct_energy_min,
+    hard_edge_equilibrium,
     log_kernel_mass_form_reference, log_potential_grid,
     log_potential_quadrature, pairwise_fw_reference,
     wasserstein_quadrature_reference,
@@ -64,8 +65,9 @@ def test_gaussian_gold_values(gauss):
     t0 = time.perf_counter()
     eq = solve_equilibrium(gauss)
     elapsed = time.perf_counter() - t0
-    assert abs(eq.a_v + 2.0) <= 1e-10
-    assert abs(eq.b_v - 2.0) <= 1e-10
+    # exact Chebyshev coefficients of V' put Newton on the semicircle itself
+    assert eq.a_v == -2.0 and eq.b_v == 2.0
+    assert eq.measure.cos_moments.tolist() == [1.0, 0.0, -0.5]
     assert abs(eq.c_v - 0.75) <= 1e-10
     assert abs(eq.measure.sigma + 0.25) <= 1e-10
     assert elapsed < 1.0
@@ -93,25 +95,23 @@ def test_quartic_endpoints_match_direct_grid_minimizer(quartic, eq_quartic):
 def test_energy_identity_at_minimizer(gauss, quartic):
     for V in (gauss, quartic):
         eq = equilibrium_cached(V)
-        int_v = eq.measure.integrate(V.eval)
-        assert abs(eq.c_v - (-eq.measure.sigma + int_v)) <= 1e-12
+        assert eq.c_v == -eq.measure.sigma + eq.measure.integrate(V.coeffs)
 
 
 def test_integrate_constant_is_exact(quartic, eq_quartic):
-    # the rule divides by its own mass, and doubling a dot product is exact
+    # a constant is its own Chebyshev series, and mom_0 = 1
     for measure in (eq_quartic.measure, equilibrium._hard_edge(quartic, 0.8)):
-        assert measure.integrate(np.ones_like) == 1.0
-        assert measure.integrate(lambda x: np.full_like(x, 2.0)) == 2.0
+        assert measure.integrate([1.0]) == 1.0
+        assert measure.integrate([2.0], 0.3, -1.7) == 2.0
 
 
 @pytest.mark.parametrize("coeffs", ["0,0,0.5", "0,0,0,0,1",
                                     "0,0.3,0.5,0.1,0.2"])
 def test_integrate_potential_matches_moment_series(coeffs):
-    # the angular midpoint rule against the exact sum_k v_k mom_k of energy
+    # c_V = -Sigma + sum_k v_k mom_k, the same sum integrate takes
     V = Potential.from_string(coeffs)
-    measure = equilibrium_cached(V).measure
-    assert abs(measure.integrate(V.eval)
-               - (measure.energy(V) + measure.sigma)) <= 1e-13
+    eq = equilibrium_cached(V)
+    assert eq.c_v == -eq.measure.sigma + eq.measure.integrate(V.coeffs)
 
 
 @pytest.mark.parametrize("coeffs, c", [("0,0,0.5", 1.5), ("0,0,0,0,1", 0.8),
@@ -119,7 +119,24 @@ def test_integrate_potential_matches_moment_series(coeffs):
 def test_hard_edge_mean_is_first_cosine_moment(coeffs, c):
     measure = equilibrium._hard_edge(Potential.from_string(coeffs), c)
     mean = measure.center + measure.radius * measure.cos_moments[1]
-    assert abs(measure.integrate(lambda x: x) - mean) <= 1e-14
+    assert abs(measure.integrate([0.0, 1.0]) - mean) <= 1e-14
+
+
+@pytest.mark.parametrize("coeffs", ["0,0,0.5", "0,0,0,0,1",
+                                    "0,0.3,0.5,0.1,0.2",
+                                    "0,0,0.5,0,0.1,0,0.01"])
+def test_newton_coefficients_match_midpoint_rule(coeffs):
+    # Newton's u (of V') and s (of V'') by composition, at the solution and
+    # off it, against the midpoint rule in the angle
+    V = Potential.from_string(coeffs)
+    m = equilibrium_cached(V).measure
+    for c, r in ((m.center, m.radius), (m.center + 0.3, 0.7 * m.radius),
+                 (m.center - 1.0, 1.5 * m.radius)):
+        for d, g in ((V._d1, V.deriv), (V._d2, lambda x: V.deriv(x, 2))):
+            exact = _cheb_coeffs(d, c, r)
+            ref = cheb_midpoint(g, c, r, exact.size - 1)
+            assert np.max(np.abs(exact - ref)) \
+                <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_density_vanishes_like_sqrt(eq_gauss):
@@ -229,7 +246,7 @@ def test_nu_limit_gaussian_closed_form(eq_gauss):
     f, g = nu._cdf_and_first_moment(2.0 + y)
     assert np.max(np.abs(f - expect)) <= 1e-12
     assert abs(g[-1] - 2.0) <= 1e-12
-    assert nu.integrate(lambda t: t) == pytest.approx(2.0, abs=1e-14)
+    assert nu.integrate([0.0, 1.0]) == 2.0
 
 
 def test_nu_limit_lower_edge_always_zero(eq_quartic):
@@ -544,7 +561,7 @@ def test_energy_convex_on_grid_pairs(rng, gauss):
         mid = GridMeasure(-1.5, 1.5, 0.5 * (a.values + b.values))
 
         def energy(m):
-            return -log_energy_grid(m) + m.integrate(gauss.eval)
+            return -log_energy_grid(m) + m.integrate(gauss.coeffs)
 
         assert energy(mid) <= 0.5 * energy(a) + 0.5 * energy(b) + 1e-12
 
@@ -559,6 +576,6 @@ def test_energy_convex_with_regularized_sigma(rng, gauss):
         mid = AtomicMeasure(atoms, 0.5 * (wa + wb))
 
         def energy(m):
-            return log_energy_reg(m, 10.0) + m.integrate(gauss.eval)
+            return log_energy_reg(m, 10.0) + m.integrate(gauss.coeffs)
 
         assert energy(mid) <= 0.5 * energy(a) + 0.5 * energy(b) + 1e-12

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from betalab.dos import dos_measure
-from betalab.equilibrium import constrained_equilibrium, \
+from betalab.dos import TestFunction, dos_measure
+from betalab.equilibrium import _hard_edge, constrained_equilibrium, \
     equilibrium_cached, nu_limit
 from betalab.measures import (
     AngularMeasure, AtomicMeasure, GridMeasure,
@@ -17,6 +17,7 @@ from betalab.potential import Potential
 from betalab.sampler import SpectrumSample, sample_gaussian
 from oracles import (
     angular_cdf_quadrature, angular_first_moment_quadrature, angular_grid,
+    angular_integral_midpoint,
     angular_quantile_brentq, log_energy_grid_reference,
     log_kernel_mass_form_reference, semicircle_grid, uniform_grid,
     wasserstein_quadrature_reference,
@@ -598,12 +599,46 @@ def test_reflect_shift_angular_twice_keeps_moments(coeffs, kind):
     assert np.max(np.abs(tau.cdf(0.7 - xs) - (1.0 - m.cdf(xs)))) <= 1e-14
 
 
-def test_angular_integrate_keeps_its_rule(eq_quartic):
-    # the nodes and weights are built once per measure; a fresh measure with
-    # the same moments integrates to the same bits
+def test_angular_integrate_same_moments_same_bits(eq_quartic):
+    # a fresh measure with the same moments integrates a polynomial to the
+    # same bits, call after call
     m = eq_quartic.measure
     fresh = AngularMeasure(m.center, m.radius, m.cos_moments.copy())
-    f = lambda x: np.exp(x) * x ** 3
-    assert m.integrate(f) == fresh.integrate(f) == fresh.integrate(f)
-    assert m._integral_rule is m._integral_rule
-    assert not m._integral_rule[0].flags.writeable
+    p = (0.3, -1.0, 0.0, 2.0, 0.5, -0.25)
+    assert m.integrate(p, 0.2, -1.5) == fresh.integrate(p, 0.2, -1.5) \
+        == fresh.integrate(p, 0.2, -1.5)
+
+
+@pytest.mark.parametrize("coeffs", ["0,0,0.5", "0,0,0,0,1",
+                                    "0,0.3,0.5,0.1,0.2"])
+def test_angular_integrate_matches_midpoint_rule(coeffs):
+    # the exact moment series against the midpoint rule in the angle, on
+    # mu_V, nu_V and a hard-edge minimizer, for every integrand src uses
+    V = Potential.from_string(coeffs)
+    eq = equilibrium_cached(V)
+    c = eq.b_v + 0.3
+    f = TestFunction((0.5, -1.0, 0.25, 2.0), center=0.7)
+    cases = [((V.coeffs,), V.eval),
+             ((V.coeffs, c, -1.0), lambda x: V.eval(c - x)),
+             ((V._d1, c, -1.0), lambda x: V.deriv(c - x)),
+             ((f.coeffs, -f.center), f.f)]
+    cases += [((np.eye(k + 1)[k],), lambda x, k=k: x ** k)
+              for k in (1, 2, 3, 4)]
+    for mu in (eq.measure, nu_limit(eq), _hard_edge(V, eq.b_v - 0.5)):
+        for args, g in cases:
+            ref = angular_integral_midpoint(mu, g)
+            assert abs(mu.integrate(*args) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("mu", [
+    AtomicMeasure.from_points([0.5, 1.0, 2.0]),
+    GridMeasure(0.0, 1.0, np.ones(9)),
+    AngularMeasure(0.0, 2.0, [1.0, 0.0, -0.5]),
+], ids=["atomic", "grid", "angular"])
+def test_integrate_refuses_what_is_not_a_polynomial(mu):
+    # the old callable form must not turn into an object array
+    with pytest.raises(TypeError, match="not a callable"):
+        mu.integrate(lambda x: x)
+    for bad in ([], [1.0, np.nan], [np.inf], [0.0, -np.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite polynomial"):
+            mu.integrate(bad)

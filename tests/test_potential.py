@@ -167,12 +167,10 @@ def test_kappa_integrand_calls_bounded(rng, quartic, eq_quartic,
 def test_kappa_bracket_failure_is_a_solver_failure(
         gauss, eq_gauss, monkeypatch, tmp_path, capsys):
     # V' = 1 makes int V'(c - x) dnu(x) = 1 for every c: no sign change to
-    # bracket.  The CLI takes mu_V from the cache eq_gauss filled.
-    deriv = Potential.deriv
-    monkeypatch.setattr(
-        Potential, "deriv",
-        lambda self, x, order=1: np.ones_like(np.asarray(x, dtype=float))
-        if order == 1 else deriv(self, x, order))
+    # bracket.  The CLI takes mu_V from the cache eq_gauss filled.  kappa
+    # reads V' as the coefficients _d1, which the stub pins to [1.0].
+    monkeypatch.setattr(Potential, "_d1", property(
+        lambda self: np.array([1.0]), lambda self, value: None))
     with pytest.raises(RuntimeError, match="could not bracket"):
         kappa(gauss, AtomicMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.5])))
     assert main(["rate", "idos", "--measure", "nu_V",
@@ -229,7 +227,7 @@ def test_g_value_is_infimum_over_shifts(rng, gauss, quartic):
             for _ in range(50):
                 c = float(rng.normal(kappa(V, nu), 1.5))
                 tau = reflect_shift(nu, c)
-                assert g <= tau.integrate(V.eval) + 1e-10
+                assert g <= tau.integrate(V.coeffs) + 1e-10
 
 
 def test_kappa_continuity_under_perturbation(rng, quartic):

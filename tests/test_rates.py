@@ -87,11 +87,9 @@ def test_rates_vanish_exactly_on_mu_v_and_nu_v(coeffs):
     nu = nu_limit(eq)
     assert nu.sigma == eq.measure.sigma
     # kappa solves int V'(c - x) dnu_V(x) = 0, and at c = b_V that integral
-    # is int V' dmu_V, the endpoint Newton residual (-1.4e-13 for the last
-    # potential, below 1e-15 for the others): one Newton step off b_V
-    m = eq.measure
-    shift = m.integrate(V.deriv) / m.integrate(lambda x: V.deriv(x, 2))
-    assert abs(kappa(V, nu) - (eq.b_v - shift)) <= 4.0 * math.ulp(eq.b_v)
+    # is int V' dmu_V, the endpoint Newton residual, which Newton drives to
+    # roundoff: kappa lands within a few ulps of b_V
+    assert abs(kappa(V, nu) - eq.b_v) <= 4.0 * math.ulp(eq.b_v)
     for ev in (rate_IDOS(eq, V, nu), rate_calI(eq, V, eq.b_v, nu),
                rate_IV(eq, V, eq.measure)):
         assert abs(ev.value) <= 1e-14
