@@ -300,10 +300,12 @@ def _check_method(V: Potential, method: str) -> None:
 def _replica_chunks(replicas: int, workers: int) -> list[range]:
     """range(replicas) cut into contiguous chunks of near-equal length, at
     most `workers` of them, and never more than there are replicas or CPUs
-    this process may run on."""
+    this process may run on (all of them where the OS cannot say)."""
     count = max(1, min(workers, replicas))
     if count > 1:
-        count = min(count, len(os.sched_getaffinity(0)))
+        count = min(count, len(os.sched_getaffinity(0))
+                    if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
     bounds = [replicas * k // count for k in range(count + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 

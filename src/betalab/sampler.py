@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import eigh_tridiagonal
 
 from .equilibrium import equilibrium_cached
@@ -63,104 +64,103 @@ class EdgeSummary:
     power_sums: np.ndarray
 
 
+def _sum_of_products(left, right, product, out) -> np.ndarray:
+    """out = sum over the first axis of left * right, through product."""
+    return np.add.reduce(np.multiply(left, right, out=product), axis=0,
+                         out=out)
+
+
 class _JacobiBands:
-    """Workspace for diag(T^j), j = 0..degree, of R symmetric tridiagonal
+    """Workspace for diag(T^k), k = 0..degree, of R symmetric tridiagonal
     N x N matrices T, made once and recomputed in place.
 
     The batch is laid end to end as one tridiagonal matrix with zero
     couplings between blocks, whose powers are block diagonal, so each
-    product runs once over all R N entries.  T's entries sit at column c,
-    zero-padded so shifted reads past the ends see zeros: rows above[c] =
-    T[c-1, c], main[c] = T[c, c] and below[c] = T[c+1, c]; a block's first
-    above and last below are the zero couplings.  They are written in place
-    through `diagonal` (R, N) and set_offdiagonal; power_diagonals reads
-    them afresh.
+    product runs once over all R N entries.  Row m of band j holds
+    (T^j)[c - m, c] at column c.  Band 1 is the entries, above[c] =
+    T[c-1, c], main[c] = T[c, c] and below[c] = T[c+1, c]: rows 2-4 of a
+    buffer with two zero rows on each side and h zero columns at each end,
+    so shifted reads past the ends see zeros (a block's first above and
+    last below are the zero couplings).  They are written in place through
+    `diagonal` (R, N) and set_offdiagonal.
 
-    Band k holds the diagonals (T^k)[i, i+m], |m| <= min(k, degree - k):
-    the ones the diagonal of a later power reads.  With P = T^(k-1),
-    (T^k)[i, i+m] = (P[i, i+m-1] above[i+m] + P[i, i+m] main[i+m])
-    + P[i, i+m+1] below[i+m], so a power costs one multiply over a window
-    of the previous band and one sum of its three slices, O(N degree^2) in
-    all, and no eigenvalue is solved.  Each band also keeps the zero rows
-    beyond it that the next power reads; nothing writes them.
+    T is symmetric, so diag(T^k)_c = sum_m (T^j)[c-m, c] (T^(k-j))[c-m, c]
+    with j = k // 2: the bands j <= h = ceil(degree / 2) are enough.  With
+    P = T^(j-1), (T^j)[c-m, c] = below[c-m-1] P[c-m-1, c] + main[c-m]
+    P[c-m, c] + above[c-m+1] P[c-m+1, c] for |m| <= min(j, degree - j):
+    one multiply of a window of band j - 1 by an overlapping view of the
+    entries' shifted columns, and one sum of its three slices; the rows
+    beyond stay zero.  In all O(N degree^2), and no eigenvalue is solved.
     """
 
     def __init__(self, diagonal, offdiagonal, degree: int):
         d = np.asarray(diagonal, dtype=float)
         e = np.asarray(offdiagonal, dtype=float)
         n, size = d.shape[-1], d.size
-        half = degree // 2          # the widest band a later power reads
-        self._padded = np.zeros((3, size + 2 * half))
-        blocks = self._padded[:, half:half + size].reshape(3, -1, n)
+        h = max(1, -(-degree // 2))
+        entries = np.zeros((7, size + 2 * h))
+        blocks = entries[2:5, h:h + size].reshape(3, -1, n)
         self.diagonal = blocks[1]
-        self._above, self._below = blocks[0, :, 1:], blocks[2, :, :-1]
+        self._above, self.offdiagonal = blocks[0, :, 1:], blocks[2, :, :-1]
         self.diagonal[:] = d.reshape(-1, n)
         self.set_offdiagonal(slice(None), e.reshape(-1, n - 1))
-        # columns[:, half + m] reads the three rows m columns to the right,
-        # as one overlapping view; shifted, its contiguous copy, is what the
-        # products read, refreshed with one copy per call
-        item, row = self._padded.itemsize, self._padded.strides[0]
-        self._columns = np.ndarray((3, 2 * half + 1, size),
-                                   buffer=self._padded,
-                                   strides=(row, item, item))
-        self._shifted = np.empty(self._columns.shape)
-        product = np.empty(self._columns.shape)
-        widths = [min(k, degree - k) for k in range(degree + 1)]
-        heights = [max(w, widths[k + 1] + 1) if k < degree else w
-                   for k, w in enumerate(widths)]
-        bands = [np.zeros((2 * h + 1, size)) for h in heights]
-        bands[0][heights[0]] = 1.0
-        self._diagonals = [band[h] for band, h in zip(bands, heights)]
+        # row m of band j is bands[j][mid[j] - m]
+        mid = [0, 3] + [h + 1] * (h - 1)
+        bands = [np.ones((1, size)), entries[:, h:h + size]] + [
+            np.zeros((2 * h + 3, size)) for _ in range(h - 1)]
+        scratch = np.empty((6 * h + 3, size))
+        item, row = entries.itemsize, entries.strides[0]
         self._steps = []
-        for k in range(1, degree + 1):
-            w, prev, h = widths[k], bands[k - 1], heights[k - 1]
-            stride = prev.strides[0]
-            # window[j, w + m] is row m - 1 + j of band k - 1
-            window = np.ndarray((3, 2 * w + 1, size), buffer=prev,
-                                offset=(h - w - 1) * stride,
-                                strides=(stride, stride, item))
-            self._steps.append((
-                window, self._shifted[:, half - w:half + w + 1],
-                product[:, :2 * w + 1],
-                bands[k][heights[k] - w:heights[k] + w + 1]))
-        self._potential = np.empty(d.shape)
-        self._term = np.empty(size)
-
-    @property
-    def offdiagonal(self) -> np.ndarray:
-        return self._below
+        for j in range(2, h + 1):
+            w, prev, top = min(j, degree - j), bands[j - 1], mid[j - 1]
+            # row m = w - i of band j: window[t, i] is row m + 1 - t of band
+            # j - 1, shifted[t, i] column c - m - 1 + t of buffer row 4 - t
+            shape = (3, 2 * w + 1, size)
+            window = as_strided(prev[top - w - 1:], shape,
+                                (prev.strides[0], prev.strides[0], item))
+            shifted = as_strided(entries.ravel()[4 * row // item + h - w - 1:],
+                                 shape, (item - row, item, item))
+            self._steps.append((window, shifted,
+                                scratch[:3 * (2 * w + 1)].reshape(shape),
+                                bands[j][mid[j] - w:mid[j] + w + 1]))
+        self._diagonals = np.empty((degree + 1, size))
+        self._products = [tuple(bands[i][mid[i] - k // 2:mid[i] + k // 2 + 1]
+                                for i in (k // 2, k - k // 2))
+                          + (scratch[:k // 2 * 2 + 1], self._diagonals[k])
+                          for k in range(degree + 1)]
+        self._potential, self._term = np.empty(d.shape), np.empty(size)
 
     def set_offdiagonal(self, sites, values, where=True) -> None:
         """Write off-diagonal entries (R, N - 1)[:, sites] of T, both sides
         of the diagonal."""
         np.copyto(self._above[:, sites], values, where=where)
-        np.copyto(self._below[:, sites], values, where=where)
+        np.copyto(self.offdiagonal[:, sites], values, where=where)
 
-    def power_diagonals(self) -> list:
-        """diag(T^j), j = 0..degree, of the entries as they stand: flat
+    def power_diagonals(self) -> np.ndarray:
+        """diag(T^k), k = 0..degree, of the entries as they stand: flat
         (R N,) rows of the workspace, overwritten by the next call."""
-        np.copyto(self._shifted, self._columns)
-        for window, shifted, product, band in self._steps:
-            np.multiply(window, shifted, out=product)
-            np.add.reduce(product, axis=0, out=band)
+        for step in self._steps + self._products:
+            _sum_of_products(*step)
         return self._diagonals
 
     def potential_diagonal(self, coeffs: np.ndarray) -> np.ndarray:
-        """diag V(T) (R, N), V with ascending coefficients coeffs, summed as
-        c_0 + c_k diag(T^k) in k order; overwritten by the next call."""
+        """diag V(T) (R, N), V with ascending coefficients coeffs: c_0 plus
+        c_k diag(T^k) for each c_k != 0 in k order, overwritten next call."""
+        for step in self._steps:
+            _sum_of_products(*step)
         out = self._potential.reshape(-1)
         out.fill(coeffs[0])
-        for c, row in zip(coeffs[1:], self.power_diagonals()[1:]):
+        for c, step in zip(coeffs[1:], self._products[1:]):
             if c:
-                out += np.multiply(c, row, out=self._term)
+                out += np.multiply(c, _sum_of_products(*step), out=self._term)
         return self._potential
 
 
 def tridiag_power_sums(diagonal, offdiagonal, degree: int) -> np.ndarray:
     """tr(T^j), j = 0..degree, of a symmetric tridiagonal T, in O(N degree^2)
     with no eigenvalue solved (see _JacobiBands)."""
-    bands = _JacobiBands(diagonal, offdiagonal, degree)
-    return np.array([float(np.sum(row)) for row in bands.power_diagonals()])
+    return _JacobiBands(diagonal, offdiagonal, degree).power_diagonals().sum(
+        axis=1)
 
 
 # -- samples -------------------------------------------------------------------
@@ -339,9 +339,10 @@ def _mcmc_chains(V: Potential, beta: float, n: int, seed: int,
     The chains' state is one _JacobiBands workspace, made once per call: a
     class writes its proposal into the entries in place, reads diag V(T)
     off the workspace, and restores the sites that reject from the kept
-    values.  A class costs O(R N deg V^2) arithmetic in a number of numpy
-    calls that grows with deg V but not with R or N, and allocates nothing
-    for the powers; acceptances are counted once per sweep.
+    values.  A class costs O(R N deg V^2) arithmetic (20 products per entry
+    for V = x^4) in numpy calls that grow with deg V but not with R or N,
+    and allocates nothing for the powers; acceptances are counted once per
+    sweep.
     """
     if n < 2 or beta <= 0:
         raise ValueError("need n >= 2 and beta > 0")
@@ -437,14 +438,13 @@ def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
     (diagonal, off-diagonal) toward TARGET_ACCEPT; acceptance_rate is then
     measured over MCMC_SWEEPS sweeps at fixed steps, and the sample is the
     final T (its eigenvalues are solved when first read, see
-    SpectrumSample).  A sweep moves each colour class of
-    _colour_classes at once, for all replicas: 2 deg V - 1 batches of
-    O(R N deg V^2) work, each about 30 numpy calls for a quartic, on one
+    SpectrumSample).  A sweep moves each colour class of _colour_classes
+    at once, for all replicas: 2 deg V - 1 batches of O(R N deg V^2) work,
+    19 numpy calls (diagonal) or 26 (off-diagonal) for a quartic, on one
     workspace that the whole batch of chains shares (see _mcmc_chains).
-    Each replica has its own stream, and its
-    randomness is drawn in fixed chunks (normals then uniforms per chunk),
-    so a batch of size one reproduces any replica of a larger batch bit for
-    bit.
+    Each replica has its own stream, and its randomness is drawn in fixed
+    chunks (normals then uniforms per chunk), so a batch of size one
+    reproduces any replica of a larger batch bit for bit.
     """
     a, b, acc = _mcmc_chains(V, beta, n, seed, replicas)
     return [

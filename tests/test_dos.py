@@ -288,6 +288,16 @@ def test_replica_chunks_are_capped_and_contiguous(monkeypatch):
                                           range(6, 10)]
 
 
+def test_replica_chunks_without_sched_getaffinity(monkeypatch):
+    # os.sched_getaffinity is Linux-only; elsewhere the cap is the CPU count
+    monkeypatch.delattr(dos.os, "sched_getaffinity")
+    monkeypatch.setattr(dos.os, "cpu_count", lambda: 3)
+    assert dos._replica_chunks(40, 8) == [range(0, 13), range(13, 26),
+                                          range(26, 40)]
+    monkeypatch.setattr(dos.os, "cpu_count", lambda: None)
+    assert dos._replica_chunks(40, 8) == [range(40)]
+
+
 def _experiments(potential, method, sizes, workers):
     f = TestFunction.square_about(2.0)
     return (dos_convergence(potential, 2.0, sizes, 5, 7, method=method,

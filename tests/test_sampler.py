@@ -122,7 +122,7 @@ def _assert_dense_diagonals(got, a, b, degree):
 
 
 @pytest.mark.parametrize("n", [2, 3, 11])
-@pytest.mark.parametrize("degree", [2, 4, 6, 8])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 8])
 def test_band_workspace_matches_dense_powers(rng, degree, n):
     # three blocks laid end to end with zero couplings between them: each
     # block's diagonals are those of its own powers
@@ -131,9 +131,16 @@ def test_band_workspace_matches_dense_powers(rng, degree, n):
     bands = _JacobiBands(a, b, degree)
     first = [row.copy() for row in bands.power_diagonals()]
     _assert_dense_diagonals(first, a, b, degree)
-    # the band arithmetic is that of the per-call kernel it replaced
-    assert np.array_equal(np.stack(first).reshape((degree + 1,) + a.shape),
-                          _power_diagonals(a, b, degree))
+    # against the oracle's powers of every order: up to T^2 the workspace
+    # forms the same products in the same order, and above it the two
+    # routes round differently, each within about k ulps of diag(|T|^k)
+    got = np.stack(first).reshape((degree + 1,) + a.shape)
+    want = _power_diagonals(a, b, degree)
+    if degree <= 2:
+        assert np.array_equal(got, want)
+    ulps = np.spacing(_dense_power_diagonals(np.abs(a), b, degree))
+    for k in range(degree + 1):
+        assert np.all(np.abs(got[k] - want[k]) <= k * ulps[k])
     # a proposal written in place is read by the next call, and restoring
     # the kept entries gives back the same bits
     sites = slice(n % 2, None, 2)
@@ -340,8 +347,10 @@ def test_mcmc_kernel_matches_reference_chain(coeffs, n, replicas):
 def test_sweep_matches_colour_class_reference(coeffs, beta, n, replicas,
                                               seed):
     # the sweep on one persistent band workspace against the same sweep
-    # with diag V(T) rebuilt from fresh arrays for every proposal: the same
-    # arithmetic, so every accept decision and every entry agree bit for bit
+    # with diag V(T) rebuilt from every power afresh for every proposal:
+    # the same bits at degree 2 and within a few ulps above it (see
+    # test_band_workspace_matches_dense_powers), which moves no accept
+    # decision on these chains, so every entry agrees bit for bit
     V = Potential(coeffs)
     a, b, acc = colour_class_chain_reference(V, beta, n, seed,
                                              range(replicas))
