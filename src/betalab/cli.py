@@ -197,8 +197,9 @@ _POTENTIAL = (_type(Potential.from_string, "coefficients c0,c1,...,cp"),
 _POSITIVE = _type(_finite, "a positive number", lambda v: v > 0)
 _BETA = (_POSITIVE, "2")
 _SEED = (_int_from(0), "1")
-_SIZES = (_type(_list(int), "a comma list of integers >= 2",
-                lambda v: len(v) > 0 and min(v) >= 2), "1000")
+_SIZES = (_type(_list(int), "a comma list of distinct integers >= 2",
+                lambda v: len(v) > 0 and min(v) >= 2
+                and len(set(v)) == len(v)), "1000")
 _METHOD = (_one_of("tridiagonal", "mcmc"), "tridiagonal")
 _THREADS = (_int_from(1), "1")
 _OUT = (str, "betalab_out")

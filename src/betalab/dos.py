@@ -6,6 +6,9 @@ convergence studies against nu_V, evaluates the edge-CLT constants
 (Chebyshev coefficients, limit variance, Gaussian bias measure), and runs
 ensemble fluctuation experiments with regime detection, window
 diagnostics, and the Taylor bookkeeping identity checked on every replica.
+Every per-replica term comes from the replica's power sums (edge_terms);
+the routes that read the same terms off a full spectrum are test oracles
+(tests/oracles.py).
 """
 from __future__ import annotations
 
@@ -26,30 +29,29 @@ from .sampler import (
 )
 
 __all__ = [
-    "TestFunction", "dos_measure", "linear_statistic",
-    "delta_statistic", "nu_quadrature", "cheb_coefficients", "clt_variance",
-    "gaussian_bias", "remainder_term",
-    "bookkeeping_residual", "remainder_bound_constant", "ks_distance",
-    "EdgeTerms", "edge_terms", "fluctuation_ensemble",
+    "TestFunction", "dos_measure", "nu_quadrature", "cheb_coefficients",
+    "clt_variance", "gaussian_bias", "remainder_bound_constant",
+    "ks_distance", "EdgeTerms", "edge_terms", "fluctuation_ensemble",
     "dos_convergence", "draw_spectra",
 ]
-
-BOUND_GRID = 8193        # sample points of the remainder-bound sup
 
 
 @dataclass(frozen=True)
 class TestFunction:
     """Polynomial test function f(x) = sum_j coeffs[j] (x - center)^j.
 
-    f, fprime and fsecond are callables derived from the coefficients.
-    Expanding about `center` evaluates (x - b)^2 as accurately near b as
-    the direct formula.  A polynomial statistic needs only the power sums
+    f is a callable derived from the coefficients, and derivative() is f'
+    as a TestFunction, so f'' is derivative().derivative().  Expanding
+    about `center` evaluates (x - b)^2 as accurately near b as the direct
+    formula.  A polynomial statistic needs only the power sums
     and lambda_max of a spectrum (an EdgeSummary), which the tridiagonal
     model gives in O(N deg) per replica.
 
     window_h is the spectral window H used by the diagnostics: remainder
     bounds are only asserted on configurations with all |lambda_i| <= H,
-    which the EdgeSummary records as in_window.
+    which the EdgeSummary records as in_window.  The coefficients and the
+    center must be finite and window_h a positive finite number; anything
+    else raises ValueError.
     """
 
     __test__ = False        # not a pytest collectable despite the name
@@ -63,6 +65,12 @@ class TestFunction:
         coeffs = tuple(float(c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("a test function needs at least one coefficient")
+        if not all(map(math.isfinite, coeffs + (self.center,))):
+            raise ValueError("a test function needs finite coefficients "
+                             f"and center, got {coeffs} about {self.center}")
+        if not (math.isfinite(self.window_h) and self.window_h > 0):
+            raise ValueError("window_h must be a positive finite number, "
+                             f"got {self.window_h}")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -83,14 +91,6 @@ class TestFunction:
     def f(self):
         coeffs, center = self.coeffs, self.center
         return lambda x: P.polyval(np.asarray(x, dtype=float) - center, coeffs)
-
-    @property
-    def fprime(self):
-        return self.derivative().f
-
-    @property
-    def fsecond(self):
-        return self.derivative().derivative().f
 
     def spectral_sum(self, summary: EdgeSummary, a: float) -> float:
         """sum_i f(a - lambda_i) from the summary's power sums, O(deg^2)."""
@@ -126,23 +126,11 @@ def dos_measure(sample: SpectrumSample) -> AtomicMeasure:
     return AtomicMeasure.from_points(lam[-1] - lam[:-1])
 
 
-def linear_statistic(sample: SpectrumSample, f: TestFunction) -> float:
-    """S_N(f) = (N-1) mu_N(f) = sum_{k<N} f(lambda_max - lambda_(k))."""
-    return (sample.n - 1) * dos_measure(sample).integrate(f.coeffs, -f.center)
-
-
 def nu_quadrature(eq: EquilibriumResult, f: TestFunction) -> float:
     """nu_V(f) = int f(b_V - x) dmu_V(x), f's coefficients integrated
     against mu_V's moment series (AngularMeasure.integrate): exact to
     roundoff, and nu(const) = const exactly."""
     return eq.measure.integrate(f.coeffs, eq.b_v - f.center, -1.0)
-
-
-def delta_statistic(sample: SpectrumSample, eq: EquilibriumResult,
-                    f: TestFunction) -> float:
-    """Delta_N(f) = sum_i f(b_V - lambda_i) - N nu_V(f)."""
-    vals = np.asarray(f.f(eq.b_v - sample.eigenvalues), dtype=float)
-    return float(math.fsum(vals) - sample.n * nu_quadrature(eq, f))
 
 
 # -- CLT constants --------------------------------------------------------------
@@ -188,44 +176,29 @@ def gaussian_bias(f: TestFunction, beta: float,
     return (2.0 / beta - 1.0) * (atoms - 0.5 * arcsine)
 
 
-# -- bookkeeping identity --------------------------------------------------------
-
-def remainder_term(sample: SpectrumSample, eq: EquilibriumResult,
-                   f: TestFunction) -> float:
-    """R_N(f): second-order Taylor remainders of f at the shifted atoms,
-    minus the rightmost particle's own f(-eps) + eps f'(-eps)."""
-    lam = sample.eigenvalues
-    eps = lam[-1] - eq.b_v
-    base = eq.b_v - lam[:-1]
-    r = np.asarray(f.f(base + eps), dtype=float) \
-        - np.asarray(f.f(base), dtype=float) \
-        - eps * np.asarray(f.fprime(base), dtype=float)
-    return float(math.fsum(r) - float(f.f(-eps)) - eps * float(f.fprime(-eps)))
-
-
-def bookkeeping_residual(sample: SpectrumSample, eq: EquilibriumResult,
-                         f: TestFunction) -> float:
-    """Residual of S_N(f) - N nu(f) = N eps nu(f') + Delta(f) + eps Delta(f')
-    + R_N(f), eps = lambda_max - b_V read from the sample; zero in exact
-    arithmetic, roundoff-sized in floats."""
-    eps = sample.lambda_max - eq.b_v
-    fp = f.derivative()
-    lhs = linear_statistic(sample, f) - sample.n * nu_quadrature(eq, f)
-    rhs = sample.n * eps * nu_quadrature(eq, fp) \
-        + delta_statistic(sample, eq, f) \
-        + eps * delta_statistic(sample, eq, fp) \
-        + remainder_term(sample, eq, f)
-    return float(lhs - rhs)
-
-
 def remainder_bound_constant(f: TestFunction) -> float:
-    """M = max(sup|f|, sup|x f'|, sup|f''|/2) over [-2H, 2H]."""
-    h = f.window_h
-    x = np.linspace(-2.0 * h, 2.0 * h, BOUND_GRID)
-    return float(max(
-        np.max(np.abs(np.asarray(f.f(x), dtype=float))),
-        np.max(np.abs(x * np.asarray(f.fprime(x), dtype=float))),
-        0.5 * np.max(np.abs(np.asarray(f.fsecond(x), dtype=float)))))
+    """M = max(sup|f|, sup|x f'|, sup|f''|/2) over [-2H, 2H], from the
+    coefficients.
+
+    Each sup is the largest |g| over the endpoints and the real parts of
+    the roots of g', clipped to the interval.  These points include every
+    critical point inside, and every one of them lies in the interval, so
+    the max is the sup to roundoff.
+    """
+    h, c = f.window_h, f.center
+    fp = f.derivative()
+    fpp = fp.derivative()
+    # each g with its coefficients in powers of y = x - c: x f' = (c + y) f'
+    terms = ((f.f, f.coeffs),
+             (lambda x: x * fp.f(x), P.polymul((c, 1.0), fp.coeffs)),
+             (lambda x: 0.5 * fpp.f(x), fpp.coeffs))
+    sup = 0.0
+    for g, coeffs in terms:
+        critical = P.polyroots(P.polyder(coeffs)).real + c
+        x = np.concatenate(([-2.0 * h, 2.0 * h],
+                            np.clip(critical, -2.0 * h, 2.0 * h)))
+        sup = max(sup, float(np.max(np.abs(g(x)))))
+    return sup
 
 
 @dataclass(frozen=True)
@@ -246,12 +219,13 @@ def edge_terms(summary: EdgeSummary, eq: EquilibriumResult, f: TestFunction,
     indicator is the summary's in_window, for the window it was made for
     (f.window_h in fluctuation_ensemble).
 
-    The spectrum-based references are linear_statistic, remainder_term and
-    bookkeeping_residual.  Here every sum over the spectrum is a spectral_sum:
-    S_N(f) expands f about lambda_max, the Delta terms expand f and f' about
-    b_V, and R_N(f) is the Taylor tail sum_{j>=2} eps^j/j! sum_i f^(j)(b_V -
-    lambda_i), minus f(0) for the rightmost particle.  The residual thus
-    checks the two expansions against each other.
+    The spectrum-based references, which read LAPACK eigenvalues instead
+    of power sums, are test oracles (tests/oracles.py).  Here every sum
+    over the spectrum is a spectral_sum: S_N(f) expands f about
+    lambda_max, the Delta terms expand f and f' about b_V, and R_N(f) is
+    the Taylor tail sum_{j>=2} eps^j/j! sum_i f^(j)(b_V - lambda_i), minus
+    f(0) for the rightmost particle.  The residual thus checks the two
+    expansions against each other.
     """
     n, b = summary.n, eq.b_v
     eps = summary.lambda_max - b

@@ -4,7 +4,7 @@ transport, log-energy.
 Three concrete representations are used everywhere in the lab:
 
 * :class:`AtomicMeasure` -- a finite weighted point measure with sorted
-  support (empirical spectra, quantile discretizations).
+  support (empirical spectra).
 * :class:`GridMeasure` -- a nonnegative density sampled at ``n + 1`` uniform
   nodes on an interval, normalized so the trapezoid integral is 1 (measures
   read from CSV files, the saved equilibrium density).
@@ -17,9 +17,9 @@ On top of these the module provides moments and variances, the pushforward
 x -> c - x (exact for every representation), exact Wasserstein distances
 through quantile coupling (any order p >= 1 between two atomic measures;
 W1 in closed form between an atomic measure and a grid or angular one),
-quantile discretization, and the logarithmic energy Sigma(mu) = double
-integral of ln|x-y|, in a regularized form for atoms and as a
-Chebyshev-moment series for grid and angular densities.
+and the logarithmic energy Sigma(mu) = double integral of ln|x-y|, in a
+regularized form for atoms and as a Chebyshev-moment series for grid and
+angular densities.
 """
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ __all__ = [
     "moment",
     "variance",
     "wasserstein",
-    "quantile_discretize",
     "log_energy_reg",
     "log_energy_grid",
     "save_measure",
@@ -533,21 +532,6 @@ def _w1_atomic_density(mu: AtomicMeasure, nu) -> float:
     steps = (mu.atoms * (2.0 * s - lo - hi)
              + p_jumps[:-1] + p_jumps[1:] - 2.0 * p_s)
     return float(np.sum(steps))
-
-
-# ---------------------------------------------------------------------------
-# discretization and truncation
-# ---------------------------------------------------------------------------
-
-def quantile_discretize(nu: GridMeasure, n: int) -> AtomicMeasure:
-    """Equal-weight atoms x^{1,n} < ... < x^{n-1,n} cutting nu into n slabs
-    of mass 1/n each (infimum CDF inversion)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not isinstance(nu, GridMeasure):
-        raise TypeError("quantile_discretize expects an atomless grid measure")
-    cuts = nu.quantile(np.arange(1, n) / n)
-    return AtomicMeasure.from_points(cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,11 @@ from adaptive quadrature of its density in the angle and brentq instead
 of its sine series and Newton steps, and the Chebyshev coefficients of a
 polynomial on an interval, with the integrals against an angular measure
 that they give, come from the midpoint rule in the angle instead of from
-polynomial composition.
+polynomial composition, and the edge statistics of a replica (S_N(f),
+Delta_N(f), R_N(f) and the bookkeeping-identity residual) are read off
+its full LAPACK spectrum instead of the power sums of its EdgeSummary.
+quantile_discretize cuts a grid measure into equal-mass atoms for the
+convergence checks; nothing in the library discretizes a grid measure.
 """
 
 import math
@@ -32,12 +36,13 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
-from betalab.equilibrium import equilibrium_cached
-from betalab.measures import GridMeasure
+from betalab.dos import TestFunction, dos_measure, nu_quadrature
+from betalab.equilibrium import EquilibriumResult, equilibrium_cached
+from betalab.measures import AtomicMeasure, GridMeasure
 from betalab.potential import Potential
 from betalab.sampler import (
-    MCMC_BURN_IN, MCMC_CHUNK, MCMC_SWEEPS, TARGET_ACCEPT, _colour_classes,
-    rng_for,
+    MCMC_BURN_IN, MCMC_CHUNK, MCMC_SWEEPS, TARGET_ACCEPT, SpectrumSample,
+    _colour_classes, rng_for,
 )
 
 # ---------------------------------------------------------------------------
@@ -54,6 +59,17 @@ def semicircle_grid(n: int = 4096) -> GridMeasure:
 
 def uniform_grid(lo: float, hi: float, n: int = 4096) -> GridMeasure:
     return GridMeasure(lo, hi, np.full(n + 1, 1.0 / (hi - lo)))
+
+
+def quantile_discretize(nu: GridMeasure, n: int) -> AtomicMeasure:
+    """Equal-weight atoms x^{1,n} < ... < x^{n-1,n} cutting nu into n slabs
+    of mass 1/n each (infimum CDF inversion)."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if not isinstance(nu, GridMeasure):
+        raise TypeError("quantile_discretize expects an atomless grid measure")
+    cuts = nu.quantile(np.arange(1, n) / n)
+    return AtomicMeasure.from_points(cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -842,3 +858,47 @@ def colour_class_chain_reference(V: Potential, beta: float, n: int,
             post_accepted += accepted.sum(axis=1)
     return a, b, post_accepted / (MCMC_SWEEPS * (2 * n - 1))
 
+
+# ---------------------------------------------------------------------------
+# edge statistics from the full spectrum (LAPACK eigenvalues, no power sums)
+# ---------------------------------------------------------------------------
+
+def linear_statistic(sample: SpectrumSample, f: TestFunction) -> float:
+    """S_N(f) = (N-1) mu_N(f) = sum_{k<N} f(lambda_max - lambda_(k))."""
+    return (sample.n - 1) * dos_measure(sample).integrate(f.coeffs, -f.center)
+
+
+def delta_statistic(sample: SpectrumSample, eq: EquilibriumResult,
+                    f: TestFunction) -> float:
+    """Delta_N(f) = sum_i f(b_V - lambda_i) - N nu_V(f)."""
+    vals = np.asarray(f.f(eq.b_v - sample.eigenvalues), dtype=float)
+    return float(math.fsum(vals) - sample.n * nu_quadrature(eq, f))
+
+
+def remainder_term(sample: SpectrumSample, eq: EquilibriumResult,
+                   f: TestFunction) -> float:
+    """R_N(f): second-order Taylor remainders of f at the shifted atoms,
+    minus the rightmost particle's own f(-eps) + eps f'(-eps)."""
+    lam = sample.eigenvalues
+    eps = lam[-1] - eq.b_v
+    base = eq.b_v - lam[:-1]
+    fprime = f.derivative().f
+    r = np.asarray(f.f(base + eps), dtype=float) \
+        - np.asarray(f.f(base), dtype=float) \
+        - eps * np.asarray(fprime(base), dtype=float)
+    return float(math.fsum(r) - float(f.f(-eps)) - eps * float(fprime(-eps)))
+
+
+def bookkeeping_residual(sample: SpectrumSample, eq: EquilibriumResult,
+                         f: TestFunction) -> float:
+    """Residual of S_N(f) - N nu(f) = N eps nu(f') + Delta(f) + eps Delta(f')
+    + R_N(f), eps = lambda_max - b_V read from the sample; zero in exact
+    arithmetic, roundoff-sized in floats."""
+    eps = sample.lambda_max - eq.b_v
+    fp = f.derivative()
+    lhs = linear_statistic(sample, f) - sample.n * nu_quadrature(eq, f)
+    rhs = sample.n * eps * nu_quadrature(eq, fp) \
+        + delta_statistic(sample, eq, f) \
+        + eps * delta_statistic(sample, eq, fp) \
+        + remainder_term(sample, eq, f)
+    return float(lhs - rhs)

@@ -9,22 +9,22 @@ import time
 import numpy as np
 
 from betalab.dos import (
-    TestFunction, bookkeeping_residual, cheb_coefficients,
-    clt_variance, dos_convergence, dos_measure, fluctuation_ensemble,
-    gaussian_bias, nu_quadrature,
+    TestFunction, cheb_coefficients, clt_variance, dos_convergence,
+    dos_measure, fluctuation_ensemble, gaussian_bias, nu_quadrature,
 )
 from betalab.equilibrium import (
     constrained_equilibrium, equilibrium_cached, solve_equilibrium,
 )
 from betalab.measures import (
-    AtomicMeasure, GridMeasure, log_energy_grid,
-    quantile_discretize, reflect_shift, variance, wasserstein,
+    AtomicMeasure, GridMeasure, log_energy_grid, reflect_shift, variance,
+    wasserstein,
 )
 from betalab.potential import Potential, kappa
 from betalab.rates import projection_J, rate_IDOS
 from betalab.sampler import sample_gaussian, sample_mcmc_batch
 from oracles import (
     direct_calI_min, log_kernel_mass_form_reference, log_potential_grid,
+    quantile_discretize,
 )
 
 GAUSS = Potential.gaussian()

@@ -431,6 +431,10 @@ def test_out_that_is_a_file_exits_two(tmp_path, capsys, command):
                  id="window-inf"),
     pytest.param(["sample", "--beta", "inf"], "argument --beta:",
                  id="beta-inf"),
+    pytest.param(["fluctuate", "--n", "100,100", "--replicas", "4"],
+                 "argument --n:", id="fluctuate-n-repeated"),
+    pytest.param(["dos-converge", "--n", "100,100"], "argument --n:",
+                 id="dos-converge-n-repeated"),
 ])
 def test_config_errors_exit_two(tmp_path, capsys, argv, needle):
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
@@ -528,8 +532,10 @@ def test_benchmark_wrap_sites_resolve():
     # a traced benchmark pass wraps each (module, attribute) of WRAP_SITES;
     # a site that no longer resolves zeroes its layer with only a printed
     # line, so a rename in betalab fails here.  The two betalab.cli sampler
-    # sites are known stale (the CLI samples through betalab.dos), and so is
-    # the dense hard-wall kernel build, which the O(n) LogKernel replaced
+    # sites are known stale (the CLI samples through betalab.dos), and so are
+    # the dense hard-wall kernel build, which the O(n) LogKernel replaced,
+    # and the two spectrum-based betalab.dos routes, now test oracles (the
+    # per-replica terms come from edge_terms, so they counted nothing)
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -538,6 +544,8 @@ def test_benchmark_wrap_sites_resolve():
                   if not hasattr(importlib.import_module(mod), attr)}
     assert unresolved == {("betalab.cli", "sample_gaussian"),
                           ("betalab.cli", "sample_mcmc_batch"),
+                          ("betalab.dos", "bookkeeping_residual"),
+                          ("betalab.dos", "remainder_term"),
                           ("betalab.equilibrium", "log_kernel_mass_form")}
 
 

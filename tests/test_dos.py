@@ -6,15 +6,17 @@ import pytest
 
 from betalab import dos
 from betalab.dos import (
-    TestFunction, bookkeeping_residual, cheb_coefficients,
-    clt_variance, delta_statistic, dos_convergence,
+    TestFunction, cheb_coefficients, clt_variance, dos_convergence,
     dos_measure, edge_terms, fluctuation_ensemble, gaussian_bias, ks_distance,
-    linear_statistic, nu_quadrature, remainder_bound_constant, remainder_term,
+    nu_quadrature, remainder_bound_constant,
 )
 from betalab.equilibrium import equilibrium_cached
 from betalab.potential import Potential
 from betalab.sampler import SpectrumSample, sample_gaussian, sample_mcmc_batch
-from oracles import cheb_midpoint
+from oracles import (
+    bookkeeping_residual, cheb_midpoint, delta_statistic, linear_statistic,
+    remainder_term,
+)
 
 
 def _sample(values):
@@ -169,6 +171,13 @@ def test_gaussian_bias_rejects_other_potentials(quartic):
                                     2, 1, method="lanczos"),
      "unknown 'lanczos'"),
     (lambda V: TestFunction(()), "at least one coefficient"),
+    (lambda V: TestFunction((1.0, math.nan)), "finite coefficients"),
+    (lambda V: TestFunction((1.0, math.inf)), "finite coefficients"),
+    (lambda V: TestFunction((1.0,), center=math.nan), "finite coefficients"),
+    (lambda V: TestFunction((1.0,), window_h=0.0), "window_h"),
+    (lambda V: TestFunction((1.0,), window_h=-3.0), "window_h"),
+    (lambda V: TestFunction((1.0,), window_h=math.inf), "window_h"),
+    (lambda V: TestFunction((1.0,), window_h=math.nan), "window_h"),
 ])
 def test_dos_refuses_bad_input(gauss, call, needle):
     with pytest.raises(ValueError, match=needle):
@@ -204,7 +213,13 @@ def test_bookkeeping_residual_is_roundoff(eq_gauss):
 def test_remainder_bound_constant_square():
     # on [-2H, 2H] with H = 3: sup|f| = 64, sup|x f'| = 96, sup|f''|/2 = 1
     m = remainder_bound_constant(TestFunction.square_about(2.0))
-    assert m == pytest.approx(96.0, rel=1e-3)
+    assert m == 96.0
+
+
+def test_remainder_bound_constant_interior_maximum():
+    # sup|f| = f(center) = 1 sits between the nodes of any uniform grid
+    f = TestFunction(coeffs=(1.0, 0.0, -1e-3), center=0.1234567, window_h=3.0)
+    assert remainder_bound_constant(f) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +374,10 @@ def test_test_function_derivatives_are_polynomial():
     x = np.linspace(-2.0, 2.0, 9)
     y = x - 0.5
     assert np.allclose(f.f(x), 1.0 - 2.0 * y + 3.0 * y ** 3, rtol=0, atol=1e-14)
-    assert np.allclose(f.fprime(x), -2.0 + 9.0 * y ** 2, rtol=0, atol=1e-14)
-    assert np.allclose(f.fsecond(x), 18.0 * y, rtol=0, atol=1e-14)
+    assert np.allclose(f.derivative().f(x), -2.0 + 9.0 * y ** 2,
+                       rtol=0, atol=1e-14)
+    assert np.allclose(f.derivative().derivative().f(x), 18.0 * y,
+                       rtol=0, atol=1e-14)
     assert f.degree == 3 and f.derivative().degree == 2
 
 

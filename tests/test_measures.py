@@ -10,8 +10,7 @@ from betalab.equilibrium import _hard_edge, constrained_equilibrium, \
 from betalab.measures import (
     AngularMeasure, AtomicMeasure, GridMeasure,
     load_measure, log_energy_grid, log_energy_reg,
-    moment, quantile_discretize, reflect_shift, save_measure, variance,
-    wasserstein,
+    moment, reflect_shift, save_measure, variance, wasserstein,
 )
 from betalab.potential import Potential
 from betalab.sampler import SpectrumSample, sample_gaussian
@@ -19,8 +18,8 @@ from oracles import (
     angular_cdf_quadrature, angular_first_moment_quadrature, angular_grid,
     angular_integral_midpoint,
     angular_quantile_brentq, log_energy_grid_reference,
-    log_kernel_mass_form_reference, semicircle_grid, uniform_grid,
-    wasserstein_quadrature_reference,
+    log_kernel_mass_form_reference, quantile_discretize, semicircle_grid,
+    uniform_grid, wasserstein_quadrature_reference,
 )
 
 

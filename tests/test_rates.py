@@ -9,14 +9,14 @@ import betalab.rates as rates
 from betalab.cli import main
 from betalab.equilibrium import constrained_equilibrium, nu_limit
 from betalab.measures import (
-    AtomicMeasure, GridMeasure, quantile_discretize, reflect_shift, variance,
+    AtomicMeasure, GridMeasure, reflect_shift, variance,
 )
 from betalab.potential import Potential, kappa
 from betalab.rates import (
     calI_inf_over_c, projection_J, rate_calI, rate_calI_delta, rate_calJ,
     rate_calJ_delta, rate_IDOS, rate_IV, rate_report,
 )
-from oracles import golden_min_reference
+from oracles import golden_min_reference, quantile_discretize
 
 UNIF01 = lambda n=4097: GridMeasure(0.0, 1.0, np.ones(n))
 
