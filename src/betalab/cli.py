@@ -203,7 +203,8 @@ _SIZES = (_type(_list(int), "a comma list of distinct integers >= 2",
 _METHOD = (_one_of("tridiagonal", "mcmc"), "tridiagonal")
 _THREADS = (_int_from(1), "1")
 _OUT = (str, "betalab_out")
-_FLOATS = _type(_list(_finite), "a comma list of numbers")
+_FLOATS = _type(_list(_finite), "a comma list of distinct numbers",
+                lambda v: len(set(v)) == len(v))
 
 _COMMANDS = {
     "equilibrium": (_cmd_equilibrium, {

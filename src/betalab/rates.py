@@ -1,6 +1,7 @@
 """Rate functionals for the spectrum and for the view from its right edge.
 
-Every evaluator decomposes its value as
+calI_V, I_V^DOS (calI at kappa_V(nu)) and calJ_V (calI less J^-(c)) share
+one evaluator, taken at one c: no scan over c.  Every value decomposes as
 
     value = sigma_term + potential_term + offset_term - c_V
 
@@ -18,8 +19,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .equilibrium import EquilibriumResult, constrained_equilibrium
 from .measures import AngularMeasure, AtomicMeasure, Measure, \
     log_energy_grid, log_energy_reg
@@ -27,8 +26,7 @@ from .potential import Potential, kappa
 
 __all__ = [
     "RateEvaluation", "rate_IV", "rate_calI", "rate_IDOS", "rate_calJ",
-    "projection_J", "rate_calI_delta", "rate_calJ_delta", "calI_inf_over_c",
-    "rate_report",
+    "projection_J", "calI_inf_over_c", "rate_report",
 ]
 
 
@@ -63,12 +61,7 @@ def _sigma_term(mu: Measure, m: float | None) -> tuple[float, float | None]:
 
 
 def _check_nonneg_support(nu: Measure) -> None:
-    if isinstance(nu, AtomicMeasure):
-        lo = nu.atoms[0]
-    elif isinstance(nu, AngularMeasure):
-        lo = nu.center - nu.radius
-    else:
-        lo = nu.lo
+    lo = float(nu.quantile(0.0))
     if lo < -1e-9:
         raise ValueError(f"measure must be supported in R+, support starts at {lo}")
 
@@ -80,18 +73,12 @@ def _evaluation(eq: EquilibriumResult, sig: float, reg: float | None,
                           offset_term=off)
 
 
-def _calI_of_c(eq: EquilibriumResult, V: Potential, nu: Measure,
-               m: float | None):
-    """(c, offset) -> calI_V(c, nu) + offset.  The support check and the
-    Sigma term, which does not depend on c, run once per call of this
-    function; each c costs only the potential term int V(c - x) dnu(x)."""
+def _calI(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
+          m: float | None, off: float = 0.0) -> RateEvaluation:
+    """calI_V(c, nu) + off, for nu on R+."""
     _check_nonneg_support(nu)
     sig, reg = _sigma_term(nu, m)
-
-    def at(c: float, off: float = 0.0) -> RateEvaluation:
-        return _evaluation(eq, sig, reg, nu.integrate(V.coeffs, c, -1.0), off)
-
-    return at
+    return _evaluation(eq, sig, reg, nu.integrate(V.coeffs, c, -1.0), off)
 
 
 def rate_IV(eq: EquilibriumResult, V: Potential, mu: Measure,
@@ -105,14 +92,14 @@ def rate_calI(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
               m: float | None = None) -> RateEvaluation:
     """calI_V(c, nu) = I_V(tau_c nu) for nu on R+, using the invariance of
     Sigma under the reflect-shift: -Sigma(nu) + int V(c - x) dnu - c_V."""
-    return _calI_of_c(eq, V, nu, m)(c)
+    return _calI(eq, V, c, nu, m)
 
 
 def rate_IDOS(eq: EquilibriumResult, V: Potential, nu: Measure,
               m: float | None = None) -> RateEvaluation:
     """I_V^DOS(nu) = inf_c calI_V(c, nu) = -Sigma(nu) + G_V(nu) - c_V,
     calI taken at its minimizer kappa_V(nu)."""
-    return _calI_of_c(eq, V, nu, m)(kappa(V, nu))
+    return _calI(eq, V, kappa(V, nu), nu, m)
 
 
 def projection_J(eq: EquilibriumResult, V: Potential, c: float) -> float:
@@ -128,47 +115,16 @@ def rate_calJ(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
     if c >= eq.b_v:
         raise ValueError(
             f"calJ needs c < b_V = {eq.b_v}; use the unconditional rate")
-    return _calI_of_c(eq, V, nu, m)(c, -projection_J(eq, V, c))
-
-
-# -- infima over c ------------------------------------------------------------
-
-CALJ_SCAN = 9            # scan points of rate_calJ_delta
+    return _calI(eq, V, c, nu, m, -projection_J(eq, V, c))
 
 
 def calI_inf_over_c(eq: EquilibriumResult, V: Potential, nu: Measure,
                     m: float | None = None) -> tuple[float, float]:
     """(argmin, min) of c -> calI_V(c, nu): (kappa_V(nu), I_V^DOS(nu)).
-
     calI depends on c only through int V(c - x) dnu, convex in c and least
-    at kappa_V(nu), so the Sigma term is computed once and the minimum is
-    read off there, as rate_IDOS reads it.
-    """
+    at kappa_V(nu), so the minimum is one evaluation there, not a scan."""
     k = kappa(V, nu)
-    return k, _calI_of_c(eq, V, nu, m)(k).value
-
-
-def rate_calI_delta(eq: EquilibriumResult, V: Potential, c: float,
-                    delta: float, nu: Measure,
-                    m: float | None = None) -> float:
-    """calI^delta(c, nu) = inf over a in [c, c+delta] of calI(a, nu): calI
-    depends on a only through int V(a - x) dnu, convex in a and least at
-    kappa_V(nu), so the infimum is at kappa clipped to the interval."""
-    cal = _calI_of_c(eq, V, nu, m)
-    return cal(min(max(kappa(V, nu), c), c + delta)).value
-
-
-def rate_calJ_delta(eq: EquilibriumResult, V: Potential, c: float,
-                    delta: float, nu: Measure,
-                    m: float | None = None) -> float:
-    """calJ^delta(c, nu) = inf over a in [c, c+delta] of calJ(a, nu), by a
-    scan of CALJ_SCAN points, each with its own J^-(a)."""
-    cal = _calI_of_c(eq, V, nu, m)
-    out = math.inf
-    for a in np.linspace(c, c + delta, CALJ_SCAN):
-        a = float(min(a, eq.b_v - 1e-9))
-        out = min(out, cal(a, -projection_J(eq, V, a)).value)
-    return out
+    return k, _calI(eq, V, k, nu, m).value
 
 
 # -- reports -------------------------------------------------------------------

@@ -435,6 +435,12 @@ def test_out_that_is_a_file_exits_two(tmp_path, capsys, command):
                  "argument --n:", id="fluctuate-n-repeated"),
     pytest.param(["dos-converge", "--n", "100,100"], "argument --n:",
                  id="dos-converge-n-repeated"),
+    pytest.param(["tail-scan", "--left", "1.0,1.0"], "argument --left:",
+                 id="left-repeated"),
+    pytest.param(["tail-scan", "--xs", "2.5,2.5"], "argument --xs:",
+                 id="xs-repeated"),
+    pytest.param(["rate", "idos", "--measure", "mu_V"], "supported in R+",
+                 id="idos-mu-v-left-of-zero"),
 ])
 def test_config_errors_exit_two(tmp_path, capsys, argv, needle):
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2

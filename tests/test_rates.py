@@ -13,8 +13,8 @@ from betalab.measures import (
 )
 from betalab.potential import Potential, kappa
 from betalab.rates import (
-    calI_inf_over_c, projection_J, rate_calI, rate_calI_delta, rate_calJ,
-    rate_calJ_delta, rate_IDOS, rate_IV, rate_report,
+    calI_inf_over_c, projection_J, rate_calI, rate_calJ, rate_IDOS, rate_IV,
+    rate_report,
 )
 from oracles import golden_min_reference, quantile_discretize
 
@@ -71,6 +71,29 @@ def test_cali_agrees_with_iv_of_reflected(eq_gauss, gauss):
 def test_cali_rejects_negative_support(eq_gauss, gauss):
     with pytest.raises(ValueError):
         rate_calI(eq_gauss, gauss, 1.0, GridMeasure(-0.5, 1.0, np.ones(65)))
+
+
+# a measure of each representation whose support starts at `start` (the
+# angular one is nu_V shifted)
+SUPPORT_FROM = {
+    "atomic": lambda eq, start: AtomicMeasure.from_points([start, 0.5, 1.0]),
+    "grid": lambda eq, start: GridMeasure(start, start + 1.0, np.ones(65)),
+    "angular": lambda eq, start: reflect_shift(eq.measure, eq.b_v + start),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUPPORT_FROM))
+def test_rates_refuse_support_left_of_zero(eq_gauss, gauss, kind):
+    # the R+ check tolerates 1e-9 of rounding left of 0, and no more
+    evaluators = (lambda nu: rate_calI(eq_gauss, gauss, 1.5, nu),
+                  lambda nu: rate_IDOS(eq_gauss, gauss, nu),
+                  lambda nu: rate_calJ(eq_gauss, gauss, 1.5, nu))
+    refused = SUPPORT_FROM[kind](eq_gauss, -1e-8)
+    accepted = SUPPORT_FROM[kind](eq_gauss, -1e-10)
+    for evaluate in evaluators:
+        with pytest.raises(ValueError, match="supported in R\\+"):
+            evaluate(refused)
+        assert math.isfinite(evaluate(accepted).value)
 
 
 def test_cali_positive_away_from_minimizer(eq_gauss, gauss):
@@ -238,20 +261,10 @@ def test_calj_rejects_edge_and_beyond(eq_gauss, gauss):
 
 
 # ---------------------------------------------------------------------------
-# delta relaxations
+# the infimum over c
 # ---------------------------------------------------------------------------
 
-def test_cali_delta_monotone(eq_gauss, gauss):
-    nu = UNIF01(2049)
-    c = 0.2          # inner minimizer sits at the mean, to the right
-    base = rate_calI(eq_gauss, gauss, c, nu).value
-    v20 = rate_calI_delta(eq_gauss, gauss, c, 0.2, nu)
-    v10 = rate_calI_delta(eq_gauss, gauss, c, 0.1, nu)
-    v05 = rate_calI_delta(eq_gauss, gauss, c, 0.05, nu)
-    assert v20 < v10 < v05 < base
-
-
-def test_scans_evaluate_sigma_once(eq_gauss, gauss, monkeypatch):
+def test_rates_evaluate_sigma_once(eq_gauss, gauss, monkeypatch):
     calls = []
     grid_sigma = rates.log_energy_grid
 
@@ -261,12 +274,13 @@ def test_scans_evaluate_sigma_once(eq_gauss, gauss, monkeypatch):
 
     monkeypatch.setattr(rates, "log_energy_grid", counted)
     nu = UNIF01(257)
-    for scan in (
-            lambda: calI_inf_over_c(eq_gauss, gauss, nu),
-            lambda: rate_calI_delta(eq_gauss, gauss, 0.2, 0.1, nu),
-            lambda: rate_calJ_delta(eq_gauss, gauss, 0.2, 0.1, nu)):
+    for evaluate in (
+            lambda: rate_calI(eq_gauss, gauss, 0.2, nu),
+            lambda: rate_IDOS(eq_gauss, gauss, nu),
+            lambda: rate_calJ(eq_gauss, gauss, 0.2, nu),
+            lambda: calI_inf_over_c(eq_gauss, gauss, nu)):
         calls.clear()
-        scan()
+        evaluate()
         assert len(calls) == 1
 
 
@@ -282,32 +296,6 @@ def test_cali_inf_is_idos_at_kappa(eq_gauss, gauss):
             lambda c: rate_calI(eq_gauss, gauss, c, nu, m).value,
             k - spread, k + spread, 1e-6)
         assert value <= golden <= value + 1e-12
-
-
-def test_cali_delta_is_exact_minimum(eq_gauss, gauss, eq_quartic, quartic):
-    # kappa right of, inside (off every scan point) and left of [c, c + 0.2]
-    atoms = AtomicMeasure.from_points(np.linspace(0.0, 3.0, 40) ** 1.3)
-    for eq, V in ((eq_gauss, gauss), (eq_quartic, quartic)):
-        for nu in (UNIF01(257), atoms):
-            k = kappa(V, nu)
-            for c in (k - 0.3, k - 0.137, k + 0.05):
-                got = rate_calI_delta(eq, V, c, 0.2, nu)
-                _, want = golden_min_reference(
-                    lambda a: rate_calI(eq, V, a, nu).value,
-                    c, c + 0.2, 1e-13)
-                scan = min(rate_calI(eq, V, float(a), nu).value
-                           for a in np.linspace(c, c + 0.2, 33))
-                assert abs(got - want) <= 1e-12
-                assert got <= scan
-
-
-def test_calj_delta_monotone(eq_gauss, gauss):
-    nu = UNIF01(2049)
-    c = 0.2
-    base = rate_calJ(eq_gauss, gauss, c, nu).value
-    vals = [rate_calJ_delta(eq_gauss, gauss, c, d, nu) for d in (0.2, 0.1, 0.05)]
-    assert vals[0] <= vals[1] + 1e-9 <= vals[2] + 2e-9
-    assert vals[2] <= base + 1e-9
 
 
 # ---------------------------------------------------------------------------
