@@ -24,8 +24,8 @@ import numpy as np
 
 from ._fsio import fmt, write_text_atomic
 from . import dos as dosmod
-from .equilibrium import constrained_equilibrium, effective_potential_tail, \
-    equilibrium_cached, nu_limit, save_equilibrium
+from .equilibrium import effective_potential_tail, equilibrium_cached, \
+    nu_limit, save_equilibrium
 from .measures import load_measure
 from .potential import Potential
 from .rates import projection_J, rate_IDOS, rate_IV, rate_calI, rate_calJ, \
@@ -98,9 +98,11 @@ def _cmd_sample(cfg: dict):
 def _cmd_rate(cfg: dict):
     V, functional, m = cfg["potential"], cfg["functional"], cfg["reg_m"]
     eq = equilibrium_cached(V)
+    if cfg["c"] is None and functional == "calj":
+        raise ConfigError(f"c: calj needs --c below b_V = {eq.b_v}")
     c = cfg["c"] = float(eq.b_v) if cfg["c"] is None else cfg["c"]
     if functional == "projection":
-        value = projection_J(eq, V, c)
+        value = projection_J(V, c).value
         return {"functional": "projection", "c": c, "value": value}, {}
     spec = cfg["measure"]
     mu = nu_limit(eq) if spec == "nu_V" else \
@@ -171,11 +173,8 @@ def _cmd_tail_scan(cfg: dict):
     if cfg["xs"] is None:
         cfg["xs"] = [float(eq.b_v) + d for d in (0.0, 0.5, 1.0)]
     plus = [(x, effective_potential_tail(eq, V, x)) for x in cfg["xs"]]
-    minus = [(c, projection_J(eq, V, c)) for c in cfg["left"]]
-    # the certificate of each wall below b_V, a closed-form solve of about
-    # a millisecond
-    walls = {fmt(c): constrained_equilibrium(V, c)
-             for c in cfg["left"] if c < eq.b_v}
+    walls = {c: projection_J(V, c) for c in cfg["left"]}
+    minus = [(c, res.value) for c, res in walls.items()]
     tables = {"tail_plus.csv": ("x,j_plus", plus)}
     if minus:
         tables["tail_minus.csv"] = ("c,j_minus", minus)
@@ -183,7 +182,8 @@ def _cmd_tail_scan(cfg: dict):
         "j_plus": {fmt(x): v for x, v in plus},
         "j_minus": {fmt(c): v for c, v in minus},
         "j_minus_certificate": {
-            c: {"soft_edge_residual": res.gap} for c, res in walls.items()},
+            fmt(c): {"soft_edge_residual": res.gap}
+            for c, res in walls.items() if c < eq.b_v},
     }, tables
 
 
@@ -251,7 +251,7 @@ _HELP = {
     "grid": "cells of the equilibrium density grid; accepted by rate and "
             "tail-scan, where it changes nothing (J^- is in closed form)",
     "measure": "nu_V, mu_V, or a measure CSV path",
-    "c": "cutoff / wall position (default: b_V)",
+    "c": "cutoff / wall position (default: b_V; calj: required)",
     "reg_m": "Sigma^M regularization M for atomic inputs; auto is 2 ln N",
     "f": "test function: identity (x) or square ((x-b)^2)",
     "window": "spectral window H for diagnostics",

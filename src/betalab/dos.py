@@ -22,7 +22,7 @@ from numpy.polynomial import polynomial as P
 
 from .equilibrium import EquilibriumResult, equilibrium_cached, nu_limit
 from .measures import AngularMeasure, AtomicMeasure, _cheb_coeffs, \
-    wasserstein
+    _compose, wasserstein
 from .potential import GAUSSIAN_KEY, Potential
 from .sampler import (
     EdgeSummary, SpectrumSample, sample_gaussian, sample_mcmc_batch,
@@ -93,14 +93,10 @@ class TestFunction:
         return lambda x: P.polyval(np.asarray(x, dtype=float) - center, coeffs)
 
     def spectral_sum(self, summary: EdgeSummary, a: float) -> float:
-        """sum_i f(a - lambda_i) from the summary's power sums, O(deg^2)."""
-        # Taylor shift: q holds the coefficients of f(a - x) in powers of -x
-        q = np.array(self.coeffs)
-        t = a - self.center
-        for k in range(self.degree):
-            for j in range(self.degree - 1, k - 1, -1):
-                q[j] += t * q[j + 1]
-        q[1::2] *= -1.0
+        """sum_i f(a - lambda_i) from the summary's power sums, O(deg^2):
+        q holds the coefficients of f(a - x) in powers of x, the Taylor
+        shift of measures._compose."""
+        q = _compose(self.coeffs, a - self.center, -1.0)
         return float(np.dot(q, summary.power_sums[:q.size]))
 
     @classmethod

@@ -10,7 +10,9 @@ held as an exact arithmetic identity in RateEvaluation.  sigma_term is
 mu_V cost no grid), -Sigma for grid measures (the same series on the
 grid's Chebyshev moments), or -Sigma^M for atomic measures, with the M
 used always reported; offset_term is zero except for the conditional
-functional, where it carries -J^-(c).
+functional, where it carries -J^-(c).  J^-(c) is the value of
+projection_J(V, c), the certified constrained minimizer, one solve per
+wall.
 """
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .equilibrium import EquilibriumResult, constrained_equilibrium
+from .equilibrium import ConstrainedEquilibriumResult, EquilibriumResult, \
+    constrained_equilibrium
 from .measures import AngularMeasure, AtomicMeasure, Measure, \
     log_energy_grid, log_energy_reg
 from .potential import Potential, kappa
@@ -102,10 +105,12 @@ def rate_IDOS(eq: EquilibriumResult, V: Potential, nu: Measure,
     return _calI(eq, V, kappa(V, nu), nu, m)
 
 
-def projection_J(eq: EquilibriumResult, V: Potential, c: float) -> float:
-    """J_V^-(c): zero at and right of b_V, else the closed-form constrained
-    minimum, which raises when it is uncertified."""
-    return 0.0 if c >= eq.b_v else constrained_equilibrium(V, c).value
+def projection_J(V: Potential, c: float) -> ConstrainedEquilibriumResult:
+    """J_V^-(c) as the certified minimizer over measures on (-inf, c]: its
+    .value is J^-(c), zero with mu_V at and right of b_V, and its .gap the
+    soft-edge residual; raises when uncertified.  Every J^- solve goes
+    through this binding, which the benchmark traces (ROADMAP item 20)."""
+    return constrained_equilibrium(V, c)
 
 
 def rate_calJ(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
@@ -115,7 +120,7 @@ def rate_calJ(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
     if c >= eq.b_v:
         raise ValueError(
             f"calJ needs c < b_V = {eq.b_v}; use the unconditional rate")
-    return _calI(eq, V, c, nu, m, -projection_J(eq, V, c))
+    return _calI(eq, V, c, nu, m, -projection_J(V, c).value)
 
 
 def calI_inf_over_c(eq: EquilibriumResult, V: Potential, nu: Measure,

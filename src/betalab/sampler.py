@@ -29,7 +29,7 @@ from .potential import Potential
 
 __all__ = [
     "SpectrumSample", "EdgeSummary", "rng_for", "sample_gaussian",
-    "tridiag_eigenvalues", "tridiag_power_sums", "sample_mcmc_batch",
+    "tridiag_power_sums", "sample_mcmc_batch",
 ]
 
 MCMC_BURN_IN = 100       # adaptive sweeps, whatever N
@@ -165,15 +165,6 @@ def tridiag_power_sums(diagonal, offdiagonal, degree: int) -> np.ndarray:
 
 # -- samples -------------------------------------------------------------------
 
-def tridiag_eigenvalues(diagonal, offdiagonal) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix, sorted ascending."""
-    d = np.asarray(diagonal, dtype=float)
-    e = np.asarray(offdiagonal, dtype=float)
-    if e.size != d.size - 1:
-        raise ValueError("off-diagonal must have length N-1")
-    return eigh_tridiagonal(d, e, eigvals_only=True)
-
-
 @dataclass(frozen=True, eq=False)
 class SpectrumSample:
     """One eigenvalue configuration: the spectrum of scale * T, T the
@@ -216,8 +207,8 @@ class SpectrumSample:
     def _spectrum(self) -> tuple:
         """The eigenvalues, strictly sorted ascending, and how many ties
         were nudged upward to make them so."""
-        lam = np.sort(tridiag_eigenvalues(self.diagonal, self.offdiagonal)
-                      * self.scale)
+        lam = np.sort(eigh_tridiagonal(self.diagonal, self.offdiagonal,
+                                       eigvals_only=True) * self.scale)
         ties = 0
         if not np.all(np.diff(lam) > 0):
             for i in range(1, lam.size):

@@ -101,12 +101,12 @@ def test_criterion_06_constrained_consistency():
     eq = equilibrium_cached(GAUSS)
     gaps = []
     for c in (1.0, 1.5, 1.9):
-        solved = projection_J(eq, GAUSS, c)
+        solved = projection_J(GAUSS, c).value
         direct = direct_calI_min(GAUSS, eq, c)
         gaps.append(max(abs(solved - direct["value_grid"]),
                         abs(solved - direct["value_continuum"])))
     at_edge = constrained_equilibrium(GAUSS, 2.0).value
-    scan = [projection_J(eq, GAUSS, c) for c in np.linspace(1.0, 2.0, 11)]
+    scan = [projection_J(GAUSS, c).value for c in np.linspace(1.0, 2.0, 11)]
     monotone = all(a >= b - 1e-12 for a, b in zip(scan, scan[1:]))
     ok = max(gaps) <= 5e-3 and at_edge <= 1e-4 and monotone
     _report(6, ok, f"max |closed form - direct| = {max(gaps):.2e}, "

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from betalab import dos, rates
+from betalab import dos, equilibrium, rates
 from betalab.cli import main
 from betalab.dos import draw_spectra
 from betalab.equilibrium import constrained_equilibrium, equilibrium_cached
@@ -266,6 +266,7 @@ def test_tail_scan_records_hard_wall_certificates(tmp_path):
     assert code == 0
     cert = summary["results"]["j_minus_certificate"]
     assert sorted(cert) == ["1.0", "1.5"]
+    assert summary["results"]["j_minus"]["2.5"] == 0.0
     for c, entry in cert.items():
         res = constrained_equilibrium(Potential.gaussian(), float(c))
         assert entry == {"soft_edge_residual": res.gap}
@@ -274,6 +275,24 @@ def test_tail_scan_records_hard_wall_certificates(tmp_path):
     assert rows[0] == "c,j_minus"
     assert [r.split(",")[0] for r in rows[1:]] == ["1.0", "1.5", "2.5"]
     assert rows[-1] == "2.5,0.0"
+
+
+def test_hard_wall_solved_once_per_wall(tmp_path, monkeypatch):
+    # a wall below b_V is one hard-edge solve, giving both J^- and its
+    # certificate; a wall at or right of b_V is mu_V and solves nothing
+    calls = []
+    solve = equilibrium._hard_edge
+
+    def counted(V, c):
+        calls.append(c)
+        return solve(V, c)
+
+    monkeypatch.setattr(equilibrium, "_hard_edge", counted)
+    for argv, walls in ((["tail-scan", "--left", "1.0,1.5,2.5"], [1.0, 1.5]),
+                        (["rate", "calj", "--c", "1.5"], [1.5])):
+        calls.clear()
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        assert calls == walls
 
 
 @pytest.mark.parametrize("coeffs, c", [("0,0,0,0,1", -100.0),
@@ -441,6 +460,8 @@ def test_out_that_is_a_file_exits_two(tmp_path, capsys, command):
                  id="xs-repeated"),
     pytest.param(["rate", "idos", "--measure", "mu_V"], "supported in R+",
                  id="idos-mu-v-left-of-zero"),
+    pytest.param(["rate", "calj"], "c: calj needs --c below b_V",
+                 id="calj-c-missing"),
 ])
 def test_config_errors_exit_two(tmp_path, capsys, argv, needle):
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2

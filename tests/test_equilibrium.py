@@ -343,7 +343,7 @@ def test_constrained_matches_dean_majumdar(gauss, eq_gauss, c):
     expect = j_minus_dean_majumdar(c)
     tol = 1e-12 * (abs(expect) if c <= -100.0 else 1.0)
     assert abs(res.value - expect) <= tol
-    assert projection_J(eq_gauss, gauss, c) == res.value
+    assert projection_J(gauss, c).value == res.value
     assert res.gap <= 1e-12
 
 

@@ -185,25 +185,33 @@ def test_idos_not_convex(eq_gauss, gauss):
 # J^- and calJ
 # ---------------------------------------------------------------------------
 
-def test_projection_zero_at_and_beyond_edge(eq_gauss, gauss):
-    assert projection_J(eq_gauss, gauss, eq_gauss.b_v) == 0.0
-    assert projection_J(eq_gauss, gauss, eq_gauss.b_v + 1.0) == 0.0
+def test_projection_zero_at_and_beyond_edge():
+    # at and right of b_V the wall is inactive: the certified minimizer is
+    # mu_V itself, with J^- exactly 0
+    for coeffs in ("0,0,0.5", "0,0,0,0,1", "0,0.3,0.5,0.1,0.2"):
+        V = Potential.from_string(coeffs)
+        eq = equilibrium.equilibrium_cached(V)
+        for c in (eq.b_v, eq.b_v + 1.0):
+            res = projection_J(V, c)
+            assert res.minimizer is eq.measure
+            assert res.value == 0.0
+            assert res.gap <= 1e-12
 
 
-def test_projection_equals_constrained_value(eq_gauss, gauss):
+def test_projection_equals_constrained_value(gauss):
     direct = constrained_equilibrium(gauss, 1.5).value
-    assert projection_J(eq_gauss, gauss, 1.5) == direct
+    assert projection_J(gauss, 1.5).value == direct
 
 
 def test_projection_refuses_unconverged_hard_wall_solve(
-        eq_gauss, gauss, monkeypatch, tmp_path, capsys):
+        gauss, monkeypatch, tmp_path, capsys):
     # a soft-edge radius 1 % off the root leaves a residual far above
     # GAP_TOL: every command that reads J^- of the wall exits 3
     roots = equilibrium.P.polyroots
     monkeypatch.setattr(equilibrium.P, "polyroots",
                         lambda coeffs: 1.01 * roots(coeffs))
     with pytest.raises(RuntimeError, match="soft-edge residual"):
-        projection_J(eq_gauss, gauss, 1.5)
+        projection_J(gauss, 1.5)
     for argv in (["rate", "projection", "--c", "1.5"],
                  ["rate", "calj", "--c", "1.5"],
                  ["tail-scan", "--left", "1.5"]):
@@ -229,7 +237,7 @@ def test_calj_vanishes_at_conditional_minimizer(eq_gauss, gauss):
     nu_star = reflect_shift(grid_of(res.minimizer, 2048), 1.5)
     ev = rate_calJ(eq_gauss, gauss, 1.5, nu_star)
     assert abs(ev.value) <= 1e-3
-    assert ev.offset_term == -projection_J(eq_gauss, gauss, 1.5)
+    assert ev.offset_term == -projection_J(gauss, 1.5).value
     assert ev.identity_residual() == 0.0
 
 
@@ -240,7 +248,7 @@ def test_calj_positive_off_minimizer(eq_gauss, gauss):
 
 def test_calj_is_constant_shift_of_cali(rng, eq_gauss, gauss):
     # ordering of measures is unchanged by conditioning on the edge
-    shift = projection_J(eq_gauss, gauss, 1.5)
+    shift = projection_J(gauss, 1.5).value
     base = np.exp(-np.linspace(0.0, 1.0, 513))
     evals = []
     for _ in range(5):

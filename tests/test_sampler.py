@@ -9,8 +9,7 @@ from betalab.measures import AtomicMeasure, GridMeasure, wasserstein
 from betalab.potential import Potential
 from betalab.sampler import (
     SpectrumSample, _colour_classes, _JacobiBands, _mcmc_chains, rng_for,
-    sample_gaussian, sample_mcmc_batch, tridiag_eigenvalues,
-    tridiag_power_sums,
+    sample_gaussian, sample_mcmc_batch, tridiag_power_sums,
 )
 from oracles import (
     _power_diagonals, colour_class_chain_reference, jacobi_chain_reference,
@@ -34,28 +33,27 @@ def semicircle():
 # ---------------------------------------------------------------------------
 
 def test_tridiag_diagonal_matrix():
-    lam = tridiag_eigenvalues([2.0, 2.0, 2.0], [0.0, 0.0])
+    lam = SpectrumSample([2.0, 2.0, 2.0], [0.0, 0.0]).eigenvalues
     assert np.allclose(lam, [2.0, 2.0, 2.0], atol=1e-14)
-    assert tridiag_eigenvalues([3.0], []).tolist() == [3.0]
 
 
 def test_tridiag_two_by_two_closed_form():
-    lam = tridiag_eigenvalues([1.0, 3.0], [2.0])
+    lam = SpectrumSample([1.0, 3.0], [2.0]).eigenvalues
     s5 = math.sqrt(5.0)
     assert np.allclose(lam, [2.0 - s5, 2.0 + s5], atol=1e-12)
 
 
 def test_tridiag_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        tridiag_eigenvalues([1.0, 2.0, 3.0], [0.5])
+        SpectrumSample([1.0, 2.0, 3.0], [0.5])
 
 
 def test_tridiag_matches_dense_solver(rng):
     d = rng.normal(0.0, 1.0, 50)
     e = rng.uniform(0.1, 2.0, 49)
     dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    assert np.max(np.abs(
-        tridiag_eigenvalues(d, e) - np.linalg.eigvalsh(dense))) <= 1e-10
+    assert np.max(np.abs(SpectrumSample(d, e).eigenvalues
+                         - np.linalg.eigvalsh(dense))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
