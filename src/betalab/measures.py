@@ -17,9 +17,10 @@ On top of these the module provides moments and variances, the pushforward
 x -> c - x (exact for every representation), exact Wasserstein distances
 through quantile coupling (any order p >= 1 between two atomic measures;
 W1 in closed form between an atomic measure and a grid or angular one),
-and the logarithmic energy Sigma(mu) = double integral of ln|x-y|, in a
-regularized form for atoms and as a Chebyshev-moment series for grid and
-angular densities.
+and the logarithmic energy Sigma(mu) = double integral of ln|x-y|: in a
+regularized form for atoms, as a Chebyshev-moment series for angular
+measures, and exactly for the piecewise-linear density of a grid, through a
+Toeplitz cell kernel and one real FFT.
 """
 from __future__ import annotations
 
@@ -568,65 +569,100 @@ def _log_energy_series(radius: float, mom: np.ndarray) -> float:
     return math.log(0.5 * radius) * mom[0] ** 2 - 2.0 * float(tail)
 
 
-def _cos_moments(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """m_k = sum_j p_j cos(k (j + 1/2) pi / 2N), k < 2N = 2 even.size, p the
-    even part for even k, the odd part for odd k: a DCT-II and a DCT-IV."""
-    n = even.size
-    mom = np.empty(2 * n)
-    v = np.fft.rfft(np.concatenate([even[::2], even[::-2]]))
-    v *= np.exp(-0.5j * np.pi / n * np.arange(n // 2 + 1))
-    mom[:n + 1:2] = v.real
-    mom[-2:n:-2] = -v.imag[1:n // 2]
-    j = np.arange(n // 2)
-    z = np.fft.fft((odd[::2] + 1j * odd[::-2]) * np.exp(-1j * np.pi / n * j))
-    z *= np.exp(-0.25j * np.pi / n * (4 * j + 1))
-    mom[1::4] = z.real
-    mom[::-4] = -z.imag
-    return mom
+# Cell kernel of the piecewise-linear log-energy.  On cell c the density is
+# v_c (1 - t) + v_(c+1) t, t in [0, 1], and two cells d apart meet through
+#     C_pq(d) = iint_[0,1]^2 ln|d + s - t| psi_p(t) psi_q(s) dt ds,
+# psi_0 = 1 - t, psi_1 = t.  With u = s - t this is int ln|d + u| W_pq(u) du,
+# W_pq piecewise cubic with breaks at u = -1, 0, 1.  C_11 = C_00 (even in d)
+# and C_pq(-d) = C_qp(d), so rows C_00, C_01, C_10 at d >= 0 give them all.
+#
+# Near, |d| <= KERNEL_NEAR: four integrations by parts leave
+# sum_m sum_j J_mj L_m(d + u_j), L_m(x) = x^m / m! (ln|x| - H_m) the m-fold
+# antiderivative of ln|x| (H_m the harmonic number), and J_mj = (-1)^m
+# times the jump W_pq^(m-1)(u_j+) - W_pq^(m-1)(u_j-) (none for m = 1).  The
+# terms cancel down from d^4 ln d, so they lose about 4 log10 d digits.
+# Far: ln|d + u| = ln d - sum_k (-u / d)^k / k with the exact moments
+# m_k = int u^k W_pq: W_00 2 / ((k+1)(k+2)(k+4)) at even k and 0 at odd k;
+# W_01 1 / ((k+1)(k+4)) at even k and 1 / ((k+2)(k+3)) at odd k;
+# W_10 (-1)^k times W_01's.  At d > KERNEL_NEAR, KERNEL_TERMS terms leave a
+# tail below 1e-16.
+KERNEL_NEAR = 3
+KERNEL_TERMS = 20
+# J_mj per row, [row, m - 2, j]: L_2, L_3, L_4 at d - 1, d, d + 1
+_KERNEL_JUMPS = np.array([
+    [[0.0, -1.0, 0.0], [-1.0, 0.0, 1.0], [-1.0, 2.0, -1.0]],     # C_00
+    [[0.0, 0.0, 1.0], [0.0, 2.0, -2.0], [1.0, -2.0, 1.0]],       # C_01
+    [[1.0, 0.0, 0.0], [2.0, -2.0, 0.0], [1.0, -2.0, 1.0]],       # C_10
+])
+
+
+def _kernel_series_coeffs() -> np.ndarray:
+    """[row, k - 1] = (-1)^(k+1) m_k / k, k = 1..KERNEL_TERMS: the
+    coefficients of d^-k in C_pq(d) - ln(d) / 4."""
+    k = np.arange(1.0, KERNEL_TERMS + 1)
+    even = k % 2 == 0
+    m00 = np.where(even, 2.0 / ((k + 1) * (k + 2) * (k + 4)), 0.0)
+    m01 = np.where(even, 1.0 / ((k + 1) * (k + 4)), 1.0 / ((k + 2) * (k + 3)))
+    m10 = np.where(even, m01, -m01)
+    return np.stack([m00, m01, m10]) * (np.where(even, -1.0, 1.0) / k)
+
+
+_KERNEL_SERIES = _kernel_series_coeffs()
+
+
+def _cell_kernel(n: int) -> np.ndarray:
+    """Rows C_00 (= C_11), C_01, C_10 of the cell kernel at d = 0..n-1."""
+    out = np.empty((3, n))
+    near = min(n, KERNEL_NEAR + 1)
+    x = np.arange(near, dtype=float) + np.array([[-1.0], [0.0], [1.0]])
+    ax = np.abs(x)
+    lnx = np.log(np.where(ax > 0.0, ax, 1.0))       # x^m ln|x| -> 0 at 0
+    lm = np.stack([x ** m / math.factorial(m) * (lnx - h)
+                   for m, h in ((2, 1.5), (3, 11.0 / 6.0), (4, 25.0 / 12.0))])
+    out[:, :near] = np.einsum("rmj,mjd->rd", _KERNEL_JUMPS, lm)
+    d = np.arange(near, n, dtype=float)
+    inv = 1.0 / d
+    acc = np.zeros((3, d.size))
+    for a in _KERNEL_SERIES[:, ::-1].T:
+        acc += a[:, None]
+        acc *= inv
+    out[:, near:] = acc + 0.25 * np.log(d)
+    return out
 
 
 def log_energy_grid(mu: GridMeasure) -> float:
-    """Sigma(mu) = iint ln|x-y| dmu dmu for a grid density.
+    """Sigma(mu) = iint ln|x-y| dmu dmu for a grid density, exact for its
+    piecewise-linear density up to roundoff.
 
-    Chebyshev moments of the piecewise-linear density by an angular midpoint
-    rule in x = center + r cos theta on the least power of two >= max(2^16,
-    64 n) nodes, divided by the rule's own mass.  Reading only `h` and
-    `values`, with theta and pi - theta sharing their cell weights, makes
-    x -> c - x negate the odd moments exactly: Sigma keeps its bits when the
-    pushforward mirrors `values` exactly.
+    With a = values[:-1] and b = values[1:] the cell weights of psi_0 and
+    psi_1, Sigma = ln(h) mass^2 + h^2 sum_pq sum_d C_pq(d) r_pq(d), where
+    r_pq(d) = sum_c w_p(c) w_q(c + d) are cross-correlations taken with one
+    real FFT and C_pq the cell kernel above.  Since r_pq(-d) = r_qp(d), the
+    sum runs over d >= 0 with doubled weights at d > 0.  The value is the
+    mean of this sum on `values` and on `values[::-1]`, each row computed
+    alike, so a pushforward x -> c - x that mirrors `values` at the same `h`
+    keeps every bit.
     """
     if not isinstance(mu, GridMeasure):
         raise TypeError("log_energy_grid expects a grid measure")
     vals, h, n = mu.values, mu.h, mu.n
-    m = 1 << (max(1 << 16, 64 * n) - 1).bit_length()
-    theta = (np.arange(m // 2) + 0.5) * (np.pi / m)     # theta < pi / 2
-    # theta: position u in cell i, f = u - i; pi - theta: n - u in cell
-    # n - 1 - i.  The sums are built in place from gathers of shifted views,
-    # not of shifted index arrays, and the working arrays go before the
-    # transforms, since this call sets the peak memory of `rate calj`
-    f = 0.5 * n * (1.0 + np.cos(theta))
-    s = np.sin(theta)
-    del theta
-    i = np.minimum(f.astype(np.intp), n - 1)
-    f -= i
-    g = 1.0 - f
-    ahead, back = vals[1:], vals[::-1]          # vals[i + 1], vals[n - i]
-    right, tmp = vals[i], ahead[i]
-    right *= g
-    tmp *= f
-    right += tmp
-    right *= s
-    left, tmp = back[1:][i], back[i]
-    left *= f
-    tmp *= g
-    left += tmp
-    left *= s
-    del f, g, s, i, tmp
-    odd = right - left
-    right += left
-    del left
-    mom = _cos_moments(right, odd)
-    return _log_energy_series(0.5 * n * h, mom / mom[0])
+    size = 1 << (2 * n - 1).bit_length()        # no wrap-around for |d| < n
+    both = np.stack([vals, vals[::-1]])
+    left, right = both[:, :-1], both[:, 1:]     # weights of psi_0 and psi_1
+    spec = np.fft.rfft(np.stack([left, right], axis=1), size)
+    fa, fb = spec[:, 0], spec[:, 1]
+    corr = np.fft.irfft(np.stack([fa.real ** 2 + fa.imag ** 2
+                                  + fb.real ** 2 + fb.imag ** 2,
+                                  fa.conj() * fb], axis=1), size)
+    auto, cross = corr[:, 0, :n], corr[:, 1]    # r_00 + r_11; r_01 at d % size
+    back = np.concatenate([cross[:, :1], cross[:, :-n:-1]], axis=1)  # r_10
+    kern = _cell_kernel(n)
+    kern[:, 1:] *= 2.0
+    sums = (auto * kern[0] + cross[:, :n] * kern[1]
+            + back * kern[2]).sum(axis=1)
+    mass = 0.5 * h * (left.sum(axis=1) + right.sum(axis=1))
+    sigma = math.log(h) * mass * mass + h * h * sums
+    return 0.5 * float(sigma[0] + sigma[1])
 
 
 # ---------------------------------------------------------------------------

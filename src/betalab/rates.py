@@ -7,8 +7,8 @@ one evaluator, taken at one c: no scan over c.  Every value decomposes as
 
 held as an exact arithmetic identity in RateEvaluation.  sigma_term is
 -Sigma for angular measures (exact: their own moment series, so nu_V and
-mu_V cost no grid), -Sigma for grid measures (the same series on the
-grid's Chebyshev moments), or -Sigma^M for atomic measures, with the M
+mu_V cost no grid), -Sigma for grid measures (exact for the piecewise-linear
+density), or -Sigma^M for atomic measures, with the M
 used always reported; offset_term is zero except for the conditional
 functional, where it carries -J^-(c).  J^-(c) is the value of
 projection_J(V, c), the certified constrained minimizer, one solve per

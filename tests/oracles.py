@@ -19,8 +19,11 @@ instead of at kappa, Wasserstein distances involving a grid measure
 are integrated by the midpoint rule in u instead of in closed form, and
 the CDF, partial first moment and quantiles of an angular measure come
 from adaptive quadrature of its density in the angle and brentq instead
-of its sine series and Newton steps, and the Chebyshev coefficients of a
-polynomial on an interval, with the integrals against an angular measure
+of its sine series and Newton steps, the cell kernel of a grid density's
+log-energy comes from a tensor Gauss-Legendre rule and a dense quadratic
+form instead of closed forms, a moment series and an FFT, and the
+Chebyshev coefficients of a polynomial on an interval, with the integrals
+against an angular measure
 that they give, come from the midpoint rule in the angle instead of from
 polynomial composition, and the edge statistics of a replica (S_N(f),
 Delta_N(f), R_N(f) and the bookkeeping-identity residual) are read off
@@ -400,7 +403,7 @@ def _near_terms_reference(vals: np.ndarray, h: float) -> float:
 def log_energy_grid_reference(mu: GridMeasure) -> float:
     """Sigma(mu) for a grid density: exact near-field cell pairs plus a
     midpoint far field in blocks of 1024 rows, independent of the
-    library's Chebyshev-moment series."""
+    library's exact cell kernel."""
     vals, h, n = mu.values, mu.h, mu.n
     mids = mu.lo + h * (np.arange(n) + 0.5)
     cmass = 0.5 * h * (vals[:-1] + vals[1:])
@@ -459,6 +462,40 @@ def log_kernel_mass_form_reference(lo: float, hi: float, n: int):
     g *= inv[:, None]
     g *= inv[None, :]
     return nodes, tw, g
+
+
+def cell_kernel_reference(d, nodes: int = 24) -> np.ndarray:
+    """C[p, q, i] = iint_[0,1]^2 ln|d_i + s - t| psi_p(t) psi_q(s) dt ds,
+    psi_0 = 1 - t, psi_1 = t: the _T_SAME / _A_ADJ constants for |d| <= 1,
+    and a tensor Gauss-Legendre rule for |d| >= 2, where the integrand is
+    analytic on the square."""
+    d = np.asarray(d, dtype=int)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    psi = np.stack([1.0 - x, x]) * w                  # [p, node], weighted
+    out = np.empty((2, 2, d.size))
+    for i, di in enumerate(d):
+        if di == 0:
+            out[:, :, i] = _T_SAME
+        elif abs(di) == 1:
+            # _A_ADJ[p][q] has the psi_q cell one to the right
+            out[:, :, i] = np.array(_A_ADJ) if di == 1 else np.array(_A_ADJ).T
+        else:
+            lk = np.log(np.abs(di + x[None, :] - x[:, None]))   # [t, s]
+            out[:, :, i] = psi @ lk @ psi.T
+    return out
+
+
+def log_energy_grid_dense_reference(mu: GridMeasure) -> float:
+    """Sigma of the piecewise-linear density as the dense O(n^2) quadratic
+    form h^2 sum_(c, c') sum_pq w_p(c) (C_pq(c' - c) + ln(h) / 4) w_q(c'),
+    w_0 = values[:-1], w_1 = values[1:], C from cell_kernel_reference."""
+    vals, h, n = mu.values, mu.h, mu.n
+    kern = cell_kernel_reference(np.arange(-(n - 1), n)) + 0.25 * math.log(h)
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None] + (n - 1)
+    w = (vals[:-1], vals[1:])
+    return h * h * sum(float(w[p] @ kern[p, q][offset] @ w[q])
+                       for p in range(2) for q in range(2))
 
 
 # ---------------------------------------------------------------------------

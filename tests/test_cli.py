@@ -15,7 +15,8 @@ from betalab import dos, equilibrium, rates
 from betalab.cli import main
 from betalab.dos import draw_spectra
 from betalab.equilibrium import constrained_equilibrium, equilibrium_cached
-from betalab.measures import AtomicMeasure, wasserstein
+from betalab.measures import AtomicMeasure, reflect_shift, \
+    save_measure, wasserstein
 from betalab.potential import Potential
 
 
@@ -217,6 +218,20 @@ def test_rate_command_calj_below_edge(tmp_path):
     assert code == 0
     assert summary["results"]["value"] > 0.0
     assert summary["results"]["terms"]["offset_term"] < 0.0
+
+
+def test_rate_idos_of_saved_grid_is_cali_inf_bit_for_bit(tmp_path):
+    # the benchmark's calI-inf check on its 1024-cell tau_2.5 grid: a
+    # save/load round trip keeps every bit, and both routes evaluate the
+    # one grid Sigma
+    V = Potential.gaussian()
+    tau = reflect_shift(equilibrium.solve_equilibrium(V, 1024).density, 2.5)
+    path = tmp_path / "tau_2.5.csv"
+    save_measure(tau, str(path))
+    code, summary = run(tmp_path, "rate", "idos", "--measure", str(path))
+    assert code == 0
+    _, value = rates.calI_inf_over_c(equilibrium_cached(V), V, tau)
+    assert summary["results"]["value"] == value
 
 
 def test_dos_converge_command(tmp_path):

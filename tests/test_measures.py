@@ -8,7 +8,7 @@ from betalab.dos import TestFunction, dos_measure
 from betalab.equilibrium import _hard_edge, constrained_equilibrium, \
     equilibrium_cached, nu_limit
 from betalab.measures import (
-    AngularMeasure, AtomicMeasure, GridMeasure,
+    AngularMeasure, AtomicMeasure, GridMeasure, _cell_kernel,
     load_measure, log_energy_grid, log_energy_reg,
     moment, reflect_shift, save_measure, variance, wasserstein,
 )
@@ -17,7 +17,8 @@ from betalab.sampler import SpectrumSample, sample_gaussian
 from oracles import (
     angular_cdf_quadrature, angular_first_moment_quadrature, angular_grid,
     angular_integral_midpoint,
-    angular_quantile_brentq, log_energy_grid_reference,
+    angular_quantile_brentq, cell_kernel_reference,
+    log_energy_grid_dense_reference, log_energy_grid_reference,
     log_kernel_mass_form_reference, quantile_discretize, semicircle_grid,
     uniform_grid, wasserstein_quadrature_reference,
 )
@@ -398,7 +399,7 @@ def test_log_energy_grid_reflect_one_ulp_wider_within_8_ulp():
 @pytest.mark.parametrize("n", [2, 3, 64, 1024, 4096])
 def test_log_energy_grid_uniform_gold(n):
     # the piecewise-linear grid holds the uniform density exactly
-    assert abs(log_energy_grid(uniform_grid(0.0, 1.0, n)) + 1.5) <= 1e-9
+    assert abs(log_energy_grid(uniform_grid(0.0, 1.0, n)) + 1.5) <= 1e-14
 
 
 # values 0, 1, 0 on [0, 2]: the Irwin-Hall density of two uniforms, whose
@@ -408,7 +409,7 @@ HAT_SIGMA = -1.1591370925867396
 
 def test_log_energy_grid_two_cell_hat_gold():
     hat = GridMeasure(0.0, 2.0, [0.0, 1.0, 0.0])
-    assert abs(log_energy_grid(hat) - HAT_SIGMA) <= 1e-8
+    assert abs(log_energy_grid(hat) - HAT_SIGMA) <= 1e-15
 
 
 def test_log_kernel_mass_form_exact_on_two_cell_hat():
@@ -423,12 +424,12 @@ def test_log_energy_grid_semicircle_within_1e_5():
 
 
 def test_log_energy_grid_stable_under_doubling_nodes():
-    # the same piecewise-linear density on 4x finer cells: 2^16 angular
-    # nodes at 512 cells, 2^17 at 2048
+    # the same piecewise-linear density on 4x finer cells: both values are
+    # exact for it, so they agree to roundoff
     mu = GridMeasure(-1.0, 1.0, np.random.default_rng(512).random(513))
     fine = np.linspace(-1.0, 1.0, 4 * mu.n + 1)
     mu4 = GridMeasure(-1.0, 1.0, np.interp(fine, mu.nodes, mu.values))
-    assert abs(log_energy_grid(mu4) - log_energy_grid(mu)) <= 1e-6
+    assert abs(log_energy_grid(mu4) - log_energy_grid(mu)) <= 1e-14
 
 
 def test_log_energy_grid_peak_memory():
@@ -441,7 +442,9 @@ def test_log_energy_grid_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2 ** 20
+    # the FFT route holds a few arrays of 2 n; an angular rule on 2^16 or
+    # more nodes would need several times this
+    assert peak <= 3 * 2 ** 20
 
 
 # the smallest grids, where a neighbour column falls off both ends of most
@@ -450,7 +453,7 @@ def test_log_energy_grid_peak_memory():
 def test_log_kernels_match_dense_mask_reference(n):
     # the node-mass quadratic form that the FISTA and Frank-Wolfe oracles
     # minimize is the near/far reference Sigma to roundoff, and within the
-    # reference's 0.2 / n of the library's moment series
+    # reference's 0.2 / n of the library's exact value
     vals = np.random.default_rng(n).random(n + 1) + 0.05
     mu = GridMeasure(-10.0, 1.5, vals)
     _, tw, g = log_kernel_mass_form_reference(mu.lo, mu.hi, n)
@@ -459,6 +462,31 @@ def test_log_kernels_match_dense_mask_reference(n):
     near_far = log_energy_grid_reference(mu)
     assert abs(quadratic - near_far) <= 1e-13 * max(1.0, abs(near_far))
     assert abs(quadratic - log_energy_grid(mu)) <= 0.2 / n
+
+
+def _kernel_2x2(rows: np.ndarray, d: int) -> np.ndarray:
+    """C_pq(d) from the library's rows C_00 = C_11, C_01, C_10 at |d|, by
+    its stated symmetry C_pq(-d) = C_qp(d)."""
+    c00, c01, c10 = rows[:, abs(d)]
+    return np.array([[c00, c01], [c10, c00]] if d >= 0
+                    else [[c00, c10], [c01, c00]])
+
+
+def test_cell_kernel_matches_quadrature_reference():
+    # -64..64 covers the closed-form / series switch at KERNEL_NEAR
+    ds = list(range(-64, 65)) + [-4095, -1023, 1023, 4095]
+    ref = cell_kernel_reference(ds)
+    rows = _cell_kernel(4096)
+    for i, d in enumerate(ds):
+        assert np.abs(_kernel_2x2(rows, d) - ref[:, :, i]).max() <= 1e-14, d
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 257])
+def test_log_energy_grid_matches_dense_form(n):
+    vals = np.random.default_rng(n).random(n + 1) + 0.05
+    mu = GridMeasure(-1.3, 2.1, vals)
+    dense = log_energy_grid_dense_reference(mu)
+    assert abs(log_energy_grid(mu) - dense) <= 1e-13 * abs(dense)
 
 
 @pytest.mark.parametrize("n", [2, 3, 1023, 1024, 1025, 2049, 4096])
