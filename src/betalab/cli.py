@@ -25,7 +25,7 @@ import numpy as np
 from ._fsio import fmt, write_text_atomic
 from . import dos as dosmod
 from .equilibrium import effective_potential_tail, equilibrium_cached, \
-    nu_limit, save_equilibrium
+    nu_limit, save_equilibrium, solve_equilibrium
 from .measures import load_measure
 from .potential import Potential
 from .rates import projection_J, rate_IDOS, rate_IV, rate_calI, rate_calJ, \
@@ -77,7 +77,7 @@ def _list(convert):
 # -- subcommands: each returns (results, {csv name: (header, rows)}) -------------
 
 def _cmd_equilibrium(cfg: dict):
-    eq = equilibrium_cached(cfg["potential"], cfg["grid"])
+    eq = solve_equilibrium(cfg["potential"], cfg["grid"])
     save_equilibrium(eq, cfg["out"])
     return {"a_v": eq.a_v, "b_v": eq.b_v, "c_v": eq.c_v, "sigma": eq.measure.sigma}, {}
 

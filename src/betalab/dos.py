@@ -16,6 +16,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -197,8 +198,7 @@ def remainder_bound_constant(f: TestFunction) -> float:
     return sup
 
 
-@dataclass(frozen=True)
-class EdgeTerms:
+class EdgeTerms(NamedTuple):
     """One replica's edge statistic and bookkeeping-identity terms."""
 
     mu_f: float              # mu_N(f)
@@ -259,14 +259,6 @@ REGIME_ZERO = 1e-8
 REGIME_AMBIGUOUS = 1e-4
 
 
-def _check_method(V: Potential, method: str) -> None:
-    """tridiagonal needs the Gaussian potential; mcmc takes any V."""
-    if method not in ("tridiagonal", "mcmc"):
-        raise ValueError(f"method: unknown {method!r}")
-    if method == "tridiagonal" and V.key() != GAUSSIAN_KEY:
-        raise ValueError("method: tridiagonal requires potential=0,0,0.5")
-
-
 def _replica_chunks(replicas: int, workers: int) -> list[range]:
     """range(replicas) cut into contiguous chunks of near-equal length, at
     most `workers` of them, and never more than there are replicas or CPUs
@@ -292,42 +284,6 @@ def _pool_task(n: int, chunk: range) -> list:
     return _pool_draw(n, chunk)
 
 
-def _map_replicas(draw, sizes, replicas: int, workers: int):
-    """For each n in sizes, in order, yields draw(n, chunk) over the chunks
-    of range(replicas), joined in replica order.  draw(n, chunk) returns
-    one item per replica of the chunk: the value the caller aggregates,
-    so no spectrum leaves the process that drew it.
-
-    Chunk 0 runs in this process and the others in forked worker
-    processes (processes, since the LAPACK eigensolver holds the GIL), one
-    pool for all sizes.  The workers inherit draw, and any
-    table it has built, through the fork, so a task carries only
-    (n, chunk).  One chunk (workers = 1) runs inline, with no pool.
-    """
-    chunks = _replica_chunks(replicas, workers)
-    if len(chunks) == 1:
-        for n in sizes:
-            yield draw(n, chunks[0])
-        return
-    # fork, not spawn: a spawned worker would import numpy and scipy again
-    # (about 0.4 s); a fork pool forks every worker before it starts threads
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(
-        len(chunks) - 1, mp_context=multiprocessing.get_context("fork"),
-        initializer=_install_draw, initargs=(draw,))
-    try:
-        rest = [[pool.submit(_pool_task, n, chunk) for chunk in chunks[1:]]
-                for n in sizes]
-        for n, futures in zip(sizes, rest):
-            out = draw(n, chunks[0])
-            for future in futures:
-                out.extend(future.result())
-            yield out
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _draw_chunk(V: Potential, beta: float, seed: int, method: str, reduce,
                 n: int, chunk: range) -> list:
     """reduce(sample) for each replica of chunk, in replica order.  A
@@ -338,6 +294,52 @@ def _draw_chunk(V: Potential, beta: float, seed: int, method: str, reduce,
     return [reduce(sample_gaussian(n, beta, seed, replica=r)) for r in chunk]
 
 
+def _map_replicas(V: Potential, beta: float, seed: int, method: str, reduce,
+                  sizes, replicas: int, workers: int = 1) -> list:
+    """[(n, [reduce(sample) for replicas 0..replicas-1]) for n in sizes]:
+    the one way replicas are drawn.  reduce gives the value the caller
+    aggregates, so no spectrum leaves the process that drew it.
+
+    The method is checked first (tridiagonal needs the Gaussian potential;
+    mcmc takes any V), so a bad one raises before any process starts.
+    Chunk 0 of range(replicas) runs in this process and the others in
+    forked worker processes (processes, since the LAPACK eigensolver
+    holds the GIL), one pool for all sizes and none for one chunk
+    (workers = 1).  The workers inherit reduce, and whatever it closes
+    over, through the fork, so a task carries only (n, chunk).
+    """
+    if method not in ("tridiagonal", "mcmc"):
+        raise ValueError(f"method: unknown {method!r}")
+    if method == "tridiagonal" and V.key() != GAUSSIAN_KEY:
+        raise ValueError("method: tridiagonal requires potential=0,0,0.5")
+    draw = partial(_draw_chunk, V, beta, seed, method, reduce)
+    sizes = [int(n) for n in sizes]
+    chunks = _replica_chunks(replicas, workers)
+    pool = None
+    if len(chunks) > 1:
+        # fork, not spawn: a spawned worker would import numpy and scipy
+        # again (about 0.4 s); a fork pool forks every worker before it
+        # starts threads
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(
+            len(chunks) - 1, mp_context=multiprocessing.get_context("fork"),
+            initializer=_install_draw, initargs=(draw,))
+    try:        # chunks[1:] is empty when there is no pool
+        pending = [[pool.submit(_pool_task, n, chunk) for chunk in chunks[1:]]
+                   for n in sizes]
+        out = []
+        for n, futures in zip(sizes, pending):
+            items = draw(n, chunks[0])
+            for future in futures:
+                items.extend(future.result())
+            out.append((n, items))
+        return out
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
 def draw_spectra(V: Potential, beta: float, n: int, seed: int,
                  replicas: int, method: str) -> list[SpectrumSample]:
     """Replicas 0..replicas-1 of size n, in replica order, drawn in this
@@ -345,9 +347,9 @@ def draw_spectra(V: Potential, beta: float, n: int, seed: int,
     reproduces any of its replicas bit for bit, so the experiments below,
     which draw chunks of replicas in several processes, see the same
     spectra."""
-    _check_method(V, method)
-    return _draw_chunk(V, beta, seed, method, lambda s: s, n,
-                       range(replicas))
+    [(_, samples)] = _map_replicas(V, beta, seed, method, lambda s: s, [n],
+                                   replicas)
+    return samples
 
 
 def fluctuation_ensemble(V: Potential, beta: float, f: TestFunction, sizes,
@@ -365,10 +367,10 @@ def fluctuation_ensemble(V: Potential, beta: float, f: TestFunction, sizes,
     instead of an O(N^2) solve (lambda_min is bisected too only when the
     Gershgorin bound cannot place the spectrum inside the window, see
     SpectrumSample.edge_summary).  Up to `workers` processes draw the
-    summaries (see _map_replicas); the result is the same for every
+    replicas, and each reduces a replica to its EdgeTerms where it is
+    drawn (see _map_replicas); the result is the same for every
     `workers`.
     """
-    _check_method(V, method)
     eq = equilibrium_cached(V)
     nu_f = nu_quadrature(eq, f)
     nu_fp = nu_quadrature(eq, f.derivative())
@@ -376,26 +378,18 @@ def fluctuation_ensemble(V: Potential, beta: float, f: TestFunction, sizes,
     ambiguous = REGIME_ZERO < abs(nu_fp) < REGIME_AMBIGUOUS
     bound_m = remainder_bound_constant(f)
 
-    sizes = [int(n) for n in sizes]
-    draw = partial(_draw_chunk, V, beta, seed, method,
-                   lambda s: s.edge_summary(f.degree, f.window_h))
+    draws = _map_replicas(
+        V, beta, seed, method,
+        lambda s: edge_terms(s.edge_summary(f.degree, f.window_h), eq, f,
+                             nu_f, nu_fp),
+        sizes, replicas, workers)
     per_n = {}
-    stats_by_n = {}
-    for n, summaries in zip(sizes,
-                            _map_replicas(draw, sizes, replicas, workers)):
+    for n, terms in draws:
         scale = float(n) ** (2.0 / 3.0) if regime == "edge" else float(n)
-        stats = np.empty(replicas)
-        residuals = np.empty(replicas)
-        in_window = np.empty(replicas, dtype=bool)
-        bound_ok = np.empty(replicas, dtype=bool)
-        for j, summary in enumerate(summaries):
-            t = edge_terms(summary, eq, f, nu_f, nu_fp)
-            stats[j] = scale * (t.mu_f - nu_f)
-            residuals[j] = t.residual
-            in_window[j] = t.in_window
-            eps = t.epsilon
-            bound_ok[j] = (not t.in_window) or (
-                abs(t.remainder) <= bound_m * (n * eps * eps + abs(eps) + 1.0))
+        mu_f, eps, remainder, residuals, in_window = map(np.array, zip(*terms))
+        stats = scale * (mu_f - nu_f)
+        bound_ok = ~in_window | (
+            np.abs(remainder) <= bound_m * (n * eps * eps + np.abs(eps) + 1.0))
         counts, edges = np.histogram(stats, bins="fd")
         per_n[n] = {
             "mean": math.fsum(stats) / replicas,
@@ -408,9 +402,9 @@ def fluctuation_ensemble(V: Potential, beta: float, f: TestFunction, sizes,
                 float(1.0 - np.count_nonzero(in_window) / replicas),
             "remainder_bound_ok": bool(np.all(bound_ok)),
         }
-        stats_by_n[n] = stats
+    sizes = [n for n, _ in draws]
     ks = {
-        f"{n1}->{n2}": ks_distance(stats_by_n[n1], stats_by_n[n2])
+        f"{n1}->{n2}": ks_distance(per_n[n1]["stats"], per_n[n2]["stats"])
         for n1, n2 in zip(sizes, sizes[1:])
     }
     return {
@@ -433,14 +427,11 @@ def dos_convergence(V: Potential, beta: float, sizes, replicas: int,
     this process may use); replica r depends only on (seed, r), so the
     result is the same for every `workers`.
     """
-    _check_method(V, method)
-    eq = equilibrium_cached(V)
-    nu_v = nu_limit(eq)
-    draw = partial(_draw_chunk, V, beta, seed, method,
-                   lambda s: wasserstein(dos_measure(s), nu_v))
-    sizes = [int(n) for n in sizes]
+    nu_v = nu_limit(equilibrium_cached(V))
     out = {}
-    for n, w1 in zip(sizes, _map_replicas(draw, sizes, replicas, workers)):
+    for n, w1 in _map_replicas(V, beta, seed, method,
+                               lambda s: wasserstein(dos_measure(s), nu_v),
+                               sizes, replicas, workers):
         out[n] = {
             "mean_w1": math.fsum(w1) / replicas,
             "std_w1": float(np.std(w1, ddof=1)),

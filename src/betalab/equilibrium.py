@@ -140,10 +140,10 @@ def solve_equilibrium(V: Potential, n: int = 4096) -> EquilibriumResult:
 _EQ_CACHE: dict = {}
 
 
-def equilibrium_cached(V: Potential, n: int = 4096) -> EquilibriumResult:
-    key = (V.key(), n)
+def equilibrium_cached(V: Potential) -> EquilibriumResult:
+    key = V.key()
     if key not in _EQ_CACHE:
-        _EQ_CACHE[key] = solve_equilibrium(V, n)
+        _EQ_CACHE[key] = solve_equilibrium(V)
     return _EQ_CACHE[key]
 
 

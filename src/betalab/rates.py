@@ -1,14 +1,14 @@
 """Rate functionals for the spectrum and for the view from its right edge.
 
 calI_V, I_V^DOS (calI at kappa_V(nu)) and calJ_V (calI less J^-(c)) share
-one evaluator, taken at one c: no scan over c.  Every value decomposes as
+one evaluator, rate_calI, taken at one c: no scan over c.  Every
+RateEvaluation's value is the sum of the terms,
 
-    value = sigma_term + potential_term + offset_term - c_V
+    value = sigma_term + potential_term + offset_term - c_V.
 
-held as an exact arithmetic identity in RateEvaluation.  sigma_term is
--Sigma for angular measures (exact: their own moment series, so nu_V and
-mu_V cost no grid), -Sigma for grid measures (exact for the piecewise-linear
-density), or -Sigma^M for atomic measures, with the M
+sigma_term is -Sigma for angular measures (exact: their own moment series,
+so nu_V and mu_V cost no grid), -Sigma for grid measures (exact for the
+piecewise-linear density), or -Sigma^M for atomic measures, with the M
 used always reported; offset_term is zero except for the conditional
 functional, where it carries -J^-(c).  J^-(c) is the value of
 projection_J(V, c), the certified constrained minimizer, one solve per
@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .equilibrium import ConstrainedEquilibriumResult, EquilibriumResult, \
     constrained_equilibrium
@@ -40,14 +40,13 @@ class RateEvaluation:
     sigma_term: float
     potential_term: float
     c_v: float
-    value: float
     regularization: float | None   # M for atomic inputs, None = exact
     offset_term: float = 0.0
 
-    def identity_residual(self) -> float:
-        """value - (sigma + potential + offset - c_V); zero by construction."""
-        return self.value - (self.sigma_term + self.potential_term
-                             + self.offset_term - self.c_v)
+    @property
+    def value(self) -> float:
+        return (self.sigma_term + self.potential_term + self.offset_term
+                - self.c_v)
 
 
 def _sigma_term(mu: Measure, m: float | None) -> tuple[float, float | None]:
@@ -69,40 +68,30 @@ def _check_nonneg_support(nu: Measure) -> None:
         raise ValueError(f"measure must be supported in R+, support starts at {lo}")
 
 
-def _evaluation(eq: EquilibriumResult, sig: float, reg: float | None,
-                pot: float, off: float = 0.0) -> RateEvaluation:
-    return RateEvaluation(sigma_term=sig, potential_term=pot, c_v=eq.c_v,
-                          value=sig + pot + off - eq.c_v, regularization=reg,
-                          offset_term=off)
-
-
-def _calI(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
-          m: float | None, off: float = 0.0) -> RateEvaluation:
-    """calI_V(c, nu) + off, for nu on R+."""
-    _check_nonneg_support(nu)
-    sig, reg = _sigma_term(nu, m)
-    return _evaluation(eq, sig, reg, nu.integrate(V.coeffs, c, -1.0), off)
-
-
 def rate_IV(eq: EquilibriumResult, V: Potential, mu: Measure,
             m: float | None = None) -> RateEvaluation:
     """I_V(mu) = -Sigma(mu) + int V dmu - c_V."""
     sig, reg = _sigma_term(mu, m)
-    return _evaluation(eq, sig, reg, mu.integrate(V.coeffs))
+    return RateEvaluation(sigma_term=sig, potential_term=mu.integrate(V.coeffs),
+                          c_v=eq.c_v, regularization=reg)
 
 
 def rate_calI(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
               m: float | None = None) -> RateEvaluation:
     """calI_V(c, nu) = I_V(tau_c nu) for nu on R+, using the invariance of
     Sigma under the reflect-shift: -Sigma(nu) + int V(c - x) dnu - c_V."""
-    return _calI(eq, V, c, nu, m)
+    _check_nonneg_support(nu)
+    sig, reg = _sigma_term(nu, m)
+    return RateEvaluation(sigma_term=sig,
+                          potential_term=nu.integrate(V.coeffs, c, -1.0),
+                          c_v=eq.c_v, regularization=reg)
 
 
 def rate_IDOS(eq: EquilibriumResult, V: Potential, nu: Measure,
               m: float | None = None) -> RateEvaluation:
     """I_V^DOS(nu) = inf_c calI_V(c, nu) = -Sigma(nu) + G_V(nu) - c_V,
     calI taken at its minimizer kappa_V(nu)."""
-    return _calI(eq, V, kappa(V, nu), nu, m)
+    return rate_calI(eq, V, kappa(V, nu), nu, m)
 
 
 def projection_J(V: Potential, c: float) -> ConstrainedEquilibriumResult:
@@ -120,7 +109,8 @@ def rate_calJ(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
     if c >= eq.b_v:
         raise ValueError(
             f"calJ needs c < b_V = {eq.b_v}; use the unconditional rate")
-    return _calI(eq, V, c, nu, m, -projection_J(V, c).value)
+    return replace(rate_calI(eq, V, c, nu, m),
+                   offset_term=-projection_J(V, c).value)
 
 
 def calI_inf_over_c(eq: EquilibriumResult, V: Potential, nu: Measure,
@@ -129,7 +119,7 @@ def calI_inf_over_c(eq: EquilibriumResult, V: Potential, nu: Measure,
     calI depends on c only through int V(c - x) dnu, convex in c and least
     at kappa_V(nu), so the minimum is one evaluation there, not a scan."""
     k = kappa(V, nu)
-    return k, _calI(eq, V, k, nu, m).value
+    return k, rate_calI(eq, V, k, nu, m).value
 
 
 # -- reports -------------------------------------------------------------------

@@ -10,9 +10,10 @@ draw from counter-based splittable streams keyed by (seed, replica), so
 batched and sequential runs are bit-identical.  A sample keeps the
 matrix T it was drawn as, and what is read off it (the whole spectrum, or
 an edge summary) is computed on demand.  Which route a potential may take
-is decided in dos, which draws replicas in several processes: each
-process reduces the samples it draws to the numbers the experiment needs,
-so a sample never leaves the process that drew it.
+is decided in dos._map_replicas, the one map that draws replicas, in
+several processes: each process reduces the samples it draws to the
+numbers the experiment needs, so a sample never leaves the process that
+drew it.
 """
 from __future__ import annotations
 

@@ -417,12 +417,14 @@ def test_worker_errors_keep_exit_codes(tmp_path, capsys, monkeypatch,
         return draw(n, beta, seed, replica=replica)
 
     monkeypatch.setattr(dos, "sample_gaussian", failing)
-    assert main(["dos-converge", "--n", "20", "--replicas", "4",
-                 "--threads", "2", "--out", str(tmp_path / "o")]) == code
-    err = capsys.readouterr().err
-    assert "replica 3 in process" in err
-    if len(os.sched_getaffinity(0)) > 1:
-        assert f"process {os.getpid()}" not in err
+    # fluctuate reduces each replica to its edge terms in the worker too
+    for command in ("dos-converge", "fluctuate"):
+        assert main([command, "--n", "20", "--replicas", "4", "--threads",
+                     "2", "--out", str(tmp_path / command)]) == code
+        err = capsys.readouterr().err
+        assert "replica 3 in process" in err
+        if len(os.sched_getaffinity(0)) > 1:
+            assert f"process {os.getpid()}" not in err
 
 
 @pytest.mark.parametrize("command", ["equilibrium", "sample"])
@@ -604,7 +606,7 @@ def test_solver_failure_maps_to_exit_three(tmp_path, capsys, monkeypatch):
     def explode(*a, **k):
         raise RuntimeError("iteration budget exhausted")
 
-    monkeypatch.setattr(cli, "equilibrium_cached", explode)
+    monkeypatch.setattr(cli, "solve_equilibrium", explode)
     assert main(["equilibrium", "--out", str(tmp_path / "o")]) == 3
     assert "solver failure" in capsys.readouterr().err
 

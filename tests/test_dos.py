@@ -7,8 +7,8 @@ import pytest
 from betalab import dos
 from betalab.dos import (
     TestFunction, cheb_coefficients, clt_variance, dos_convergence,
-    dos_measure, edge_terms, fluctuation_ensemble, gaussian_bias, ks_distance,
-    nu_quadrature, remainder_bound_constant,
+    dos_measure, draw_spectra, edge_terms, fluctuation_ensemble,
+    gaussian_bias, ks_distance, nu_quadrature, remainder_bound_constant,
 )
 from betalab.equilibrium import equilibrium_cached
 from betalab.potential import Potential
@@ -355,6 +355,12 @@ def test_one_pool_per_experiment_and_no_sample_pickled(monkeypatch, gauss,
     assert len(started) == pools
     fluctuation_ensemble(gauss, 2.0, TestFunction.identity(), (16, 24), 4, 1,
                          workers=workers)
+    assert len(started) == 2 * pools
+    draw_spectra(gauss, 2.0, 16, 1, 4, "tridiagonal")
+    assert len(started) == 2 * pools
+    with pytest.raises(ValueError, match="method"):
+        dos_convergence(gauss, 2.0, (16, 24), 4, 1, method="lanczos",
+                        workers=2)
     assert len(started) == 2 * pools
 
 
