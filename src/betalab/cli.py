@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from ._fsio import fmt, write_text_atomic
+from ._fsio import fmt, write_csv, write_text_atomic
 from . import dos as dosmod
 from .equilibrium import effective_potential_tail, equilibrium_cached, \
     nu_limit, save_equilibrium, solve_equilibrium
@@ -397,10 +397,7 @@ def main(argv=None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     for name, (header, rows) in tables.items():
-        lines = [header] + [",".join(fmt(x) if isinstance(x, float) else str(x)
-                                     for x in row) for row in rows]
-        write_text_atomic(os.path.join(cfg["out"], name),
-                          "\n".join(lines) + "\n")
+        write_csv(os.path.join(cfg["out"], name), header, rows)
     path = os.path.join(cfg["out"], "summary.json")
     write_text_atomic(path, json.dumps({
         "command": args.command, "config": dict(sorted(cfg.items())),

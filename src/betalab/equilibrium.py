@@ -30,26 +30,20 @@ from numpy.polynomial import polynomial as P
 
 from ._fsio import write_text_atomic
 from .measures import AngularMeasure, GridMeasure, _cheb_coeffs, _compose, \
-    load_measure, reflect_shift, save_measure
+    reflect_shift, save_measure
 from .potential import Potential
 
 __all__ = [
     "EquilibriumResult", "ConstrainedEquilibriumResult",
     "solve_equilibrium", "equilibrium_cached", "nu_limit",
     "constrained_equilibrium", "effective_potential_tail",
-    "save_equilibrium", "load_equilibrium",
+    "save_equilibrium",
 ]
 
 NEWTON_TOL = 8.0 * np.finfo(float).eps   # relative: roundoff of the residual
 NEWTON_MAX_ITER = 200
 GAP_TOL = 1e-8
 EQUILIBRIUM_STEM = "equilibrium"   # file names written by save_equilibrium
-
-
-def _angular_series(coeffs: np.ndarray, theta) -> np.ndarray:
-    """sum_{k>=1} coeffs_k sin(k theta)."""
-    ks = np.arange(1, coeffs.size)
-    return np.sin(np.outer(theta, ks)) @ coeffs[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +124,7 @@ def solve_equilibrium(V: Potential, n: int = 4096) -> EquilibriumResult:
     # u is about Newton's (c, r), which equal the measure's to roundoff
     xs = np.linspace(a, b, n + 1)
     phi = np.arccos(np.clip((xs - measure.center) / measure.radius, -1.0, 1.0))
-    dens = _angular_series(u, phi) / (2.0 * np.pi)
+    dens = np.sin(np.outer(phi, np.arange(1, u.size))) @ u[1:] / (2.0 * np.pi)
     density = GridMeasure(a, b, np.maximum(dens, 0.0))
     return EquilibriumResult(
         a_v=a, b_v=b, density=density, c_v=measure.energy(V),
@@ -252,21 +246,3 @@ def save_equilibrium(eq: EquilibriumResult, directory: str) -> dict:
     write_text_atomic(jpath, json.dumps(obj, indent=2) + "\n")
     save_measure(eq.density, cpath)
     return {"json": jpath, "density": cpath}
-
-
-def load_equilibrium(directory: str) -> EquilibriumResult:
-    """Inverse of :func:`save_equilibrium`; refuses a tampered `sigma` and
-    ignores keys it does not read, such as older files' second series."""
-    jpath = os.path.join(directory, f"{EQUILIBRIUM_STEM}.json")
-    with open(jpath) as fh:
-        obj = json.load(fh)
-    density = load_measure(
-        os.path.join(directory, f"{EQUILIBRIUM_STEM}_density.csv"))
-    a, b = obj["a_v"], obj["b_v"]
-    measure = AngularMeasure(0.5 * (a + b), 0.5 * (b - a), obj["cos_moments"])
-    if obj["sigma"] != measure.sigma:
-        raise ValueError(f"{jpath}: stored sigma {obj['sigma']!r} is not "
-                         f"the cos_moments' {measure.sigma!r}")
-    return EquilibriumResult(
-        a_v=a, b_v=b, density=density, c_v=obj["c_v"], measure=measure,
-        potential_coeffs=tuple(obj["potential_coeffs"]))

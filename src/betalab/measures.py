@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import chebyshev as C, polynomial as P
 
-from ._fsio import fmt, write_text_atomic
+from ._fsio import write_csv
 
 __all__ = [
     "AtomicMeasure",
@@ -297,8 +297,12 @@ class AngularMeasure:
 
     @property
     def sigma(self) -> float:
-        """Sigma(mu) = ln(radius / 2) - 2 sum_k mom_k^2 / k."""
-        return _log_energy_series(self.radius, self.cos_moments)
+        """Sigma(mu) = ln(radius / 2) - 2 sum_k mom_k^2 / k, from ln|x - y| =
+        ln(radius / 2) - sum_k (2 / k) T_k(s) T_k(t); summed left to right,
+        so a moment sequence keeps its bits."""
+        mom = self.cos_moments
+        tail = np.add.accumulate(mom[1:] ** 2 / np.arange(1.0, mom.size))[-1]
+        return math.log(0.5 * self.radius) * mom[0] ** 2 - 2.0 * float(tail)
 
     def energy(self, V) -> float:
         """-Sigma(mu) + int V dmu for a Potential V."""
@@ -560,15 +564,6 @@ def log_energy_reg(mu: AtomicMeasure, m: float) -> float:
     return total
 
 
-def _log_energy_series(radius: float, mom: np.ndarray) -> float:
-    """Sigma = ln(radius / 2) m_0^2 - 2 sum_{k>=1} m_k^2 / k of a measure on
-    [c - radius, c + radius] with Chebyshev moments m_k, by the expansion
-    ln|x - y| = ln(radius / 2) - sum_k (2 / k) T_k(s) T_k(t); summed left to
-    right, so a moment sequence keeps its bits."""
-    tail = np.add.accumulate(mom[1:] ** 2 / np.arange(1.0, mom.size))[-1]
-    return math.log(0.5 * radius) * mom[0] ** 2 - 2.0 * float(tail)
-
-
 # Cell kernel of the piecewise-linear log-energy.  On cell c the density is
 # v_c (1 - t) + v_(c+1) t, t in [0, 1], and two cells d apart meet through
 #     C_pq(d) = iint_[0,1]^2 ln|d + s - t| psi_p(t) psi_q(s) dt ds,
@@ -673,16 +668,12 @@ def save_measure(mu: Measure, path: str) -> None:
     """Write a measure to a `.csv` file, atomically."""
     if isinstance(mu, AngularMeasure):
         raise TypeError("save_measure writes atomic and grid measures")
-    if path.endswith(".csv"):
-        if isinstance(mu, AtomicMeasure):
-            rows = ["position,weight"]
-            rows += [f"{fmt(a)},{fmt(w)}" for a, w in zip(mu.atoms, mu.weights)]
-        else:
-            rows = ["position,density"]
-            rows += [f"{fmt(x)},{fmt(v)}" for x, v in zip(mu.nodes, mu.values)]
-        write_text_atomic(path, "\n".join(rows) + "\n")
-        return
-    raise ValueError(f"unsupported measure file extension: {path}")
+    if not path.endswith(".csv"):
+        raise ValueError(f"unsupported measure file extension: {path}")
+    if isinstance(mu, AtomicMeasure):
+        write_csv(path, "position,weight", zip(mu.atoms, mu.weights))
+    else:
+        write_csv(path, "position,density", zip(mu.nodes, mu.values))
 
 
 def load_measure(path: str) -> Measure:

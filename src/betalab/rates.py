@@ -62,12 +62,6 @@ def _sigma_term(mu: Measure, m: float | None) -> tuple[float, float | None]:
     return -log_energy_grid(mu), None
 
 
-def _check_nonneg_support(nu: Measure) -> None:
-    lo = float(nu.quantile(0.0))
-    if lo < -1e-9:
-        raise ValueError(f"measure must be supported in R+, support starts at {lo}")
-
-
 def rate_IV(eq: EquilibriumResult, V: Potential, mu: Measure,
             m: float | None = None) -> RateEvaluation:
     """I_V(mu) = -Sigma(mu) + int V dmu - c_V."""
@@ -80,7 +74,9 @@ def rate_calI(eq: EquilibriumResult, V: Potential, c: float, nu: Measure,
               m: float | None = None) -> RateEvaluation:
     """calI_V(c, nu) = I_V(tau_c nu) for nu on R+, using the invariance of
     Sigma under the reflect-shift: -Sigma(nu) + int V(c - x) dnu - c_V."""
-    _check_nonneg_support(nu)
+    lo = float(nu.quantile(0.0))
+    if lo < -1e-9:
+        raise ValueError(f"measure must be supported in R+, support starts at {lo}")
     sig, reg = _sigma_term(nu, m)
     return RateEvaluation(sigma_term=sig,
                           potential_term=nu.integrate(V.coeffs, c, -1.0),

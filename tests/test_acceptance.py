@@ -88,7 +88,9 @@ def test_criterion_04_kappa_exactness():
 
 def test_criterion_05_dos_convergence():
     t0 = time.perf_counter()
-    conv = dos_convergence(GAUSS, 2.0, (100, 1000), replicas=200, seed=0)
+    # replica r depends only on (seed, r), so two workers draw the same W1s
+    conv = dos_convergence(GAUSS, 2.0, (100, 1000), replicas=200, seed=0,
+                           workers=2)
     elapsed = time.perf_counter() - t0
     m100, m1000 = conv[100]["mean_w1"], conv[1000]["mean_w1"]
     ok = m1000 <= 0.1 and m1000 < m100 and elapsed <= 300.0
@@ -139,20 +141,32 @@ def test_criterion_07_clt_regime_constants():
     target_mean = n / (n - 1) * (-3.0 + edge_term)
     target_var = 4.0 / beta
 
+    # S_N(f) = sum_i f(lambda_max - lambda_i) - f(0) from the power sums of
+    # each replica, without its full spectrum
+    def statistic(sample):
+        summary = sample.edge_summary(f.degree, f.window_h)
+        s_n = f.spectral_sum(summary, summary.lambda_max) - float(f.f(0.0))
+        return n * (s_n / (n - 1) - 1.0)
+
     t0 = time.perf_counter()
-    stats = np.array([
-        n * (dos_measure(sample_gaussian(n, beta, 0, replica=r))
-             .integrate(f.coeffs, -f.center) - 1.0)
-        for r in range(replicas)])
+    stats = np.array([statistic(sample_gaussian(n, beta, 0, replica=r))
+                      for r in range(replicas)])
     elapsed = time.perf_counter() - t0
+    # the same statistic from the full spectrum, on the first 20 replicas
+    cross = max(abs(n * (dos_measure(sample_gaussian(n, beta, 0, replica=r))
+                         .integrate(f.coeffs, -f.center) - 1.0) - stats[r])
+                for r in range(20))
     mean, var = float(np.mean(stats)), float(np.var(stats, ddof=1))
     ok = abs(mean - target_mean) <= 0.15 \
-        and abs(var - target_var) <= 0.15 * target_var and elapsed <= 600.0
+        and abs(var - target_var) <= 0.15 * target_var and elapsed <= 600.0 \
+        and cross <= 1e-10
     _report(7, ok, f"mean = {mean:.4f} (target {target_mean:.4f} +- 0.15), "
                    f"variance = {var:.4f} (target {target_var:.4f} +- 15%), "
-                   f"runtime {elapsed:.0f} s")
+                   f"max |power sums - spectrum| over 20 = {cross:.1e}, "
+                   f"runtime {elapsed:.1f} s")
     assert ok, (f"ensemble mean {mean:.4f} and variance {var:.4f} vs "
-                f"{target_mean:.4f} +- 0.15 and {target_var:.4f} +- 15%")
+                f"{target_mean:.4f} +- 0.15 and {target_var:.4f} +- 15%, "
+                f"routes {cross:.1e} apart")
 
 
 def test_criterion_08_edge_scale_stabilization():

@@ -247,6 +247,19 @@ def test_dos_converge_command(tmp_path):
     assert (out / "dos_w1_replicas.csv").exists()
 
 
+def test_cli_tables_follow_the_measure_csv_format(tmp_path):
+    # save_measure's format: ints through str, floats in their shortest
+    # round-trip form, comma-joined, a final newline
+    code, _ = run(tmp_path, "dos-converge", "--n", "20,40", "--replicas", "3",
+                  "--seed", "3")
+    assert code == 0
+    report = dos.dos_convergence(Potential.gaussian(), 2.0, (20, 40), 3, 3)
+    lines = ["n,replica,w1"] + [f"{n},{j},{float(w)!r}" for n in (20, 40)
+                                for j, w in enumerate(report[n]["w1"])]
+    assert (tmp_path / "out" / "dos_w1_replicas.csv").read_bytes() \
+        == ("\n".join(lines) + "\n").encode()
+
+
 def test_fluctuate_command(tmp_path):
     code, summary = run(tmp_path, "fluctuate", "--n", "64", "--replicas", "8",
                         "--seed", "2", "--f", "square")

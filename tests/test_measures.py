@@ -520,6 +520,21 @@ def test_grid_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.values, mu.values)
 
 
+@pytest.mark.parametrize("mu, text", [
+    (AtomicMeasure([0.1, 2.0], [0.25, 0.75]),
+     "position,weight\n0.1,0.25\n2.0,0.75\n"),
+    (GridMeasure(-1.0, 2.0, [1.0, 1.0, 1.0]),
+     "position,density\n-1.0,0.3333333333333333\n0.5,0.3333333333333333\n"
+     "2.0,0.3333333333333333\n"),
+], ids=["atomic", "grid"])
+def test_save_measure_writes_the_csv_format(tmp_path, mu, text):
+    # a header, then each row's floats in their shortest round-trip form
+    # joined by commas, then a final newline
+    path = tmp_path / "measure.csv"
+    save_measure(mu, str(path))
+    assert path.read_bytes() == text.encode()
+
+
 # ---------------------------------------------------------------------------
 # angular measures: CDF, partial first moment, quantile, W1, reflection
 # ---------------------------------------------------------------------------
