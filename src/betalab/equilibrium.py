@@ -24,6 +24,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -51,16 +52,28 @@ class EquilibriumResult:
     """One-cut equilibrium measure with its derived scalars.
 
     measure is mu_V, centred at 0.5 (a_v + b_v): c_v = measure.energy(V).
-    density is its grid on [a_v, b_v], which save_equilibrium writes; the
-    library computes with measure alone.
+    density is its grid of `cells` cells on [a_v, b_v], built on first read
+    from u, the Chebyshev coefficients of V' on the support; only
+    save_equilibrium writes it, and the library computes with measure alone.
     """
 
     a_v: float
     b_v: float
-    density: GridMeasure
     c_v: float
     measure: AngularMeasure
     potential_coeffs: tuple = field(repr=False)
+    cells: int = field(repr=False)
+    u: np.ndarray = field(repr=False)
+
+    @cached_property
+    def density(self) -> GridMeasure:
+        # u is about Newton's (c, r), which equal the measure's to roundoff
+        mu = self.measure
+        xs = np.linspace(self.a_v, self.b_v, self.cells + 1)
+        phi = np.arccos(np.clip((xs - mu.center) / mu.radius, -1.0, 1.0))
+        dens = np.sin(np.outer(phi, np.arange(1, self.u.size))) \
+            @ self.u[1:] / (2.0 * np.pi)
+        return GridMeasure(self.a_v, self.b_v, np.maximum(dens, 0.0))
 
 
 def _newton_endpoints(V: Potential) -> tuple:
@@ -112,7 +125,10 @@ def _newton_endpoints(V: Potential) -> tuple:
 
 
 def solve_equilibrium(V: Potential, n: int = 4096) -> EquilibriumResult:
-    """Equilibrium measure of V on its one-cut support [a_V, b_V]."""
+    """Equilibrium measure of V on its one-cut support [a_V, b_V]; n is the
+    cell count of its density grid, which is built on first read."""
+    if n < 2:
+        raise ValueError(f"density grid needs n >= 2 cells, got {n}")
     c, r, u = _newton_endpoints(V)
     p = V.degree
     # cosine moments <cos k theta> = r (u_{k+1} - u_{k-1}) / 8, k = 1..p,
@@ -121,14 +137,10 @@ def solve_equilibrium(V: Potential, n: int = 4096) -> EquilibriumResult:
     mom = np.append(1.0, 0.125 * r * (uu[2:] - uu[:p]))
     a, b = c - r, c + r
     measure = AngularMeasure(0.5 * (a + b), 0.5 * (b - a), mom)
-    # u is about Newton's (c, r), which equal the measure's to roundoff
-    xs = np.linspace(a, b, n + 1)
-    phi = np.arccos(np.clip((xs - measure.center) / measure.radius, -1.0, 1.0))
-    dens = np.sin(np.outer(phi, np.arange(1, u.size))) @ u[1:] / (2.0 * np.pi)
-    density = GridMeasure(a, b, np.maximum(dens, 0.0))
+    u.setflags(write=False)
     return EquilibriumResult(
-        a_v=a, b_v=b, density=density, c_v=measure.energy(V),
-        measure=measure, potential_coeffs=V.key())
+        a_v=a, b_v=b, c_v=measure.energy(V), measure=measure,
+        potential_coeffs=V.key(), cells=n, u=u)
 
 
 _EQ_CACHE: dict = {}

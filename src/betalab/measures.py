@@ -5,9 +5,9 @@ Three concrete representations are used everywhere in the lab:
 
 * :class:`AtomicMeasure` -- a finite weighted point measure with sorted
   support (empirical spectra).
-* :class:`GridMeasure` -- a nonnegative density sampled at ``n + 1`` uniform
-  nodes on an interval, normalized so the trapezoid integral is 1 (measures
-  read from CSV files, the saved equilibrium density).
+* :class:`GridMeasure` -- the piecewise-linear density through ``n + 1``
+  nonnegative values at uniform nodes on an interval, of total mass 1
+  (measures read from CSV files, the saved equilibrium density).
 * :class:`AngularMeasure` -- a density on [center - radius, center + radius]
   given by finitely many cosine moments in the angle of
   x = center + radius cos theta (mu_V, nu_V and the hard-edge minimizers,
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import chebyshev as C, polynomial as P
+from numpy.polynomial import polynomial as P
 
 from ._fsio import write_csv
 
@@ -135,14 +135,19 @@ class GridMeasure:
 
     Values are clipped at 0 (tiny negative quadrature noise is tolerated up
     to 1e-10 before construction fails) and rescaled so the trapezoid
-    integral over [lo, hi] is 1; values already within n eps of that are
-    kept, so a rebuild, reflect_shift and a save/load keep every bit.
+    integral over [lo, hi], the exact mass of the piecewise-linear density,
+    is 1; values already within n eps of that are kept, so a rebuild,
+    reflect_shift and a save/load keep every bit.  The CDF, quantile,
+    partial first moment, integrate and log_energy_grid are all exact for
+    that one density.
     """
 
     lo: float
     hi: float
     values: np.ndarray
     _cdf: np.ndarray = field(
+        default=None, init=False, repr=False, compare=False)
+    _moments: np.ndarray = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -171,6 +176,7 @@ class GridMeasure:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "values", _readonly(vals))
         object.__setattr__(self, "_cdf", _readonly(cdf))
+        object.__setattr__(self, "_moments", _readonly(np.ones(1)))
 
     @property
     def n(self) -> int:
@@ -221,12 +227,52 @@ class GridMeasure:
         first = x0 * mass + t * t * (0.5 * v0 + slope * t / 3.0)
         return cdf[i0] + mass, g_nodes[i0] + first
 
+    def _central_moments(self, k: int) -> np.ndarray:
+        """M_0..M_(k-1), M_j = int t^j dmu in t = (x - centre) / half-width,
+        exact for the piecewise-linear density and built once per size: the
+        cell moments in closed form, O(n k), normalized so M_0 = 1.
+
+        A cell [a, b] in t, with density v0 (1 - s) + v1 s at t = a + (b - a) s,
+        carries (b - a) (v0 A_j + v1 B_j) / ((j + 1)(j + 2)) of M_j, where
+        A_j = sum_k (j - k + 1) a^(j-k) b^k and B_j = sum_k (k + 1) a^(j-k) b^k
+        (Beta integrals of the binomial expansion).  Both follow
+        A_j = b A_(j-1) + (j + 1) a^j and B_j = a B_(j-1) + (j + 1) b^j, and
+        their terms share one sign on every cell that does not hold t = 0,
+        so nothing cancels.  The cells are equally wide, so (b - a) drops
+        out in the normalization.
+        """
+        if self._moments.size < k:
+            n = self.n
+            t = (2.0 * np.arange(n + 1) - n) / n     # t_(n-i) = -t_i exactly
+            a, b = t[:-1], t[1:]
+            v0, v1 = self.values[:-1], self.values[1:]
+            pa, pb = np.ones(n), np.ones(n)     # a^j, b^j
+            sa, sb = np.ones(n), np.ones(n)     # A_j, B_j
+            mom = np.empty(k)
+            mom[0] = np.add.reduce(v0 + v1) / 2.0
+            for j in range(1, k):
+                pa *= a
+                pb *= b
+                sa *= b
+                sa += (j + 1) * pa
+                sb *= a
+                sb += (j + 1) * pb
+                mom[j] = np.add.reduce(v0 * sa + v1 * sb) / ((j + 1) * (j + 2))
+            mom[1:] /= mom[0]
+            mom[0] = 1.0
+            object.__setattr__(self, "_moments", _readonly(mom))
+        return self._moments[:k]
+
     def integrate(self, coeffs, shift: float = 0.0,
                   scale: float = 1.0) -> float:
-        """int p(shift + scale x) dmu(x), p with ascending coefficients, by
-        the trapezoid rule on the nodes."""
-        vals = P.polyval(shift + scale * self.nodes, _polynomial(coeffs))
-        return float(np.trapezoid(vals * self.values, dx=self.h))
+        """int p(shift + scale x) dmu(x), p with ascending coefficients,
+        exact for the piecewise-linear density: p composed about the centre
+        of [lo, hi], against the grid's central moments.  No quadrature,
+        and a constant integrates to itself exactly, since M_0 = 1."""
+        p = _polynomial(coeffs)
+        half = 0.5 * (self.hi - self.lo)
+        q = _compose(p, shift + scale * (self.lo + half), scale * half)
+        return float(q @ self._central_moments(q.size))
 
 
 QUANTILE_TABLE = 1024    # angle cells of AngularMeasure.quantile's start table
@@ -259,8 +305,30 @@ def _compose(coeffs, center: float, radius: float) -> np.ndarray:
 
 def _cheb_coeffs(coeffs, center: float, radius: float) -> np.ndarray:
     """Chebyshev coefficients v_0..v_deg of t -> p(center + radius t), so
-    p(center + radius cos theta) = sum_k v_k cos(k theta) exactly."""
-    return C.poly2cheb(_compose(coeffs, center, radius))
+    p(center + radius cos theta) = sum_k v_k cos(k theta) exactly.
+
+    Horner's rule in the Chebyshev basis, res = x res + a from the top
+    coefficient down, with x T_k = (T_(k-1) + T_(k+1)) / 2: the arithmetic
+    of numpy's poly2cheb (its chebmulx, chebadd and trailing-zero trims),
+    in the same order, on Python floats, so every bit and signed zero
+    agrees with it."""
+    pol = _compose(coeffs, center, radius).tolist()
+    while len(pol) > 1 and pol[-1] == 0.0:
+        pol.pop()
+    res = [0.0]
+    for a in reversed(pol):
+        if len(res) > 1 or res[0] != 0.0:
+            half = [c / 2 for c in res[1:]]
+            prd = [res[0] * 0, res[0]] + half
+            for k, c in enumerate(half):
+                prd[k] += c
+            while len(prd) > 1 and prd[-1] == 0.0:
+                prd.pop()
+            res = prd
+        res[0] += a
+        while len(res) > 1 and res[-1] == 0.0:
+            res.pop()
+    return np.array(res)
 
 
 def _chebyshev_rows(t0, t1, z: np.ndarray, kmax: int) -> np.ndarray:
@@ -469,8 +537,8 @@ def reflect_shift(mu: Measure, c: float):
 
 
 def moment(mu: Measure, k: int) -> float:
-    """k-th raw moment, the integrate of x^k: a weighted sum for atoms, the
-    trapezoid for grids, the exact moment series for angular measures."""
+    """k-th raw moment, the integrate of x^k: a weighted sum for atoms, and
+    exact for the densities of grid and angular measures."""
     if k < 0 or k != int(k):
         raise ValueError(f"moment order must be a nonnegative integer, got {k}")
     k = int(k)

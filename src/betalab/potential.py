@@ -128,10 +128,11 @@ def kappa(V: Potential, nu: Measure) -> float:
     then shrinks it to a few ulps of max(|lo|, |hi|, 1), the floor keeping a
     root at 0 out of the subnormals.  g is not expanded in c through the
     raw moments of nu, which would cancel next to a multiple root: atoms
-    and grids evaluate V'(c - x) at their points, and an angular measure
-    composes V'(c - x) about its own centre, so each term of g is exact to
-    roundoff on the support and its sign stays reliable.  A bracket that
-    cannot be found is a solver failure (RuntimeError).
+    evaluate V'(c - x) at their points, and grid and angular measures
+    compose V'(c - x) about their own centre (against central or cosine
+    moments), so each term of g is exact to roundoff on the support and
+    its sign stays reliable.  A bracket that cannot be found is a solver
+    failure (RuntimeError).
     """
     def g(c: float) -> float:
         return nu.integrate(V._d1, c, -1.0)

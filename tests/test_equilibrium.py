@@ -79,6 +79,15 @@ def test_gaussian_density_is_semicircle(eq_gauss):
     assert np.max(np.abs(eq_gauss.density.values - expect)) <= 2e-6
 
 
+def test_density_grid_is_built_on_first_read(gauss):
+    # a solve builds no grid; the first read builds it once, of n cells
+    eq = solve_equilibrium(gauss, 64)
+    assert "density" not in vars(eq)
+    assert eq.density is eq.density and eq.density.n == 64
+    with pytest.raises(ValueError, match="n >= 2 cells"):
+        solve_equilibrium(gauss, 1)
+
+
 def test_quartic_gold_values(eq_quartic):
     assert abs(eq_quartic.b_v - QUARTIC_B) <= 1e-10
     assert abs(eq_quartic.a_v + QUARTIC_B) <= 1e-10
@@ -98,8 +107,11 @@ def test_energy_identity_at_minimizer(gauss, quartic):
 
 
 def test_integrate_constant_is_exact(quartic, eq_quartic):
-    # a constant is its own Chebyshev series, and mom_0 = 1
-    for measure in (eq_quartic.measure, equilibrium._hard_edge(quartic, 0.8)):
+    # a constant is its own Chebyshev series, and mom_0 = 1; a grid's
+    # central moment M_0 is exactly 1 too
+    for measure in (eq_quartic.measure, equilibrium._hard_edge(quartic, 0.8),
+                    eq_quartic.density,
+                    GridMeasure(0.5, 2.0, [0.3, 1.0, 0.2, 0.7])):
         assert measure.integrate([1.0]) == 1.0
         assert measure.integrate([2.0], 0.3, -1.7) == 2.0
 

@@ -119,6 +119,44 @@ def test_rates_vanish_exactly_on_mu_v_and_nu_v(coeffs):
         assert ev.regularization is None
 
 
+@pytest.mark.parametrize("coeffs", ["0,0,0.5", "0,0,0,0,1",
+                                    "0,0.3,0.5,0.1,0.2"])
+def test_grid_rates_are_nonnegative(coeffs):
+    # a rate is I_V of a probability measure, so >= 0; a grid's integrate
+    # and Sigma both read its piecewise-linear density exactly, so its
+    # rates stay above -1e-13 (roundoff), on grids of mu_V and on random
+    # positive grids in R+
+    V = Potential.from_string(coeffs)
+    eq = equilibrium.equilibrium_cached(V)
+    rng = np.random.default_rng(22)
+    grids = [equilibrium.solve_equilibrium(V, n).density
+             for n in (16, 64, 256, 1024, 4096)]
+    for n in (2, 17, 256, 4096):
+        lo = rng.uniform(0.0, 2.0)
+        grids.append(GridMeasure(lo, lo + rng.uniform(0.1, 4.0),
+                                 rng.random(n + 1) + 0.01))
+    for mu in grids:
+        nu = reflect_shift(mu, mu.hi)              # the same density on R+
+        k = kappa(V, nu)
+        evs = [rate_IV(eq, V, mu), rate_IDOS(eq, V, nu)]
+        evs += [rate_calI(eq, V, c, nu)
+                for c in (k - 0.5, k, k + 0.3, eq.b_v, eq.b_v + 1.0)]
+        assert min(ev.value for ev in evs) >= -1e-13
+
+
+@pytest.mark.parametrize("coeffs", ["0,0,0.5", "0,0,0,0,1",
+                                    "0,0.3,0.5,0.1,0.2"])
+def test_grid_iv_of_mu_v_falls_to_zero_from_above(coeffs):
+    # I_V of the n-cell grid of mu_V is positive and falls as n doubles
+    # (about 8x a doubling): 16 to 4096 cells
+    V = Potential.from_string(coeffs)
+    eq = equilibrium.equilibrium_cached(V)
+    values = [rate_IV(eq, V, equilibrium.solve_equilibrium(V, n).density)
+              .value for n in 16 * 2 ** np.arange(9)]
+    assert values[-1] > 0.0
+    assert all(a > b for a, b in zip(values, values[1:]))
+
+
 # ---------------------------------------------------------------------------
 # I_DOS
 # ---------------------------------------------------------------------------
