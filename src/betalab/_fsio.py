@@ -4,21 +4,24 @@ the same bytes."""
 from __future__ import annotations
 
 import os
-import tempfile
+
+
+class WriteError(OSError):
+    """What write_text_atomic raises for an OSError; filename is the path."""
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write text to `path` via a temp file in the same directory + rename."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    """Write text to `path` via a new sibling file (mode 0o666 & ~umask)."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "x") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise WriteError(exc.errno, exc.strerror, path) from exc
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def fmt(x: float) -> str:

@@ -6,8 +6,8 @@ flat key=value config file plus flags, flags winning; a value from either
 source goes through the option's one parser.  Every run writes summary.json
 (the resolved value of every option, results, and the only timestamp) plus
 plot-ready CSVs whose bytes depend solely on config and seed.  Exit codes:
-0 success, 2 config validation, 3 solver failure, or a result that is not
-a finite number (nothing is written then).
+0 success, 2 config validation or an unwritable output, 3 solver failure,
+or a result that is not a finite number (nothing is written then).
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from ._fsio import fmt, write_csv, write_text_atomic
+from ._fsio import WriteError, fmt, write_csv, write_text_atomic
 from . import dos as dosmod
 from .equilibrium import effective_potential_tail, equilibrium_cached, \
     nu_limit, save_equilibrium, solve_equilibrium
@@ -196,7 +196,7 @@ _POTENTIAL = (_type(Potential.from_string, "coefficients c0,c1,...,cp"),
               "0,0,0.5")
 _POSITIVE = _type(_finite, "a positive number", lambda v: v > 0)
 _BETA = (_POSITIVE, "2")
-_SEED = (_int_from(0), "1")
+_SEED = (_type(int, "an integer in [0, 2^64)", lambda v: 0 <= v < 2**64), "1")
 _SIZES = (_type(_list(int), "a comma list of distinct integers >= 2",
                 lambda v: len(v) > 0 and min(v) >= 2
                 and len(set(v)) == len(v)), "1000")
@@ -389,6 +389,18 @@ def main(argv=None) -> int:
                 f"out: cannot make directory {cfg['out']!r}: {exc}") from exc
         results, tables = command(cfg)
         _check_finite(results, tables)
+        for name, (header, rows) in tables.items():
+            write_csv(os.path.join(cfg["out"], name), header, rows)
+        path = os.path.join(cfg["out"], "summary.json")
+        write_text_atomic(path, json.dumps({
+            "command": args.command, "config": dict(sorted(cfg.items())),
+            "results": results,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        }, indent=2, default=_json_value) + "\n")
+    except WriteError as exc:   # equilibrium's own files, the tables, summary
+        print(f"config error: out: cannot write {exc.filename}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         # ConfigError, and module preconditions, which double as validation
         print(f"config error: {exc}", file=sys.stderr)
@@ -396,13 +408,6 @@ def main(argv=None) -> int:
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    for name, (header, rows) in tables.items():
-        write_csv(os.path.join(cfg["out"], name), header, rows)
-    path = os.path.join(cfg["out"], "summary.json")
-    write_text_atomic(path, json.dumps({
-        "command": args.command, "config": dict(sorted(cfg.items())),
-        "results": results, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }, indent=2, default=_json_value) + "\n")
     print(path)
     return 0
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -85,8 +85,6 @@ class AtomicMeasure:
         order = np.argsort(atoms, kind="stable")
         atoms, weights = atoms[order], weights[order]
         keep = weights > 0.0
-        if not np.any(keep):
-            raise ValueError("all weights are zero")
         atoms, weights = atoms[keep], weights[keep]
         # canonical merge of duplicate positions
         uniq, inv = np.unique(atoms, return_inverse=True)
@@ -303,32 +301,24 @@ def _compose(coeffs, center: float, radius: float) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _cheb_table(n: int) -> np.ndarray:
+    """Read-only B[k, j], the Chebyshev coefficients of t^j (j < n), exact
+    for j <= 56: t^j = 2^(1-j) sum_i C(j, i) T_(j-2i), the T_0 term halved."""
+    B = np.zeros((n, n))
+    for j in range(n):
+        for i in range(j // 2 + 1):
+            B[j - 2 * i, j] = math.comb(j, i) * 2.0 ** (1 - j - (2 * i == j))
+    return _readonly(B)
+
+
 def _cheb_coeffs(coeffs, center: float, radius: float) -> np.ndarray:
     """Chebyshev coefficients v_0..v_deg of t -> p(center + radius t), so
-    p(center + radius cos theta) = sum_k v_k cos(k theta) exactly.
-
-    Horner's rule in the Chebyshev basis, res = x res + a from the top
-    coefficient down, with x T_k = (T_(k-1) + T_(k+1)) / 2: the arithmetic
-    of numpy's poly2cheb (its chebmulx, chebadd and trailing-zero trims),
-    in the same order, on Python floats, so every bit and signed zero
-    agrees with it."""
-    pol = _compose(coeffs, center, radius).tolist()
-    while len(pol) > 1 and pol[-1] == 0.0:
-        pol.pop()
-    res = [0.0]
-    for a in reversed(pol):
-        if len(res) > 1 or res[0] != 0.0:
-            half = [c / 2 for c in res[1:]]
-            prd = [res[0] * 0, res[0]] + half
-            for k, c in enumerate(half):
-                prd[k] += c
-            while len(prd) > 1 and prd[-1] == 0.0:
-                prd.pop()
-            res = prd
-        res[0] += a
-        while len(res) > 1 and res[-1] == 0.0:
-            res.pop()
-    return np.array(res)
+    p(center + radius cos theta) = sum_k v_k cos(k theta) exactly: v = B q,
+    q from _compose and B from _cheb_table, summed elementwise, not by a
+    BLAS product; one entry per coefficient of p, trailing zeros kept."""
+    q = _compose(coeffs, center, radius)
+    return np.add.reduce(_cheb_table(q.size) * q, axis=1)
 
 
 def _chebyshev_rows(t0, t1, z: np.ndarray, kmax: int) -> np.ndarray:

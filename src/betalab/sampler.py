@@ -41,9 +41,10 @@ TARGET_ACCEPT = 0.35
 
 def rng_for(seed: int, replica: int = 0) -> np.random.Generator:
     """Philox stream keyed by (seed, replica): replicas are independent,
-    order-free, and reproducible."""
-    key = np.array([np.uint64(seed % (1 << 64)), np.uint64(replica)],
-                   dtype=np.uint64)
+    order-free, and reproducible; the seed must lie in [0, 2^64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    key = np.array([np.uint64(seed), np.uint64(replica)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

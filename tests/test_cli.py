@@ -341,6 +341,23 @@ def test_tail_scan_reruns_byte_identical(tmp_path):
         == (b / "tail_plus.csv").read_bytes()
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_output_files_keep_the_umask_mode(tmp_path, umask):
+    # the temp file is made by open(), not mkstemp's 0600, and the rename
+    # keeps its mode
+    old = os.umask(umask)
+    try:
+        assert main(["equilibrium", "--grid", "16",
+                     "--out", str(tmp_path / "o")]) == 0
+    finally:
+        os.umask(old)
+    files = sorted((tmp_path / "o").iterdir())
+    assert [f.name for f in files] == [
+        "equilibrium.json", "equilibrium_density.csv", "summary.json"]
+    for f in files:
+        assert f.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 # ---------------------------------------------------------------------------
 # config file handling
 # ---------------------------------------------------------------------------
@@ -448,6 +465,41 @@ def test_out_that_is_a_file_exits_two(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "out:" in err and str(afile) in err
     assert afile.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("name", ["summary.json", "equilibrium.json"])
+def test_unwritable_output_file_exits_two(tmp_path, capsys, name):
+    # a directory where a file goes (summary.json after the run, or one the
+    # command writes itself): the rename fails, is reported on out with the
+    # file's path, and the temp file is removed
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    assert main(["equilibrium", "--grid", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: out: cannot write {out / name}: " in err
+    assert (out / name).is_dir()
+    assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("seed", [str(1 << 64), str((1 << 64) + 5), "-1"])
+def test_seed_outside_the_key_range_exits_two(tmp_path, capsys, seed):
+    # 2^64 would key Philox like 0: refused, not reduced
+    out = tmp_path / "o"
+    assert main(["sample", "--n", "4", f"--seed={seed}",
+                 "--out", str(out)]) == 2
+    assert "argument --seed" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = {seed}\n")
+    assert main(["sample", "--n", "4", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert "seed:" in capsys.readouterr().err
+
+
+def test_largest_seed_runs(tmp_path):
+    code, summary = run(tmp_path, "sample", "--n", "4",
+                        "--seed", str((1 << 64) - 1))
+    assert code == 0 and summary["config"]["seed"] == (1 << 64) - 1
 
 
 @pytest.mark.parametrize("argv,needle", [

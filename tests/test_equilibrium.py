@@ -393,6 +393,19 @@ def test_constrained_below_unconstrained_is_a_solver_failure(
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_unconverged_endpoint_newton_is_a_solver_failure(tmp_path, capsys):
+    # V = 1e-300 x^2 has radius sqrt(2e300); from its start at r = 1,
+    # Newton does not reach it within NEWTON_MAX_ITER steps
+    with pytest.raises(RuntimeError, match="endpoint Newton did not converge"):
+        solve_equilibrium(Potential([0.0, 0.0, 1e-300]))
+    out = tmp_path / "o"
+    assert main(["equilibrium", "--potential", "0,0,1e-300",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: endpoint Newton did not converge" in err
+    assert list(out.iterdir()) == []
+
+
 def bad_soft_edge_roots(monkeypatch, failure):
     """Make _hard_edge's polynomial root-find return no positive root, or
     the true roots 1 % off, so the soft-edge residual is far above

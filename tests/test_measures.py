@@ -10,7 +10,7 @@ from betalab.equilibrium import _hard_edge, constrained_equilibrium, \
     equilibrium_cached, nu_limit
 from betalab.measures import (
     AngularMeasure, AtomicMeasure, GridMeasure, _cell_kernel, _cheb_coeffs,
-    _compose,
+    _cheb_table, _compose,
     load_measure, log_energy_grid, log_energy_reg,
     moment, reflect_shift, save_measure, variance, wasserstein,
 )
@@ -689,11 +689,24 @@ def test_grid_integrate_matches_cellwise_gauss(n):
         assert abs(mu.integrate(p, shift, scale) - ref) <= 1e-13 * scale_ref
 
 
-def test_cheb_coeffs_bits_match_poly2cheb():
-    # the float loop does numpy's poly2cheb arithmetic: 1e5 seeded cases,
-    # with trailing and signed zeros, zero radius and all-zero polynomials
-    rng = np.random.default_rng(37)
-    cases = 100_000
+def test_cheb_table_columns_are_poly2cheb_of_unit_vectors():
+    # column j is t^j in the Chebyshev basis: numpy's Horner route through
+    # chebmulx makes the same dyadic numbers, so they agree exactly
+    for n in range(1, 33):
+        B = _cheb_table(n)
+        assert B.shape == (n, n) and not B.flags.writeable
+        for j in range(n):
+            want = C.poly2cheb(np.eye(n)[j])
+            assert np.array_equal(B[:want.size, j], want)
+            assert not np.any(B[want.size:, j])
+
+
+def test_cheb_coeffs_match_poly2cheb():
+    # the table product against poly2cheb of the composed coefficients, on
+    # seeded cases with trailing and signed zeros, zero radius and all-zero
+    # polynomials: within 8 eps sum |q|, and always len(coeffs) entries
+    rng = np.random.default_rng(38)
+    cases = 2000
     coeffs = rng.standard_normal((cases, 9))
     sizes = rng.integers(1, 10, cases)
     kind = rng.integers(8, size=cases)
@@ -703,15 +716,16 @@ def test_cheb_coeffs_bits_match_poly2cheb():
     coeffs[kind == 2] = -0.0                              # all -0.0
     centers = np.where(kind == 3, -0.0, 3.0 * rng.standard_normal(cases))
     radii = np.where(kind == 4, 0.0, 2.0 * rng.standard_normal(cases))
-    bad = []
+    eps = np.finfo(float).eps
     for i in range(cases):
         p = coeffs[i, :sizes[i]]
+        q = _compose(p, centers[i], radii[i])
         got = _cheb_coeffs(p, centers[i], radii[i])
-        want = C.poly2cheb(_compose(p, centers[i], radii[i]))
-        if not (got.size == want.size and np.array_equal(got, want) and
-                np.array_equal(np.signbit(got), np.signbit(want))):
-            bad.append(i)
-    assert not bad
+        trimmed = C.poly2cheb(q)
+        want = np.zeros(p.size)
+        want[:trimmed.size] = trimmed
+        assert got.size == p.size
+        assert np.max(np.abs(got - want)) <= 8 * eps * np.sum(np.abs(q))
 
 
 @pytest.mark.parametrize("mu", [

@@ -69,6 +69,15 @@ def test_rng_streams_reproducible_and_distinct():
     assert not np.array_equal(a, c) and not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 42])
+def test_rng_for_refuses_seeds_outside_the_key_range(seed):
+    # the seed is one 64-bit key word: reducing it would alias seed % 2^64
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+        rng_for(seed)
+    top = rng_for((1 << 64) - 1).random(4)
+    assert not np.array_equal(top, rng_for(0).random(4))
+
+
 def test_sample_gaussian_deterministic():
     s1 = sample_gaussian(200, 2.0, 9)
     s2 = sample_gaussian(200, 2.0, 9)
