@@ -7,7 +7,10 @@ source goes through the option's one parser.  Every run writes summary.json
 (the resolved value of every option, results, and the only timestamp) plus
 plot-ready CSVs whose bytes depend solely on config and seed.  Exit codes:
 0 success, 2 config validation or an unwritable output, 3 solver failure,
-or a result that is not a finite number (nothing is written then).
+or a result that is not a finite number.  The files of a run are written
+all or none: each goes to a temp file first, and they are renamed into
+--out only once all are written, so a run that exits 2 or 3 leaves no file
+of its own behind (--out itself may remain).
 """
 from __future__ import annotations
 
@@ -22,10 +25,10 @@ import time
 
 import numpy as np
 
-from ._fsio import WriteError, fmt, write_csv, write_text_atomic
+from ._fsio import WriteError, csv_text, fmt, write_files
 from . import dos as dosmod
 from .equilibrium import effective_potential_tail, equilibrium_cached, \
-    nu_limit, save_equilibrium, solve_equilibrium
+    equilibrium_files, nu_limit, solve_equilibrium
 from .measures import load_measure
 from .potential import Potential
 from .rates import projection_J, rate_IDOS, rate_IV, rate_calI, rate_calJ, \
@@ -74,12 +77,13 @@ def _list(convert):
     return lambda text: [convert(t) for t in text.split(",") if t.strip()]
 
 
-# -- subcommands: each returns (results, {csv name: (header, rows)}) -------------
+# -- subcommands: each returns (results, {file name: table}) ------------------
+# A table is the (header, rows) of a CSV, or the text of a file.
 
 def _cmd_equilibrium(cfg: dict):
     eq = solve_equilibrium(cfg["potential"], cfg["grid"])
-    save_equilibrium(eq, cfg["out"])
-    return {"a_v": eq.a_v, "b_v": eq.b_v, "c_v": eq.c_v, "sigma": eq.measure.sigma}, {}
+    return {"a_v": eq.a_v, "b_v": eq.b_v, "c_v": eq.c_v,
+            "sigma": eq.measure.sigma}, equilibrium_files(eq)
 
 
 def _cmd_sample(cfg: dict):
@@ -363,7 +367,10 @@ def _check_finite(results: dict, tables: dict) -> None:
     finite input whose arithmetic overflowed), before any file is written:
     neither is valid JSON."""
     _require_finite(results, "results")
-    for name, (header, rows) in tables.items():
+    for name, table in tables.items():
+        if isinstance(table, str):
+            continue
+        header, rows = table
         cols = header.split(",")
         for i, row in enumerate(rows):
             for col, x in zip(cols, row):
@@ -389,15 +396,15 @@ def main(argv=None) -> int:
                 f"out: cannot make directory {cfg['out']!r}: {exc}") from exc
         results, tables = command(cfg)
         _check_finite(results, tables)
-        for name, (header, rows) in tables.items():
-            write_csv(os.path.join(cfg["out"], name), header, rows)
-        path = os.path.join(cfg["out"], "summary.json")
-        write_text_atomic(path, json.dumps({
+        files = {name: table if isinstance(table, str) else csv_text(*table)
+                 for name, table in tables.items()}
+        files["summary.json"] = json.dumps({
             "command": args.command, "config": dict(sorted(cfg.items())),
             "results": results,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        }, indent=2, default=_json_value) + "\n")
-    except WriteError as exc:   # equilibrium's own files, the tables, summary
+        }, indent=2, default=_json_value) + "\n"
+        write_files(cfg["out"], files)
+    except WriteError as exc:   # every file of the run, or none
         print(f"config error: out: cannot write {exc.filename}: "
               f"{exc.strerror}", file=sys.stderr)
         return 2
@@ -408,7 +415,7 @@ def main(argv=None) -> int:
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    print(path)
+    print(os.path.join(cfg["out"], "summary.json"))
     return 0
 
 

@@ -22,29 +22,28 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from ._fsio import write_text_atomic
+from ._fsio import csv_text
 from .measures import AngularMeasure, GridMeasure, _cheb_coeffs, _compose, \
-    reflect_shift, save_measure
+    reflect_shift
 from .potential import Potential
 
 __all__ = [
     "EquilibriumResult", "ConstrainedEquilibriumResult",
     "solve_equilibrium", "equilibrium_cached", "nu_limit",
     "constrained_equilibrium", "effective_potential_tail",
-    "save_equilibrium",
+    "equilibrium_files",
 ]
 
 NEWTON_TOL = 8.0 * np.finfo(float).eps   # relative: roundoff of the residual
 NEWTON_MAX_ITER = 200
 GAP_TOL = 1e-8
-EQUILIBRIUM_STEM = "equilibrium"   # file names written by save_equilibrium
+EQUILIBRIUM_STEM = "equilibrium"   # file names of equilibrium_files
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +53,7 @@ class EquilibriumResult:
     measure is mu_V, centred at 0.5 (a_v + b_v): c_v = measure.energy(V).
     density is its grid of `cells` cells on [a_v, b_v], built on first read
     from u, the Chebyshev coefficients of V' on the support; only
-    save_equilibrium writes it, and the library computes with measure alone.
+    equilibrium_files renders it, and the library computes with measure alone.
     """
 
     a_v: float
@@ -244,17 +243,16 @@ def constrained_equilibrium(V: Potential,
 
 # -- serialization ------------------------------------------------------------
 
-def save_equilibrium(eq: EquilibriumResult, directory: str) -> dict:
-    """Write endpoints/constants JSON plus the density CSV; returns paths."""
-    os.makedirs(directory, exist_ok=True)
-    jpath = os.path.join(directory, f"{EQUILIBRIUM_STEM}.json")
-    cpath = os.path.join(directory, f"{EQUILIBRIUM_STEM}_density.csv")
+def equilibrium_files(eq: EquilibriumResult) -> dict:
+    """The endpoints and constants as JSON and the density grid as CSV (the
+    format of save_measure), file name -> text."""
     obj = {
         "a_v": float(eq.a_v), "b_v": float(eq.b_v),
         "c_v": float(eq.c_v), "sigma": float(eq.measure.sigma),
         "potential_coeffs": list(eq.potential_coeffs),
         "cos_moments": [float(m) for m in eq.measure.cos_moments],
     }
-    write_text_atomic(jpath, json.dumps(obj, indent=2) + "\n")
-    save_measure(eq.density, cpath)
-    return {"json": jpath, "density": cpath}
+    grid = eq.density
+    return {f"{EQUILIBRIUM_STEM}.json": json.dumps(obj, indent=2) + "\n",
+            f"{EQUILIBRIUM_STEM}_density.csv": csv_text(
+                "position,density", zip(grid.nodes, grid.values))}

@@ -84,7 +84,8 @@ class _JacobiBands:
     buffer with two zero rows on each side and h zero columns at each end,
     so shifted reads past the ends see zeros (a block's first above and
     last below are the zero couplings).  They are written in place through
-    `diagonal` (R, N) and set_offdiagonal.
+    `diagonal` (R, N) and `couplings` (2, R, N - 1), one strided view of
+    both copies of the off-diagonal, above and below.
 
     T is symmetric, so diag(T^k)_c = sum_m (T^j)[c-m, c] (T^(k-j))[c-m, c]
     with j = k // 2: the bands j <= h = ceil(degree / 2) are enough.  With
@@ -103,15 +104,21 @@ class _JacobiBands:
         entries = np.zeros((7, size + 2 * h))
         blocks = entries[2:5, h:h + size].reshape(3, -1, n)
         self.diagonal = blocks[1]
-        self._above, self.offdiagonal = blocks[0, :, 1:], blocks[2, :, :-1]
+        item, row = entries.itemsize, entries.strides[0]
+        # above[c + 1], two rows and one column from below[c]: the planes
+        # of couplings are above[:, 1:] and below[:, :-1]
+        self.couplings = np.ndarray(
+            (2, size // n, n - 1), buffer=entries,
+            offset=2 * row + (h + 1) * item,
+            strides=(2 * row - item, n * item, item))
+        self.offdiagonal = blocks[2, :, :-1]
         self.diagonal[:] = d.reshape(-1, n)
-        self.set_offdiagonal(slice(None), e.reshape(-1, n - 1))
+        self.couplings[:] = e.reshape(-1, n - 1)
         # row m of band j is bands[j][mid[j] - m]
         mid = [0, 3] + [h + 1] * (h - 1)
         bands = [np.ones((1, size)), entries[:, h:h + size]] + [
             np.zeros((2 * h + 3, size)) for _ in range(h - 1)]
         scratch = np.empty((6 * h + 3, size))
-        item, row = entries.itemsize, entries.strides[0]
         self._steps = []
         for j in range(2, h + 1):
             w, prev, top = min(j, degree - j), bands[j - 1], mid[j - 1]
@@ -132,12 +139,6 @@ class _JacobiBands:
                           for k in range(degree + 1)]
         self._potential, self._term = np.empty(d.shape), np.empty(size)
 
-    def set_offdiagonal(self, sites, values, where=True) -> None:
-        """Write off-diagonal entries (R, N - 1)[:, sites] of T, both sides
-        of the diagonal."""
-        np.copyto(self._above[:, sites], values, where=where)
-        np.copyto(self.offdiagonal[:, sites], values, where=where)
-
     def power_diagonals(self) -> np.ndarray:
         """diag(T^k), k = 0..degree, of the entries as they stand: flat
         (R N,) rows of the workspace, overwritten by the next call."""
@@ -147,14 +148,20 @@ class _JacobiBands:
 
     def potential_diagonal(self, coeffs: np.ndarray) -> np.ndarray:
         """diag V(T) (R, N), V with ascending coefficients coeffs: c_0 plus
-        c_k diag(T^k) for each c_k != 0 in k order, overwritten next call."""
+        c_k diag(T^k) for each c_k != 0 in k order, overwritten next call.
+        With c_0 = 0 the sum starts at the first term (0.0 + x == x)."""
         for step in self._steps:
             _sum_of_products(*step)
         out = self._potential.reshape(-1)
-        out.fill(coeffs[0])
+        begun = coeffs[0] != 0.0
+        if begun:
+            out.fill(coeffs[0])
         for c, step in zip(coeffs[1:], self._products[1:]):
-            if c:
+            if c and begun:
                 out += np.multiply(c, _sum_of_products(*step), out=self._term)
+            elif c:
+                np.multiply(c, _sum_of_products(*step), out=out)
+                begun = True
         return self._potential
 
 
@@ -329,25 +336,28 @@ def _mcmc_chains(V: Potential, beta: float, n: int, seed: int,
     """Final Jacobi entries a (R, N) and b (R, N - 1) of the chains of
     sample_mcmc_batch, and their acceptance rates (R,).
 
-    The chains' state is one _JacobiBands workspace, made once per call: a
-    class writes its proposal into the entries in place, reads diag V(T)
-    off the workspace, and restores the sites that reject from the kept
-    values.  A class costs O(R N deg V^2) arithmetic (20 products per entry
-    for V = x^4) in numpy calls that grow with deg V but not with R or N,
-    and allocates nothing for the powers; acceptances are counted once per
-    sweep.
+    The chains' state is one _JacobiBands workspace, made once per call.
+    Every site moves exactly once per sweep, so what a proposal needs from
+    the state before the sweep (a + jump, exp(u + jump), the gain
+    beta (N - k) (u_new - u), the entries to restore) is formed once per
+    sweep over all 2 N - 1 sites.  A class then writes its proposals into
+    the entries in place (both copies of b in one call), reads diag V(T)
+    off the workspace, restores the sites that reject, and keeps the rows
+    of diag V(T) that the accepted sites own: 10 numpy calls plus the
+    power kernel (5 for a quartic), into buffers and views made once per
+    call.  A class costs
+    O(R N deg V^2) arithmetic (20 products per entry for V = x^4), in
+    calls that grow with deg V but not with R or N.
     """
     if n < 2 or beta <= 0:
         raise ValueError("need n >= 2 and beta > 0")
     rngs = [rng_for(seed, r) for r in replicas]
-    R = len(rngs)
+    R, sites = len(rngs), 2 * n - 1
     eq = equilibrium_cached(V)
     coeffs = V.coeffs
-    classes = _colour_classes(n, V.degree)
     u = np.full((R, n - 1), math.log(0.5 * eq.measure.radius))
     bands = _JacobiBands(np.full((R, n), eq.measure.center), np.exp(u),
                          V.degree)
-    a, b = bands.diagonal, bands.offdiagonal
     diag_v = bands.potential_diagonal(coeffs).copy()
     half_nb = 0.5 * n * beta
     weight = beta * np.arange(n - 1, 0, -1)    # beta (N - k), k from the top
@@ -359,56 +369,81 @@ def _mcmc_chains(V: Potential, beta: float, n: int, seed: int,
     scale = np.concatenate([np.full(n, eq.measure.radius * sd),
                             sd * np.sqrt(n / np.arange(n - 1, 0, -1))])
     step = np.full((R, 2), 2.4)             # columns: diagonal, off-diagonal
-    sites_per_kind = np.array([n, n - 1])
+    kind_starts, sites_per_kind = np.array([0, n]), np.array([n, n - 1])
     sweeps = MCMC_BURN_IN + MCMC_SWEEPS
-    taken = np.empty((R, 2 * n - 1), dtype=bool)    # this sweep's accepts
-    taken_a, taken_u = taken[:, :n], taken[:, n:]
-    post_accepted = np.zeros(R)
-    z = logu = None
-    for s in range(sweeps):
-        if s % MCMC_CHUNK == 0:
-            m = min(MCMC_CHUNK, sweeps - s)
-            z = np.stack([rng.standard_normal((m, 2 * n - 1))
-                          for rng in rngs])
-            logu = np.stack([rng.random((m, 2 * n - 1)) for rng in rngs])
-            np.log(logu, out=logu)
-        jump = z[:, s % MCMC_CHUNK] * scale
-        jump[:, :n] *= step[:, :1]
-        jump[:, n:] *= step[:, 1:]
-        jump_a, jump_u = jump[:, :n], jump[:, n:]
-        lus = logu[:, s % MCMC_CHUNK]
-        lu_a, lu_u = lus[:, :n], lus[:, n:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for is_off, sites, starts, owner in classes:
-                if is_off:
-                    kept = b[:, sites].copy()
-                    prop_u = u[:, sites] + jump_u[:, sites]
-                    bands.set_offdiagonal(sites, np.exp(prop_u))
-                    gain, log_u = weight[sites] * (prop_u - u[:, sites]), \
-                        lu_u[:, sites]
-                else:
-                    kept = a[:, sites].copy()
-                    a[:, sites] += jump_a[:, sites]
-                    gain, log_u = 0.0, lu_a[:, sites]
-                new = bands.potential_diagonal(coeffs)
-                ok = log_u < gain - half_nb * np.add.reduceat(
-                    new - diag_v, starts, axis=1)
-                if is_off:
-                    np.copyto(u[:, sites], prop_u, where=ok)
-                    bands.set_offdiagonal(sites, kept, where=~ok)
-                    taken_u[:, sites] = ok
-                else:
-                    np.copyto(a[:, sites], kept, where=~ok)
-                    taken_a[:, sites] = ok
-                np.copyto(diag_v, new, where=ok[:, owner])
-        accepted = np.stack([np.count_nonzero(taken_a, axis=1),
-                             np.count_nonzero(taken_u, axis=1)], axis=1)
-        if s < MCMC_BURN_IN:
-            step *= np.exp(0.5 * (accepted / sites_per_kind - TARGET_ACCEPT))
-            np.clip(step, 1e-3, 1e3, out=step)
+    normals, uniforms = (np.empty((R, MCMC_CHUNK, sites)) for _ in range(2))
+    # one sweep's rows over the sites, a_0 .. a_(N-1) then b_0 .. b_(N-2):
+    # the entries as the sweep found them, the proposed entries, the
+    # jumps, log U, the gains (0 on the diagonal) and the accepts
+    entries, proposal, jump, log_u = (np.empty((R, sites)) for _ in range(4))
+    gain = np.zeros((R, sites))
+    taken = np.empty((R, sites), dtype=bool)
+    prop_u = np.empty((R, n - 1))
+    a, b = entries[:, :n], entries[:, n:]
+    prop_a, prop_b = proposal[:, :n], proposal[:, n:]
+    jump_a, jump_u = jump[:, :n], jump[:, n:]
+    step_a, step_u = step[:, :1], step[:, 1:]
+    gain_u, taken_u = gain[:, n:], taken[:, n:]
+    diff, owned = np.empty((R, n)), np.empty((R, n), dtype=bool)
+    # per class: where its proposals go in the workspace (both copies of
+    # b), its columns of the sweep's rows, and buffers for its sums and
+    # rejections
+    plan = []
+    for is_off, where, starts, owner in _colour_classes(n, V.degree):
+        if is_off:
+            dest = bands.couplings[:, :, where]
+            cols = slice(n + where.start, None, where.step)
         else:
-            post_accepted += accepted.sum(axis=1)
-    return a.copy(), b.copy(), post_accepted / (MCMC_SWEEPS * (2 * n - 1))
+            dest = bands.diagonal[None, :, where]
+            cols = slice(where.start, n, where.step)
+        plan.append((dest, proposal[:, cols], entries[:, cols],
+                     gain[:, cols], log_u[:, cols], taken[:, cols],
+                     np.empty((R, starts.size)),
+                     np.empty((R, starts.size), dtype=bool), starts, owner))
+    post_accepted = np.zeros(R)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(sweeps):
+            row = s % MCMC_CHUNK
+            if row == 0:
+                m = min(MCMC_CHUNK, sweeps - s)
+                for rng, z in zip(rngs, normals):
+                    rng.standard_normal(out=z[:m])
+                for rng, lu in zip(rngs, uniforms):
+                    rng.random(out=lu[:m])
+                np.log(uniforms[:, :m], out=uniforms[:, :m])
+            np.copyto(a, bands.diagonal)
+            np.copyto(b, bands.offdiagonal)
+            np.multiply(normals[:, row], scale, out=jump)
+            jump_a *= step_a
+            jump_u *= step_u
+            np.add(a, jump_a, out=prop_a)
+            np.add(u, jump_u, out=prop_u)
+            np.exp(prop_u, out=prop_b)
+            np.multiply(weight, np.subtract(prop_u, u, out=gain_u),
+                        out=gain_u)
+            np.copyto(log_u, uniforms[:, row])
+            for (dest, prop, kept, gain_c, lu, ok, sums, reject, starts,
+                 owner) in plan:
+                np.copyto(dest, prop)
+                new = bands.potential_diagonal(coeffs)
+                np.add.reduceat(np.subtract(new, diag_v, out=diff), starts,
+                                axis=1, out=sums)
+                np.subtract(gain_c, np.multiply(half_nb, sums, out=sums),
+                            out=sums)
+                np.less(lu, sums, out=ok)
+                np.copyto(dest, kept, where=np.logical_not(ok, out=reject))
+                np.copyto(diag_v, new,
+                          where=ok.take(owner, 1, owned, "clip"))
+            np.copyto(u, prop_u, where=taken_u)
+            accepted = np.add.reduceat(taken, kind_starts, axis=1, dtype=int)
+            if s < MCMC_BURN_IN:
+                step *= np.exp(0.5 * (accepted / sites_per_kind
+                                      - TARGET_ACCEPT))
+                np.clip(step, 1e-3, 1e3, out=step)
+            else:
+                post_accepted += accepted.sum(axis=1)
+    return (bands.diagonal.copy(), bands.offdiagonal.copy(),
+            post_accepted / (MCMC_SWEEPS * sites))
 
 
 def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
@@ -433,8 +468,8 @@ def sample_mcmc_batch(V: Potential, beta: float, n: int, seed: int,
     final T (its eigenvalues are solved when first read, see
     SpectrumSample).  A sweep moves each colour class of _colour_classes
     at once, for all replicas: 2 deg V - 1 batches of O(R N deg V^2) work,
-    19 numpy calls (diagonal) or 26 (off-diagonal) for a quartic, on one
-    workspace that the whole batch of chains shares (see _mcmc_chains).
+    15 numpy calls each for a quartic, on one workspace that the whole
+    batch of chains shares (see _mcmc_chains).
     Each replica has its own stream, and its randomness is drawn in fixed
     chunks (normals then uniforms per chunk), so a batch of size one
     reproduces any replica of a larger batch bit for bit.

@@ -34,6 +34,7 @@ quantile_discretize cuts a grid measure into equal-mass atoms for the
 convergence checks; nothing in the library discretizes a grid measure.
 """
 
+import contextlib
 import math
 import warnings
 
@@ -838,11 +839,14 @@ def _potential_diagonal(coeffs: np.ndarray, diag, off) -> np.ndarray:
 
 
 def colour_class_chain_reference(V: Potential, beta: float, n: int,
-                                 seed: int, replicas) -> tuple:
+                                 seed: int, replicas,
+                                 on_overflow=None) -> tuple:
     """Final Jacobi entries a (R, N) and b (R, N - 1) of the chains of
     sampler.sample_mcmc_batch, and their acceptance rates (R,), by the
     colour-class sweep that builds diag V(T) afresh for every proposal
-    (_potential_diagonal), with the proposal in a copy of the entries."""
+    (_potential_diagonal), with the proposal in a copy of the entries.
+    on_overflow, if given, is numpy's error callback for each class whose
+    proposed b = exp(u + jump) overflows."""
     if n < 2 or beta <= 0:
         raise ValueError("need n >= 2 and beta > 0")
     rngs = [rng_for(seed, r) for r in replicas]
@@ -888,7 +892,9 @@ def colour_class_chain_reference(V: Potential, beta: float, n: int,
                 if is_off:
                     prop_u = u[:, sites] + jump_u[:, sites]
                     prop_b = b.copy()
-                    prop_b[:, sites] = np.exp(prop_u)
+                    with (np.errstate(over="call", call=on_overflow)
+                          if on_overflow else contextlib.nullcontext()):
+                        prop_b[:, sites] = np.exp(prop_u)
                     new = _potential_diagonal(coeffs, a, prop_b)
                     gain, log_u = weight[sites] * (prop_u - u[:, sites]), \
                         lu_u[:, sites]

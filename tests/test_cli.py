@@ -467,18 +467,25 @@ def test_out_that_is_a_file_exits_two(tmp_path, capsys, command):
     assert afile.read_text() == "keep\n"
 
 
-@pytest.mark.parametrize("name", ["summary.json", "equilibrium.json"])
-def test_unwritable_output_file_exits_two(tmp_path, capsys, name):
-    # a directory where a file goes (summary.json after the run, or one the
-    # command writes itself): the rename fails, is reported on out with the
-    # file's path, and the temp file is removed
+@pytest.mark.parametrize("command, name", [
+    ("equilibrium", "summary.json"), ("equilibrium", "equilibrium.json"),
+    ("equilibrium", "equilibrium_density.csv"),
+    ("sample", "summary.json"), ("sample", "samples.csv"),
+], ids=["summary.json", "equilibrium.json", "equilibrium_density.csv",
+        "sample-summary.json", "sample-samples.csv"])
+def test_unwritable_output_file_exits_two(tmp_path, capsys, command, name):
+    # a directory where one of the run's files goes (summary.json, renamed
+    # last, or one renamed before it): the rename fails, is reported on out
+    # with the file's path, and no file of the run is left, neither the
+    # temp files nor the ones already renamed
     out = tmp_path / "o"
     (out / name).mkdir(parents=True)
-    assert main(["equilibrium", "--grid", "16", "--out", str(out)]) == 2
+    size = {"equilibrium": ["--grid", "16"], "sample": ["--n", "8"]}[command]
+    assert main([command, *size, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"config error: out: cannot write {out / name}: " in err
+    assert [p.name for p in out.iterdir()] == [name]
     assert (out / name).is_dir()
-    assert not list(out.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("seed", [str(1 << 64), str((1 << 64) + 5), "-1"])

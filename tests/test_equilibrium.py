@@ -13,7 +13,7 @@ from betalab.equilibrium import (
     ConstrainedEquilibriumResult, constrained_equilibrium,
     equilibrium_cached,
     effective_potential_tail,
-    nu_limit, save_equilibrium, solve_equilibrium,
+    equilibrium_files, nu_limit, solve_equilibrium,
 )
 from betalab.measures import (
     AngularMeasure, AtomicMeasure, GridMeasure, _cheb_coeffs,
@@ -188,16 +188,14 @@ def test_cached_solve_is_shared(gauss):
 
 
 def _check_saved_mu_v(eq, tmp_path):
-    """save_equilibrium carries mu_V exactly: the JSON's cos_moments rebuild
-    a measure with the stored sigma bit for bit, the CSV reads back as the
-    density grid, and a second save writes the same bytes."""
-    first, second = tmp_path / "first", tmp_path / "second"
-    paths = save_equilibrium(eq, str(first))
-    save_equilibrium(eq, str(second))
-    for path in paths.values():
-        name = path.rsplit("/", 1)[-1]
-        assert (first / name).read_bytes() == (second / name).read_bytes()
-    obj = json.loads(open(paths["json"]).read())
+    """equilibrium_files carries mu_V exactly: the JSON's cos_moments
+    rebuild a measure with the stored sigma bit for bit, the CSV reads back
+    as the density grid, and a second call gives the same text."""
+    files = equilibrium_files(eq)
+    assert files == equilibrium_files(eq)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    obj = json.loads(files["equilibrium.json"])
     assert (obj["a_v"], obj["b_v"], obj["c_v"]) == (eq.a_v, eq.b_v, eq.c_v)
     assert tuple(obj["potential_coeffs"]) == eq.potential_coeffs
     a, b = obj["a_v"], obj["b_v"]
@@ -207,7 +205,7 @@ def _check_saved_mu_v(eq, tmp_path):
         assert np.array_equal(getattr(measure, f.name),
                               getattr(eq.measure, f.name)), f.name
     assert measure.cos_moments.flags.writeable is False
-    density = load_measure(paths["density"])
+    density = load_measure(str(tmp_path / "equilibrium_density.csv"))
     assert np.array_equal(density.values, eq.density.values)
 
 

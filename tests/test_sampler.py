@@ -156,11 +156,11 @@ def test_band_workspace_matches_dense_powers(rng, degree, n):
     moved_a[:, sites] += 0.5
     moved_b[:, sites] *= 1.5
     bands.diagonal[:, sites] = moved_a[:, sites]
-    bands.set_offdiagonal(sites, moved_b[:, sites])
+    bands.couplings[:, :, sites] = moved_b[:, sites]
     _assert_dense_diagonals(bands.power_diagonals(), moved_a, moved_b,
                             degree)
     np.copyto(bands.diagonal[:, sites], kept_a)
-    bands.set_offdiagonal(sites, kept_b)
+    bands.couplings[:, :, sites] = kept_b
     assert np.array_equal(bands.diagonal, a)
     assert np.array_equal(bands.offdiagonal, b)
     again = bands.power_diagonals()
@@ -366,6 +366,22 @@ def test_sweep_matches_colour_class_reference(coeffs, beta, n, replicas,
     assert list(got_acc) == list(acc)
 
 
+def test_sweep_matches_colour_class_reference_when_exp_overflows():
+    # at beta = 1e-4 the steps grow until some u + jump passes ln of the
+    # largest double: exp gives inf, which the sweep forms for all sites
+    # at once; each such site must reject and get its kept b back
+    V, beta, n, replicas, seed = Potential((0, 0, 0, 0, 1)), 1e-4, 8, 3, 1
+    overflows = []
+    a, b, acc = colour_class_chain_reference(
+        V, beta, n, seed, range(replicas),
+        on_overflow=lambda *args: overflows.append(args))
+    assert overflows
+    got_a, got_b, got_acc = _mcmc_chains(V, beta, n, seed, range(replicas))
+    assert np.all(np.isfinite(got_b))
+    assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+    assert list(got_acc) == list(acc)
+
+
 @pytest.mark.parametrize("coeffs", [(0, 0, 0, 0, 1), (0, 0.3, 0.5, 0.1, 0.2)],
                          ids=["quartic", "asymmetric"])
 def test_mcmc_matches_eigenvalue_chain(coeffs):
@@ -428,7 +444,7 @@ def test_colour_class_deltas_are_single_site_changes(rng, coeffs):
 
     def diag_v(d, e):
         bands.diagonal[:] = d
-        bands.set_offdiagonal(slice(None), e)
+        bands.couplings[:] = e
         return bands.potential_diagonal(V.coeffs).copy()
 
     base = diag_v(a, b)
